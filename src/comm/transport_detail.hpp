@@ -22,8 +22,11 @@ namespace spdkfac::comm::detail {
 /// the carrier).  The single pump worker serializes writes across peers,
 /// mirroring the AsyncCommEngine's one-pump discipline.
 ///
-/// A write failure (peer died, carrier torn) is captured and rethrown from
-/// the next send()/flush() — pool tasks must not throw.
+/// A write failure (peer died, carrier torn) is captured per peer and
+/// rethrown from the next send() to that peer and from flush() — pool tasks
+/// must not throw.  The other peers' queues keep draining: one dead peer
+/// must not silence this rank toward the live ones, whose frames (already
+/// queued, or pings) may be exactly what they are blocked on.
 class FrameSender {
  public:
   /// `write(dst, bytes)` delivers one encoded frame to `dst`, blocking as
@@ -47,8 +50,8 @@ class FrameSender {
     bool schedule = false;
     {
       std::lock_guard lock(mutex_);
-      if (error_) std::rethrow_exception(error_);
       Peer& peer = peers_[static_cast<std::size_t>(dst)];
+      if (peer.error) std::rethrow_exception(peer.error);
       peer.queue.push_back(std::move(frame));
       if (!peer.pumping) {
         peer.pumping = true;
@@ -60,24 +63,26 @@ class FrameSender {
     }
   }
 
-  /// Blocks until every enqueued frame has been written; rethrows the
-  /// first write error.
+  /// Blocks until every enqueued frame has been written or dropped with
+  /// its failed peer; rethrows the first peer's write error.
   void flush() {
     std::unique_lock lock(mutex_);
     drained_.wait(lock, [this] {
-      if (error_) return true;
       for (const Peer& p : peers_) {
         if (!p.queue.empty() || p.pumping) return false;
       }
       return true;
     });
-    if (error_) std::rethrow_exception(error_);
+    for (const Peer& p : peers_) {
+      if (p.error) std::rethrow_exception(p.error);
+    }
   }
 
  private:
   struct Peer {
     std::deque<std::vector<unsigned char>> queue;
     bool pumping = false;  ///< a flush task for this peer is scheduled
+    std::exception_ptr error;  ///< first write failure; the queue is dead
   };
 
   void pump(int dst) {
@@ -86,7 +91,7 @@ class FrameSender {
       std::vector<unsigned char> frame;
       {
         std::lock_guard lock(mutex_);
-        if (peer.queue.empty() || error_) {
+        if (peer.queue.empty()) {
           peer.pumping = false;
           drained_.notify_all();
           return;
@@ -98,7 +103,7 @@ class FrameSender {
         write_(dst, frame);
       } catch (...) {
         std::lock_guard lock(mutex_);
-        error_ = std::current_exception();
+        peer.error = std::current_exception();
         peer.queue.clear();
         peer.pumping = false;
         drained_.notify_all();
@@ -111,7 +116,6 @@ class FrameSender {
   std::condition_variable drained_;
   std::vector<Peer> peers_;
   std::function<void(int, std::span<const unsigned char>)> write_;
-  std::exception_ptr error_;
   exec::ThreadPool pool_;  ///< last member: joins before queues die
 };
 

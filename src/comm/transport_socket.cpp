@@ -28,7 +28,11 @@
 // deadline.  A dead peer surfaces three ways, all as RankFailure: EOF /
 // ECONNRESET (kPeerClosed — the kernel noticed the SIGKILL), deadline
 // expiry (kTimeout), or a forwarded failure notice naming the root dead
-// rank (kPeerNotice).
+// rank (kPeerNotice).  Once the awaited peer has sent a frame of the other
+// class (a barrier signal while we wait for data, or the reverse), it has
+// moved past the frame we wait for, so its pings stop resetting the
+// deadline.  Without that, live ranks left waiting on each other in a
+// cycle by a dropped message would keep every deadline alive forever.
 //
 // Teardown: the destructor flushes every send queue, then shuts down and
 // closes the sockets.  Flushed bytes survive the close (kernel-buffered),
@@ -143,6 +147,16 @@ bool poll_fd(int fd, short events, double timeout_s) {
     }
     return r > 0;
   }
+}
+
+/// A steady-clock instant kept in floating point, so any timeout fits.
+using Deadline =
+    std::chrono::time_point<std::chrono::steady_clock,
+                            std::chrono::duration<double, std::nano>>;
+
+Deadline deadline_after(double seconds) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration<double>(seconds);
 }
 
 class SocketTransport final : public Transport {
@@ -262,8 +276,13 @@ class SocketTransport final : public Transport {
       mine.pop_front();
       return frame;
     }
+    const auto& other = (want_barrier ? pending_data_ : pending_barrier_)[
+        static_cast<std::size_t>(src)];
+    auto deadline = deadline_after(timeout_s());
     for (;;) {
-      wire::Frame frame = next_frame(src);
+      // A stashed frame of the other class shows `src` has moved past the
+      // frame we await, so its pings no longer extend the deadline.
+      wire::Frame frame = next_frame(src, deadline, /*extend=*/other.empty());
       if (frame.header.src != src) {
         throw std::runtime_error("socket transport: frame src mismatch");
       }
@@ -284,16 +303,14 @@ class SocketTransport final : public Transport {
   }
 
   /// Reassembles the next complete frame from `src`, honoring the armed
-  /// deadline.  Any bytes from the peer reset the deadline (progress ==
-  /// liveness); EOF and expiry turn into RankFailures after a best-effort
-  /// notice broadcast.
-  wire::Frame next_frame(int src) {
+  /// `deadline`.  With `extend`, any bytes from the peer reset the deadline
+  /// (progress == liveness); EOF and expiry turn into RankFailures after a
+  /// best-effort notice broadcast.
+  wire::Frame next_frame(int src, Deadline& deadline, bool extend) {
     wire::FrameParser& parser = parsers_[static_cast<std::size_t>(src)];
     const int fd = peer_fds_[static_cast<std::size_t>(src)];
     const double timeout = timeout_s();
     const bool timed = timeout > 0.0;
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration<double>(timeout);
     while (!parser.has_frame()) {
       if (timed) {
         if (!poll_fd(fd, POLLIN, heartbeat_interval_s())) {
@@ -328,8 +345,7 @@ class SocketTransport final : public Transport {
             std::to_string(src) + " (" + wire::to_string(parser.error()) +
             ")");
       }
-      deadline = std::chrono::steady_clock::now() +
-                 std::chrono::duration<double>(timeout);
+      if (extend) deadline = deadline_after(timeout);
     }
     return parser.pop_frame();
   }

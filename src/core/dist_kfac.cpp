@@ -140,12 +140,17 @@ DistKfacOptions with_tunable(const DistKfacOptions& options,
   DistKfacOptions next = options;
   // The frequency/interval tunables arrive as doubles off the ctl wire;
   // insist on an exact positive integer so "set replan_interval=2.5"
-  // fails loudly instead of truncating.
+  // fails loudly instead of truncating.  Above 2^53 doubles stop being
+  // exact integers, and past size_t's range the cast is undefined.
   const auto as_count = [&](const char* what) {
     if (!std::isfinite(value) || value < 1.0 ||
         value != std::floor(value)) {
       throw std::invalid_argument(std::string("DistKfacOptions: ") + what +
                                   " must be a positive integer");
+    }
+    if (value > 0x1p53) {
+      throw std::invalid_argument(std::string("DistKfacOptions: ") + what +
+                                  " must be at most 2^53");
     }
     return static_cast<std::size_t>(value);
   };
@@ -213,25 +218,11 @@ DistKfacOptimizer::DistKfacOptimizer(
     // launcher configured (possibly already armed) untouched.
     comm_.transport().set_timeout(options_.comm_timeout_s);
   }
-  if (!options_.profile.empty()) {
-    // Static planning profile: the timing never changes, so install it once
-    // (re-plan points become no-ops and the cache holds one entry per step
-    // kind).
-    current_timing_ = options_.profile;
-    profiled_timing_ = true;
-  }
   const std::size_t L = layers_.size();
   state_.resize(L);
   fresh_a_.resize(L);
   fresh_g_.resize(L);
   agg_grads_.resize(L);
-  a_sizes_.resize(L);
-  g_sizes_.resize(L);
-  for (std::size_t l = 0; l < L; ++l) {
-    a_sizes_[l] = tensor::packed_size(layers_[l]->dim_a());
-    // G pass runs deepest layer first; g_sizes_ is indexed in pass order.
-    g_sizes_[l] = tensor::packed_size(layers_[L - 1 - l]->dim_g());
-  }
 
   // Execution-layer profiling tap: every compute node reports its measured
   // duration; factor builds and inverses land in the profiler's per-layer /
@@ -305,9 +296,12 @@ void DistKfacOptimizer::sync_profile() {
 
 void DistKfacOptimizer::refresh_planning_profile(bool measured_fusion) {
   ++replan_count_;
-  if (!options_.profile.empty()) return;  // static: installed at construction
-  if (!options_.profile_trajectory.empty()) {
-    const auto& traj = options_.profile_trajectory;
+  // A fixed profile is a one-entry trajectory: every epoch plans from it.
+  const std::span<const sched::PassTiming> traj =
+      options_.profile.empty()
+          ? std::span<const sched::PassTiming>(options_.profile_trajectory)
+          : std::span<const sched::PassTiming>(&options_.profile, 1);
+  if (!traj.empty()) {
     current_timing_ = traj[std::min(replan_epoch_, traj.size() - 1)];
     ++replan_epoch_;
     profiled_timing_ = true;
@@ -423,101 +417,68 @@ void DistKfacOptimizer::begin_step() {
   if (!plan_->placement.assignments.empty()) placement_ = plan_->placement;
 
   // -------------------------------------------------------------------
-  // Packing layout: carve every fused/gradient/broadcast buffer from the
-  // rank's arena slab (deterministic plan order, 64-byte aligned spans, no
-  // per-step allocation or zeroing — each span is fully written before it
-  // is read: fused members by their packs, gradient groups by the staged
-  // grads, broadcasts by the root's pack or the transport's receive) and
-  // record each producer's (group, offset) slot, so concurrent compute
-  // tasks write disjoint ranges with no coordination.
-  // -------------------------------------------------------------------
-  const std::size_t L = layers_.size();
-  a_buffers_.assign(plan_->a_comm.size(), {});
-  g_buffers_.assign(plan_->g_comm.size(), {});
-  a_slots_.assign(L, {});
-  g_slots_.assign(L, {});
-  grad_buffers_.assign(plan_->grad_comm.size(), {});
-  grad_slots_.assign(L, {});
-  bcast_buffers_.assign(2 * L, {});
-  task_buffer_.assign(plan_->tasks.size(), std::span<double>{});
-  task_group_.assign(plan_->tasks.size(), -1);
-
-  std::size_t total = 0;        // slab doubles, aligned per span
-  std::size_t comm_bytes = 0;   // payload bytes (the seed's zero-fill)
-  std::size_t codec_scratch = 0;  // largest codec gather/decode need
-  const auto count_tasks = [&](const std::vector<int>& ids) {
-    for (int id : ids) {
-      const sched::Task& task = plan_->task(id);
-      const std::size_t n = task.elements;
-      total += BufferArena::aligned(n);
-      comm_bytes += n * sizeof(double);
-      if (task.codec != comm::Codec::kNone) {
-        const std::size_t need =
-            task.kind == sched::TaskKind::kBroadcast
-                ? comm::broadcast_scratch_elements(task.codec, n)
-                : comm::all_reduce_scratch_elements(
-                      task.codec, n, comm_.size(), options_.topk_ratio);
-        codec_scratch = std::max(codec_scratch, need);
-      }
-    }
-  };
-  count_tasks(plan_->a_comm);
-  count_tasks(plan_->g_comm);
-  count_tasks(plan_->grad_comm);
-  count_tasks(plan_->broadcast_tasks);
-  total += BufferArena::aligned(codec_scratch);
-  arena_.reset(total);
-
+  // Packing layout, straight from the plan.  Size the arena slab, then one
+  // walk over the plan's collectives carves each a 64-byte-aligned span
+  // (plan order, no per-step allocation or zeroing — every span is fully
+  // written before it is read: fused members by their packs, gradient
+  // groups by the staged grads, broadcasts by the root's pack or the
+  // transport's receive) and hands its producers disjoint member ranges of
+  // it in pack order, so concurrent compute tasks write with no
+  // coordination.
+  //
   // Copies-eliminated accounting vs the seed layout: the per-step
   // zero-fill of every comm buffer, the fused path's dense unpack
   // intermediates (one d x d matrix per fused factor, now folded straight
   // from the packed payload), and the per-step reallocation of aggregated
   // gradients / broadcast inverse matrices.
-  arena_saved_bytes_ = comm_bytes;
-
-  const auto layout_family = [this](const std::vector<int>& comm_tasks,
-                                    std::vector<std::span<double>>& buffers,
-                                    std::vector<PackSlot>& slots,
-                                    const std::vector<std::size_t>& sizes) {
-    for (std::size_t gi = 0; gi < comm_tasks.size(); ++gi) {
-      const sched::Task& task = plan_->task(comm_tasks[gi]);
-      buffers[gi] = arena_.carve(task.elements);
-      task_buffer_[static_cast<std::size_t>(task.id)] = buffers[gi];
-      task_group_[static_cast<std::size_t>(task.id)] = static_cast<int>(gi);
-      std::size_t offset = 0;
-      for (std::size_t p = task.first; p <= task.last; ++p) {
-        slots[p] = {static_cast<int>(gi), offset};
-        offset += sizes[p];
-        const std::size_t d =
-            task.family == sched::Family::kA
-                ? layers_[p]->dim_a()
-                : layers_[layers_.size() - 1 - p]->dim_g();
-        arena_saved_bytes_ += d * d * sizeof(double);  // dense intermediate
-      }
-    }
-  };
-  layout_family(plan_->a_comm, a_buffers_, a_slots_, a_sizes_);
-  layout_family(plan_->g_comm, g_buffers_, g_slots_, g_sizes_);
-
-  for (std::size_t gi = 0; gi < plan_->grad_comm.size(); ++gi) {
-    const sched::Task& task = plan_->task(plan_->grad_comm[gi]);
-    grad_buffers_[gi] = arena_.carve(task.elements);
-    task_buffer_[static_cast<std::size_t>(task.id)] = grad_buffers_[gi];
-    task_group_[static_cast<std::size_t>(task.id)] = static_cast<int>(gi);
-    std::size_t offset = 0;
-    for (std::size_t l : plan_->grad_groups[gi]) {
-      grad_slots_[l] = {static_cast<int>(gi), offset};
-      const std::size_t n = layers_[l]->weight_grad().size();
-      offset += n;
-      arena_saved_bytes_ += n * sizeof(double);  // agg matrix realloc
-    }
+  // -------------------------------------------------------------------
+  std::size_t total = 0;          // slab doubles, aligned per span
+  std::size_t codec_scratch = 0;  // largest codec gather/decode need
+  for (const sched::Task& task : plan_->tasks) {
+    if (!task.is_collective()) continue;
+    total += BufferArena::aligned(task.elements);
+    if (task.codec == comm::Codec::kNone) continue;
+    codec_scratch = std::max(
+        codec_scratch,
+        task.kind == sched::TaskKind::kBroadcast
+            ? comm::broadcast_scratch_elements(task.codec, task.elements)
+            : comm::all_reduce_scratch_elements(task.codec, task.elements,
+                                                comm_.size(),
+                                                options_.topk_ratio));
   }
-  for (int id : plan_->broadcast_tasks) {
-    const sched::Task& task = plan_->task(id);
-    bcast_buffers_[task.tensor] = arena_.carve(task.elements);
-    task_buffer_[static_cast<std::size_t>(id)] = bcast_buffers_[task.tensor];
-    arena_saved_bytes_ +=
-        task.dim * task.dim * sizeof(double);  // inverse matrix realloc
+  arena_.reset(total + BufferArena::aligned(codec_scratch));
+
+  task_buffer_.assign(plan_->tasks.size(), std::span<double>{});
+  grad_slots_.assign(layers_.size(), {});
+  arena_saved_bytes_ = 0;
+  for (const sched::Task& task : plan_->tasks) {
+    if (!task.is_collective()) continue;
+    const std::span<double> buffer = arena_.carve(task.elements);
+    task_buffer_[static_cast<std::size_t>(task.id)] = buffer;
+    arena_saved_bytes_ += buffer.size() * sizeof(double);  // zero-fill
+    std::size_t offset = 0;
+    for (std::size_t l : task.member_layers) {
+      std::size_t n = 0;
+      if (task.kind == sched::TaskKind::kFusedAllReduce) {
+        const sched::Task& member = plan_->task(factor_task(task.family, l));
+        n = member.elements;
+        task_buffer_[static_cast<std::size_t>(member.id)] =
+            buffer.subspan(offset, n);
+        arena_saved_bytes_ +=
+            member.dim * member.dim * sizeof(double);  // dense intermediate
+      } else {
+        n = layers_[l]->weight_grad().size();
+        grad_slots_[l] = {buffer.subspan(offset, n), task.id};
+        arena_saved_bytes_ += n * sizeof(double);  // agg matrix realloc
+      }
+      offset += n;
+    }
+    if (task.kind == sched::TaskKind::kBroadcast) {
+      // The owner's CT inverse (the broadcast's only dependency) packs here.
+      task_buffer_[static_cast<std::size_t>(task.deps.front())] = buffer;
+      arena_saved_bytes_ +=
+          task.dim * task.dim * sizeof(double);  // inverse matrix realloc
+    }
   }
   codec_scratch_ =
       codec_scratch > 0 ? arena_.carve(codec_scratch) : std::span<double>{};
@@ -608,16 +569,12 @@ void DistKfacOptimizer::handle_forward(std::size_t layer) {
 }
 
 void DistKfacOptimizer::handle_backward_grad(std::size_t layer) {
-  const PackSlot& slot = grad_slots_[layer];
-  if (slot.group < 0) return;  // nothing communicated (P == 1)
+  const GradSlot& slot = grad_slots_[layer];
+  if (slot.span.empty()) return;  // nothing communicated (P == 1)
   const auto grad = layers_[layer]->weight_grad().data();
-  const std::span<double> buffer =
-      grad_buffers_[static_cast<std::size_t>(slot.group)];
-  std::copy(grad.begin(), grad.end(),
-            buffer.begin() + static_cast<std::ptrdiff_t>(slot.offset));
-  const int task_id = plan_->grad_comm[static_cast<std::size_t>(slot.group)];
-  if (layer == plan_->task(task_id).first) {  // the group's flush layer
-    executor_.satisfy(task_id);
+  std::copy(grad.begin(), grad.end(), slot.span.begin());
+  if (layer == plan_->task(slot.task).first) {  // the group's flush layer
+    executor_.satisfy(slot.task);
   }
 }
 
@@ -639,11 +596,10 @@ void DistKfacOptimizer::run_factor_compute(int task_id) {
   Matrix& fresh = is_a ? fresh_a_[l] : fresh_g_[l];
   fresh = is_a ? compute_factor_a(*layers_[l]) : compute_factor_g(*layers_[l]);
 
-  const PackSlot& slot = (is_a ? a_slots_ : g_slots_)[task.pass_index];
-  if (slot.group >= 0) {
-    const std::span<double> buffer =
-        (is_a ? a_buffers_ : g_buffers_)[static_cast<std::size_t>(slot.group)];
-    tensor::pack_upper(fresh, buffer.subspan(slot.offset, task.elements));
+  const std::span<double> packed =
+      task_buffer_[static_cast<std::size_t>(task_id)];
+  if (!packed.empty()) {
+    tensor::pack_upper(fresh, packed);
   } else {
     // Single worker: the fresh factor is already the aggregate; fold the
     // running average here so inverse tasks (which depend on every factor
@@ -665,10 +621,12 @@ void DistKfacOptimizer::run_inverse(int task_id) {
     gamma = t % 2 == 0 ? ga : gg;
   }
   Matrix inv = damped_inverse_by(factor_of(t), gamma, options_.inverse_method);
-  if (task.rank >= 0 && comm_.size() > 1) {
+  const std::span<double> bcast =
+      task_buffer_[static_cast<std::size_t>(task_id)];
+  if (!bcast.empty()) {
     // CT: owner packs; the broadcast (dependent on this node) ships it and
     // its completion unpacks into the slot on every rank identically.
-    tensor::pack_upper(inv, bcast_buffers_[t]);
+    tensor::pack_upper(inv, bcast);
   } else {
     inverse_slot(t) = std::move(inv);
   }
@@ -752,16 +710,15 @@ void DistKfacOptimizer::submit_compressed(const sched::Task& task,
   // residuals into the group payload, encode the local wire block, bank
   // residual' = u with the shipped positions zeroed (per layer — groups
   // reshape across re-plans, layers do not), then run the encoded
-  // all-reduce over the exact block just produced.
-  const auto gi = static_cast<std::size_t>(task_group_[task.id]);
+  // all-reduce over the exact block just produced.  `members` lives in
+  // *plan_, which begin_step replaces only once this step has drained.
   engine_.submit(
-      [this, buffer, ratio, scratch, gi, id](comm::Communicator& c) {
-        std::size_t offset = 0;
-        for (const std::size_t l : plan_->grad_groups[gi]) {
+      [this, &members = task.member_layers, buffer, ratio, scratch,
+       id](comm::Communicator& c) {
+        for (const std::size_t l : members) {
           const std::span<const double> res = grad_residuals_[l];
-          double* u = buffer.data() + offset;
+          const std::span<double> u = grad_slots_[l].span;
           for (std::size_t i = 0; i < res.size(); ++i) u[i] += res[i];
-          offset += res.size();
         }
         const std::size_t w =
             comm::wire_elements(comm::Codec::kTopK, buffer.size(), ratio);
@@ -769,14 +726,9 @@ void DistKfacOptimizer::submit_compressed(const sched::Task& task,
             static_cast<std::size_t>(c.rank()) * w, w);
         comm::encode(comm::Codec::kTopK, buffer, own, ratio);
         comm::topk_residual(buffer, own, buffer);  // in place: buffer := r'
-        offset = 0;
-        for (const std::size_t l : plan_->grad_groups[gi]) {
-          const std::span<double> res = grad_residuals_[l];
-          std::copy(buffer.begin() + static_cast<std::ptrdiff_t>(offset),
-                    buffer.begin() +
-                        static_cast<std::ptrdiff_t>(offset + res.size()),
-                    res.begin());
-          offset += res.size();
+        for (const std::size_t l : members) {
+          const std::span<const double> r = grad_slots_[l].span;
+          std::copy(r.begin(), r.end(), grad_residuals_[l].begin());
         }
         comm::all_reduce_encoded(c, buffer, comm::Codec::kTopK,
                                  comm::ReduceOp::kAverage, ratio, scratch, id);
@@ -786,13 +738,8 @@ void DistKfacOptimizer::submit_compressed(const sched::Task& task,
 
 void DistKfacOptimizer::postprocess_collective(int task_id) {
   const sched::Task& task = plan_->task(task_id);
-  const std::size_t L = layers_.size();
   switch (task.kind) {
     case sched::TaskKind::kFusedAllReduce: {
-      const bool is_a = task.family == sched::Family::kA;
-      const std::span<const double> buffer =
-          (is_a ? a_buffers_
-                : g_buffers_)[static_cast<std::size_t>(task_group_[task_id])];
       // Fold each packed member straight from the slab into the dense EMA
       // state — no dense unpack intermediate.  Bitwise identical to
       // unpack + update_running_average: the pre-fold state is exactly
@@ -800,39 +747,27 @@ void DistKfacOptimizer::postprocess_collective(int task_id) {
       // EMA), so mirroring the lower triangle from the freshly folded
       // upper one reproduces the direct per-element fold.
       const auto& kt = tensor::kernels::active_table();
-      std::size_t offset = 0;
-      for (std::size_t p = task.first; p <= task.last; ++p) {
-        const std::size_t l = is_a ? p : L - 1 - p;
-        const std::size_t n = (is_a ? a_sizes_ : g_sizes_)[p];
-        const std::size_t d =
-            is_a ? layers_[l]->dim_a() : layers_[l]->dim_g();
+      for (std::size_t l : task.member_layers) {
+        const sched::Task& member = plan_->task(factor_task(task.family, l));
+        const std::size_t d = member.dim;
         LayerState& st = state_[l];
-        Matrix& state = is_a ? st.a : st.g;
+        Matrix& state = task.family == sched::Family::kA ? st.a : st.g;
         const bool init = state.empty();
         if (init) state = Matrix(d, d);
-        kt.ema_unpack(buffer.data() + offset, d, state.data().data(), d,
-                      options_.stat_decay, init);
-        offset += n;
+        kt.ema_unpack(task_buffer_[static_cast<std::size_t>(member.id)].data(),
+                      d, state.data().data(), d, options_.stat_decay, init);
       }
       break;
     }
     case sched::TaskKind::kGradAllReduce: {
-      const std::size_t gi =
-          static_cast<std::size_t>(task_group_[task_id]);
-      const std::span<const double> buffer = grad_buffers_[gi];
-      std::size_t offset = 0;
-      for (std::size_t l : plan_->grad_groups[gi]) {
+      for (std::size_t l : task.member_layers) {
         const Matrix& grad = layers_[l]->weight_grad();
         Matrix& agg = agg_grads_[l];
         if (agg.rows() != grad.rows() || agg.cols() != grad.cols()) {
           agg = Matrix(grad.rows(), grad.cols());  // first step / reshape
         }
-        auto dst = agg.data();
-        std::copy(buffer.begin() + static_cast<std::ptrdiff_t>(offset),
-                  buffer.begin() +
-                      static_cast<std::ptrdiff_t>(offset + dst.size()),
-                  dst.begin());
-        offset += dst.size();
+        const std::span<const double> reduced = grad_slots_[l].span;
+        std::copy(reduced.begin(), reduced.end(), agg.data().begin());
       }
       break;
     }
@@ -841,7 +776,8 @@ void DistKfacOptimizer::postprocess_collective(int task_id) {
       if (inv.rows() != task.dim || inv.cols() != task.dim) {
         inv = Matrix(task.dim, task.dim);  // first step / reshape
       }
-      tensor::unpack_upper(bcast_buffers_[task.tensor], inv);
+      tensor::unpack_upper(task_buffer_[static_cast<std::size_t>(task_id)],
+                           inv);
       break;
     }
     default:

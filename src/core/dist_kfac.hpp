@@ -46,11 +46,11 @@
 // all-reduce and the planning timing rebuilt from it; each step's plan is
 // then fetched through a sched::PlanCache keyed by the quantized profile
 // signature, so steady-state steps pay zero planning cost and execute a
-// bitwise-stable schedule.  A fixed `profile` pins the timing forever
-// (reproducible schedules, no sync op); a `profile_trajectory` replays a
-// deterministic sequence of profiles across re-plan epochs — the form the
-// adaptive equivalence and determinism suites lock down, mirrored by
-// sim::simulate_trajectory.
+// bitwise-stable schedule.  A `profile_trajectory` replays a deterministic
+// sequence of profiles across re-plan epochs — the form the adaptive
+// equivalence and determinism suites lock down, mirrored by
+// sim::simulate_trajectory; a fixed `profile` is its one-entry case, which
+// pins the timing forever (reproducible schedules, no sync op).
 #pragma once
 
 #include <cstddef>
@@ -400,11 +400,11 @@ class DistKfacOptimizer {
     tensor::Matrix a_inv, g_inv;
   };
 
-  /// Where one factor (by pass index) or gradient (by layer) packs: fused
-  /// group index (-1: nothing communicated) and offset within its buffer.
-  struct PackSlot {
-    int group = -1;
-    std::size_t offset = 0;
+  /// Where one layer's gradient stages: its span inside the gradient
+  /// group's buffer (empty: nothing communicated) and that group's task.
+  struct GradSlot {
+    std::span<double> span;
+    int task = -1;
   };
 
   bool factors_due() const noexcept {
@@ -415,9 +415,9 @@ class DistKfacOptimizer {
   /// same profile (a rank-divergent plan would make the collectives
   /// mismatch).
   void sync_profile();
-  /// Re-plan point: installs this epoch's planning timing — the fixed
-  /// profile, the next trajectory entry, or the (synced) live profile laid
-  /// out along the pass walk.
+  /// Re-plan point: installs this epoch's planning timing — the next
+  /// trajectory entry (a fixed profile is a one-entry trajectory), or the
+  /// (synced) live profile laid out along the pass walk.
   void refresh_planning_profile(bool measured_fusion);
   /// Builds this step's plan (through the plan cache), stages the packing
   /// layout, and installs the plan as a dataflow graph on the executor.
@@ -450,6 +450,12 @@ class DistKfacOptimizer {
   /// through this before staging saved residuals.
   void ensure_grad_residuals();
 
+  /// Plan id of the task building `family`'s factor of model layer `layer`.
+  int factor_task(sched::Family family, std::size_t layer) const {
+    return family == sched::Family::kA
+               ? plan_->a_compute[layer]
+               : plan_->g_compute[layers_.size() - 1 - layer];
+  }
   const tensor::Matrix& factor_of(std::size_t tensor) const {
     return tensor % 2 == 0 ? state_[tensor / 2].a : state_[tensor / 2].g;
   }
@@ -467,7 +473,6 @@ class DistKfacOptimizer {
   std::vector<LayerState> state_;
   std::vector<tensor::Matrix> fresh_a_, fresh_g_;
   std::vector<tensor::Matrix> agg_grads_;
-  std::vector<std::size_t> a_sizes_, g_sizes_;  // packed sizes, pass order
   std::size_t step_count_ = 0;
   bool failed_ = false;  ///< a step observed a rank failure; see failed()
 
@@ -495,22 +500,23 @@ class DistKfacOptimizer {
       std::make_shared<const sched::IterationPlan>();
   sched::Placement placement_;
 
-  // Per-step execution state.  Buffers are spans carved from the arena in
-  // begin_step (deterministic plan order, no per-step allocation or
-  // zeroing) and written at plan-determined disjoint offsets, so
-  // concurrent compute tasks never contend.  The async engine submits
-  // these spans in place — zero-copy, verified via OpRecord::data.
+  // Per-step execution state.  The packing layout is two tables built from
+  // the plan in begin_step: each collective's span is carved from the
+  // arena (plan order, no per-step allocation or zeroing), and every
+  // producer's span is a view into its consumer collective's, so
+  // concurrent compute tasks write disjoint ranges without contending.
+  // The async engine submits the collective spans in place — zero-copy,
+  // verified via OpRecord::data.
   bool hooked_active_ = false;
   std::size_t backward_events_ = 0;  ///< hooked completeness check
   BufferArena arena_;
   std::size_t arena_saved_bytes_ = 0;  ///< see arena_bytes_saved_per_step()
-  std::vector<std::span<double>> a_buffers_, g_buffers_;  // per fused group
-  std::vector<PackSlot> a_slots_, g_slots_;               // per pass index
-  std::vector<std::span<double>> grad_buffers_;           // per grad group
-  std::vector<PackSlot> grad_slots_;                      // per layer
-  std::vector<std::span<double>> bcast_buffers_;          // per tensor
-  std::vector<std::span<double>> task_buffer_;  // per plan task, or empty
-  std::vector<int> task_group_;  ///< per plan task: fused/grad group index
+  /// Per plan task id: a collective's whole payload; a factor compute's
+  /// member range of its fused group; a CT inverse's broadcast payload.
+  /// Empty: the task communicates nothing (single worker, NCT inverse).
+  std::vector<std::span<double>> task_buffer_;
+  /// Per layer: the gradient's staging range and its group's task.
+  std::vector<GradSlot> grad_slots_;
   /// Gather/decode scratch for codec-annotated collectives, sized for the
   /// step's largest one.  The engine pump runs ops serially, so one shared
   /// region is race-free.  Empty on lossless steps.

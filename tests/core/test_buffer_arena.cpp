@@ -1,16 +1,20 @@
 // BufferArena unit tests plus the zero-copy contract of the optimizer's
 // communication path: every plan collective's OpRecord::data must point
 // into the rank's arena slab (the engine operated in place, no staging
-// copy), the slab must stop reallocating once the plan is steady, and the
-// carve layout must hand out 64-byte-aligned spans.
+// copy), the slab must stop reallocating once the plan is steady, the
+// carve layout must hand out 64-byte-aligned spans, and the layout must be
+// exactly the one the plan prescribes: one span per collective, disjoint
+// within a step, with the copies-eliminated figure in closed form.
 #include "core/buffer_arena.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "comm/codec.hpp"
 #include "comm/cluster.hpp"
 #include "core/dist_kfac.hpp"
 #include "nn/data.hpp"
@@ -101,9 +105,76 @@ struct ArenaObservation {
   std::size_t capacity = 0;
   std::size_t bytes_saved = 0;
   bool all_plan_records_in_arena = true;
+  // The last step's layout, observed and as derived from its plan.
+  std::size_t carved = 0, expected_carved = 0;
+  std::size_t expected_bytes_saved = 0;
+  std::size_t last_step_plan_records = 0, plan_collectives = 0;
+  bool last_step_ranges_disjoint = true;
 };
 
-ArenaObservation observe_rank0(DistStrategy strategy, int world, int steps) {
+/// Doubles the optimizer must carve for `plan`: every collective's payload,
+/// 64-byte aligned, plus the largest codec gather/decode scratch.
+std::size_t expected_carved(const sched::IterationPlan& plan,
+                            const DistKfacOptions& opts) {
+  std::size_t total = 0, scratch = 0;
+  for (const sched::Task& t : plan.tasks) {
+    if (!t.is_collective()) continue;
+    total += BufferArena::aligned(t.elements);
+    if (t.codec == comm::Codec::kNone) continue;
+    scratch = std::max(
+        scratch, t.kind == sched::TaskKind::kBroadcast
+                     ? comm::broadcast_scratch_elements(t.codec, t.elements)
+                     : comm::all_reduce_scratch_elements(
+                           t.codec, t.elements, plan.world_size,
+                           opts.topk_ratio));
+  }
+  return total + BufferArena::aligned(scratch);
+}
+
+/// arena_bytes_saved_per_step() in closed form: the payload bytes, plus a
+/// d x d dense intermediate per fused factor member, plus the gradient
+/// bytes per gradient-group member, plus a dim x dim matrix per broadcast.
+std::size_t expected_saved(const sched::IterationPlan& plan,
+                           const std::vector<nn::PreconditionedLayer*>& layers) {
+  std::size_t bytes = 0;
+  for (const sched::Task& t : plan.tasks) {
+    if (!t.is_collective()) continue;
+    bytes += t.elements * sizeof(double);
+    for (std::size_t l : t.member_layers) {
+      if (t.kind == sched::TaskKind::kFusedAllReduce) {
+        const std::size_t d = t.family == sched::Family::kA
+                                  ? layers[l]->dim_a()
+                                  : layers[l]->dim_g();
+        bytes += d * d * sizeof(double);
+      } else {
+        bytes += layers[l]->weight_grad().size() * sizeof(double);
+      }
+    }
+    if (t.kind == sched::TaskKind::kBroadcast) {
+      bytes += t.dim * t.dim * sizeof(double);
+    }
+  }
+  return bytes;
+}
+
+/// Whether no two plan-tagged records' [data, data + elements) overlap.
+bool plan_ranges_disjoint(std::vector<comm::OpRecord> records) {
+  std::erase_if(records,
+                [](const comm::OpRecord& r) { return r.plan_task < 0; });
+  std::sort(records.begin(), records.end(),
+            [](const comm::OpRecord& x, const comm::OpRecord& y) {
+              return x.data < y.data;
+            });
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    if (records[i - 1].data + records[i - 1].elements > records[i].data) {
+      return false;
+    }
+  }
+  return true;
+}
+
+ArenaObservation observe_rank0(DistStrategy strategy, int world, int steps,
+                               comm::Codec grad_codec = comm::Codec::kNone) {
   ArenaObservation obs;
   comm::Cluster::launch(world, [&](comm::Communicator& comm) {
     tensor::Rng rng(4242);
@@ -115,16 +186,31 @@ ArenaObservation observe_rank0(DistStrategy strategy, int world, int steps) {
     opts.lr = 0.1;
     opts.damping = 0.1;
     opts.stat_decay = 0.5;
+    opts.grad_codec = grad_codec;
     DistKfacOptimizer optimizer(layers, comm, opts);
 
     nn::SyntheticClassification data(kClasses, kIn, 1, 99);
     tensor::Rng shard_rng(1000 + comm.rank());
+    std::size_t before_last_step = 0;
     for (int s = 0; s < steps; ++s) {
+      before_last_step = optimizer.comm_records().size();
       run_pass(model, data, shard_rng);
       optimizer.step();
     }
     if (comm.rank() == 0) {
       obs.records = optimizer.comm_records();
+      const std::vector<comm::OpRecord> last_step(
+          obs.records.begin() +
+              static_cast<std::ptrdiff_t>(before_last_step),
+          obs.records.end());
+      for (const auto& rec : last_step) {
+        if (rec.plan_task >= 0) ++obs.last_step_plan_records;
+      }
+      obs.last_step_ranges_disjoint = plan_ranges_disjoint(last_step);
+      obs.plan_collectives = optimizer.plan().num_collectives();
+      obs.carved = optimizer.arena().carved_doubles();
+      obs.expected_carved = expected_carved(optimizer.plan(), opts);
+      obs.expected_bytes_saved = expected_saved(optimizer.plan(), layers);
       obs.rebuilds = optimizer.arena().rebuilds();
       obs.capacity = optimizer.arena().capacity_doubles();
       obs.bytes_saved = optimizer.arena_bytes_saved_per_step();
@@ -173,6 +259,31 @@ TEST(ArenaZeroCopy, OtherStrategiesAlsoRunOnArena) {
     const auto obs = observe_rank0(s, 2, 2);
     EXPECT_TRUE(obs.all_plan_records_in_arena) << static_cast<int>(s);
   }
+}
+
+void expect_plan_layout(const ArenaObservation& obs) {
+  EXPECT_EQ(obs.carved, obs.expected_carved);
+  EXPECT_EQ(obs.bytes_saved, obs.expected_bytes_saved);
+  EXPECT_EQ(obs.last_step_plan_records, obs.plan_collectives);
+  EXPECT_TRUE(obs.last_step_ranges_disjoint)
+      << "two collectives of one step share slab memory";
+}
+
+TEST(ArenaZeroCopy, LayoutIsExactlyThePlansForEveryStrategyAndWorldSize) {
+  for (DistStrategy s : {DistStrategy::kDKfac, DistStrategy::kMpdKfac,
+                         DistStrategy::kSpdKfac}) {
+    for (int world : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(to_string(s)) + " P=" + std::to_string(world));
+      expect_plan_layout(observe_rank0(s, world, 3));
+    }
+  }
+}
+
+TEST(ArenaZeroCopy, TopKLayoutIsExactlyThePlans) {
+  const auto obs =
+      observe_rank0(DistStrategy::kSpdKfac, 2, 3, comm::Codec::kTopK);
+  EXPECT_GT(obs.carved, 0u);
+  expect_plan_layout(obs);
 }
 
 TEST(ArenaZeroCopy, SingleWorkerStillSteps) {

@@ -4,6 +4,7 @@
 // before queueing them.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -81,6 +82,17 @@ TEST(WithTunable, FrequencyTunablesRequirePositiveIntegers) {
                               std::numeric_limits<double>::infinity()),
                  std::invalid_argument)
         << name;
+    // Integral but past size_t: rejected before the (undefined) cast, with
+    // an error naming the tunable.
+    for (const double huge : {1e300, std::ldexp(1.0, 64)}) {
+      try {
+        with_tunable(base, name, huge);
+        ADD_FAILURE() << name << "=" << huge << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
     EXPECT_NO_THROW(with_tunable(base, name, 3.0)) << name;
   }
 }

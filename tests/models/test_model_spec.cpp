@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 namespace spdkfac::models {
@@ -48,6 +49,10 @@ struct TableIIRow {
   double a_m;  // millions of upper-triangle elements
   double g_m;
 };
+
+// gtest's default printer dumps the row's bytes, `name`'s address among
+// them, into the listed test name, so the name changed with every build.
+void PrintTo(const TableIIRow& row, std::ostream* os) { *os << row.name; }
 
 class TableII : public ::testing::TestWithParam<TableIIRow> {};
 
