@@ -102,8 +102,8 @@ KernelSample bench_ema(const kernels::KernelTable& kt, std::size_t n) {
 }
 
 KernelSample bench_spd_inverse(std::size_t d) {
-  // Routed through linalg (Cholesky + two triangular solve sweeps), which
-  // pulls its dot products from the *active* table — force() selects it.
+  // Routed through linalg (blocked Cholesky, W = L^-1, then W^T W), which
+  // takes its GEMMs and dots from the *active* table — force() selects it.
   tensor::Rng rng(5);
   const tensor::Matrix a = tensor::random_spd(d, rng);
   KernelSample s;
@@ -175,9 +175,12 @@ int main() {
     std::printf("note: AVX2+FMA not available; scalar level only\n");
   }
 
-  const std::size_t sizes[] = {64, 128, 256};
+  // 385 and 513 are the factor orders the e2e workloads invert (the wide
+  // MLP's hidden A/G factors and the small CNN's fc A factor).
+  const std::size_t sizes[] = {64, 128, 256, 385, 513};
   bench::BenchJson json("kernels");
   bench::Table table({"Kernel", "d", "ISA", "GFLOP/s", "us/call"});
+  bench::Table inverse_share({"d", "ISA", "spd_inverse / gemm_nn GFLOP/s"});
 
   // factor+inverse seconds per (size, level) for the headline speedup.
   std::vector<std::vector<double>> hot_path(levels.size());
@@ -207,6 +210,14 @@ int main() {
                  {{"gflops", e.sample.gflops()},
                   {"seconds_per_call", e.sample.seconds}});
       }
+      // How close the inverse gets to the GEMM it is built from.
+      const double share =
+          entries[2].sample.gflops() / entries[0].sample.gflops();
+      inverse_share.add_row({std::to_string(d), isa,
+                             bench::fmt("%.0f%%", 100.0 * share)});
+      json.add("spd_inverse_share_of_gemm_nn/d=" + std::to_string(d) + "/" +
+                   isa,
+               {{"share", share}});
       // The single-rank factor+inverse hot path: factor GEMM + SPD inverse.
       hot_path[li].push_back(entries[1].sample.seconds +
                              entries[2].sample.seconds);
@@ -225,6 +236,8 @@ int main() {
   }
   kernels::force(kernels::best_supported());
   table.print();
+  std::printf("\n");
+  inverse_share.print();
 
   if (levels.size() > 1) {
     std::printf("\nfactor+inverse speedup (%s over scalar):\n",

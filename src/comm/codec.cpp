@@ -167,18 +167,21 @@ void encode(Codec codec, std::span<const double> src, std::span<double> wire,
     case Codec::kTopK: {
       const std::size_t k = topk_count(n, topk_ratio);
       // Deterministic selection: |value| descending, index ascending on
-      // ties — a total order, so the result is independent of the sort
-      // algorithm and of any threading above this call.
+      // ties — a total order, so the selected set is independent of the
+      // selection algorithm and of any threading above this call.  That
+      // lets an O(n) nth_element pick the k survivors; only they are
+      // sorted, into ascending index order.
       std::vector<std::uint32_t> idx(n);
       std::iota(idx.begin(), idx.end(), 0u);
-      std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                        idx.end(), [&src](std::uint32_t a, std::uint32_t b) {
-                          const double fa = std::abs(src[a]);
-                          const double fb = std::abs(src[b]);
-                          if (fa != fb) return fa > fb;
-                          return a < b;
-                        });
-      std::sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k));
+      const auto kth = idx.begin() + static_cast<std::ptrdiff_t>(k);
+      std::nth_element(idx.begin(), kth, idx.end(),
+                       [&src](std::uint32_t a, std::uint32_t b) {
+                         const double fa = std::abs(src[a]);
+                         const double fb = std::abs(src[b]);
+                         if (fa != fb) return fa > fb;
+                         return a < b;
+                       });
+      std::sort(idx.begin(), kth);
       for (std::size_t i = 0; i < k; ++i) {
         wire[i] = pack_topk_slot(
             TopKSlot{idx[i], static_cast<float>(src[idx[i]])});

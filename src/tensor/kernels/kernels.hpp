@@ -1,17 +1,18 @@
 // Runtime-dispatched CPU microkernels for the factor/inverse hot path.
 //
 // Everything numeric the distributed optimizer spends its time in — the
-// GEMM variants behind factor construction and preconditioning, the
-// Cholesky/triangular-solve inner products of the SPD inverse, symmetric
-// pack/unpack, the EMA fold, and the collectives' elementwise reduce
-// loops — funnels through the function-pointer table returned by
+// GEMM variants behind factor construction, preconditioning and the
+// blocked SPD inverse, the dot products that finish its Cholesky panels,
+// symmetric pack/unpack, the EMA fold, and the collectives' elementwise
+// reduce loops — funnels through the function-pointer table returned by
 // active().  Two implementations exist:
 //
 //   kScalar — portable C++ loops, the cross-platform numeric reference;
 //   kAvx2   — cache-blocked AVX2/FMA double-precision microkernels
-//             (4x8 register tiles for the GEMMs, 4-lane FMA dot products,
-//             4x4 in-register transposes), compiled only on x86-64 and
-//             selected only when CPUID reports AVX2+FMA.
+//             (4x8 register tiles over 128-step k chunks for the GEMMs,
+//             4-lane FMA dot products, 4x4 in-register transposes),
+//             compiled only on x86-64 and selected only when CPUID
+//             reports AVX2+FMA.
 //
 // Dispatch is resolved once, at first use: the SPDKFAC_ISA environment
 // variable ("scalar" or "avx2") overrides CPUID detection — requesting
@@ -24,10 +25,13 @@
 //
 //   * Every kernel's result is a pure function of (inputs, shape, ISA
 //     level).  Accumulation orders are fixed per level: the GEMMs sum k
-//     ascending per output element regardless of row chunking or register
-//     blocking, dot() uses a fixed 4-lane stripe + fixed-tree horizontal
-//     sum + ascending tail, so results never depend on the exec pool size
-//     or on how callers block their outer loops.
+//     ascending per output element, in place in C, regardless of row
+//     chunking, register blocking or k chunking (so a k range split over
+//     consecutive calls gives the bits of one call); dot() uses a fixed
+//     4-lane stripe + fixed-tree horizontal sum + ascending tail.  Callers
+//     such as the blocked spd_inverse fix their block widths and derive
+//     every chunk boundary from the shape alone, so results never depend
+//     on the exec pool size.
 //   * Different ISA levels may round differently (FMA contracts mul+add
 //     into one rounding); bitwise determinism holds *within* a level,
 //     and the scalar level is the portable reference.
@@ -89,7 +93,8 @@ struct KernelTable {
                   const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc);
 
-  /// sum_k x[k] * y[k] — the Cholesky column update reduces to this.
+  /// sum_k x[k] * y[k] — finishes each Cholesky panel against its own
+  /// columns.
   double (*dot)(const double* x, const double* y, std::size_t n);
 
   // Elementwise reduce loops shared with comm::detail::accumulate/finalize
@@ -97,11 +102,6 @@ struct KernelTable {
   void (*add)(double* dst, const double* src, std::size_t n);
   void (*max)(double* dst, const double* src, std::size_t n);
   void (*scale)(double* dst, std::size_t n, double s);
-
-  /// dst[i] += alpha * src[i] — the row update of the multi-RHS triangular
-  /// solves behind spd_inverse.  Vector levels contract into FMA (like
-  /// ema): bitwise-stable within a level, close across levels.
-  void (*axpy)(double* dst, const double* src, std::size_t n, double alpha);
 
   /// state = decay*state + (1-decay)*fresh, elementwise (the factor EMA).
   void (*ema)(double* state, const double* fresh, std::size_t n,

@@ -9,9 +9,10 @@
 //
 // Register-tiling scheme:
 //   * gemm_nn / gemm_tn: 4x8 micro-tiles (8 YMM accumulators) with the
-//     k loop innermost and unblocked per tile, so every C element
-//     accumulates strictly k ascending — bitwise independent of the
-//     caller's row chunking, as the determinism suite requires.
+//     k loop innermost, over k chunks of kKc steps that keep a tile's
+//     strips in L1; every C element accumulates strictly k ascending in
+//     place — bitwise independent of the caller's row chunking, as the
+//     determinism suite requires.
 //   * gemm_nt: 1x4 tiles of FMA dot products sharing the A-row loads,
 //     each reduced with the same fixed-tree horizontal sum as dot().
 //   * symmetrize / transpose / unpack mirror: 4x4 in-register transposes
@@ -144,9 +145,21 @@ inline void tile_1x8(std::size_t K, const double* ai, std::size_t stride_a,
   _mm256_storeu_pd(ci + 4, acc1);
 }
 
-void gemm_nn_avx2(std::size_t rows, std::size_t K, std::size_t N,
-                  const double* a, std::size_t lda, const double* b,
-                  std::size_t ldb, double* c, std::size_t ldc) {
+/// k-range chunk of the GEMMs: a micro-tile's A and B strips over kKc
+/// steps stay L1-resident however long K is.  Splitting k is bitwise
+/// neutral: every C element is loaded, accumulated k ascending and stored
+/// back, so the chunks continue exactly the sum one unsplit pass makes.
+constexpr std::size_t kKc = 128;
+
+/// Runs `panel(k0, kc)` over the k chunks [k0, k0 + kc) of [0, K).
+template <typename Panel>
+inline void for_k_chunks(std::size_t K, Panel panel) {
+  for (std::size_t k0 = 0; k0 < K; k0 += kKc) panel(k0, std::min(kKc, K - k0));
+}
+
+void gemm_nn_panel(std::size_t rows, std::size_t K, std::size_t N,
+                   const double* a, std::size_t lda, const double* b,
+                   std::size_t ldb, double* c, std::size_t ldc) {
   const std::size_t N8 = N & ~std::size_t{7};
   std::size_t i = 0;
   for (; i + 4 <= rows; i += 4) {
@@ -177,9 +190,17 @@ void gemm_nn_avx2(std::size_t rows, std::size_t K, std::size_t N,
   }
 }
 
-void gemm_tn_avx2(std::size_t rows, std::size_t K, std::size_t N,
+void gemm_nn_avx2(std::size_t rows, std::size_t K, std::size_t N,
                   const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc) {
+  for_k_chunks(K, [&](std::size_t k0, std::size_t kc) {
+    gemm_nn_panel(rows, kc, N, a + k0, lda, b + k0 * ldb, ldb, c, ldc);
+  });
+}
+
+void gemm_tn_panel(std::size_t rows, std::size_t K, std::size_t N,
+                   const double* a, std::size_t lda, const double* b,
+                   std::size_t ldb, double* c, std::size_t ldc) {
   // A is read transposed: a(k, i) at a[k*lda + i].  The 4 broadcasts of a
   // micro-tile step are adjacent, so one unaligned load feeds them all.
   const std::size_t N8 = N & ~std::size_t{7};
@@ -205,6 +226,14 @@ void gemm_tn_avx2(std::size_t rows, std::size_t K, std::size_t N,
         [&](std::size_t r, std::size_t k) { return a[k * lda + r]; }, b, ldb,
         c, ldc);
   }
+}
+
+void gemm_tn_avx2(std::size_t rows, std::size_t K, std::size_t N,
+                  const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* c, std::size_t ldc) {
+  for_k_chunks(K, [&](std::size_t k0, std::size_t kc) {
+    gemm_tn_panel(rows, kc, N, a + k0 * lda, lda, b + k0 * ldb, ldb, c, ldc);
+  });
 }
 
 void gemm_nt_avx2(std::size_t rows, std::size_t K, std::size_t M,
@@ -284,20 +313,6 @@ void scale_avx2(double* dst, std::size_t n, double s) {
     _mm256_storeu_pd(dst + i, _mm256_mul_pd(_mm256_loadu_pd(dst + i), vs));
   }
   for (; i < n; ++i) dst[i] *= s;
-}
-
-void axpy_avx2(double* dst, const double* src, std::size_t n, double alpha) {
-  // Same FMA shape in the body and the tail (std::fma compiles to vfmadd
-  // here), so an element's bits do not depend on its lane position — the
-  // within-level chunk-invariance the triangular solves rely on.
-  const __m256d va = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i,
-                     _mm256_fmadd_pd(va, _mm256_loadu_pd(src + i),
-                                     _mm256_loadu_pd(dst + i)));
-  }
-  for (; i < n; ++i) dst[i] = std::fma(alpha, src[i], dst[i]);
 }
 
 // ---------------------------------------------------------------------------
@@ -596,8 +611,7 @@ const KernelTable& avx2_table() noexcept {
       gemm_tn_avx2,      gemm_nt_avx2,
       dot_avx2,          add_avx2,
       max_avx2,          scale_avx2,
-      axpy_avx2,         ema_avx2,
-      ema_unpack_avx2,
+      ema_avx2,          ema_unpack_avx2,
       scalar_table().pack_upper,  // memcpy row runs — already optimal
       unpack_upper_avx2, symmetrize_rows_avx2,
       transpose_avx2,

@@ -81,11 +81,6 @@ void scale_scalar(double* dst, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) dst[i] *= s;
 }
 
-void axpy_scalar(double* dst, const double* src, std::size_t n,
-                 double alpha) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
-}
-
 void ema_scalar(double* state, const double* fresh, std::size_t n,
                 double decay) {
   const double blend = 1.0 - decay;
@@ -281,8 +276,8 @@ const KernelTable& scalar_table() noexcept {
   static const KernelTable t{
       Isa::kScalar,       gemm_nn_scalar,     gemm_tn_scalar,
       gemm_nt_scalar,     dot_scalar,         add_scalar,
-      max_scalar,         scale_scalar,       axpy_scalar,
-      ema_scalar,         ema_unpack_scalar,  pack_upper_scalar,
+      max_scalar,         scale_scalar,       ema_scalar,
+      ema_unpack_scalar,  pack_upper_scalar,
       unpack_upper_scalar, symmetrize_rows_scalar, transpose_scalar,
       absmax_scalar,      int8_quantize_scalar, int8_dequantize_scalar,
       fp16_pack_scalar,   fp16_unpack_scalar};

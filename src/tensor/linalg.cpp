@@ -20,6 +20,14 @@ std::size_t items_per_chunk(std::size_t ops_per_item) noexcept {
   return exec::grain_for_ops(ops_per_item);
 }
 
+/// Block width of the blocked Cholesky and of W = L^-1 in spd_inverse, and
+/// the row-strip height of its W^T W product.  Every block, strip and
+/// chunk boundary there is a multiple of one of these clipped at n, so the
+/// work decomposition (and with it every element's rounding) is a function
+/// of the matrix order alone, never of the pool size.
+constexpr std::size_t kNb = 64;
+constexpr std::size_t kStrip = 8;
+
 }  // namespace
 
 void Cholesky::solve_lower(std::span<double> b) const {
@@ -74,23 +82,52 @@ std::optional<Cholesky> cholesky(const Matrix& a) {
     throw std::invalid_argument("cholesky requires a square matrix");
   }
   const std::size_t n = a.rows();
+  const auto& kt = kernels::active_table();
   Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* lj = l.row_ptr(j);
-    const double diag =
-        a(j, j) - kernels::active_table().dot(lj, lj, j);
-    if (diag <= 0.0 || !std::isfinite(diag)) return std::nullopt;
-    const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    // The column update below the diagonal is embarrassingly parallel: each
-    // l(i, j) reads only finished rows; the inner product runs on the
-    // active ISA's dot microkernel over the two contiguous row prefixes.
-    const auto& kt = kernels::active_table();
+  // Left-looking, one column panel J = [j0, j1) of width kNb at a time.
+  // First every row at or below the panel is reduced by the finished
+  // columns left of it, in place: S(i, J) = A(i, J) - L(i, :j0) L(J, :j0)^T,
+  // a 1-row gemm_nt per row, rows split into shape-only chunks.  Then each
+  // row is finished against the panel's own columns with dot:
+  //   L(i, j) = (S(i, j) - L(i, j0:j) . L(j, j0:j)) / L(j, j).
+  // The diagonal block holds every pivot of the panel and is finished
+  // serially, so the non-SPD/NaN check never runs inside a pool chunk;
+  // the rows below it are independent of each other.
+  for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
+    const std::size_t j1 = std::min(n, j0 + kNb);
     exec::parallel_for(
-        n - j - 1, items_per_chunk(j + 1),
-        [&, j, ljj](std::size_t s0, std::size_t s1) {
-          for (std::size_t i = j + 1 + s0; i < j + 1 + s1; ++i) {
-            l(i, j) = (a(i, j) - kt.dot(l.row_ptr(i), lj, j)) / ljj;
+        n - j0, items_per_chunk(std::max<std::size_t>(j0, 1) * (j1 - j0)),
+        [&, j0, j1](std::size_t s0, std::size_t s1) {
+          for (std::size_t i = j0 + s0; i < j0 + s1; ++i) {
+            // Diagonal-block rows stop at the diagonal, so L stays exactly
+            // zero above it.
+            const std::size_t w = std::min(j1, i + 1) - j0;
+            double* li = l.row_ptr(i);
+            kt.gemm_nt(1, j0, w, li, n, l.row_ptr(j0), n, li + j0, n);
+            const double* ai = a.row_ptr(i);
+            for (std::size_t j = j0; j < j0 + w; ++j) li[j] = ai[j] - li[j];
+          }
+        });
+    for (std::size_t j = j0; j < j1; ++j) {
+      double* lj = l.row_ptr(j);
+      const double diag = lj[j] - kt.dot(lj + j0, lj + j0, j - j0);
+      if (diag <= 0.0 || !std::isfinite(diag)) return std::nullopt;
+      const double ljj = std::sqrt(diag);
+      lj[j] = ljj;
+      for (std::size_t i = j + 1; i < j1; ++i) {
+        double* li = l.row_ptr(i);
+        li[j] = (li[j] - kt.dot(li + j0, lj + j0, j - j0)) / ljj;
+      }
+    }
+    exec::parallel_for(
+        n - j1, items_per_chunk((j1 - j0) * (j1 - j0)),
+        [&, j0, j1](std::size_t s0, std::size_t s1) {
+          for (std::size_t i = j1 + s0; i < j1 + s1; ++i) {
+            double* li = l.row_ptr(i);
+            for (std::size_t j = j0; j < j1; ++j) {
+              const double* lj = l.row_ptr(j);
+              li[j] = (li[j] - kt.dot(li + j0, lj + j0, j - j0)) / lj[j];
+            }
           }
         });
   }
@@ -102,68 +139,83 @@ Matrix spd_inverse(const Matrix& a) {
   if (!chol) {
     throw std::domain_error("spd_inverse: matrix is not positive definite");
   }
+  const Matrix& l = chol->lower;
   const std::size_t n = a.rows();
-  // Invert by solving A X = I with two *multi-RHS* triangular sweeps: each
-  // chunk owns a range of identity columns and sweeps the rows of L (then
-  // of U = L^T) once, updating its whole column block with contiguous
-  // axpy/scale microkernels — the same O(n^3) flops as per-column solves,
-  // but unit-stride FMA across the block width instead of the short
-  // sequential dot products that used to dominate.
-  //
-  // Determinism: an output element (i, j) accumulates its k terms in
-  // ascending order no matter how columns are chunked or blocked — the
-  // forward sweep's update widths reach column j only for k >= j, the k
-  // loops run ascending, and axpy/scale round per element independent of
-  // lane position — so results stay bitwise identical across pool sizes
-  // (within an ISA level), as the determinism suite requires.
-  const Matrix upper = chol->lower.transposed();
+  const std::size_t nb = (n + kNb - 1) / kNb;
   const auto& kt = kernels::active_table();
-  Matrix inv(n, n);
-  for (std::size_t j = 0; j < n; ++j) inv(j, j) = 1.0;
-  // Column blocks of kBlock keep a sweep's working set (n rows x block
-  // width) L2-resident while amortizing kernel-call overhead over
-  // full-width axpy runs.  The chunk grain is floored at kBlock: narrower
-  // chunks would degrade the sweeps to short-vector updates, and the
-  // per-element accumulation order is block-width-invariant anyway.
-  constexpr std::size_t kBlock = 64;
+  // A^-1 = W^T W with W = L^-1, on kNb blocks.  Every element is written by
+  // exactly one pool chunk and every GEMM sums its k terms ascending, so
+  // the bits do not depend on the pool size.  Terms that multiply the
+  // exact zeros above W's diagonal are finite (L passed the pivot checks)
+  // and do not need trimming.
+  //
+  // Diagonal blocks of W first: W_II = L_II^-1 by row substitution, row r
+  // being one 1-row GEMM of L(r, I) against the finished rows above it.
+  // The GEMM width is rounded up to whole 8-wide vector tiles; the columns
+  // at and right of r only add products with zeros to zeros.
+  Matrix w(n, n);
+  exec::parallel_for(nb, 1, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      const std::size_t i0 = b * kNb, i1 = std::min(n, i0 + kNb);
+      for (std::size_t r = i0; r < i1; ++r) {
+        double* wr = w.row_ptr(r) + i0;
+        const std::size_t width =
+            std::min(i1 - i0, (r - i0 + 7) & ~std::size_t{7});
+        kt.gemm_nn(1, r - i0, width, l.row_ptr(r) + i0, n,
+                   w.row_ptr(i0) + i0, n, wr, n);
+        const double inv_lrr = 1.0 / l(r, r);
+        kt.scale(wr, r - i0, -inv_lrr);
+        wr[r - i0] = inv_lrr;
+      }
+    }
+  });
+  // Off-diagonal blocks, block row by block row:
+  //   W_IJ = -W_II (L(I, [j0, i0)) W([j0, i0), J)).
+  // A block needs only the blocks above it in its own column block, so
+  // each column block is one pool chunk walking its rows top-down (the
+  // leftmost, longest walk is claimed first).  The last column block has
+  // no blocks below its diagonal.
   exec::parallel_for(
-      n, std::max(items_per_chunk(2 * n * n), kBlock),
-      [&](std::size_t j0, std::size_t j1) {
-        // Each row update is a 1-row GEMM with the negated L/U row as the
-        // coefficient vector: the destination row rides in registers
-        // across the whole k sweep instead of being re-loaded per k, and
-        // gemm_nn's k-ascending per-element order makes the bits equal to
-        // an axpy-per-k formulation (negation is exact).  Updates past a
-        // row's triangular frontier multiply exact zeros of Y, which
-        // leaves every element's bits untouched.
-        std::vector<double> neg(n);
-        for (std::size_t b0 = j0; b0 < j1; b0 += kBlock) {
-          const std::size_t b1 = std::min(j1, b0 + kBlock);
-          const std::size_t w = b1 - b0;
-          // Forward sweep: Y = L^{-1} I over columns [b0, b1).  Y is lower
-          // triangular, so rows above b0 stay zero.
-          for (std::size_t i = b0; i < n; ++i) {
-            const double* li = chol->lower.row_ptr(i);
-            double* yi = inv.row_ptr(i) + b0;
-            const std::size_t K = i - b0;
-            for (std::size_t k = 0; k < K; ++k) neg[k] = -li[b0 + k];
-            kt.gemm_nn(1, K, w, neg.data(), n, inv.row_ptr(b0) + b0, n, yi,
-                       n);
-            kt.scale(yi, w, 1.0 / li[i]);
-          }
-          // Back sweep: X = U^{-1} Y, rows descending, full block width.
-          for (std::size_t i = n; i-- > 0;) {
-            const double* ui = upper.row_ptr(i);
-            double* xi = inv.row_ptr(i) + b0;
-            const std::size_t K = n - i - 1;
-            for (std::size_t k = 0; k < K; ++k) neg[k] = -ui[i + 1 + k];
-            kt.gemm_nn(1, K, w, neg.data(), n, inv.row_ptr(i + 1) + b0, n,
-                       xi, n);
-            kt.scale(xi, w, 1.0 / ui[i]);
+      std::max<std::size_t>(nb, 1) - 1, 1, [&](std::size_t b0, std::size_t b1) {
+        std::vector<double> t(kNb * kNb);
+        for (std::size_t jb = b0; jb < b1; ++jb) {
+          const std::size_t j0 = jb * kNb, wj = std::min(n, j0 + kNb) - j0;
+          for (std::size_t ib = jb + 1; ib < nb; ++ib) {
+            const std::size_t i0 = ib * kNb, wi = std::min(n, i0 + kNb) - i0;
+            std::fill(t.begin(), t.begin() + wi * wj, 0.0);
+            kt.gemm_nn(wi, i0 - j0, wj, l.row_ptr(i0) + j0, n,
+                       w.row_ptr(j0) + j0, n, t.data(), wj);
+            kt.scale(t.data(), wi * wj, -1.0);
+            kt.gemm_nn(wi, wi, wj, w.row_ptr(i0) + i0, n, t.data(), wj,
+                       w.row_ptr(i0) + j0, n);
           }
         }
       });
-  symmetrize(inv);
+  // X = W^T W on the lower triangle only, by kStrip-row strips: W is zero
+  // above its diagonal, so X(R, :r1) = W([r0, n), R)^T W([r0, n), :r1) for
+  // the strip R = [r0, r1), one gemm_tn that skips the zero rows.  Each
+  // strip is mirrored into its upper partner, which makes X exactly
+  // symmetric by construction.  A strip costs about kStrip n^2 / 3 ops on
+  // average, which sets the chunk grain (one strip per chunk once n is
+  // past a few dozen; small inverses stay on the calling thread).
+  Matrix inv(n, n);
+  exec::parallel_for(
+      (n + kStrip - 1) / kStrip, items_per_chunk(kStrip * n * n / 3),
+      [&](std::size_t s0, std::size_t s1) {
+        for (std::size_t s = s0; s < s1; ++s) {
+          const std::size_t r0 = s * kStrip, r1 = std::min(n, r0 + kStrip);
+          const std::size_t h = r1 - r0;
+          double* x = inv.row_ptr(r0);
+          kt.gemm_tn(h, n - r0, r1, w.row_ptr(r0) + r0, n, w.row_ptr(r0), n,
+                     x, n);
+          kt.transpose(x, h, r0, n, inv.row_ptr(0) + r0, n);
+          for (std::size_t r = 0; r < h; ++r) {
+            for (std::size_t c = r + 1; c < h; ++c) {
+              x[r * n + r0 + c] = x[c * n + r0 + r];
+            }
+          }
+        }
+      });
   return inv;
 }
 

@@ -33,14 +33,30 @@ struct Cholesky {
   double log_det() const noexcept;
 };
 
-/// Cholesky-factorizes a symmetric positive-definite matrix.  Returns
-/// std::nullopt when the matrix is not (numerically) positive definite.
+/// Cholesky-factorizes a symmetric positive-definite matrix (reading only
+/// its lower triangle).  Returns std::nullopt when the matrix is not
+/// (numerically) positive definite or a pivot is not finite.
+///
+/// Left-looking by 64-wide column panels: the panel's rows are reduced by
+/// the finished columns with a 1-row gemm_nt per row, then finished
+/// against the panel's own columns with dot — the diagonal block serially
+/// (it holds every pivot check), the rows below it in parallel.
 std::optional<Cholesky> cholesky(const Matrix& a);
 
 /// Inverse of an SPD matrix via Cholesky.  Throws std::domain_error when the
-/// matrix is not positive definite.  The result is exactly symmetric (we
-/// symmetrize the final product so downstream symmetric-packed communication
-/// never drops information).
+/// matrix is not positive definite.
+///
+/// Blocked, with most flops in the GEMM microkernels: cholesky(), then
+/// W = L^-1 on 64x64 blocks (each off-diagonal block one gemm_nn against
+/// the blocks above it, then a multiply with W_II), then A^-1 = W^T W on
+/// 8-row strips of the lower triangle (gemm_tn), each mirrored into the
+/// upper triangle.  About n^3 flops (spd_inverse_flops).
+///
+/// Determinism: block widths are fixed, every block/strip/chunk boundary
+/// depends only on n, and every GEMM sums k ascending, so the result is
+/// bitwise identical across pool sizes at each ISA level.  The mirror makes
+/// it exactly symmetric, so symmetric-packed communication of it never
+/// drops information.
 Matrix spd_inverse(const Matrix& a);
 
 /// (A + damping*I)^-1 — the operation SPD-KFAC load-balances across GPUs.
@@ -54,7 +70,7 @@ bool is_symmetric(const Matrix& a, double tol = 1e-9) noexcept;
 void symmetrize(Matrix& a);
 
 /// Floating-point operation estimate for an n x n SPD inverse through
-/// Cholesky (factorize n^3/3 + invert L n^3/3 + multiply n^3/3 = n^3).
+/// Cholesky (factorize n^3/3 + invert L n^3/3 + W^T W n^3/3 = n^3).
 /// Used by the performance-model calibration tooling.
 double spd_inverse_flops(std::size_t n) noexcept;
 

@@ -14,9 +14,13 @@
 //      bound of the exact reduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <numeric>
 #include <random>
 #include <vector>
 
@@ -256,6 +260,46 @@ TEST(CodecRoundTrip, TopKTieBreaksOnSmallestIndex) {
   encode(Codec::kTopK, src, wire, 0.25);
   EXPECT_EQ(unpack_topk_slot(wire[0]).index, 1u);
   EXPECT_EQ(unpack_topk_slot(wire[1]).index, 3u);
+}
+
+// The selection is a total order (|value| descending, index ascending), so
+// any correct selection algorithm ships the same wire as a full
+// partial_sort.  Heavy ties, duplicates and signed zeros stress the
+// tie-break; the values come from a handful of magnitudes of either sign.
+TEST(CodecRoundTrip, TopKSelectionMatchesPartialSortReference) {
+  const double pool[] = {0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-3, -1e-3, 7.0};
+  std::mt19937_64 rng(0x7095);
+  std::uniform_int_distribution<std::size_t> pick(0, std::size(pool) - 1);
+  for (std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{100},
+                        std::size_t{1031}}) {
+    std::vector<double> src(n);
+    for (double& x : src) x = pool[pick(rng)];
+    for (double ratio : {0.001, 0.05, 0.3, 0.9, 1.0}) {
+      std::vector<double> wire(wire_elements(Codec::kTopK, n, ratio));
+      encode(Codec::kTopK, src, wire, ratio);
+
+      const std::size_t k = wire.size();
+      std::vector<std::uint32_t> idx(n);
+      std::iota(idx.begin(), idx.end(), 0u);
+      const auto kth = idx.begin() + static_cast<std::ptrdiff_t>(k);
+      std::partial_sort(idx.begin(), kth, idx.end(),
+                        [&src](std::uint32_t a, std::uint32_t b) {
+                          const double fa = std::abs(src[a]);
+                          const double fb = std::abs(src[b]);
+                          if (fa != fb) return fa > fb;
+                          return a < b;
+                        });
+      std::sort(idx.begin(), kth);
+      std::vector<double> want(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        want[i] = pack_topk_slot(
+            TopKSlot{idx[i], static_cast<float>(src[idx[i]])});
+      }
+      ASSERT_EQ(wire.size(), want.size());
+      EXPECT_EQ(std::memcmp(wire.data(), want.data(), k * sizeof(double)), 0)
+          << "n=" << n << " ratio=" << ratio;
+    }
+  }
 }
 
 TEST(CodecRoundTrip, CanonicalWireBytesAreReproducible) {

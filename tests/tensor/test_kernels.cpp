@@ -195,6 +195,46 @@ TEST_P(KernelLevel, GemmsAreRowChunkInvariant) {
   expect_bitwise_eq(parts, whole, "gemm_tn split");
 }
 
+// Every element accumulates in place, k ascending, so a k range split into
+// consecutive calls continues exactly the sum one call makes.  The blocked
+// SPD inverse and the kernels' own k chunking rely on this; K spans several
+// chunks and N/rows leave vector tails.
+TEST_P(KernelLevel, GemmsAreKSplitInvariant) {
+  Rng rng(107);
+  const std::size_t rows = 7, K = 300, N = 19;
+  const auto a = random_vec(rows * K, rng);   // row-major rows x K
+  const auto at = random_vec(K * rows, rng);  // row-major K x rows
+  const auto b = random_vec(K * N, rng);
+  const auto c0 = random_vec(rows * N, rng);
+
+  auto want = c0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t k = 0; k < K; ++k) {
+      for (std::size_t j = 0; j < N; ++j) {
+        want[i * N + j] += a[i * K + k] * b[k * N + j];
+      }
+    }
+  }
+  auto whole_nn = c0;
+  kt().gemm_nn(rows, K, N, a.data(), K, b.data(), N, whole_nn.data(), N);
+  expect_close(whole_nn, want, 1e-12, "gemm_nn long K");
+  auto whole_tn = c0;
+  kt().gemm_tn(rows, K, N, at.data(), rows, b.data(), N, whole_tn.data(), N);
+
+  for (std::size_t cut : {std::size_t{37}, std::size_t{128}, std::size_t{150}}) {
+    auto parts = c0;
+    kt().gemm_nn(rows, cut, N, a.data(), K, b.data(), N, parts.data(), N);
+    kt().gemm_nn(rows, K - cut, N, a.data() + cut, K, b.data() + cut * N, N,
+                 parts.data(), N);
+    expect_bitwise_eq(parts, whole_nn, "gemm_nn k split");
+    parts = c0;
+    kt().gemm_tn(rows, cut, N, at.data(), rows, b.data(), N, parts.data(), N);
+    kt().gemm_tn(rows, K - cut, N, at.data() + cut * rows, rows,
+                 b.data() + cut * N, N, parts.data(), N);
+    expect_bitwise_eq(parts, whole_tn, "gemm_tn k split");
+  }
+}
+
 TEST_P(KernelLevel, DotMatchesReferenceAndRepeatsBitwise) {
   Rng rng(105);
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
@@ -208,39 +248,6 @@ TEST_P(KernelLevel, DotMatchesReferenceAndRepeatsBitwise) {
     const double again = kt().dot(x.data(), y.data(), n);
     EXPECT_EQ(std::memcmp(&got, &again, sizeof(double)), 0)
         << "dot not deterministic, n=" << n;
-  }
-}
-
-// axpy drives the multi-RHS triangular solves of spd_inverse; like ema it
-// may contract into FMA per level, but an element's bits must not depend
-// on where a caller splits the range (chunk/block invariance).
-TEST_P(KernelLevel, AxpyCloseToReferenceAndSplitInvariant) {
-  Rng rng(110);
-  const double alpha = -0.731;
-  for (std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{7},
-                        std::size_t{32}, std::size_t{261}}) {
-    const auto src = random_vec(n, rng);
-    const auto dst0 = random_vec(n, rng);
-
-    auto got = dst0;
-    kt().axpy(got.data(), src.data(), n, alpha);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double want = dst0[i] + alpha * src[i];
-      EXPECT_NEAR(got[i], want, 1e-14 * (1.0 + std::abs(want)))
-          << "axpy n=" << n << " i=" << i;
-    }
-
-    auto again = dst0;
-    kt().axpy(again.data(), src.data(), n, alpha);
-    expect_bitwise_eq(again, got, "axpy repeat");
-
-    // Splitting the range anywhere must not change any element's bits.
-    for (std::size_t cut : {n / 3, n / 2, n - 1}) {
-      auto parts = dst0;
-      kt().axpy(parts.data(), src.data(), cut, alpha);
-      kt().axpy(parts.data() + cut, src.data() + cut, n - cut, alpha);
-      expect_bitwise_eq(parts, got, "axpy split");
-    }
   }
 }
 

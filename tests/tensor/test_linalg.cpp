@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "exec/context.hpp"
+#include "exec/thread_pool.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "tensor/random.hpp"
 
 namespace spdkfac::tensor {
@@ -222,6 +230,124 @@ INSTANTIATE_TEST_SUITE_P(
     Sizes, SpdInverseProperty,
     ::testing::Combine(::testing::Values(1, 2, 3, 5, 8, 16, 33, 64),
                        ::testing::Values(1e-3, 0.1, 1.0)));
+
+// ---------------------------------------------------------------------------
+// The blocked Cholesky and inverse work on 64-wide panels and blocks and
+// 8-row strips: sizes on and around the block boundaries (ragged last
+// blocks included), up to the factor orders the benchmark workloads invert.
+
+void expect_bitwise_eq(const Matrix& got, const Matrix& want,
+                       const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                        want.data().size_bytes()),
+            0)
+      << what;
+}
+
+class SpdInverseBlocked : public ::testing::TestWithParam<int> {};
+
+TEST_P(SpdInverseBlocked, InvertsSymmetricallyAndCholeskyReconstructs) {
+  const std::size_t n = static_cast<std::size_t>(GetParam());
+  Rng rng(static_cast<unsigned>(n * 31 + 7));
+  const Matrix a = random_spd(n, rng, 1e-2);
+
+  const auto chol = cholesky(a);
+  ASSERT_TRUE(chol.has_value());
+  std::size_t above_diagonal = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      above_diagonal += chol->lower(i, j) != 0.0;
+    }
+  }
+  EXPECT_EQ(above_diagonal, 0u) << "L must be exactly lower triangular";
+  EXPECT_TRUE(allclose(matmul_nt(chol->lower, chol->lower), a, 1e-9, 1e-9));
+
+  const Matrix inv = spd_inverse(a);
+  EXPECT_TRUE(allclose(matmul(a, inv), Matrix::identity(n), 1e-6, 1e-6));
+  std::size_t asymmetric = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      asymmetric += std::memcmp(inv.row_ptr(i) + j, inv.row_ptr(j) + i,
+                                sizeof(double)) != 0;
+    }
+  }
+  EXPECT_EQ(asymmetric, 0u) << "the inverse must be exactly symmetric";
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockBoundaries, SpdInverseBlocked,
+                         ::testing::Values(63, 64, 65, 127, 128, 129, 257, 385,
+                                           513),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "n" + std::to_string(info.param);
+                         });
+
+// Every block, strip and chunk boundary depends on n alone, so both
+// factorizations are bitwise identical serially and under any pool, at
+// each ISA level.
+TEST(SpdInverseBlocked, BitwiseAcrossPoolSizesAtEveryIsaLevel) {
+  std::vector<kernels::Isa> levels{kernels::Isa::kScalar};
+  if (kernels::supported(kernels::Isa::kAvx2)) {
+    levels.push_back(kernels::Isa::kAvx2);
+  }
+  const kernels::Isa saved = kernels::active();
+  exec::ThreadPool one(1), two(2), four(4);
+  for (const kernels::Isa level : levels) {
+    kernels::force(level);
+    for (const std::size_t n : {65, 129, 257, 513}) {
+      Rng rng(static_cast<unsigned>(n));
+      const Matrix a = random_spd(n, rng, 1e-2);
+      Matrix lower, inv;
+      {
+        exec::Context serial(nullptr);
+        lower = cholesky(a)->lower;
+        inv = spd_inverse(a);
+      }
+      for (exec::ThreadPool* pool : {&one, &two, &four}) {
+        exec::Context ctx(pool);
+        SCOPED_TRACE(std::string(kernels::to_string(level)) +
+                     " n=" + std::to_string(n) +
+                     " workers=" + std::to_string(pool->workers()));
+        expect_bitwise_eq(cholesky(a)->lower, lower, "cholesky");
+        expect_bitwise_eq(spd_inverse(a), inv, "spd_inverse");
+      }
+    }
+  }
+  kernels::force(saved);
+}
+
+// A failing pivot past the first panel, after whole panels of pool work:
+// detection happens only in the serial diagonal-block step, so cholesky()
+// still reports nullopt and spd_inverse() still throws, serially and
+// under a pool.
+TEST(SpdInverseBlocked, RejectsFailuresPastTheFirstPanel) {
+  const std::size_t n = 200;
+  Rng rng(211);
+  const Matrix spd = random_spd(n, rng, 1e-2);
+  Matrix indefinite = spd;  // SPD in its leading 100x100 block only
+  for (std::size_t i = 100; i < n; ++i) indefinite(i, i) = -indefinite(i, i);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  Matrix nan_off_diagonal = spd;
+  nan_off_diagonal(150, 20) = kNan;
+  nan_off_diagonal(20, 150) = kNan;
+  Matrix nan_diagonal = spd;
+  nan_diagonal(70, 70) = kNan;
+
+  Matrix leading(100, 100);
+  for (std::size_t i = 0; i < 100; ++i) {
+    for (std::size_t j = 0; j < 100; ++j) leading(i, j) = indefinite(i, j);
+  }
+  EXPECT_TRUE(cholesky(leading).has_value());
+
+  exec::ThreadPool pool(2);
+  for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+    exec::Context ctx(p);
+    for (const Matrix* m : {&indefinite, &nan_off_diagonal, &nan_diagonal}) {
+      EXPECT_FALSE(cholesky(*m).has_value());
+      EXPECT_THROW(spd_inverse(*m), std::domain_error);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace spdkfac::tensor
