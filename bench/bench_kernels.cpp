@@ -5,15 +5,22 @@
 // BENCH_kernels.json for cross-PR tracking; the headline acceptance number
 // is the factor+inverse speedup of the best level over scalar.
 //
-// All kernel timings are single-threaded (the ambient exec context is
-// serial here), so they measure the raw microkernel — the executor's
-// chunked parallelism multiplies on top and is benched elsewhere
-// (bench_overlap, bench_runtime).
+// The per-kernel timings are single-threaded (the ambient exec context is
+// serial here), so they measure the raw microkernel on whole matrices.
+// The pooled rows then time tensor::matmul / matmul_tn, which split their
+// output rows into parallel_for chunks, on the e2e update and factor
+// shapes under a 2-worker pool, each beside twice the single-thread
+// kernel's GFLOP/s on the same shape (perfect 2-worker scaling).  That is
+// the path real steps take: a chunking that starves the microkernel shows
+// up only there.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "exec/context.hpp"
+#include "exec/thread_pool.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/random.hpp"
@@ -37,6 +44,15 @@ double time_call(F&& f) {
     if (dt >= 0.03) return dt / static_cast<double>(reps);
     reps = dt <= 1e-6 ? reps * 64 : reps * 4;
   }
+}
+
+/// Best of `samples` time_call() samples: the pooled rows share the host
+/// with the pool's workers, so one sample is noisier than a serial one.
+template <typename F>
+double best_time_call(F&& f, int samples = 5) {
+  double best = time_call(f);
+  for (int i = 1; i < samples; ++i) best = std::min(best, time_call(f));
+  return best;
 }
 
 struct KernelSample {
@@ -124,6 +140,50 @@ KernelSample bench_transpose(const kernels::KernelTable& kt, std::size_t d) {
   return s;
 }
 
+/// One pooled product: tensor::matmul (or matmul_tn) under `pool`, next to
+/// the same shape's whole-matrix kernel call on the calling thread alone.
+struct PooledSample {
+  KernelSample pooled;
+  KernelSample single;
+};
+
+/// C = A * B with A m x k and B k x n (the preconditioned update's shape).
+PooledSample bench_matmul_pooled(const kernels::KernelTable& kt,
+                                 std::size_t m, std::size_t k, std::size_t n,
+                                 exec::ThreadPool& pool) {
+  tensor::Rng rng(8);
+  const tensor::Matrix a = tensor::random_normal(m, k, rng);
+  const tensor::Matrix b = tensor::random_normal(k, n, rng);
+  PooledSample s;
+  s.pooled.flops = s.single.flops = 2.0 * static_cast<double>(m) * k * n;
+  tensor::Matrix c(m, n);
+  s.single.seconds = best_time_call([&] {
+    c.set_zero();
+    kt.gemm_nn(m, k, n, a.row_ptr(0), k, b.row_ptr(0), n, c.row_ptr(0), n);
+  });
+  exec::Context ctx(&pool);
+  s.pooled.seconds = best_time_call([&] { c = tensor::matmul(a, b); });
+  return s;
+}
+
+/// C = A^T * A with A rows x d (the Kronecker-factor construction shape).
+PooledSample bench_matmul_tn_pooled(const kernels::KernelTable& kt,
+                                    std::size_t rows, std::size_t d,
+                                    exec::ThreadPool& pool) {
+  tensor::Rng rng(9);
+  const tensor::Matrix a = tensor::random_normal(rows, d, rng);
+  PooledSample s;
+  s.pooled.flops = s.single.flops = 2.0 * static_cast<double>(rows) * d * d;
+  tensor::Matrix c(d, d);
+  s.single.seconds = best_time_call([&] {
+    c.set_zero();
+    kt.gemm_tn(d, rows, d, a.row_ptr(0), d, a.row_ptr(0), d, c.row_ptr(0), d);
+  });
+  exec::Context ctx(&pool);
+  s.pooled.seconds = best_time_call([&] { c = tensor::matmul_tn(a, a); });
+  return s;
+}
+
 /// Copies-eliminated accounting from a real 2-rank step (rank 0's arena).
 struct ArenaReport {
   double bytes_saved_per_step = 0.0;
@@ -181,6 +241,11 @@ int main() {
   bench::BenchJson json("kernels");
   bench::Table table({"Kernel", "d", "ISA", "GFLOP/s", "us/call"});
   bench::Table inverse_share({"d", "ISA", "spd_inverse / gemm_nn GFLOP/s"});
+  // 384x385x385 is the wide MLP's update (dW * A^-1); 2048x145 is the
+  // small CNN's conv2 A factor (im2col rows x patch width).
+  exec::ThreadPool pool(2);
+  bench::Table pooled({"Pooled product", "shape", "ISA", "GFLOP/s", "us/call",
+                       "2x 1-thread kernel GFLOP/s", "share"});
 
   // factor+inverse seconds per (size, level) for the headline speedup.
   std::vector<std::vector<double>> hot_path(levels.size());
@@ -223,6 +288,34 @@ int main() {
                              entries[2].sample.seconds);
     }
 
+    {
+      struct Entry {
+        const char* product;
+        const char* shape;
+        PooledSample sample;
+      };
+      const Entry entries[] = {
+          {"matmul", "384x385x385",
+           bench_matmul_pooled(kt, 384, 385, 385, pool)},
+          {"matmul_tn", "2048x145", bench_matmul_tn_pooled(kt, 2048, 145, pool)},
+      };
+      for (const Entry& e : entries) {
+        const double ideal = 2.0 * e.sample.single.gflops();
+        const double share = e.sample.pooled.gflops() / ideal;
+        pooled.add_row({e.product, e.shape, isa,
+                        bench::fmt("%.2f", e.sample.pooled.gflops()),
+                        bench::fmt("%.1f", e.sample.pooled.seconds * 1e6),
+                        bench::fmt("%.2f", ideal),
+                        bench::fmt("%.0f%%", 100.0 * share)});
+        json.add(std::string(e.product) + "_pooled/" + e.shape +
+                     "/workers=" + std::to_string(pool.workers()) + "/" + isa,
+                 {{"gflops", e.sample.pooled.gflops()},
+                  {"seconds_per_call", e.sample.pooled.seconds},
+                  {"two_x_single_thread_gflops", ideal},
+                  {"share_of_two_x_single_thread", share}});
+      }
+    }
+
     const KernelSample dot = bench_dot(kt, 16384);
     const KernelSample ema = bench_ema(kt, 128 * 128);
     table.add_row({"dot", "16384", isa, bench::fmt("%.2f", dot.gflops()),
@@ -238,6 +331,8 @@ int main() {
   table.print();
   std::printf("\n");
   inverse_share.print();
+  std::printf("\n%zu-worker pool:\n", pool.workers());
+  pooled.print();
 
   if (levels.size() > 1) {
     std::printf("\nfactor+inverse speedup (%s over scalar):\n",

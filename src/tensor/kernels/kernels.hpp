@@ -31,7 +31,9 @@
 //     4-lane stripe + fixed-tree horizontal sum + ascending tail.  Callers
 //     such as the blocked spd_inverse fix their block widths and derive
 //     every chunk boundary from the shape alone, so results never depend
-//     on the exec pool size.
+//     on the exec pool size.  Callers hand the GEMMs row blocks in
+//     multiples of 4 so the AVX2 4x8 tile runs instead of its 1-row
+//     leftover path; that is a speed rule, not a correctness rule.
 //   * Different ISA levels may round differently (FMA contracts mul+add
 //     into one rounding); bitwise determinism holds *within* a level,
 //     and the scalar level is the portable reference.

@@ -14,13 +14,22 @@ namespace spdkfac::tensor {
 
 namespace {
 
-/// Output rows per parallel_for chunk (see exec/grain.hpp).  Chunking
-/// depends only on the shape (never on the pool size), which keeps every
-/// kernel bitwise-deterministic across pool sizes — each output element is
-/// produced by exactly one chunk, and the microkernels' per-element
-/// accumulation order is independent of the chunk boundaries.
+/// Row height of the GEMM microkernels' register tile.  A chunk shorter
+/// than this never reaches the tile and runs only the 1-row leftover path,
+/// so chunks are rounded up to whole tiles.  It is a constant of the shape
+/// rule, not a property of the active ISA level or the pool.
+constexpr std::size_t kMr = 4;
+
+/// Output rows per parallel_for chunk: the grain_for_ops target (see
+/// exec/grain.hpp), rounded up to a multiple of kMr.  Without the rounding
+/// any product with K*N >= kChunkTargetOps gets 1-row chunks.  Chunking
+/// depends only on the shape (never on the pool size or ISA level), and
+/// each output element is produced by exactly one chunk whose
+/// per-element accumulation order does not depend on the chunk
+/// boundaries, so the rounding changes speed only, never the bits.
 std::size_t rows_per_chunk(std::size_t ops_per_row) noexcept {
-  return exec::grain_for_ops(ops_per_row);
+  const std::size_t grain = exec::grain_for_ops(ops_per_row);
+  return (grain + kMr - 1) / kMr * kMr;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tensor/random.hpp"
@@ -167,32 +168,46 @@ TEST_P(KernelLevel, GemmNtMatchesReference) {
 
 // Chunk invariance is what makes matmul() bitwise-independent of the exec
 // pool's row partitioning: a row block computed alone must produce exactly
-// the bits it produces inside a larger call.
+// the bits it produces inside a larger call.  Every split offset is tried,
+// so splits land inside and across 4-row tiles; K spans several of the
+// kernels' k chunks and N leaves vector tails.
 TEST_P(KernelLevel, GemmsAreRowChunkInvariant) {
   Rng rng(104);
-  const std::size_t rows = 23, K = 31, N = 18;
-  const auto a = random_vec(rows * K, rng);
-  const auto b = random_vec(K * N, rng);
+  const std::size_t rows = 23, K = 300, N = 19;
+  const auto a = random_vec(rows * K, rng);   // row-major rows x K
+  const auto at = random_vec(K * rows, rng);  // row-major K x rows
+  const auto b = random_vec(K * N, rng);      // row-major K x N
+  const auto bt = random_vec(N * K, rng);     // row-major N x K
   const auto c0 = random_vec(rows * N, rng);
 
-  for (std::size_t split : {std::size_t{1}, std::size_t{4}, std::size_t{17}}) {
-    auto whole = c0;
-    kt().gemm_nn(rows, K, N, a.data(), K, b.data(), N, whole.data(), N);
+  auto whole_nn = c0;
+  kt().gemm_nn(rows, K, N, a.data(), K, b.data(), N, whole_nn.data(), N);
+  auto whole_tn = c0;
+  kt().gemm_tn(rows, K, N, at.data(), rows, b.data(), N, whole_tn.data(), N);
+  auto whole_nt = c0;
+  kt().gemm_nt(rows, K, N, a.data(), K, bt.data(), K, whole_nt.data(), N);
+
+  for (std::size_t split = 1; split < rows; ++split) {
+    SCOPED_TRACE("split=" + std::to_string(split));
     auto parts = c0;
     kt().gemm_nn(split, K, N, a.data(), K, b.data(), N, parts.data(), N);
     kt().gemm_nn(rows - split, K, N, a.data() + split * K, K, b.data(), N,
                  parts.data() + split * N, N);
-    expect_bitwise_eq(parts, whole, "gemm_nn split");
-  }
+    expect_bitwise_eq(parts, whole_nn, "gemm_nn split");
 
-  // Same property for the T-N variant (column blocks of A).
-  auto whole = c0;
-  kt().gemm_tn(rows, K, N, a.data(), rows, b.data(), N, whole.data(), N);
-  auto parts = c0;
-  kt().gemm_tn(9, K, N, a.data(), rows, b.data(), N, parts.data(), N);
-  kt().gemm_tn(rows - 9, K, N, a.data() + 9, rows, b.data(), N,
-               parts.data() + 9 * N, N);
-  expect_bitwise_eq(parts, whole, "gemm_tn split");
+    // The T-N variant splits column blocks of A.
+    parts = c0;
+    kt().gemm_tn(split, K, N, at.data(), rows, b.data(), N, parts.data(), N);
+    kt().gemm_tn(rows - split, K, N, at.data() + split, rows, b.data(), N,
+                 parts.data() + split * N, N);
+    expect_bitwise_eq(parts, whole_tn, "gemm_tn split");
+
+    parts = c0;
+    kt().gemm_nt(split, K, N, a.data(), K, bt.data(), K, parts.data(), N);
+    kt().gemm_nt(rows - split, K, N, a.data() + split * K, K, bt.data(), K,
+                 parts.data() + split * N, N);
+    expect_bitwise_eq(parts, whole_nt, "gemm_nt split");
+  }
 }
 
 // Every element accumulates in place, k ascending, so a k range split into

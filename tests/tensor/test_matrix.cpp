@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "exec/context.hpp"
+#include "exec/thread_pool.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "tensor/random.hpp"
 
 namespace spdkfac::tensor {
@@ -215,6 +221,82 @@ TEST(Matmul, TnAndNtPropagateNan) {
   Matrix nt = matmul_nt(b, a);
   EXPECT_TRUE(std::isnan(nt(0, 0)));
   EXPECT_TRUE(std::isnan(nt(0, 1)));
+}
+
+// matmul* split their output rows into parallel_for chunks; whatever the
+// chunking, and whatever the pool, every product must carry the bits of
+// one whole-matrix kernel call.  The shapes leave ragged row chunks
+// (rows % 4 != 0), vector tails (N % 8 != 0) and several k chunks
+// (K > 128), at every supported ISA level.
+TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
+  enum class Op { kNn, kTn, kNt };
+  struct Case {
+    Op op;
+    std::size_t a_rows, a_cols, b_rows, b_cols;
+    const char* name;
+  };
+  const Case cases[] = {
+      {Op::kNn, 10, 513, 513, 513, "matmul 10x513 * 513x513"},
+      {Op::kNn, 385, 385, 385, 37, "matmul 385x385 * 385x37"},
+      {Op::kTn, 2048, 145, 2048, 145, "matmul_tn 2048x145^T * 2048x145"},
+      {Op::kNt, 385, 385, 37, 385, "matmul_nt 385x385 * (37x385)^T"},
+      {Op::kNt, 10, 513, 513, 513, "matmul_nt 10x513 * (513x513)^T"},
+  };
+  std::vector<kernels::Isa> levels{kernels::Isa::kScalar};
+  if (kernels::supported(kernels::Isa::kAvx2)) {
+    levels.push_back(kernels::Isa::kAvx2);
+  }
+  const kernels::Isa saved = kernels::active();
+  exec::ThreadPool one(1), two(2), four(4);
+  for (const kernels::Isa level : levels) {
+    kernels::force(level);
+    const kernels::KernelTable& kt = kernels::table(level);
+    for (const Case& tc : cases) {
+      Rng rng(static_cast<unsigned>(tc.a_rows * 7 + tc.b_cols));
+      const Matrix a = random_normal(tc.a_rows, tc.a_cols, rng);
+      const Matrix b = random_normal(tc.b_rows, tc.b_cols, rng);
+      Matrix want;
+      switch (tc.op) {
+        case Op::kNn:
+          want = Matrix(a.rows(), b.cols());
+          kt.gemm_nn(a.rows(), a.cols(), b.cols(), a.row_ptr(0), a.cols(),
+                     b.row_ptr(0), b.cols(), want.row_ptr(0), want.cols());
+          break;
+        case Op::kTn:
+          want = Matrix(a.cols(), b.cols());
+          kt.gemm_tn(a.cols(), a.rows(), b.cols(), a.row_ptr(0), a.cols(),
+                     b.row_ptr(0), b.cols(), want.row_ptr(0), want.cols());
+          break;
+        case Op::kNt:
+          want = Matrix(a.rows(), b.rows());
+          kt.gemm_nt(a.rows(), a.cols(), b.rows(), a.row_ptr(0), a.cols(),
+                     b.row_ptr(0), b.cols(), want.row_ptr(0), want.cols());
+          break;
+      }
+      const auto product = [&] {
+        switch (tc.op) {
+          case Op::kNn: return matmul(a, b);
+          case Op::kTn: return matmul_tn(a, b);
+          case Op::kNt: return matmul_nt(a, b);
+        }
+        return Matrix();
+      };
+      for (exec::ThreadPool* pool :
+           {static_cast<exec::ThreadPool*>(nullptr), &one, &two, &four}) {
+        exec::Context ctx(pool);
+        SCOPED_TRACE(std::string(kernels::to_string(level)) + " " + tc.name +
+                     " workers=" +
+                     std::to_string(pool == nullptr ? 0 : pool->workers()));
+        const Matrix got = product();
+        ASSERT_EQ(got.rows(), want.rows());
+        ASSERT_EQ(got.cols(), want.cols());
+        EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                              want.data().size_bytes()),
+                  0);
+      }
+    }
+  }
+  kernels::force(saved);
 }
 
 TEST(Matvec, MatchesMatmul) {
