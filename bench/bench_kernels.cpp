@@ -12,10 +12,14 @@
 // shapes under a 2-worker pool, each beside twice the single-thread
 // kernel's GFLOP/s on the same shape (perfect 2-worker scaling).  That is
 // the path real steps take: a chunking that starves the microkernel shows
-// up only there.
+// up only there.  The inverse rows time damped_inverse_into with warm
+// `out` and `scratch` (the optimizer's steady-state inverse, which touches
+// no new memory) beside spd_inverse on fresh storage, both on the calling
+// thread and under the pool, at the orders the e2e workloads invert.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -140,8 +144,9 @@ KernelSample bench_transpose(const kernels::KernelTable& kt, std::size_t d) {
   return s;
 }
 
-/// One pooled product: tensor::matmul (or matmul_tn) under `pool`, next to
-/// the same shape's whole-matrix kernel call on the calling thread alone.
+/// One operation under `pool`, next to the same shape on the calling thread
+/// alone: tensor::matmul (or matmul_tn) beside one whole-matrix kernel
+/// call, or an inverse beside itself.
 struct PooledSample {
   KernelSample pooled;
   KernelSample single;
@@ -181,6 +186,28 @@ PooledSample bench_matmul_tn_pooled(const kernels::KernelTable& kt,
   });
   exec::Context ctx(&pool);
   s.pooled.seconds = best_time_call([&] { c = tensor::matmul_tn(a, a); });
+  return s;
+}
+
+/// One d x d SPD inverse, on the calling thread and under `pool`:
+/// spd_inverse (fresh out, scratch and L every call) or damped_inverse_into
+/// with storage kept across calls (time_call's warm-up call sizes it).
+PooledSample bench_inverse(std::size_t d, bool warm, exec::ThreadPool& pool) {
+  tensor::Rng rng(5);
+  const tensor::Matrix a = tensor::random_spd(d, rng);
+  PooledSample s;
+  s.single.flops = s.pooled.flops = tensor::spd_inverse_flops(d);
+  tensor::Matrix inv, scratch;
+  const auto call = [&] {
+    if (warm) {
+      tensor::damped_inverse_into(a, 0.0, inv, scratch);
+    } else {
+      inv = tensor::spd_inverse(a);
+    }
+  };
+  s.single.seconds = best_time_call(call);
+  exec::Context ctx(&pool);
+  s.pooled.seconds = best_time_call(call);
   return s;
 }
 
@@ -246,6 +273,8 @@ int main() {
   exec::ThreadPool pool(2);
   bench::Table pooled({"Pooled product", "shape", "ISA", "GFLOP/s", "us/call",
                        "2x 1-thread kernel GFLOP/s", "share"});
+  bench::Table inverses({"Inverse", "storage", "d", "ISA", "workers",
+                         "GFLOP/s", "us/call"});
 
   // factor+inverse seconds per (size, level) for the headline speedup.
   std::vector<std::vector<double>> hot_path(levels.size());
@@ -316,6 +345,31 @@ int main() {
       }
     }
 
+    for (const std::size_t d : {std::size_t{385}, std::size_t{513}}) {
+      struct Entry {
+        const char* name;
+        const char* storage;
+        PooledSample sample;
+      };
+      const Entry entries[] = {
+          {"spd_inverse", "fresh", bench_inverse(d, false, pool)},
+          {"damped_inverse_into", "warm", bench_inverse(d, true, pool)},
+      };
+      for (const Entry& e : entries) {
+        const std::pair<std::size_t, KernelSample> runs[] = {
+            {0, e.sample.single}, {pool.workers(), e.sample.pooled}};
+        for (const auto& [workers, k] : runs) {
+          inverses.add_row({e.name, e.storage, std::to_string(d), isa,
+                            std::to_string(workers),
+                            bench::fmt("%.2f", k.gflops()),
+                            bench::fmt("%.1f", k.seconds * 1e6)});
+          json.add(std::string(e.name) + "/d=" + std::to_string(d) +
+                       "/workers=" + std::to_string(workers) + "/" + isa,
+                   {{"gflops", k.gflops()}, {"seconds_per_call", k.seconds}});
+        }
+      }
+    }
+
     const KernelSample dot = bench_dot(kt, 16384);
     const KernelSample ema = bench_ema(kt, 128 * 128);
     table.add_row({"dot", "16384", isa, bench::fmt("%.2f", dot.gflops()),
@@ -333,6 +387,8 @@ int main() {
   inverse_share.print();
   std::printf("\n%zu-worker pool:\n", pool.workers());
   pooled.print();
+  std::printf("\nInverse storage (workers 0 = calling thread only):\n");
+  inverses.print();
 
   if (levels.size() > 1) {
     std::printf("\nfactor+inverse speedup (%s over scalar):\n",

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "tensor/kernels/kernels.hpp"
+#include "tensor/linalg.hpp"
 #include "tensor/symmetric.hpp"
 
 namespace spdkfac::core {
@@ -593,8 +594,14 @@ void DistKfacOptimizer::run_factor_compute(int task_id) {
   const bool is_a = task.family == sched::Family::kA;
   // Timing is the executor observer's job: it wraps this body and feeds
   // the measured duration into the profiler's per-layer EMA slot.
+  // Built in the layer's persistent buffer: a steady step allocates (and
+  // page-faults) no factor-sized matrix.
   Matrix& fresh = is_a ? fresh_a_[l] : fresh_g_[l];
-  fresh = is_a ? compute_factor_a(*layers_[l]) : compute_factor_g(*layers_[l]);
+  if (is_a) {
+    compute_factor_a(*layers_[l], fresh);
+  } else {
+    compute_factor_g(*layers_[l], fresh);
+  }
 
   const std::span<double> packed =
       task_buffer_[static_cast<std::size_t>(task_id)];
@@ -620,15 +627,27 @@ void DistKfacOptimizer::run_inverse(int task_id) {
     const auto [ga, gg] = factored_damping(st.a, st.g, options_.damping);
     gamma = t % 2 == 0 ? ga : gg;
   }
-  Matrix inv = damped_inverse_by(factor_of(t), gamma, options_.inverse_method);
+  // The inverse lands in the tensor's persistent slot.  The Cholesky path
+  // borrows the tensor's fresh local factor as its W scratch: that buffer
+  // is dead once the factor barrier has passed (packed into the fused
+  // all-reduce, or folded into the running average on a single worker)
+  // and is rebuilt before it is read again, so the inverse phase
+  // allocates nothing on a steady step.
+  Matrix& slot = inverse_slot(t);
+  if (options_.inverse_method == InverseMethod::kCholesky) {
+    Matrix& scratch = t % 2 == 0 ? fresh_a_[t / 2] : fresh_g_[t / 2];
+    tensor::damped_inverse_into(factor_of(t), gamma, slot, scratch);
+  } else {
+    slot = damped_inverse_by(factor_of(t), gamma, options_.inverse_method);
+  }
   const std::span<double> bcast =
       task_buffer_[static_cast<std::size_t>(task_id)];
   if (!bcast.empty()) {
-    // CT: owner packs; the broadcast (dependent on this node) ships it and
-    // its completion unpacks into the slot on every rank identically.
-    tensor::pack_upper(inv, bcast);
-  } else {
-    inverse_slot(t) = std::move(inv);
+    // CT: the owner packs from its slot; the broadcast (dependent on this
+    // node) ships it and its completion unpacks into the slot on every
+    // rank identically (the owner's included, a no-op for a lossless
+    // payload: the inverse is exactly symmetric).
+    tensor::pack_upper(slot, bcast);
   }
 }
 

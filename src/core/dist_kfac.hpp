@@ -470,7 +470,14 @@ class DistKfacOptimizer {
   comm::AlgorithmSelector selector_;  ///< kAuto resolution (rank-identical)
   sched::ScheduleCosts costs_;
 
+  /// Factor-sized storage persists across steps: each layer's aggregated
+  /// factors and inverse slots here, its fresh local factors below.  A
+  /// steady step rebuilds them in place (tensor::matmul_tn and
+  /// tensor::damped_inverse_into reallocate only on a shape change).
   std::vector<LayerState> state_;
+  /// Fresh local factors, rebuilt by each factor compute.  After the
+  /// factor barrier they are dead until the next one, so the Cholesky
+  /// inverse of tensor t borrows t's buffer as its W = L^-1 scratch.
   std::vector<tensor::Matrix> fresh_a_, fresh_g_;
   std::vector<tensor::Matrix> agg_grads_;
   std::size_t step_count_ = 0;

@@ -10,23 +10,36 @@ namespace spdkfac::core {
 
 using tensor::Matrix;
 
+namespace {
+
+/// out = rows^T rows / rows.rows(), the Kronecker factor of one side.
+void build_factor(const Matrix& rows, Matrix& out, const char* missing) {
+  if (rows.rows() == 0) throw std::logic_error(missing);
+  tensor::matmul_tn(rows, rows, out);
+  out *= 1.0 / static_cast<double>(rows.rows());
+}
+
+}  // namespace
+
+void compute_factor_a(const nn::PreconditionedLayer& layer, Matrix& out) {
+  build_factor(layer.kfac_input(), out,
+               "compute_factor_a: no captured forward pass");
+}
+
+void compute_factor_g(const nn::PreconditionedLayer& layer, Matrix& out) {
+  build_factor(layer.kfac_output_grad(), out,
+               "compute_factor_g: no captured backward pass");
+}
+
 Matrix compute_factor_a(const nn::PreconditionedLayer& layer) {
-  const Matrix& rows = layer.kfac_input();
-  if (rows.rows() == 0) {
-    throw std::logic_error("compute_factor_a: no captured forward pass");
-  }
-  Matrix a = tensor::matmul_tn(rows, rows);
-  a *= 1.0 / static_cast<double>(rows.rows());
+  Matrix a;
+  compute_factor_a(layer, a);
   return a;
 }
 
 Matrix compute_factor_g(const nn::PreconditionedLayer& layer) {
-  const Matrix& rows = layer.kfac_output_grad();
-  if (rows.rows() == 0) {
-    throw std::logic_error("compute_factor_g: no captured backward pass");
-  }
-  Matrix g = tensor::matmul_tn(rows, rows);
-  g *= 1.0 / static_cast<double>(rows.rows());
+  Matrix g;
+  compute_factor_g(layer, g);
   return g;
 }
 

@@ -69,6 +69,14 @@ double kl_clip_factor(std::span<const tensor::Matrix> deltas,
 tensor::Matrix compute_factor_a(const nn::PreconditionedLayer& layer);
 tensor::Matrix compute_factor_g(const nn::PreconditionedLayer& layer);
 
+/// The same factors built into `out`, reallocated only when its shape
+/// differs (tensor::matmul_tn's output form) — bitwise equal to the
+/// returning forms.
+void compute_factor_a(const nn::PreconditionedLayer& layer,
+                      tensor::Matrix& out);
+void compute_factor_g(const nn::PreconditionedLayer& layer,
+                      tensor::Matrix& out);
+
 /// Folds `fresh` into running average `state` with the given decay
 /// (initializes state on first use).
 void update_running_average(tensor::Matrix& state,

@@ -24,14 +24,18 @@ Batch SyntheticClassification::sample(std::size_t batch,
   b.labels.resize(batch);
   std::uniform_int_distribution<int> label_dist(
       0, static_cast<int>(classes_) - 1);
-  std::normal_distribution<double> noise_dist(0.0, noise_);
+  // A unit normal scaled by hand: std::normal_distribution requires a
+  // positive stddev, so noise_ == 0 (pure templates) would be undefined.
+  // z * noise_ + 0.0 is the distribution's own arithmetic, so batches and
+  // the RNG stream are bitwise unchanged for noise_ > 0.
+  std::normal_distribution<double> unit_normal(0.0, 1.0);
   for (std::size_t i = 0; i < batch; ++i) {
     const int label = label_dist(rng);
     b.labels[i] = label;
     auto dst = b.inputs.sample(i);
     const auto& tmpl = templates_[label];
     for (std::size_t j = 0; j < dst.size(); ++j) {
-      dst[j] = tmpl[j] + noise_dist(rng);
+      dst[j] = tmpl[j] + (unit_normal(rng) * noise_ + 0.0);
     }
   }
   return b;

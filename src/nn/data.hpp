@@ -27,8 +27,14 @@ class SyntheticClassification {
   std::size_t classes() const noexcept { return classes_; }
 
   /// Draws a batch: labels cycle deterministically from the provided RNG,
-  /// pixels are template + N(0, noise^2).
+  /// pixels are template + N(0, noise^2).  noise == 0 yields the templates
+  /// exactly.
   Batch sample(std::size_t batch, tensor::Rng& rng) const;
+
+  /// Class `label`'s template image, flat (channels x hw x hw).
+  const std::vector<double>& class_template(std::size_t label) const {
+    return templates_.at(label);
+  }
 
  private:
   std::size_t classes_, channels_, hw_;

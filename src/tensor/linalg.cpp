@@ -20,11 +20,11 @@ std::size_t items_per_chunk(std::size_t ops_per_item) noexcept {
   return exec::grain_for_ops(ops_per_item);
 }
 
-/// Block width of the blocked Cholesky and of W = L^-1 in spd_inverse, and
-/// the row-strip height of its W^T W product.  Every block, strip and
-/// chunk boundary there is a multiple of one of these clipped at n, so the
-/// work decomposition (and with it every element's rounding) is a function
-/// of the matrix order alone, never of the pool size.
+/// Block width of the blocked Cholesky and of W = L^-1, and the row-strip
+/// height of the W^T W product.  Every block, strip and chunk boundary
+/// there is a multiple of one of these clipped at n, so the work
+/// decomposition (and with it every element's rounding) is a function of
+/// the matrix order alone, never of the pool size.
 constexpr std::size_t kNb = 64;
 constexpr std::size_t kStrip = 8;
 
@@ -77,41 +77,57 @@ double Cholesky::log_det() const noexcept {
   return 2.0 * s;
 }
 
-std::optional<Cholesky> cholesky(const Matrix& a) {
-  if (!a.square()) {
-    throw std::invalid_argument("cholesky requires a square matrix");
-  }
+namespace {
+
+/// Makes `m` n x n, reallocating only when its shape differs: a buffer
+/// reused across calls keeps its storage (and stale contents, which every
+/// stage below clears before it accumulates).
+void ensure_square(Matrix& m, std::size_t n) {
+  if (m.rows() != n || m.cols() != n) m = Matrix(n, n);
+}
+
+/// Stage 1: L with L L^T = A + damping*I into `l` (n x n, any contents),
+/// reading only A's lower triangle; the damping is added to each diagonal
+/// element as it is read, so no damped copy of A exists.  Returns false
+/// when a pivot is not positive or not finite (l is then partly written).
+///
+/// Left-looking, one column panel J = [j0, j1) of width kNb at a time.
+/// First every row at or below the panel is reduced by the finished
+/// columns left of it, in place: S(i, J) = A(i, J) - L(i, :j0) L(J, :j0)^T,
+/// a 1-row gemm_nt per row, rows split into shape-only chunks.  Then each
+/// row is finished against the panel's own columns with dot:
+///   L(i, j) = (S(i, j) - L(i, j0:j) . L(j, j0:j)) / L(j, j).
+/// The diagonal block holds every pivot of the panel and is finished
+/// serially, so the non-SPD/NaN check never runs inside a pool chunk;
+/// the rows below it are independent of each other.
+bool cholesky_stage(const Matrix& a, double damping, Matrix& l) {
   const std::size_t n = a.rows();
   const auto& kt = kernels::active_table();
-  Matrix l(n, n);
-  // Left-looking, one column panel J = [j0, j1) of width kNb at a time.
-  // First every row at or below the panel is reduced by the finished
-  // columns left of it, in place: S(i, J) = A(i, J) - L(i, :j0) L(J, :j0)^T,
-  // a 1-row gemm_nt per row, rows split into shape-only chunks.  Then each
-  // row is finished against the panel's own columns with dot:
-  //   L(i, j) = (S(i, j) - L(i, j0:j) . L(j, j0:j)) / L(j, j).
-  // The diagonal block holds every pivot of the panel and is finished
-  // serially, so the non-SPD/NaN check never runs inside a pool chunk;
-  // the rows below it are independent of each other.
   for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
     const std::size_t j1 = std::min(n, j0 + kNb);
     exec::parallel_for(
         n - j0, items_per_chunk(std::max<std::size_t>(j0, 1) * (j1 - j0)),
         [&, j0, j1](std::size_t s0, std::size_t s1) {
           for (std::size_t i = j0 + s0; i < j0 + s1; ++i) {
-            // Diagonal-block rows stop at the diagonal, so L stays exactly
-            // zero above it.
+            // Diagonal-block rows stop at the diagonal and clear the rest
+            // of the row too, so L is exactly zero above it.
+            const bool diagonal = i < j1;
             const std::size_t w = std::min(j1, i + 1) - j0;
             double* li = l.row_ptr(i);
+            std::fill(li + j0, li + (diagonal ? n : j1), 0.0);
             kt.gemm_nt(1, j0, w, li, n, l.row_ptr(j0), n, li + j0, n);
             const double* ai = a.row_ptr(i);
-            for (std::size_t j = j0; j < j0 + w; ++j) li[j] = ai[j] - li[j];
+            const std::size_t off_diagonal_end = j0 + w - (diagonal ? 1 : 0);
+            for (std::size_t j = j0; j < off_diagonal_end; ++j) {
+              li[j] = ai[j] - li[j];
+            }
+            if (diagonal) li[i] = (ai[i] + damping) - li[i];
           }
         });
     for (std::size_t j = j0; j < j1; ++j) {
       double* lj = l.row_ptr(j);
       const double diag = lj[j] - kt.dot(lj + j0, lj + j0, j - j0);
-      if (diag <= 0.0 || !std::isfinite(diag)) return std::nullopt;
+      if (diag <= 0.0 || !std::isfinite(diag)) return false;
       const double ljj = std::sqrt(diag);
       lj[j] = ljj;
       for (std::size_t i = j + 1; i < j1; ++i) {
@@ -131,34 +147,32 @@ std::optional<Cholesky> cholesky(const Matrix& a) {
           }
         });
   }
-  return Cholesky{std::move(l)};
+  return true;
 }
 
-Matrix spd_inverse(const Matrix& a) {
-  auto chol = cholesky(a);
-  if (!chol) {
-    throw std::domain_error("spd_inverse: matrix is not positive definite");
-  }
-  const Matrix& l = chol->lower;
-  const std::size_t n = a.rows();
+/// Stage 2: W = L^-1 into `w` (n x n, any contents), on kNb blocks.  Each
+/// chunk clears every element it accumulates into before its GEMMs.  Only
+/// W's lower triangle and the upper triangles of its diagonal blocks
+/// (exact zeros) are written, and nothing reads W further right.
+///
+/// Every element is written by exactly one pool chunk and every GEMM sums
+/// its k terms ascending, so the bits do not depend on the pool size.
+/// Terms that multiply the exact zeros above W's diagonal are finite (L
+/// passed the pivot checks) and do not need trimming.
+void lower_inverse_stage(const Matrix& l, Matrix& w) {
+  const std::size_t n = l.rows();
   const std::size_t nb = (n + kNb - 1) / kNb;
   const auto& kt = kernels::active_table();
-  // A^-1 = W^T W with W = L^-1, on kNb blocks.  Every element is written by
-  // exactly one pool chunk and every GEMM sums its k terms ascending, so
-  // the bits do not depend on the pool size.  Terms that multiply the
-  // exact zeros above W's diagonal are finite (L passed the pivot checks)
-  // and do not need trimming.
-  //
-  // Diagonal blocks of W first: W_II = L_II^-1 by row substitution, row r
-  // being one 1-row GEMM of L(r, I) against the finished rows above it.
-  // The GEMM width is rounded up to whole 8-wide vector tiles; the columns
-  // at and right of r only add products with zeros to zeros.
-  Matrix w(n, n);
+  // Diagonal blocks first: W_II = L_II^-1 by row substitution, row r being
+  // one 1-row GEMM of L(r, I) against the finished rows above it.  The
+  // GEMM width is rounded up to whole 8-wide vector tiles; the columns at
+  // and right of r only add products with zeros to zeros.
   exec::parallel_for(nb, 1, [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
       const std::size_t i0 = b * kNb, i1 = std::min(n, i0 + kNb);
       for (std::size_t r = i0; r < i1; ++r) {
         double* wr = w.row_ptr(r) + i0;
+        std::fill(wr, wr + (i1 - i0), 0.0);
         const std::size_t width =
             std::min(i1 - i0, (r - i0 + 7) & ~std::size_t{7});
         kt.gemm_nn(1, r - i0, width, l.row_ptr(r) + i0, n,
@@ -186,43 +200,86 @@ Matrix spd_inverse(const Matrix& a) {
             kt.gemm_nn(wi, i0 - j0, wj, l.row_ptr(i0) + j0, n,
                        w.row_ptr(j0) + j0, n, t.data(), wj);
             kt.scale(t.data(), wi * wj, -1.0);
+            for (std::size_t r = i0; r < i0 + wi; ++r) {
+              std::fill(w.row_ptr(r) + j0, w.row_ptr(r) + j0 + wj, 0.0);
+            }
             kt.gemm_nn(wi, wi, wj, w.row_ptr(i0) + i0, n, t.data(), wj,
                        w.row_ptr(i0) + j0, n);
           }
         }
       });
-  // X = W^T W on the lower triangle only, by kStrip-row strips: W is zero
-  // above its diagonal, so X(R, :r1) = W([r0, n), R)^T W([r0, n), :r1) for
-  // the strip R = [r0, r1), one gemm_tn that skips the zero rows.  Each
-  // strip is mirrored into its upper partner, which makes X exactly
-  // symmetric by construction.  A strip costs about kStrip n^2 / 3 ops on
-  // average, which sets the chunk grain (one strip per chunk once n is
-  // past a few dozen; small inverses stay on the calling thread).
-  Matrix inv(n, n);
+}
+
+/// Stage 3: X = W^T W into `x` (n x n, any contents; every element is
+/// written), on the lower triangle only, by kStrip-row strips: W is zero
+/// above its diagonal, so X(R, :r1) = W([r0, n), R)^T W([r0, n), :r1) for
+/// the strip R = [r0, r1), one gemm_tn that skips the zero rows, into the
+/// strip's cleared lower part.  Each strip is mirrored into its upper
+/// partner, which makes X exactly symmetric by construction.  A strip
+/// costs about kStrip n^2 / 3 ops on average, which sets the chunk grain
+/// (one strip per chunk once n is past a few dozen; small inverses stay
+/// on the calling thread).
+void gram_stage(const Matrix& w, Matrix& x) {
+  const std::size_t n = w.rows();
+  const auto& kt = kernels::active_table();
   exec::parallel_for(
       (n + kStrip - 1) / kStrip, items_per_chunk(kStrip * n * n / 3),
       [&](std::size_t s0, std::size_t s1) {
         for (std::size_t s = s0; s < s1; ++s) {
           const std::size_t r0 = s * kStrip, r1 = std::min(n, r0 + kStrip);
           const std::size_t h = r1 - r0;
-          double* x = inv.row_ptr(r0);
+          double* xs = x.row_ptr(r0);
+          for (std::size_t r = 0; r < h; ++r) {
+            std::fill(xs + r * n, xs + r * n + r1, 0.0);
+          }
           kt.gemm_tn(h, n - r0, r1, w.row_ptr(r0) + r0, n, w.row_ptr(r0), n,
-                     x, n);
-          kt.transpose(x, h, r0, n, inv.row_ptr(0) + r0, n);
+                     xs, n);
+          kt.transpose(xs, h, r0, n, x.row_ptr(0) + r0, n);
           for (std::size_t r = 0; r < h; ++r) {
             for (std::size_t c = r + 1; c < h; ++c) {
-              x[r * n + r0 + c] = x[c * n + r0 + r];
+              xs[r * n + r0 + c] = xs[c * n + r0 + r];
             }
           }
         }
       });
-  return inv;
 }
 
+}  // namespace
+
+std::optional<Cholesky> cholesky(const Matrix& a) {
+  if (!a.square()) {
+    throw std::invalid_argument("cholesky requires a square matrix");
+  }
+  Matrix l(a.rows(), a.rows());
+  if (!cholesky_stage(a, 0.0, l)) return std::nullopt;
+  return Cholesky{std::move(l)};
+}
+
+void damped_inverse_into(const Matrix& a, double damping, Matrix& out,
+                         Matrix& scratch) {
+  if (!a.square()) {
+    throw std::invalid_argument("damped_inverse requires a square matrix");
+  }
+  if (&out == &a || &scratch == &a || &out == &scratch) {
+    throw std::invalid_argument(
+        "damped_inverse_into: a, out and scratch must be distinct");
+  }
+  const std::size_t n = a.rows();
+  ensure_square(out, n);
+  ensure_square(scratch, n);
+  if (!cholesky_stage(a, damping, out)) {
+    throw std::domain_error("damped_inverse: matrix is not positive definite");
+  }
+  lower_inverse_stage(out, scratch);  // W = L^-1; L is dead after this
+  gram_stage(scratch, out);           // A^-1 = W^T W over L's storage
+}
+
+Matrix spd_inverse(const Matrix& a) { return damped_inverse(a, 0.0); }
+
 Matrix damped_inverse(const Matrix& a, double damping) {
-  Matrix damped = a;
-  damped.add_diagonal(damping);
-  return spd_inverse(damped);
+  Matrix out, scratch;
+  damped_inverse_into(a, damping, out, scratch);
+  return out;
 }
 
 bool is_symmetric(const Matrix& a, double tol) noexcept {

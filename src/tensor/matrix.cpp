@@ -134,23 +134,34 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
+void matmul_tn(const Matrix& a, const Matrix& b, Matrix& c) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("matmul_tn shape mismatch");
   }
-  Matrix c(a.cols(), b.cols());
-  if (c.rows() == 0 || c.cols() == 0) return c;
-  // Parallel over blocks of c's rows (columns of a); every microkernel
-  // accumulates each c(i,j) strictly k ascending, so results are bitwise
-  // identical across chunkings within an ISA level.  No zero-skip (IEEE
-  // NaN/Inf propagation — see matmul).
+  if (&c == &a || &c == &b) {
+    throw std::invalid_argument("matmul_tn: c must not alias a or b");
+  }
+  if (c.rows() != a.cols() || c.cols() != b.cols()) {
+    c = Matrix(a.cols(), b.cols());
+  }
+  if (c.rows() == 0 || c.cols() == 0) return;
+  // Parallel over blocks of c's rows (columns of a); each chunk clears its
+  // rows, then every microkernel accumulates each c(i,j) strictly k
+  // ascending, so results are bitwise identical across chunkings within
+  // an ISA level.  No zero-skip (IEEE NaN/Inf propagation — see matmul).
   const auto& kt = kernels::active_table();
   exec::parallel_for(
       a.cols(), rows_per_chunk(a.rows() * b.cols()),
       [&](std::size_t i0, std::size_t i1) {
+        std::fill(c.row_ptr(i0), c.row_ptr(i0) + (i1 - i0) * c.cols(), 0.0);
         kt.gemm_tn(i1 - i0, a.rows(), b.cols(), a.row_ptr(0) + i0, a.cols(),
                    b.row_ptr(0), b.cols(), c.row_ptr(i0), c.cols());
       });
+}
+
+Matrix matmul_tn(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  matmul_tn(a, b, c);
   return c;
 }
 

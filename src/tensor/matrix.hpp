@@ -111,6 +111,13 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 /// C = A^T * B without forming A^T.
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
 
+/// The same product written into `c`, which is reallocated only when it is
+/// not A.cols() x B.cols(): a caller that keeps `c` across calls (a
+/// Kronecker factor rebuilt every step) touches no new memory.  Its prior
+/// contents are irrelevant, and the bits equal the returning form's.  `c`
+/// must not alias `a` or `b` (std::invalid_argument).
+void matmul_tn(const Matrix& a, const Matrix& b, Matrix& c);
+
 /// C = A * B^T without forming B^T.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
 

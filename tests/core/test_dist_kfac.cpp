@@ -309,6 +309,61 @@ TEST(DistKfac, UpdateFrequenciesReduceWork) {
   });
 }
 
+/// Steady steps rebuild every factor-sized matrix in place: once a step has
+/// sized them, the inverse slots keep their storage whether this rank
+/// inverts a tensor itself (NCT, D-KFAC, a CT it owns) or receives its
+/// broadcast, serially and under a pool.  The input width makes the first
+/// layer's A factor large enough for LBP to broadcast it while the
+/// 3-class G factor stays replicated, so SPD-KFAC covers both kinds.
+TEST(DistKfac, InverseSlotsKeepTheirStorageAcrossSteps) {
+  constexpr std::size_t kWideIn = 48;
+  for (const DistStrategy strategy :
+       {DistStrategy::kSpdKfac, DistStrategy::kDKfac}) {
+    for (const std::size_t pool_size : {0u, 2u}) {
+      comm::Cluster::launch(2, [&](comm::Communicator& comm) {
+        Rng init(kModelSeed);
+        const std::size_t widths[] = {kWideIn, 40, kClasses};
+        nn::Sequential model = nn::make_mlp(widths, init);
+        auto layers = model.preconditioned_layers();
+        DistKfacOptions opts;
+        opts.strategy = strategy;
+        opts.pool_size = pool_size;
+        DistKfacOptimizer optimizer(layers, comm, opts);
+        nn::SyntheticClassification data(kClasses, kWideIn, 1, kDataSeed);
+        Rng rng(51 + comm.rank());
+        nn::SoftmaxCrossEntropy loss;
+        std::vector<const double*> warm;
+        for (int s = 0; s < 4; ++s) {
+          auto b = data.sample(8, rng);
+          Tensor4D flat(b.inputs.n, kWideIn, 1, 1);
+          flat.data = b.inputs.data;
+          loss.forward(model.forward(flat), b.labels);
+          model.backward(loss.backward());
+          optimizer.step();
+          std::vector<const double*> storage;
+          for (std::size_t l = 0; l < layers.size(); ++l) {
+            storage.push_back(optimizer.inverse_a(l).data().data());
+            storage.push_back(optimizer.inverse_g(l).data().data());
+          }
+          if (s == 0) {
+            warm = storage;
+          } else {
+            EXPECT_EQ(storage, warm)
+                << to_string(strategy) << " pool " << pool_size << " step "
+                << s << " rank " << comm.rank();
+          }
+        }
+        if (strategy == DistStrategy::kSpdKfac) {
+          const sched::Placement& placement = optimizer.placement();
+          EXPECT_EQ(placement.policy, "LBP");
+          EXPECT_GT(placement.num_ncts(), 0u);
+          EXPECT_LT(placement.num_ncts(), 2 * layers.size());
+        }
+      });
+    }
+  }
+}
+
 /// Real-numerics path of the collective algorithm library: training on a
 /// hierarchical topology with the auto-selected algorithms must keep ranks
 /// bitwise identical and match the ring run up to the floating-point

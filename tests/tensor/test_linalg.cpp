@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -347,6 +348,86 @@ TEST(SpdInverseBlocked, RejectsFailuresPastTheFirstPanel) {
       EXPECT_THROW(spd_inverse(*m), std::domain_error);
     }
   }
+}
+
+// damped_inverse_into reuses caller storage: it must carry the bits of
+// damped_inverse whatever `out` and `scratch` held before.  They start
+// NaN-filled and wrongly shaped (the call must resize them), then are
+// NaN-filled again at the right shape (the call must keep their storage):
+// any element a stage read before writing it would surface as a NaN.
+TEST(DampedInverseInto, BitwiseEqualsDampedInverseAcrossPoolsAndIsaLevels) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kDamping = 1e-2;
+  std::vector<kernels::Isa> levels{kernels::Isa::kScalar};
+  if (kernels::supported(kernels::Isa::kAvx2)) {
+    levels.push_back(kernels::Isa::kAvx2);
+  }
+  const kernels::Isa saved = kernels::active();
+  exec::ThreadPool one(1), two(2), four(4);
+  for (const kernels::Isa level : levels) {
+    kernels::force(level);
+    for (const std::size_t n : {1, 63, 64, 65, 129, 385, 513}) {
+      Rng rng(static_cast<unsigned>(n * 13 + 5));
+      const Matrix a = random_spd(n, rng, 1e-3);
+      Matrix want;
+      {
+        exec::Context serial(nullptr);
+        want = damped_inverse(a, kDamping);
+      }
+      // The reference shares the stage code, so check it independently.
+      Matrix damped = a;
+      damped.add_diagonal(kDamping);
+      ASSERT_TRUE(
+          allclose(matmul(damped, want), Matrix::identity(n), 1e-6, 1e-6));
+      for (exec::ThreadPool* pool :
+           {static_cast<exec::ThreadPool*>(nullptr), &one, &two, &four}) {
+        exec::Context ctx(pool);
+        SCOPED_TRACE(std::string(kernels::to_string(level)) +
+                     " n=" + std::to_string(n) + " workers=" +
+                     std::to_string(pool == nullptr ? 0 : pool->workers()));
+        Matrix out(n + 1, n + 1, kNan);
+        Matrix scratch(n, n + 2, kNan);
+        damped_inverse_into(a, kDamping, out, scratch);
+        expect_bitwise_eq(out, want, "resized out");
+        ASSERT_EQ(scratch.rows(), n);
+        ASSERT_EQ(scratch.cols(), n);
+
+        const double* out_storage = out.data().data();
+        const double* scratch_storage = scratch.data().data();
+        std::fill(out.data().begin(), out.data().end(), kNan);
+        std::fill(scratch.data().begin(), scratch.data().end(), kNan);
+        damped_inverse_into(a, kDamping, out, scratch);
+        expect_bitwise_eq(out, want, "reused out");
+        EXPECT_EQ(out.data().data(), out_storage);
+        EXPECT_EQ(scratch.data().data(), scratch_storage);
+      }
+    }
+  }
+  kernels::force(saved);
+}
+
+TEST(DampedInverseInto, RejectsNonSpdAndBadArguments) {
+  Rng rng(17);
+  const std::size_t n = 130;
+  Matrix indefinite = random_spd(n, rng, 1e-2);
+  for (std::size_t i = 70; i < n; ++i) indefinite(i, i) = -indefinite(i, i);
+  exec::ThreadPool pool(2);
+  for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+    exec::Context ctx(p);
+    Matrix out, scratch;
+    EXPECT_THROW(damped_inverse_into(indefinite, 1e-2, out, scratch),
+                 std::domain_error);
+    // Damping too small to rescue a matrix with a negative eigenvalue.
+    const Matrix negative{{-1.0, 0.0}, {0.0, 1.0}};
+    EXPECT_THROW(damped_inverse_into(negative, 0.5, out, scratch),
+                 std::domain_error);
+  }
+  Matrix a = Matrix::identity(3), out, scratch;
+  EXPECT_THROW(damped_inverse_into(Matrix(2, 3), 1.0, out, scratch),
+               std::invalid_argument);
+  EXPECT_THROW(damped_inverse_into(a, 1.0, a, scratch), std::invalid_argument);
+  EXPECT_THROW(damped_inverse_into(a, 1.0, out, a), std::invalid_argument);
+  EXPECT_THROW(damped_inverse_into(a, 1.0, out, out), std::invalid_argument);
 }
 
 }  // namespace

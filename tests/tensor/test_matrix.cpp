@@ -227,9 +227,11 @@ TEST(Matmul, TnAndNtPropagateNan) {
 // chunking, and whatever the pool, every product must carry the bits of
 // one whole-matrix kernel call.  The shapes leave ragged row chunks
 // (rows % 4 != 0), vector tails (N % 8 != 0) and several k chunks
-// (K > 128), at every supported ISA level.
+// (K > 128), at every supported ISA level.  matmul_tn's output form
+// writes into a NaN-filled destination of the right shape, so an element
+// it failed to clear before accumulating would surface as a NaN.
 TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
-  enum class Op { kNn, kTn, kNt };
+  enum class Op { kNn, kTn, kTnInto, kNt };
   struct Case {
     Op op;
     std::size_t a_rows, a_cols, b_rows, b_cols;
@@ -239,6 +241,8 @@ TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
       {Op::kNn, 10, 513, 513, 513, "matmul 10x513 * 513x513"},
       {Op::kNn, 385, 385, 385, 37, "matmul 385x385 * 385x37"},
       {Op::kTn, 2048, 145, 2048, 145, "matmul_tn 2048x145^T * 2048x145"},
+      {Op::kTnInto, 2048, 145, 2048, 145,
+       "matmul_tn into NaN-filled 145x145"},
       {Op::kNt, 385, 385, 37, 385, "matmul_nt 385x385 * (37x385)^T"},
       {Op::kNt, 10, 513, 513, 513, "matmul_nt 10x513 * (513x513)^T"},
   };
@@ -263,6 +267,7 @@ TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
                      b.row_ptr(0), b.cols(), want.row_ptr(0), want.cols());
           break;
         case Op::kTn:
+        case Op::kTnInto:
           want = Matrix(a.cols(), b.cols());
           kt.gemm_tn(a.cols(), a.rows(), b.cols(), a.row_ptr(0), a.cols(),
                      b.row_ptr(0), b.cols(), want.row_ptr(0), want.cols());
@@ -277,6 +282,12 @@ TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
         switch (tc.op) {
           case Op::kNn: return matmul(a, b);
           case Op::kTn: return matmul_tn(a, b);
+          case Op::kTnInto: {
+            Matrix c(a.cols(), b.cols(),
+                     std::numeric_limits<double>::quiet_NaN());
+            matmul_tn(a, b, c);
+            return c;
+          }
           case Op::kNt: return matmul_nt(a, b);
         }
         return Matrix();
