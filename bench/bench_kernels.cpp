@@ -15,10 +15,12 @@
 // up only there.  The inverse rows time damped_inverse_into with warm
 // `out` and `scratch` (the optimizer's steady-state inverse, which touches
 // no new memory) beside spd_inverse on fresh storage, both on the calling
-// thread and under the pool, at the orders the e2e workloads invert.
+// thread and under the pool, at the orders the e2e workloads invert.  The
+// layer rows time single GEMM calls at the small CNN's conv shapes.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -141,6 +143,35 @@ KernelSample bench_transpose(const kernels::KernelTable& kt, std::size_t d) {
   s.flops = static_cast<double>(d) * d;  // elements moved (not real flops)
   s.seconds = time_call(
       [&] { kt.transpose(in.data(), d, d, d, out.data(), d); });
+  return s;
+}
+
+/// One layer-shaped GEMM call, C (rows x N) += op(A) op(B) over K: gemm_nn
+/// (A rows x K, B K x N), gemm_tn (A K x rows, B K x N) or gemm_nt (A rows x
+/// K, B N x K).
+struct LayerGemm {
+  const char* kernel;
+  std::size_t rows, K, N;
+  const char* use;
+};
+
+KernelSample bench_layer_gemm(const kernels::KernelTable& kt,
+                              const LayerGemm& g) {
+  tensor::Rng rng(10);
+  const std::string kernel = g.kernel;
+  const auto gemm = kernel == "gemm_nn"   ? kt.gemm_nn
+                    : kernel == "gemm_tn" ? kt.gemm_tn
+                                          : kt.gemm_nt;
+  const std::size_t lda = kernel == "gemm_tn" ? g.rows : g.K;
+  const std::size_t ldb = kernel == "gemm_nt" ? g.K : g.N;
+  const auto a = random_vec(g.rows * g.K, rng);
+  const auto b = random_vec(g.K * g.N, rng);
+  auto c = random_vec(g.rows * g.N, rng);
+  KernelSample s;
+  s.flops = 2.0 * static_cast<double>(g.rows) * g.K * g.N;
+  s.seconds = best_time_call([&] {
+    gemm(g.rows, g.K, g.N, a.data(), lda, b.data(), ldb, c.data(), g.N);
+  });
   return s;
 }
 
@@ -275,6 +306,28 @@ int main() {
                        "2x 1-thread kernel GFLOP/s", "share"});
   bench::Table inverses({"Inverse", "storage", "d", "ISA", "workers",
                          "GFLOP/s", "us/call"});
+  // The small CNN's layer GEMMs at batch 32 (conv1 3->16 channels on
+  // 16x16, conv2 16->32 on 8x8; patch widths 28 and 145 with the bias
+  // column): the per-sample forward in both gemm_nt orientations, the
+  // weight gradient over the whole batch and the per-sample input-gradient
+  // patches, each beside the nearest width that is a multiple of 8, so
+  // the cost of the N mod 8 column tail shows.
+  const LayerGemm layer_gemms[] = {
+      {"gemm_nt", 16, 28, 256, "conv1 fwd W P^T"},
+      {"gemm_nt", 256, 28, 16, "conv1 fwd P W^T"},
+      {"gemm_nt", 32, 145, 64, "conv2 fwd W P^T"},
+      {"gemm_nt", 64, 145, 32, "conv2 fwd P W^T"},
+      {"gemm_tn", 16, 8192, 28, "conv1 dW"},
+      {"gemm_tn", 16, 8192, 24, "conv1 dW, N=24"},
+      {"gemm_tn", 32, 2048, 145, "conv2 dW"},
+      {"gemm_tn", 32, 2048, 144, "conv2 dW, N=144"},
+      {"gemm_nn", 256, 16, 28, "conv1 dP"},
+      {"gemm_nn", 256, 16, 24, "conv1 dP, N=24"},
+      {"gemm_nn", 64, 32, 145, "conv2 dP"},
+      {"gemm_nn", 64, 32, 144, "conv2 dP, N=144"},
+  };
+  bench::Table layers({"Layer GEMM", "rows x K x N", "use", "ISA", "GFLOP/s",
+                       "us/call"});
 
   // factor+inverse seconds per (size, level) for the headline speedup.
   std::vector<std::vector<double>> hot_path(levels.size());
@@ -370,6 +423,20 @@ int main() {
       }
     }
 
+    for (const LayerGemm& g : layer_gemms) {
+      const KernelSample k = bench_layer_gemm(kt, g);
+      std::string shape = std::to_string(g.rows);
+      shape += 'x';
+      shape += std::to_string(g.K);
+      shape += 'x';
+      shape += std::to_string(g.N);
+      layers.add_row({g.kernel, shape, g.use, isa,
+                      bench::fmt("%.2f", k.gflops()),
+                      bench::fmt("%.1f", k.seconds * 1e6)});
+      json.add(std::string("layer_") + g.kernel + "/" + shape + "/" + isa,
+               {{"gflops", k.gflops()}, {"seconds_per_call", k.seconds}});
+    }
+
     const KernelSample dot = bench_dot(kt, 16384);
     const KernelSample ema = bench_ema(kt, 128 * 128);
     table.add_row({"dot", "16384", isa, bench::fmt("%.2f", dot.gflops()),
@@ -389,6 +456,8 @@ int main() {
   pooled.print();
   std::printf("\nInverse storage (workers 0 = calling thread only):\n");
   inverses.print();
+  std::printf("\nLayer GEMMs (one call, calling thread):\n");
+  layers.print();
 
   if (levels.size() > 1) {
     std::printf("\nfactor+inverse speedup (%s over scalar):\n",

@@ -15,7 +15,7 @@ namespace {
 /// out = rows^T rows / rows.rows(), the Kronecker factor of one side.
 void build_factor(const Matrix& rows, Matrix& out, const char* missing) {
   if (rows.rows() == 0) throw std::logic_error(missing);
-  tensor::matmul_tn(rows, rows, out);
+  tensor::gram(rows, out);
   out *= 1.0 / static_cast<double>(rows.rows());
 }
 

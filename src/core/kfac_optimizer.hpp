@@ -70,8 +70,7 @@ tensor::Matrix compute_factor_a(const nn::PreconditionedLayer& layer);
 tensor::Matrix compute_factor_g(const nn::PreconditionedLayer& layer);
 
 /// The same factors built into `out`, reallocated only when its shape
-/// differs (tensor::matmul_tn's output form) — bitwise equal to the
-/// returning forms.
+/// differs (tensor::gram) — bitwise equal to the returning forms.
 void compute_factor_a(const nn::PreconditionedLayer& layer,
                       tensor::Matrix& out);
 void compute_factor_g(const nn::PreconditionedLayer& layer,

@@ -2,11 +2,68 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+
+#include "tensor/kernels/kernels.hpp"
 
 namespace spdkfac::nn {
 
 using tensor::Matrix;
+namespace kernels = tensor::kernels;
+
+namespace {
+
+/// Makes `m` rows x cols, reallocating only on a shape change; the
+/// contents are then unspecified, so every caller overwrites them.
+void reshape(Matrix& m, std::size_t rows, std::size_t cols) {
+  if (m.rows() != rows || m.cols() != cols) m = Matrix(rows, cols);
+}
+
+/// c = a^T b (a and b share their row count) in one gemm_tn call on the
+/// calling thread; bitwise equal to tensor::matmul_tn.  The passes run
+/// with no ambient pool, where matmul_tn would still cut c into 4-row
+/// chunks that each stream all of b (a whole batch of patch rows) again.
+void weight_gradient(const Matrix& a, const Matrix& b, Matrix& c) {
+  reshape(c, a.cols(), b.cols());
+  c.set_zero();
+  if (a.rows() == 0) return;
+  kernels::active_table().gemm_tn(a.cols(), a.rows(), b.cols(), a.row_ptr(0),
+                                  a.cols(), b.row_ptr(0), b.cols(),
+                                  c.row_ptr(0), c.cols());
+}
+
+/// A half-open index range [lo, hi).
+struct Span {
+  std::size_t lo, hi;
+};
+
+/// The kernel taps t in [0, kernel) with 0 <= origin + t < extent: the
+/// part of one window row, starting at input column `origin` (negative
+/// inside the left padding), that lands on the input.
+Span taps_inside(std::ptrdiff_t origin, std::size_t kernel,
+                 std::size_t extent) {
+  const auto k = static_cast<std::ptrdiff_t>(kernel);
+  const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-origin, 0, k);
+  const std::ptrdiff_t hi = std::clamp<std::ptrdiff_t>(
+      static_cast<std::ptrdiff_t>(extent) - origin, lo, k);
+  return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)};
+}
+
+/// The outputs o in [0, count) whose input index o * stride + tap -
+/// padding lies in [0, extent), for one kernel tap offset `tap`.
+Span outputs_inside(std::size_t tap, std::size_t count, std::size_t extent,
+                    std::size_t stride, std::size_t padding) {
+  // o * stride + tap >= padding  and  o * stride + tap < extent + padding.
+  const std::size_t lo =
+      tap >= padding ? 0 : (padding - tap + stride - 1) / stride;
+  const std::size_t end = extent + padding;
+  const std::size_t hi = tap >= end ? 0 : (end - tap + stride - 1) / stride;
+  const std::size_t clamped_lo = std::min(lo, count);
+  return {clamped_lo, std::clamp(hi, clamped_lo, count)};
+}
+
+}  // namespace
 
 void PreconditionedLayer::apply_update(const Matrix& delta, double lr) {
   Matrix& w = weight();
@@ -41,22 +98,20 @@ Linear::Linear(std::string name, std::size_t in_features,
 
 Tensor4D Linear::forward(const Tensor4D& input) {
   input.require_shape(input.n, in_features_, 1, 1);
-  const std::size_t n = input.n;
-  input_rows_ = Matrix(n, dim_a());
+  const std::size_t n = input.n, da = dim_a();
+  reshape(input_rows_, n, da);
   for (std::size_t i = 0; i < n; ++i) {
-    auto sample = input.sample(i);
-    for (std::size_t j = 0; j < in_features_; ++j) {
-      input_rows_(i, j) = sample[j];
-    }
-    if (bias_) input_rows_(i, dim_a() - 1) = 1.0;
+    double* dst = input_rows_.row_ptr(i);
+    std::copy_n(input.sample(i).data(), in_features_, dst);
+    if (bias_) dst[da - 1] = 1.0;
   }
-  const Matrix out_rows = tensor::matmul_nt(input_rows_, weight_);
+  // (n, out, 1, 1) is the row-major n x out matrix, so the GEMM writes it.
   Tensor4D out(n, out_features_, 1, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto sample = out.sample(i);
-    for (std::size_t j = 0; j < out_features_; ++j) {
-      sample[j] = out_rows(i, j);
-    }
+  if (n > 0) {
+    kernels::active_table().gemm_nt(n, da, out_features_,
+                                    input_rows_.row_ptr(0), da,
+                                    weight_.row_ptr(0), da, out.data.data(),
+                                    out_features_);
   }
   return out;
 }
@@ -67,22 +122,19 @@ Tensor4D Linear::backward(const Tensor4D& grad_output) {
   if (input_rows_.rows() != n) {
     throw std::logic_error("Linear::backward before forward");
   }
-  output_grad_rows_ = Matrix(n, out_features_);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto sample = grad_output.sample(i);
-    for (std::size_t j = 0; j < out_features_; ++j) {
-      output_grad_rows_(i, j) = sample[j];
-    }
-  }
-  weight_grad_ = tensor::matmul_tn(output_grad_rows_, input_rows_);
+  reshape(output_grad_rows_, n, out_features_);
+  std::copy(grad_output.data.begin(), grad_output.data.end(),
+            output_grad_rows_.data().begin());
+  weight_gradient(output_grad_rows_, input_rows_, weight_grad_);
 
-  const Matrix grad_in_rows = tensor::matmul(output_grad_rows_, weight_);
+  // dX = dY * W without the bias column, written straight into grad_in.
   Tensor4D grad_in(n, in_features_, 1, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto sample = grad_in.sample(i);
-    for (std::size_t j = 0; j < in_features_; ++j) {
-      sample[j] = grad_in_rows(i, j);  // bias column dropped
-    }
+  if (n > 0) {
+    kernels::active_table().gemm_nn(n, out_features_, in_features_,
+                                    output_grad_rows_.row_ptr(0),
+                                    out_features_, weight_.row_ptr(0),
+                                    dim_a(), grad_in.data.data(),
+                                    in_features_);
   }
   return grad_in;
 }
@@ -102,6 +154,9 @@ Conv2d::Conv2d(std::string name, std::size_t in_channels,
       stride_(stride),
       padding_(padding),
       bias_(bias) {
+  if (kernel == 0 || stride == 0) {
+    throw std::invalid_argument("Conv2d: kernel and stride must be >= 1");
+  }
   const double fan_in =
       static_cast<double>(in_channels * kernel * kernel);
   weight_ =
@@ -119,107 +174,119 @@ Tensor4D Conv2d::forward(const Tensor4D& input) {
   if (input.c != in_channels_) {
     throw std::invalid_argument("Conv2d: wrong input channels");
   }
+  if (input.h + 2 * padding_ < kernel_ || input.w + 2 * padding_ < kernel_) {
+    throw std::invalid_argument("Conv2d: padded input smaller than kernel");
+  }
   const std::size_t n = input.n, h = input.h, w = input.w;
-  const std::size_t oh = out_h(h), ow = out_h(w);
+  const std::size_t oh = out_h(h), ow = out_h(w), positions = oh * ow;
+  const std::size_t da = dim_a();
   last_n_ = n;
   last_h_ = h;
   last_w_ = w;
 
-  // im2col: one row per output position, one column per (cin, kh, kw).
-  patches_ = Matrix(n * oh * ow, dim_a());
-  for (std::size_t ni = 0; ni < n; ++ni) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::size_t row = (ni * oh + oy) * ow + ox;
-        double* dst = patches_.row_ptr(row);
-        std::size_t col = 0;
-        for (std::size_t ci = 0; ci < in_channels_; ++ci) {
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                static_cast<std::ptrdiff_t>(padding_);
-            for (std::size_t kx = 0; kx < kernel_; ++kx, ++col) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                  static_cast<std::ptrdiff_t>(padding_);
-              if (iy < 0 || ix < 0 ||
-                  iy >= static_cast<std::ptrdiff_t>(h) ||
-                  ix >= static_cast<std::ptrdiff_t>(w)) {
-                dst[col] = 0.0;
-              } else {
-                dst[col] = input.at(ni, ci, static_cast<std::size_t>(iy),
-                                    static_cast<std::size_t>(ix));
-              }
-            }
-          }
-        }
-        if (bias_) dst[dim_a() - 1] = 1.0;
-      }
-    }
-  }
-
-  const Matrix out_rows = tensor::matmul_nt(patches_, weight_);
+  // Per sample: im2col its rows, then rows * W^T (oh*ow x cout) while
+  // they are still in cache, transposed into the sample's NCHW block.  The
+  // bits equal one whole-batch patches * W^T; keeping the small W as the
+  // streamed operand beats W * patches^T on these shapes.
+  reshape(patches_, n * positions, da);
+  reshape(output_rows_, positions, out_channels_);
   Tensor4D out(n, out_channels_, oh, ow);
+  const auto& kt = kernels::active_table();
   for (std::size_t ni = 0; ni < n; ++ni) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::size_t row = (ni * oh + oy) * ow + ox;
-        for (std::size_t co = 0; co < out_channels_; ++co) {
-          out.at(ni, co, oy, ox) = out_rows(row, co);
-        }
-      }
-    }
+    double* rows = patches_.row_ptr(ni * positions);
+    im2col(input.sample(ni).data(), h, w, rows);
+    output_rows_.set_zero();
+    kt.gemm_nt(positions, da, out_channels_, rows, da, weight_.row_ptr(0), da,
+               output_rows_.row_ptr(0), out_channels_);
+    kt.transpose(output_rows_.row_ptr(0), positions, out_channels_,
+                 out_channels_, out.sample(ni).data(), positions);
   }
   return out;
 }
 
-Tensor4D Conv2d::backward(const Tensor4D& grad_output) {
-  const std::size_t n = last_n_, h = last_h_, w = last_w_;
-  const std::size_t oh = out_h(h), ow = out_h(w);
-  grad_output.require_shape(n, out_channels_, oh, ow);
-  if (patches_.rows() != n * oh * ow) {
-    throw std::logic_error("Conv2d::backward before forward");
-  }
-
-  output_grad_rows_ = Matrix(n * oh * ow, out_channels_);
-  for (std::size_t ni = 0; ni < n; ++ni) {
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::size_t row = (ni * oh + oy) * ow + ox;
-        for (std::size_t co = 0; co < out_channels_; ++co) {
-          output_grad_rows_(row, co) = grad_output.at(ni, co, oy, ox);
+void Conv2d::im2col(const double* sample, std::size_t h, std::size_t w,
+                    double* rows) const {
+  // One row per output position, one column per (cin, kh, kw), filled a
+  // column at a time so each inner loop walks one input row; every
+  // element is written, padding taps as 0.
+  const std::size_t oh = out_h(h), ow = out_h(w), da = dim_a();
+  for (std::size_t ci = 0; ci < in_channels_; ++ci) {
+    const double* plane = sample + ci * h * w;
+    for (std::size_t ky = 0; ky < kernel_; ++ky) {
+      const Span ys = outputs_inside(ky, oh, h, stride_, padding_);
+      for (std::size_t kx = 0; kx < kernel_; ++kx) {
+        const Span xs = outputs_inside(kx, ow, w, stride_, padding_);
+        double* col = rows + (ci * kernel_ + ky) * kernel_ + kx;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          double* dst = col + oy * ow * da;
+          if (oy < ys.lo || oy >= ys.hi) {
+            for (std::size_t ox = 0; ox < ow; ++ox) dst[ox * da] = 0.0;
+            continue;
+          }
+          // Input column of output ox: ox * stride + kx - padding.
+          const double* row = plane + (oy * stride_ + ky - padding_) * w;
+          std::size_t ox = 0;
+          for (; ox < xs.lo; ++ox) dst[ox * da] = 0.0;
+          for (; ox < xs.hi; ++ox) {
+            dst[ox * da] = row[ox * stride_ + kx - padding_];
+          }
+          for (; ox < ow; ++ox) dst[ox * da] = 0.0;
         }
       }
     }
   }
+  if (bias_) {
+    for (std::size_t r = 0; r < oh * ow; ++r) rows[r * da + da - 1] = 1.0;
+  }
+}
 
-  weight_grad_ = tensor::matmul_tn(output_grad_rows_, patches_);
+Tensor4D Conv2d::backward(const Tensor4D& grad_output) {
+  // forward() shapes patches_ to dim_a columns; before it, it is 0 x 0.
+  if (patches_.cols() != dim_a()) {
+    throw std::logic_error("Conv2d::backward before forward");
+  }
+  const std::size_t n = last_n_, h = last_h_, w = last_w_;
+  const std::size_t oh = out_h(h), ow = out_h(w), positions = oh * ow;
+  grad_output.require_shape(n, out_channels_, oh, ow);
 
-  // col2im: scatter dPatches = dY * W back onto the input grid.
-  const Matrix grad_patches = tensor::matmul(output_grad_rows_, weight_);
+  // Each sample's NCHW block (cout x oh*ow) transposes into its rows.
+  const auto& kt = kernels::active_table();
+  reshape(output_grad_rows_, n * positions, out_channels_);
+  for (std::size_t ni = 0; ni < n; ++ni) {
+    kt.transpose(grad_output.sample(ni).data(), out_channels_, positions,
+                 positions, output_grad_rows_.row_ptr(ni * positions),
+                 out_channels_);
+  }
+  weight_gradient(output_grad_rows_, patches_, weight_grad_);
+
+  // col2im, one sample at a time: dPatches = dY * W (bias column dropped),
+  // then scattered back onto the input grid in output-position order.
+  const std::size_t taps = in_channels_ * kernel_ * kernel_;
+  reshape(grad_patches_, positions, taps);
   Tensor4D grad_in(n, in_channels_, h, w);
   for (std::size_t ni = 0; ni < n; ++ni) {
+    grad_patches_.set_zero();
+    kt.gemm_nn(positions, out_channels_, taps,
+               output_grad_rows_.row_ptr(ni * positions), out_channels_,
+               weight_.row_ptr(0), dim_a(), grad_patches_.row_ptr(0), taps);
+    double* sample = grad_in.sample(ni).data();
     for (std::size_t oy = 0; oy < oh; ++oy) {
+      const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy * stride_) -
+                                 static_cast<std::ptrdiff_t>(padding_);
       for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::size_t row = (ni * oh + oy) * ow + ox;
-        const double* src = grad_patches.row_ptr(row);
-        std::size_t col = 0;
+        const std::ptrdiff_t ix0 =
+            static_cast<std::ptrdiff_t>(ox * stride_) -
+            static_cast<std::ptrdiff_t>(padding_);
+        const Span kx = taps_inside(ix0, kernel_, w);
+        const double* src = grad_patches_.row_ptr(oy * ow + ox);
         for (std::size_t ci = 0; ci < in_channels_; ++ci) {
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                static_cast<std::ptrdiff_t>(padding_);
-            for (std::size_t kx = 0; kx < kernel_; ++kx, ++col) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                  static_cast<std::ptrdiff_t>(padding_);
-              if (iy < 0 || ix < 0 ||
-                  iy >= static_cast<std::ptrdiff_t>(h) ||
-                  ix >= static_cast<std::ptrdiff_t>(w)) {
-                continue;
-              }
-              grad_in.at(ni, ci, static_cast<std::size_t>(iy),
-                         static_cast<std::size_t>(ix)) += src[col];
+          double* plane = sample + ci * h * w;
+          for (std::size_t ky = 0; ky < kernel_; ++ky, src += kernel_) {
+            const std::ptrdiff_t iy = iy0 + static_cast<std::ptrdiff_t>(ky);
+            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+            double* row = plane + static_cast<std::size_t>(iy) * w;
+            for (std::size_t t = kx.lo; t < kx.hi; ++t) {
+              row[static_cast<std::size_t>(ix0) + t] += src[t];
             }
           }
         }
@@ -239,13 +306,17 @@ Tensor4D ReLU::forward(const Tensor4D& input) {
   in_h_ = input.h;
   in_w_ = input.w;
   Tensor4D out = input;
-  mask_.assign(input.count(), false);
-  for (std::size_t i = 0; i < out.data.size(); ++i) {
-    if (out.data[i] > 0.0) {
-      mask_[i] = true;
-    } else {
-      out.data[i] = 0.0;
-    }
+  // Two branch-free passes: a byte store may alias any double, so one
+  // loop writing both the mask and the output would not vectorize.
+  const std::size_t count = out.count();
+  mask_.resize(count);
+  const double* in = input.data.data();
+  std::uint8_t* mask = mask_.data();
+  for (std::size_t i = 0; i < count; ++i) mask[i] = in[i] > 0.0;
+  double* x = out.data.data();
+  for (std::size_t i = 0; i < count; ++i) {
+    const double v = x[i];
+    x[i] = v > 0.0 ? v : 0.0;
   }
   return out;
 }
@@ -253,8 +324,12 @@ Tensor4D ReLU::forward(const Tensor4D& input) {
 Tensor4D ReLU::backward(const Tensor4D& grad_output) {
   grad_output.require_shape(in_n_, in_c_, in_h_, in_w_);
   Tensor4D grad_in = grad_output;
-  for (std::size_t i = 0; i < grad_in.data.size(); ++i) {
-    if (!mask_[i]) grad_in.data[i] = 0.0;
+  const std::size_t count = grad_in.count();
+  double* g = grad_in.data.data();
+  const std::uint8_t* mask = mask_.data();
+  for (std::size_t i = 0; i < count; ++i) {
+    const double v = g[i];
+    g[i] = mask[i] != 0 ? v : 0.0;
   }
   return grad_in;
 }
@@ -264,29 +339,30 @@ Tensor4D MaxPool2d::forward(const Tensor4D& input) {
   in_c_ = input.c;
   in_h_ = input.h;
   in_w_ = input.w;
-  const std::size_t oh = input.h / 2, ow = input.w / 2;
+  const std::size_t h = input.h, w = input.w, oh = h / 2, ow = w / 2;
   Tensor4D out(input.n, input.c, oh, ow);
-  argmax_.assign(out.count(), 0);
-  std::size_t idx = 0;
-  for (std::size_t ni = 0; ni < input.n; ++ni) {
-    for (std::size_t ci = 0; ci < input.c; ++ci) {
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox, ++idx) {
-          double best = input.at(ni, ci, 2 * oy, 2 * ox);
-          std::size_t best_y = 2 * oy, best_x = 2 * ox;
-          for (std::size_t dy = 0; dy < 2; ++dy) {
-            for (std::size_t dx = 0; dx < 2; ++dx) {
-              const double v = input.at(ni, ci, 2 * oy + dy, 2 * ox + dx);
-              if (v > best) {
-                best = v;
-                best_y = 2 * oy + dy;
-                best_x = 2 * ox + dx;
-              }
-            }
-          }
-          out.at(ni, ci, oy, ox) = best;
-          argmax_[idx] = (best_y * input.w) + best_x;
+  argmax_.resize(out.count());
+  double* best_out = out.data.data();
+  std::size_t* arg_out = argmax_.data();
+  for (std::size_t p = 0; p < input.n * input.c; ++p) {
+    const double* plane = input.data.data() + p * h * w;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      const std::size_t top = 2 * oy * w;
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        // Window order (0,0), (0,1), (1,0), (1,1); strict > keeps the
+        // first maximum and never picks a later NaN.
+        const std::size_t cand[4] = {top + 2 * ox, top + 2 * ox + 1,
+                                     top + w + 2 * ox, top + w + 2 * ox + 1};
+        double best = plane[cand[0]];
+        std::size_t arg = cand[0];
+        for (int t = 1; t < 4; ++t) {
+          const double v = plane[cand[t]];
+          const bool greater = v > best;
+          best = greater ? v : best;
+          arg = greater ? cand[t] : arg;
         }
+        *best_out++ = best;
+        *arg_out++ = arg;
       }
     }
   }
@@ -297,17 +373,12 @@ Tensor4D MaxPool2d::backward(const Tensor4D& grad_output) {
   const std::size_t oh = in_h_ / 2, ow = in_w_ / 2;
   grad_output.require_shape(in_n_, in_c_, oh, ow);
   Tensor4D grad_in(in_n_, in_c_, in_h_, in_w_);
-  std::size_t idx = 0;
-  for (std::size_t ni = 0; ni < in_n_; ++ni) {
-    for (std::size_t ci = 0; ci < in_c_; ++ci) {
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox, ++idx) {
-          const std::size_t y = argmax_[idx] / in_w_;
-          const std::size_t x = argmax_[idx] % in_w_;
-          grad_in.at(ni, ci, y, x) += grad_output.at(ni, ci, oy, ox);
-        }
-      }
-    }
+  const std::size_t plane = in_h_ * in_w_, outputs = oh * ow;
+  const double* g = grad_output.data.data();
+  const std::size_t* arg = argmax_.data();
+  for (std::size_t p = 0; p < in_n_ * in_c_; ++p) {
+    double* dst = grad_in.data.data() + p * plane;
+    for (std::size_t o = 0; o < outputs; ++o) dst[*arg++] += *g++;
   }
   return grad_in;
 }

@@ -10,6 +10,7 @@
 // A = a^T a / rows and G = g^T g / rows.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -49,6 +50,9 @@ class PreconditionedLayer : public Layer {
   virtual const tensor::Matrix& weight_grad() const noexcept = 0;
 
   /// K-FAC input rows captured by the last forward() (rows x dim_a).
+  /// This, kfac_output_grad() and weight_grad() live in storage the layer
+  /// keeps across passes: a pass at an unchanged batch shape rewrites them
+  /// in place, and only a shape change reallocates them.
   virtual const tensor::Matrix& kfac_input() const noexcept = 0;
   /// Output-gradient rows captured by the last backward() (rows x dim_g).
   virtual const tensor::Matrix& kfac_output_grad() const noexcept = 0;
@@ -100,6 +104,10 @@ class Linear final : public PreconditionedLayer {
 };
 
 /// 2D convolution implemented via im2col; weights (cout, cin*kh*kw [+1]).
+/// Forward and backward run their GEMMs one sample at a time through
+/// small scratch matrices the layer keeps, next to its K-FAC buffers.
+/// The constructor rejects kernel or stride 0, and forward() a padded
+/// input smaller than the kernel (std::invalid_argument).
 class Conv2d final : public PreconditionedLayer {
  public:
   Conv2d(std::string name, std::size_t in_channels, std::size_t out_channels,
@@ -131,6 +139,10 @@ class Conv2d final : public PreconditionedLayer {
   }
 
  private:
+  /// Writes one sample's oh*ow patch rows (dim_a columns each) at `rows`.
+  void im2col(const double* sample, std::size_t h, std::size_t w,
+              double* rows) const;
+
   std::string name_;
   std::size_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool bias_;
@@ -138,11 +150,14 @@ class Conv2d final : public PreconditionedLayer {
   tensor::Matrix weight_grad_;
   tensor::Matrix patches_;           // (n*oh*ow, dim_a)
   tensor::Matrix output_grad_rows_;  // (n*oh*ow, cout)
+  tensor::Matrix output_rows_;       // (oh*ow, cout): one sample's output
+  tensor::Matrix grad_patches_;      // (oh*ow, cin*kh*kw): one sample's
+                                     // input-gradient patches
   // Shapes of the last forward, needed to fold gradients back (col2im).
   std::size_t last_n_ = 0, last_h_ = 0, last_w_ = 0;
 };
 
-/// Element-wise max(0, x).
+/// Element-wise max(0, x); NaN and -0 map to +0.
 class ReLU final : public Layer {
  public:
   explicit ReLU(std::string name = "relu") : name_(std::move(name)) {}
@@ -152,11 +167,13 @@ class ReLU final : public Layer {
 
  private:
   std::string name_;
-  std::vector<bool> mask_;
+  std::vector<std::uint8_t> mask_;  // 1 where the input was > 0
   std::size_t in_n_ = 0, in_c_ = 0, in_h_ = 0, in_w_ = 0;
 };
 
-/// Non-overlapping 2x2 max pooling (stride 2).
+/// Non-overlapping 2x2 max pooling (stride 2).  The first maximum in
+/// row-major window order wins ties, and a NaN wins only as the window's
+/// first element (a strict > never selects one later).
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::string name = "maxpool") : name_(std::move(name)) {}
@@ -166,7 +183,7 @@ class MaxPool2d final : public Layer {
 
  private:
   std::string name_;
-  std::vector<std::size_t> argmax_;
+  std::vector<std::size_t> argmax_;  // winner's offset in its (n, c) plane
   std::size_t in_n_ = 0, in_c_ = 0, in_h_ = 0, in_w_ = 0;
 };
 

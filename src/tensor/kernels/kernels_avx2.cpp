@@ -10,9 +10,12 @@
 // Register-tiling scheme:
 //   * gemm_nn / gemm_tn: 4x8 micro-tiles (8 YMM accumulators) with the
 //     k loop innermost, over k chunks of kKc steps that keep a tile's
-//     strips in L1; every C element accumulates strictly k ascending in
-//     place — bitwise independent of the caller's row chunking, as the
-//     determinism suite requires.
+//     strips in L1; the N mod 8 tail columns run 4-row x <=4-column
+//     masked strips (maskload/maskstore) with the same one-FMA-per-k-step
+//     recipe.  Every C element accumulates strictly k ascending in place
+//     — bitwise independent of the caller's row chunking and of whether
+//     its column lands in a tile or a tail strip, as the determinism
+//     suite requires.
 //   * gemm_nt: 1x4 tiles of FMA dot products sharing the A-row loads,
 //     each reduced with the same fixed-tree horizontal sum as dot().
 //   * symmetrize / transpose / unpack mirror: 4x4 in-register transposes
@@ -78,22 +81,6 @@ inline void transpose4x4(__m256d& r0, __m256d& r1, __m256d& r2,
 // GEMM family
 // ---------------------------------------------------------------------------
 
-/// Scalar column tail shared by gemm_nn/gemm_tn: columns [j0, N) of `rows`
-/// C rows, k ascending per element.  `a_at(i, k)` abstracts the A layout.
-template <typename AAt>
-inline void gemm_tail_cols(std::size_t rows, std::size_t K, std::size_t j0,
-                           std::size_t N, AAt a_at, const double* b,
-                           std::size_t ldb, double* c, std::size_t ldc) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    double* ci = c + i * ldc;
-    for (std::size_t k = 0; k < K; ++k) {
-      const double aik = a_at(i, k);
-      const double* bk = b + k * ldb;
-      for (std::size_t j = j0; j < N; ++j) ci[j] += aik * bk[j];
-    }
-  }
-}
-
 /// 4x8 micro-tile: C rows i..i+3, columns j..j+7, full K sweep in
 /// registers.  `load_a4(k)` yields (a(i,k), a(i+1,k), a(i+2,k), a(i+3,k)).
 template <typename LoadA4>
@@ -145,6 +132,96 @@ inline void tile_1x8(std::size_t K, const double* ai, std::size_t stride_a,
   _mm256_storeu_pd(ci + 4, acc1);
 }
 
+/// Lane mask selecting the first min(width, 4) doubles of a YMM register.
+inline __m256i lane_mask(std::size_t width) noexcept {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(width)),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// 4-row x <=4-column masked strip for the column tail past the last 8-wide
+/// tile: one FMA per k step, k ascending, exactly like the tile lanes.
+/// Masked-off lanes are never read or written.
+template <typename LoadA4>
+inline void tile_4xm(std::size_t K, LoadA4 load_a4, const double* b,
+                     std::size_t ldb, __m256i mask, double* c0, double* c1,
+                     double* c2, double* c3) {
+  __m256d acc0 = _mm256_maskload_pd(c0, mask);
+  __m256d acc1 = _mm256_maskload_pd(c1, mask);
+  __m256d acc2 = _mm256_maskload_pd(c2, mask);
+  __m256d acc3 = _mm256_maskload_pd(c3, mask);
+  for (std::size_t k = 0; k < K; ++k) {
+    const __m256d a4 = load_a4(k);
+    const __m256d bk = _mm256_maskload_pd(b + k * ldb, mask);
+    acc0 = _mm256_fmadd_pd(_mm256_permute4x64_pd(a4, 0x00), bk, acc0);
+    acc1 = _mm256_fmadd_pd(_mm256_permute4x64_pd(a4, 0x55), bk, acc1);
+    acc2 = _mm256_fmadd_pd(_mm256_permute4x64_pd(a4, 0xAA), bk, acc2);
+    acc3 = _mm256_fmadd_pd(_mm256_permute4x64_pd(a4, 0xFF), bk, acc3);
+  }
+  _mm256_maskstore_pd(c0, mask, acc0);
+  _mm256_maskstore_pd(c1, mask, acc1);
+  _mm256_maskstore_pd(c2, mask, acc2);
+  _mm256_maskstore_pd(c3, mask, acc3);
+}
+
+/// 1-row masked strip: the column tail of the < 4 leftover rows.
+inline void tile_1xm(std::size_t K, const double* ai, std::size_t stride_a,
+                     const double* b, std::size_t ldb, __m256i mask,
+                     double* ci) {
+  __m256d acc = _mm256_maskload_pd(ci, mask);
+  for (std::size_t k = 0; k < K; ++k) {
+    acc = _mm256_fmadd_pd(_mm256_set1_pd(ai[k * stride_a]),
+                          _mm256_maskload_pd(b + k * ldb, mask), acc);
+  }
+  _mm256_maskstore_pd(ci, mask, acc);
+}
+
+/// One k chunk of gemm_nn (kTransA false: a(i,k) at a[i*lda + k]) or
+/// gemm_tn (kTransA true: a(i,k) at a[k*lda + i]) over all `rows` x N
+/// outputs: 4x8 tiles, then 4-row masked strips for the N mod 8 tail
+/// columns; the < 4 leftover rows run 1x8 tiles and 1-row strips.
+template <bool kTransA>
+inline void gemm_panel(std::size_t rows, std::size_t K, std::size_t N,
+                       const double* a, std::size_t lda, const double* b,
+                       std::size_t ldb, double* c, std::size_t ldc) {
+  const std::size_t row_step = kTransA ? 1 : lda;
+  const std::size_t k_step = kTransA ? lda : 1;
+  const std::size_t N8 = N & ~std::size_t{7};
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    const double* a0 = a + i * row_step;
+    const auto load = [a0, lda](std::size_t k) {
+      if constexpr (kTransA) {
+        // The 4 broadcasts of a step are adjacent: one unaligned load.
+        return _mm256_loadu_pd(a0 + k * lda);
+      } else {
+        return _mm256_set_pd(a0[3 * lda + k], a0[2 * lda + k], a0[lda + k],
+                             a0[k]);
+      }
+    };
+    double* c0 = c + i * ldc;
+    double* c1 = c0 + ldc;
+    double* c2 = c1 + ldc;
+    double* c3 = c2 + ldc;
+    std::size_t j = 0;
+    for (; j < N8; j += 8) {
+      tile_4x8(K, load, b + j, ldb, c0 + j, c1 + j, c2 + j, c3 + j);
+    }
+    for (; j < N; j += 4) {
+      tile_4xm(K, load, b + j, ldb, lane_mask(N - j), c0 + j, c1 + j,
+               c2 + j, c3 + j);
+    }
+  }
+  for (; i < rows; ++i) {
+    const double* ai = a + i * row_step;
+    double* ci = c + i * ldc;
+    std::size_t j = 0;
+    for (; j < N8; j += 8) tile_1x8(K, ai, k_step, b + j, ldb, ci + j);
+    for (; j < N; j += 4) {
+      tile_1xm(K, ai, k_step, b + j, ldb, lane_mask(N - j), ci + j);
+    }
+  }
+}
+
 /// k-range chunk of the GEMMs: a micro-tile's A and B strips over kKc
 /// steps stay L1-resident however long K is.  Splitting k is bitwise
 /// neutral: every C element is loaded, accumulated k ascending and stored
@@ -157,82 +234,20 @@ inline void for_k_chunks(std::size_t K, Panel panel) {
   for (std::size_t k0 = 0; k0 < K; k0 += kKc) panel(k0, std::min(kKc, K - k0));
 }
 
-void gemm_nn_panel(std::size_t rows, std::size_t K, std::size_t N,
-                   const double* a, std::size_t lda, const double* b,
-                   std::size_t ldb, double* c, std::size_t ldc) {
-  const std::size_t N8 = N & ~std::size_t{7};
-  std::size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    const double* a0 = a + i * lda;
-    const double* a1 = a0 + lda;
-    const double* a2 = a1 + lda;
-    const double* a3 = a2 + lda;
-    for (std::size_t j = 0; j < N8; j += 8) {
-      tile_4x8(
-          K,
-          [&](std::size_t k) {
-            return _mm256_set_pd(a3[k], a2[k], a1[k], a0[k]);
-          },
-          b + j, ldb, c + i * ldc + j, c + (i + 1) * ldc + j,
-          c + (i + 2) * ldc + j, c + (i + 3) * ldc + j);
-    }
-  }
-  for (; i < rows; ++i) {
-    for (std::size_t j = 0; j < N8; j += 8) {
-      tile_1x8(K, a + i * lda, 1, b + j, ldb, c + i * ldc + j);
-    }
-  }
-  if (N8 < N) {
-    gemm_tail_cols(
-        rows, K, N8, N,
-        [&](std::size_t r, std::size_t k) { return a[r * lda + k]; }, b, ldb,
-        c, ldc);
-  }
-}
-
 void gemm_nn_avx2(std::size_t rows, std::size_t K, std::size_t N,
                   const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc) {
   for_k_chunks(K, [&](std::size_t k0, std::size_t kc) {
-    gemm_nn_panel(rows, kc, N, a + k0, lda, b + k0 * ldb, ldb, c, ldc);
+    gemm_panel<false>(rows, kc, N, a + k0, lda, b + k0 * ldb, ldb, c, ldc);
   });
-}
-
-void gemm_tn_panel(std::size_t rows, std::size_t K, std::size_t N,
-                   const double* a, std::size_t lda, const double* b,
-                   std::size_t ldb, double* c, std::size_t ldc) {
-  // A is read transposed: a(k, i) at a[k*lda + i].  The 4 broadcasts of a
-  // micro-tile step are adjacent, so one unaligned load feeds them all.
-  const std::size_t N8 = N & ~std::size_t{7};
-  std::size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    const double* acol = a + i;
-    for (std::size_t j = 0; j < N8; j += 8) {
-      tile_4x8(
-          K,
-          [&](std::size_t k) { return _mm256_loadu_pd(acol + k * lda); },
-          b + j, ldb, c + i * ldc + j, c + (i + 1) * ldc + j,
-          c + (i + 2) * ldc + j, c + (i + 3) * ldc + j);
-    }
-  }
-  for (; i < rows; ++i) {
-    for (std::size_t j = 0; j < N8; j += 8) {
-      tile_1x8(K, a + i, lda, b + j, ldb, c + i * ldc + j);
-    }
-  }
-  if (N8 < N) {
-    gemm_tail_cols(
-        rows, K, N8, N,
-        [&](std::size_t r, std::size_t k) { return a[k * lda + r]; }, b, ldb,
-        c, ldc);
-  }
 }
 
 void gemm_tn_avx2(std::size_t rows, std::size_t K, std::size_t N,
                   const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc) {
   for_k_chunks(K, [&](std::size_t k0, std::size_t kc) {
-    gemm_tn_panel(rows, kc, N, a + k0 * lda, lda, b + k0 * ldb, ldb, c, ldc);
+    gemm_panel<true>(rows, kc, N, a + k0 * lda, lda, b + k0 * ldb, ldb, c,
+                     ldc);
   });
 }
 

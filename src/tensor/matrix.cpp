@@ -165,6 +165,32 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+void gram(const Matrix& a, Matrix& c) {
+  if (&c == &a) throw std::invalid_argument("gram: c must not alias a");
+  const std::size_t n = a.cols();
+  if (c.rows() != n || c.cols() != n) c = Matrix(n, n);
+  if (a.rows() == 0) {
+    c.set_zero();
+    return;
+  }
+  // Chunk [i0, i1) clears and accumulates c(i0..i1, i0..n), then copies
+  // its part right of the diagonal block into c(i1..n, i0..i1), where no
+  // other chunk writes.  A row does half of matmul_tn's work on average.
+  const auto& kt = kernels::active_table();
+  exec::parallel_for(
+      n, rows_per_chunk(a.rows() * n / 2), [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          std::fill(c.row_ptr(i) + i0, c.row_ptr(i) + n, 0.0);
+        }
+        kt.gemm_tn(i1 - i0, a.rows(), n - i0, a.row_ptr(0) + i0, n,
+                   a.row_ptr(0) + i0, n, c.row_ptr(i0) + i0, n);
+        if (i1 < n) {
+          kt.transpose(c.row_ptr(i0) + i1, i1 - i0, n - i1, n,
+                       c.row_ptr(i1) + i0, n);
+        }
+      });
+}
+
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_nt shape mismatch");

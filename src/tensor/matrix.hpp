@@ -118,6 +118,15 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b);
 /// must not alias `a` or `b` (std::invalid_argument).
 void matmul_tn(const Matrix& a, const Matrix& b, Matrix& c);
 
+/// The Gram matrix C = A^T A written into `c`, reallocated only when it
+/// is not A.cols() square.  Only the upper triangle is multiplied out, by
+/// row chunks of `c` that each mirror their own strip below the diagonal,
+/// so it costs half of matmul_tn(a, a, c)'s flops.  The bits equal
+/// matmul_tn(a, a, c)'s: c(j, i) and c(i, j) sum the same products k
+/// ascending, and a product does not depend on its operand order.  `c`
+/// must not alias `a` (std::invalid_argument).
+void gram(const Matrix& a, Matrix& c);
+
 /// C = A * B^T without forming B^T.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
 

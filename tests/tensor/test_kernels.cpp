@@ -429,6 +429,57 @@ TEST_P(KernelLevel, TransposeExact) {
   }
 }
 
+// The AVX2 gemm_nn/gemm_tn promise one FMA per k step, k ascending, for
+// every output column, whether it lands in a 4x8 tile or in a masked strip
+// of the N mod 8 tail.  The reference tests above compare at 1e-12 and
+// cannot see a tail that rounds differently, so this one compares bit for
+// bit against a std::fma chain.  N = 1..17 covers every tail width with
+// and without full tiles, rows 1..9 both the 4-row and the 1-row paths,
+// K = 130 a k range split at kKc = 128; operands start one element into
+// their buffers, and the padding past N in C must stay untouched.
+TEST(KernelLevel, GemmColumnTailsAreOneFmaPerStep) {
+  if (!supported(Isa::kAvx2)) GTEST_SKIP() << "no AVX2 level on this host";
+  const KernelTable& kt = table(Isa::kAvx2);
+  Rng rng(113);
+  for (const std::size_t K : {1u, 5u, 130u}) {
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      for (std::size_t N = 1; N <= 17; ++N) {
+        const std::size_t ldb = N + 3, ldc = N + 2;
+        const auto b = random_vec(1 + K * ldb, rng);
+        const auto c0 = random_vec(1 + rows * ldc, rng);
+        for (const bool trans_a : {false, true}) {
+          // gemm_nn reads a(i, k) at a[i*lda + k], gemm_tn at a[k*lda + i].
+          const std::size_t lda = trans_a ? rows + 2 : K + 1;
+          const auto a = random_vec(1 + (trans_a ? K : rows) * lda, rng);
+          auto want = c0;
+          for (std::size_t i = 0; i < rows; ++i) {
+            for (std::size_t j = 0; j < N; ++j) {
+              double acc = want[1 + i * ldc + j];
+              for (std::size_t k = 0; k < K; ++k) {
+                const double aik =
+                    trans_a ? a[1 + k * lda + i] : a[1 + i * lda + k];
+                acc = std::fma(aik, b[1 + k * ldb + j], acc);
+              }
+              want[1 + i * ldc + j] = acc;
+            }
+          }
+          auto c = c0;
+          (trans_a ? kt.gemm_tn : kt.gemm_nn)(rows, K, N, a.data() + 1, lda,
+                                              b.data() + 1, ldb,
+                                              c.data() + 1, ldc);
+          std::string what = trans_a ? "gemm_tn K=" : "gemm_nn K=";
+          what += std::to_string(K);
+          what += " rows=";
+          what += std::to_string(rows);
+          what += " N=";
+          what += std::to_string(N);
+          expect_bitwise_eq(c, want, what.c_str());
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Levels, KernelLevel,
                          ::testing::ValuesIn(supported_levels()), level_name);
 

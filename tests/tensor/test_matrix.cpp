@@ -227,11 +227,13 @@ TEST(Matmul, TnAndNtPropagateNan) {
 // chunking, and whatever the pool, every product must carry the bits of
 // one whole-matrix kernel call.  The shapes leave ragged row chunks
 // (rows % 4 != 0), vector tails (N % 8 != 0) and several k chunks
-// (K > 128), at every supported ISA level.  matmul_tn's output form
-// writes into a NaN-filled destination of the right shape, so an element
-// it failed to clear before accumulating would surface as a NaN.
+// (K > 128), at every supported ISA level.  matmul_tn's output form and
+// gram write into a NaN-filled destination of the right shape, so an
+// element they failed to clear before accumulating, or that gram failed
+// to mirror, would surface as a NaN.  gram must carry the bits of the
+// whole A^T A call in both triangles.
 TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
-  enum class Op { kNn, kTn, kTnInto, kNt };
+  enum class Op { kNn, kTn, kTnInto, kGram, kNt };
   struct Case {
     Op op;
     std::size_t a_rows, a_cols, b_rows, b_cols;
@@ -243,6 +245,8 @@ TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
       {Op::kTn, 2048, 145, 2048, 145, "matmul_tn 2048x145^T * 2048x145"},
       {Op::kTnInto, 2048, 145, 2048, 145,
        "matmul_tn into NaN-filled 145x145"},
+      {Op::kGram, 2048, 145, 2048, 145, "gram into NaN-filled 145x145"},
+      {Op::kGram, 32, 513, 32, 513, "gram into NaN-filled 513x513"},
       {Op::kNt, 385, 385, 37, 385, "matmul_nt 385x385 * (37x385)^T"},
       {Op::kNt, 10, 513, 513, 513, "matmul_nt 10x513 * (513x513)^T"},
   };
@@ -258,7 +262,8 @@ TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
     for (const Case& tc : cases) {
       Rng rng(static_cast<unsigned>(tc.a_rows * 7 + tc.b_cols));
       const Matrix a = random_normal(tc.a_rows, tc.a_cols, rng);
-      const Matrix b = random_normal(tc.b_rows, tc.b_cols, rng);
+      const Matrix b =
+          tc.op == Op::kGram ? a : random_normal(tc.b_rows, tc.b_cols, rng);
       Matrix want;
       switch (tc.op) {
         case Op::kNn:
@@ -268,6 +273,7 @@ TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
           break;
         case Op::kTn:
         case Op::kTnInto:
+        case Op::kGram:
           want = Matrix(a.cols(), b.cols());
           kt.gemm_tn(a.cols(), a.rows(), b.cols(), a.row_ptr(0), a.cols(),
                      b.row_ptr(0), b.cols(), want.row_ptr(0), want.cols());
@@ -286,6 +292,12 @@ TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
             Matrix c(a.cols(), b.cols(),
                      std::numeric_limits<double>::quiet_NaN());
             matmul_tn(a, b, c);
+            return c;
+          }
+          case Op::kGram: {
+            Matrix c(a.cols(), a.cols(),
+                     std::numeric_limits<double>::quiet_NaN());
+            gram(a, c);
             return c;
           }
           case Op::kNt: return matmul_nt(a, b);
