@@ -6,7 +6,7 @@
 // simulator's pricing.
 //
 // The workload is deliberately compute-heavy (larger factor dims than the
-// bench_runtime smoke model) so factor builds, inverses and GEMM inner
+// default small-CNN harness model) so factor builds, inverses and GEMM inner
 // loops dominate; with >= 2 hardware cores the pooled executor's step time
 // drops strictly below the serial executor on the pipelined strategies.
 // On a single-core host the pool can only hide communication waits, so
@@ -28,7 +28,7 @@ constexpr std::size_t kPools[] = {0, 1, 2, 4};
 bench::DistTrainConfig heavy_config(core::DistStrategy strategy,
                                     std::size_t pool) {
   bench::DistTrainConfig cfg;
-  cfg.strategy = strategy;
+  cfg.optimizer.strategy = strategy;
   cfg.hooked = true;
   cfg.steps = kSteps;
   cfg.world = 2;
@@ -38,7 +38,7 @@ bench::DistTrainConfig heavy_config(core::DistStrategy strategy,
   cfg.conv2 = 32;
   cfg.classes = 10;
   cfg.batch = 16;
-  cfg.pool_size = pool;
+  cfg.optimizer.pool_size = pool;
   return cfg;
 }
 

@@ -1,21 +1,19 @@
 // Shared helpers for the per-figure benchmark harnesses and the examples:
 // console tables, machine-readable BENCH_*.json emission (so the perf
 // trajectory is tracked across PRs), the paper-testbed calibrations, and
-// the small-CNN distributed-training harness (bench_runtime /
-// bench_overlap / examples use the same cluster/model setup).
+// the small-CNN distributed-training harness (bench_overlap and the
+// examples use the same cluster/model setup).
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "comm/cluster.hpp"
-#include "comm/codec.hpp"
 #include "core/dist_kfac.hpp"
 #include "nn/data.hpp"
 #include "nn/layers.hpp"
@@ -56,13 +54,11 @@ inline const perf::ClusterCalibration& cal64() {
   return cal;
 }
 
-/// Real distributed training of a small CNN on the in-process cluster —
-/// the shared harness behind bench_runtime, bench_overlap and
-/// examples/distributed_training.
+/// Real distributed training of a small CNN — the shared harness behind
+/// bench_overlap and examples/distributed_training.
 struct DistTrainConfig {
   int world = 4;
   int steps = 5;
-  core::DistStrategy strategy = core::DistStrategy::kSpdKfac;
   bool hooked = true;  ///< pass_hooks() in-pass submission (Fig. 6)
   std::size_t in_channels = 1;
   std::size_t image_hw = 12;
@@ -72,23 +68,11 @@ struct DistTrainConfig {
   std::uint64_t init_seed = 99;   ///< shared across ranks => identical replicas
   std::uint64_t data_seed = 3;
   double noise = 0.0;
-  double lr = 0.05;
-  double damping = 3e-2;
-  /// Per-rank executor pool (DistKfacOptions::pool_size); ~0 keeps the
-  /// optimizer default, 0 forces the serial executor.
-  std::size_t pool_size = static_cast<std::size_t>(-1);
-  /// Cluster backend: in-process threads (default) or process-per-rank over
-  /// shared memory / Unix sockets.  The numerics are bitwise identical on
-  /// every backend; the multi-process backends cannot report engine records
-  /// or overlap accounting across the process boundary (those fields stay
-  /// empty in the result).
-  comm::TransportKind transport = comm::TransportKind::kInProcess;
-  std::size_t shm_ring_bytes = comm::kDefaultShmRingBytes;
-  /// Collective payload codecs (DistKfacOptions counterparts) — lossless by
-  /// default so every existing bench keeps its seed numbers.
-  comm::Codec factor_codec = comm::Codec::kNone;
-  comm::Codec grad_codec = comm::Codec::kNone;
-  double topk_ratio = 0.01;
+  /// Every rank's optimizer, including the cluster backend it runs on
+  /// (`transport`): in-process threads, or one process per rank over shared
+  /// memory / Unix sockets.  The numerics are bitwise identical on every
+  /// backend.
+  core::DistKfacOptions optimizer;
 };
 
 struct DistTrainResult {
@@ -96,149 +80,48 @@ struct DistTrainResult {
   double rank0_loss = 0.0;
   double wall_seconds = 0.0;                ///< whole run, rank 0
   std::vector<double> step_seconds;         ///< per-step wall, rank 0
-  std::vector<comm::OpRecord> records;      ///< rank 0 engine records
   std::size_t broadcast_cts = 0;            ///< CTs of the final placement
   /// Fraction of rank 0's communication busy time that executed while the
   /// forward/backward passes were still running — comm the pipelining hid
   /// behind computation (engine-clock interval accounting).
   double overlap_fraction = 0.0;
-  /// Rank 0's per-step bytes the zero-copy arena stopped copying/zeroing
-  /// (DistKfacOptimizer::arena_bytes_saved_per_step; in-process backend
-  /// only, like the engine records).
-  std::size_t arena_bytes_saved = 0;
   /// Post-codec / pre-codec collective payload bytes of one step's plan
   /// (plan_wire_bytes / plan_raw_bytes) — equal unless a codec is on.
   std::size_t wire_bytes_per_step = 0;
   std::size_t raw_bytes_per_step = 0;
 };
 
-DistTrainResult dist_train_multiprocess(const DistTrainConfig& cfg);
-
+/// Trains on the optimizer's transport through Cluster::launch_collect:
+/// rank 0 measures everything itself and ships it back as doubles, so every
+/// backend reports the same fields.
 inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
-  if (cfg.transport != comm::TransportKind::kInProcess) {
-    return dist_train_multiprocess(cfg);
-  }
-  DistTrainResult result;
-  std::mutex mu;
-  comm::Cluster::launch(cfg.world, [&](comm::Communicator& comm) {
-    tensor::Rng init(cfg.init_seed);
-    nn::Sequential model =
-        nn::make_small_cnn(cfg.in_channels, cfg.image_hw, cfg.conv1,
-                           cfg.conv2, cfg.classes, init);
-    auto layers = model.preconditioned_layers();
-    core::DistKfacOptions opts;
-    opts.strategy = cfg.strategy;
-    opts.lr = cfg.lr;
-    opts.damping = cfg.damping;
-    opts.transport = cfg.transport;
-    opts.shm_ring_bytes = cfg.shm_ring_bytes;
-    opts.factor_codec = cfg.factor_codec;
-    opts.grad_codec = cfg.grad_codec;
-    opts.topk_ratio = cfg.topk_ratio;
-    if (cfg.pool_size != static_cast<std::size_t>(-1)) {
-      opts.pool_size = cfg.pool_size;
-    }
-    core::DistKfacOptimizer optimizer(layers, comm, opts);
-    nn::SyntheticClassification data(cfg.classes, cfg.in_channels,
-                                     cfg.image_hw, cfg.data_seed, cfg.noise);
-    tensor::Rng shard(100 + comm.rank());
-    nn::SoftmaxCrossEntropy loss;
-
-    // Pass windows on the engine clock, so op records (same clock) can be
-    // classified as hidden-behind-compute or exposed.
-    std::vector<std::pair<double, double>> pass_windows;
-    std::vector<double> step_seconds;
-    const auto t0 = std::chrono::steady_clock::now();
-    double last_loss = 0.0;
-    for (int s = 0; s < cfg.steps; ++s) {
-      const auto step_t0 = std::chrono::steady_clock::now();
-      nn::Batch batch = data.sample(cfg.batch, shard);
-      const double pass_begin = optimizer.engine_now_s();
-      if (cfg.hooked) {
-        const nn::PassHooks hooks = optimizer.pass_hooks();
-        last_loss =
-            loss.forward(model.forward(batch.inputs, hooks), batch.labels);
-        model.backward(loss.backward(), hooks);
-      } else {
-        last_loss = loss.forward(model.forward(batch.inputs), batch.labels);
-        model.backward(loss.backward());
-      }
-      pass_windows.emplace_back(pass_begin, optimizer.engine_now_s());
-      optimizer.step();
-      step_seconds.push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        step_t0)
-              .count());
-    }
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    if (comm.rank() == 0) {
-      std::lock_guard lock(mu);
-      for (auto* l : layers) result.rank0_weights.push_back(l->weight());
-      result.rank0_loss = last_loss;
-      result.wall_seconds = wall;
-      result.step_seconds = std::move(step_seconds);
-      result.records = optimizer.comm_records();
-      result.broadcast_cts = optimizer.placement().num_cts();
-      result.arena_bytes_saved = optimizer.arena_bytes_saved_per_step();
-      result.wire_bytes_per_step = plan_wire_bytes(optimizer.plan());
-      result.raw_bytes_per_step = plan_raw_bytes(optimizer.plan());
-
-      double busy = 0.0, hidden = 0.0;
-      for (const comm::OpRecord& r : result.records) {
-        busy += r.end_s - r.start_s;
-        for (const auto& [b, e] : pass_windows) {
-          hidden += std::max(0.0, std::min(r.end_s, e) - std::max(r.start_s, b));
-        }
-      }
-      result.overlap_fraction = busy > 0.0 ? hidden / busy : 0.0;
-    }
-  });
-  return result;
-}
-
-/// Process-per-rank variant (transport = shm / socket): the same training
-/// loop forked one process per rank, rank 0's observables shipped back
-/// through the launcher pipe as doubles.  Engine records and the overlap
-/// accounting stay behind in the worker process (empty in the result);
-/// loss, wall times, CT count and the final weights cross intact.
-inline DistTrainResult dist_train_multiprocess(const DistTrainConfig& cfg) {
   comm::LaunchOptions launch_opts;
-  launch_opts.shm_ring_bytes = cfg.shm_ring_bytes;
+  launch_opts.shm_ring_bytes = cfg.optimizer.shm_ring_bytes;
   const auto per_rank = comm::Cluster::launch_collect(
-      cfg.transport, comm::Topology::flat(cfg.world),
-      [&](comm::Communicator& comm) {
+      cfg.optimizer.transport, comm::Topology::flat(cfg.world),
+      [&cfg](comm::Communicator& comm) {
         tensor::Rng init(cfg.init_seed);
         nn::Sequential model =
             nn::make_small_cnn(cfg.in_channels, cfg.image_hw, cfg.conv1,
                                cfg.conv2, cfg.classes, init);
         auto layers = model.preconditioned_layers();
-        core::DistKfacOptions opts;
-        opts.strategy = cfg.strategy;
-        opts.lr = cfg.lr;
-        opts.damping = cfg.damping;
-        opts.transport = cfg.transport;
-        opts.shm_ring_bytes = cfg.shm_ring_bytes;
-        opts.factor_codec = cfg.factor_codec;
-        opts.grad_codec = cfg.grad_codec;
-        opts.topk_ratio = cfg.topk_ratio;
-        if (cfg.pool_size != static_cast<std::size_t>(-1)) {
-          opts.pool_size = cfg.pool_size;
-        }
-        core::DistKfacOptimizer optimizer(layers, comm, opts);
+        core::DistKfacOptimizer optimizer(layers, comm, cfg.optimizer);
         nn::SyntheticClassification data(cfg.classes, cfg.in_channels,
                                          cfg.image_hw, cfg.data_seed,
                                          cfg.noise);
         tensor::Rng shard(100 + comm.rank());
         nn::SoftmaxCrossEntropy loss;
 
+        // Pass windows on the engine clock, so op records (same clock) can
+        // be classified as hidden-behind-compute or exposed.
+        std::vector<std::pair<double, double>> pass_windows;
         std::vector<double> step_seconds;
         const auto t0 = std::chrono::steady_clock::now();
         double last_loss = 0.0;
         for (int s = 0; s < cfg.steps; ++s) {
           const auto step_t0 = std::chrono::steady_clock::now();
           nn::Batch batch = data.sample(cfg.batch, shard);
+          const double pass_begin = optimizer.engine_now_s();
           if (cfg.hooked) {
             const nn::PassHooks hooks = optimizer.pass_hooks();
             last_loss = loss.forward(model.forward(batch.inputs, hooks),
@@ -249,6 +132,7 @@ inline DistTrainResult dist_train_multiprocess(const DistTrainConfig& cfg) {
                 loss.forward(model.forward(batch.inputs), batch.labels);
             model.backward(loss.backward());
           }
+          pass_windows.emplace_back(pass_begin, optimizer.engine_now_s());
           optimizer.step();
           step_seconds.push_back(std::chrono::duration<double>(
                                      std::chrono::steady_clock::now() -
@@ -261,9 +145,18 @@ inline DistTrainResult dist_train_multiprocess(const DistTrainConfig& cfg) {
 
         std::vector<double> out;
         if (comm.rank() != 0) return out;
+        double busy = 0.0, hidden = 0.0;
+        for (const comm::OpRecord& r : optimizer.comm_records()) {
+          busy += r.end_s - r.start_s;
+          for (const auto& [b, e] : pass_windows) {
+            hidden +=
+                std::max(0.0, std::min(r.end_s, e) - std::max(r.start_s, b));
+          }
+        }
         out.push_back(last_loss);
         out.push_back(wall);
         out.push_back(static_cast<double>(optimizer.placement().num_cts()));
+        out.push_back(busy > 0.0 ? hidden / busy : 0.0);
         out.push_back(static_cast<double>(plan_wire_bytes(optimizer.plan())));
         out.push_back(static_cast<double>(plan_raw_bytes(optimizer.plan())));
         out.push_back(static_cast<double>(step_seconds.size()));
@@ -286,6 +179,7 @@ inline DistTrainResult dist_train_multiprocess(const DistTrainConfig& cfg) {
   result.rank0_loss = next();
   result.wall_seconds = next();
   result.broadcast_cts = static_cast<std::size_t>(next());
+  result.overlap_fraction = next();
   result.wire_bytes_per_step = static_cast<std::size_t>(next());
   result.raw_bytes_per_step = static_cast<std::size_t>(next());
   const auto n_steps = static_cast<std::size_t>(next());

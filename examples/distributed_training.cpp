@@ -36,8 +36,8 @@ bench::DistTrainResult train(core::DistStrategy strategy,
   // Hook mode (Fig. 6): factor and WFBP-gradient all-reduces are submitted
   // to the background engine *during* the passes.
   bench::DistTrainConfig cfg;
-  cfg.strategy = strategy;
-  cfg.transport = transport;
+  cfg.optimizer.strategy = strategy;
+  cfg.optimizer.transport = transport;
   cfg.steps = kSteps;
   cfg.image_hw = 8;
   cfg.conv1 = 4;
@@ -46,8 +46,8 @@ bench::DistTrainResult train(core::DistStrategy strategy,
   cfg.init_seed = 1234;
   cfg.data_seed = 5;
   cfg.noise = 0.25;
-  cfg.lr = 0.1;
-  cfg.damping = 0.1;
+  cfg.optimizer.lr = 0.1;
+  cfg.optimizer.damping = 0.1;
   return bench::dist_train(cfg);
 }
 

@@ -27,28 +27,7 @@ const char* to_string(DistStrategy strategy) noexcept {
 }
 
 void DistKfacOptions::validate() const {
-  if (factor_update_freq == 0) {
-    throw std::invalid_argument(
-        "DistKfacOptions: factor_update_freq must be >= 1");
-  }
-  if (inverse_update_freq == 0) {
-    throw std::invalid_argument(
-        "DistKfacOptions: inverse_update_freq must be >= 1");
-  }
-  if (!(lr > 0.0)) {
-    throw std::invalid_argument("DistKfacOptions: lr must be positive");
-  }
-  if (!(damping > 0.0)) {
-    throw std::invalid_argument("DistKfacOptions: damping must be positive");
-  }
-  if (!(stat_decay >= 0.0) || !(stat_decay < 1.0)) {
-    throw std::invalid_argument(
-        "DistKfacOptions: stat_decay must be in [0, 1)");
-  }
-  if (!(kl_clip >= 0.0) || !std::isfinite(kl_clip)) {
-    throw std::invalid_argument(
-        "DistKfacOptions: kl_clip must be finite and >= 0");
-  }
+  KfacOptions::validate();
   // size_t fields cannot be negative, but a negative literal wraps silently
   // to a huge value — for the threshold that would fuse every gradient into
   // one giant group, for the pool it would try to spawn ~2^64 threads.
@@ -335,15 +314,10 @@ void DistKfacOptimizer::begin_step() {
         "(incomplete hooked step?); construct a fresh optimizer");
   }
   sched::ScheduleOptions opt;
+  static_cast<sched::PlanShape&>(opt) = options_;
   opt.second_order = true;
   opt.factor_update = factors_due();
   opt.inverse_update = step_count_ % options_.inverse_update_freq == 0;
-  opt.balance = options_.balance;
-  opt.grad_fusion_threshold = options_.grad_fusion_threshold;
-  opt.collective_algo = options_.collective_algo;
-  opt.factor_codec = options_.factor_codec;
-  opt.grad_codec = options_.grad_codec;
-  opt.topk_ratio = options_.topk_ratio;
   switch (options_.strategy) {
     case DistStrategy::kDKfac:
       opt.factor_comm = sched::FactorCommMode::kBulk;
@@ -354,7 +328,6 @@ void DistKfacOptimizer::begin_step() {
       opt.inverse = sched::InverseMode::kSeqDist;
       break;
     case DistStrategy::kSpdKfac:
-      opt.factor_comm = options_.factor_comm;
       opt.inverse = sched::InverseMode::kLBP;
       break;
   }

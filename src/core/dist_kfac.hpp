@@ -82,27 +82,13 @@ enum class DistStrategy { kDKfac, kMpdKfac, kSpdKfac };
 
 const char* to_string(DistStrategy strategy) noexcept;
 
-struct DistKfacOptions {
-  double lr = 0.05;
-  double damping = 3e-2;
-  double stat_decay = 0.95;
-  std::size_t factor_update_freq = 1;
-  std::size_t inverse_update_freq = 1;
-  /// KL clipping (see KfacOptions::kl_clip); computed from the aggregated
-  /// deltas/gradients, so it is identical on every rank.  0 disables.
-  double kl_clip = 0.0;
-  InverseMethod inverse_method = InverseMethod::kCholesky;
-  bool pi_damping = false;  ///< see KfacOptions::pi_damping
+/// Options of the distributed optimizer: the K-FAC numerics it shares with
+/// KfacOptimizer (KfacOptions), the plan shape it shares with the planner
+/// and the simulator (sched::PlanShape), and the runtime, transport and
+/// profiling settings below.  KL clipping (kl_clip) is computed from the
+/// aggregated deltas/gradients, so it is identical on every rank.
+struct DistKfacOptions : KfacOptions, sched::PlanShape {
   DistStrategy strategy = DistStrategy::kSpdKfac;
-  sched::BalanceMetric balance = sched::BalanceMetric::kEstimatedTime;
-
-  /// Factor aggregation mode under kSpdKfac — the Fig. 10 pipelining
-  /// variants (kOptimalFuse is the paper's Eq. (15) schedule).  The bulk
-  /// strategies always aggregate one op per factor family.
-  sched::FactorCommMode factor_comm = sched::FactorCommMode::kOptimalFuse;
-
-  /// WFBP gradient fusion threshold (elements), Horovod's 64 MiB default.
-  std::size_t grad_fusion_threshold = sched::kHorovodThresholdElements;
 
   /// Worker threads of the per-rank execution pool that the plan's compute
   /// tasks, the tensor kernels' inner loops, and the comm engine's pump
@@ -111,28 +97,6 @@ struct DistKfacOptions {
   /// private single-worker pool.  Results are bitwise identical for every
   /// value (see tests/core/test_determinism.cpp).
   std::size_t pool_size = 2;
-
-  /// All-reduce algorithm for every factor/gradient aggregation.  kRing
-  /// reproduces the seed's collectives; kAuto picks per message size and
-  /// the cluster's Topology through an AlgorithmSelector built at
-  /// construction (identical on every rank, so the engine's collective
-  /// ordering contract holds); any concrete algorithm forces it.
-  comm::AllReduceAlgo collective_algo = comm::AllReduceAlgo::kRing;
-
-  /// Collective payload codecs (comm/codec.hpp), forwarded to the planner
-  /// so fusion groups, CT/NCT typing and algorithm choices re-derive from
-  /// the compressed sizes.  factor_codec compresses the fused factor
-  /// all-reduces and the inverse broadcasts (fp16 / int8 / auto; topk is
-  /// rejected — factors are dense).  grad_codec compresses the WFBP
-  /// gradient all-reduces; kTopK engages per-layer error-feedback
-  /// residuals, carried across steps and through checkpoints, so the
-  /// unsent mass is re-injected instead of lost.  kNone (default)
-  /// reproduces the seed's lossless collectives byte for byte.  Identical
-  /// on every rank, like every plan-shaping option.
-  comm::Codec factor_codec = comm::Codec::kNone;
-  comm::Codec grad_codec = comm::Codec::kNone;
-  /// kTopK keep ratio: fraction of each gradient message shipped.
-  double topk_ratio = 0.01;
 
   /// Cost models used for planning only (fusion rule, Algorithm 1, CT/NCT).
   /// Defaults are rough in-process-cluster figures; examples re-fit them
@@ -195,11 +159,11 @@ struct DistKfacOptions {
   /// it in place.
   double comm_timeout_s = 0.0;
 
-  /// Throws std::invalid_argument on nonsensical settings: zero update
-  /// frequencies, non-positive lr/damping, a stat_decay outside [0, 1), a
-  /// negative/non-finite kl_clip, a grad_fusion_threshold /
-  /// pool_size / replan_interval / plan_cache_capacity that is a negative
-  /// value wrapped to unsigned, a profile_ema outside (0, 1], a profile or
+  /// Throws std::invalid_argument on nonsensical settings: whatever
+  /// KfacOptions::validate() rejects (checked first), a
+  /// grad_fusion_threshold / pool_size / replan_interval /
+  /// plan_cache_capacity that is a negative value wrapped to unsigned, a
+  /// profile_ema outside (0, 1], a profile or
   /// trajectory entry containing negative/non-finite entries, both
   /// `profile` and `profile_trajectory` set, a shm_ring_bytes that is
   /// not a power of two in [1024, 2^31], a negative/non-finite

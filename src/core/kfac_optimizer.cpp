@@ -21,6 +21,30 @@ void build_factor(const Matrix& rows, Matrix& out, const char* missing) {
 
 }  // namespace
 
+void KfacOptions::validate() const {
+  if (factor_update_freq == 0) {
+    throw std::invalid_argument(
+        "KfacOptions: factor_update_freq must be >= 1");
+  }
+  if (inverse_update_freq == 0) {
+    throw std::invalid_argument(
+        "KfacOptions: inverse_update_freq must be >= 1");
+  }
+  if (!(lr > 0.0)) {
+    throw std::invalid_argument("KfacOptions: lr must be positive");
+  }
+  if (!(damping > 0.0)) {
+    throw std::invalid_argument("KfacOptions: damping must be positive");
+  }
+  if (!(stat_decay >= 0.0) || !(stat_decay < 1.0)) {
+    throw std::invalid_argument("KfacOptions: stat_decay must be in [0, 1)");
+  }
+  if (!(kl_clip >= 0.0) || !std::isfinite(kl_clip)) {
+    throw std::invalid_argument(
+        "KfacOptions: kl_clip must be finite and >= 0");
+  }
+}
+
 void compute_factor_a(const nn::PreconditionedLayer& layer, Matrix& out) {
   build_factor(layer.kfac_input(), out,
                "compute_factor_a: no captured forward pass");
@@ -116,6 +140,7 @@ KfacOptimizer::KfacOptimizer(std::vector<nn::PreconditionedLayer*> layers,
   if (layers_.empty()) {
     throw std::invalid_argument("KfacOptimizer: no preconditioned layers");
   }
+  options_.validate();
   state_.resize(layers_.size());
 }
 

@@ -45,6 +45,11 @@ struct KfacOptions {
   /// pi = sqrt((tr A / d_A) / (tr G / d_G)), equalizing the two factors'
   /// relative regularization.
   bool pi_damping = false;
+
+  /// Throws std::invalid_argument on nonsensical settings: zero update
+  /// frequencies, non-positive lr/damping, a stat_decay outside [0, 1), or
+  /// a negative/non-finite kl_clip.
+  void validate() const;
 };
 
 /// Damped inverse via the chosen method; both satisfy
@@ -98,6 +103,8 @@ class SgdOptimizer {
 
 class KfacOptimizer {
  public:
+  /// Throws std::invalid_argument on an empty layer list or options that
+  /// KfacOptions::validate() rejects.
   KfacOptimizer(std::vector<nn::PreconditionedLayer*> layers,
                 KfacOptions options = {});
 

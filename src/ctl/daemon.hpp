@@ -52,8 +52,9 @@ struct DaemonOptions {
   /// Optimizer configuration; mutable at runtime through `set`.
   core::DistKfacOptions optimizer;
 
-  // Model/data shape — the bench harness's small-CNN defaults, so daemon
-  // runs are comparable with bench_runtime and reproducible from seeds.
+  // Model/data shape — the bench harness's small-CNN defaults (DistTrainConfig
+  // in bench/bench_util.hpp), so daemon runs are comparable with it and
+  // reproducible from seeds.
   std::size_t in_channels = 1;
   std::size_t image_hw = 12;
   std::size_t conv1 = 8;

@@ -79,30 +79,54 @@ struct ScheduleInputs {
   PassTiming timing;
 };
 
-struct ScheduleOptions {
-  bool second_order = true;
-  bool factor_update = true;   ///< factors recomputed+aggregated this step
-  bool inverse_update = true;  ///< inverses recomputed this step
+/// The knobs that shape an iteration's plan, each declared once.  The
+/// planner reads them through ScheduleOptions; the simulator
+/// (sim::AlgorithmConfig) and the runtime (core::DistKfacOptions) derive
+/// from this struct and hand it to the planner as one slice, so the plan
+/// the runtime executes and the plan the simulator prices cannot drift.
+/// Plan-shaping options must be identical on every rank.
+struct PlanShape {
+  /// Factor aggregation mode — the Fig. 10 pipelining variants
+  /// (kOptimalFuse is the paper's Eq. (15) schedule).  Read only when the
+  /// plan has a factor phase; the runtime's bulk strategies (D-KFAC,
+  /// MPD-KFAC) always aggregate one op per factor family.
   FactorCommMode factor_comm = FactorCommMode::kOptimalFuse;
-  InverseMode inverse = InverseMode::kLBP;
+  /// Load metric Algorithm 1 balances inverse placement by.
   BalanceMetric balance = BalanceMetric::kEstimatedTime;
+  /// WFBP gradient fusion threshold (elements), Horovod's 64 MiB default.
+  /// Gradient aggregation is always WFBP + threshold fusion, the default
+  /// the paper keeps for gradients in every algorithm.
   std::size_t grad_fusion_threshold = kHorovodThresholdElements;
-  /// kRing reproduces the seed's collectives with undecorated labels; kAuto
-  /// resolves per message size through the selector; any concrete algorithm
-  /// forces it (labels then carry an "@algo" suffix).
+  /// All-reduce algorithm for every factor/gradient aggregation.  kRing
+  /// reproduces the seed's collectives with undecorated labels; kAuto
+  /// resolves per message size and the cluster's Topology through the
+  /// AlgorithmSelector (NCCL-style switching, rank-identical); any concrete
+  /// algorithm forces it (labels then carry an "@algo" suffix).
   comm::AllReduceAlgo collective_algo = comm::AllReduceAlgo::kRing;
   /// Collective payload codecs (comm/codec.hpp).  factor_codec governs the
   /// fused factor all-reduces *and* the inverse broadcasts (kTopK is
   /// rejected there — factors need every element); grad_codec governs the
-  /// WFBP gradient all-reduces (kTopK engages error feedback in the
-  /// runtime).  kAuto resolves per family-total payload against the
-  /// crossover; kNone reproduces the seed's plans byte-identically.
+  /// WFBP gradient all-reduces (kTopK engages per-layer error-feedback
+  /// residuals in the runtime, carried across steps and through
+  /// checkpoints).  kAuto resolves per family-total payload against the
+  /// crossover; kNone reproduces the seed's lossless plans byte for byte.
   /// Compression shifts the m of Eq. (14), so fusion groups, CT/NCT typing
-  /// and algorithm choices are all re-derived from the compressed sizes.
+  /// and algorithm choices are re-derived from the compressed sizes, and
+  /// the simulator charges each collective its wire bytes plus the modeled
+  /// encode/decode compute.
   comm::Codec factor_codec = comm::Codec::kNone;
   comm::Codec grad_codec = comm::Codec::kNone;
   /// kTopK keep ratio: fraction of gradient elements shipped per message.
   double topk_ratio = 0.01;
+};
+
+/// What plan_iteration builds: the shared plan shape plus the per-step
+/// phase flags and the inverse placement mode.
+struct ScheduleOptions : PlanShape {
+  bool second_order = true;
+  bool factor_update = true;   ///< factors recomputed+aggregated this step
+  bool inverse_update = true;  ///< inverses recomputed this step
+  InverseMode inverse = InverseMode::kLBP;
 };
 
 /// Cost models the planner decides with (not what execution is priced at —

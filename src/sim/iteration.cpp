@@ -99,15 +99,9 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
   // schedule the runtime optimizer executes.
   // -------------------------------------------------------------------
   sched::ScheduleOptions opt;
+  static_cast<sched::PlanShape&>(opt) = cfg;
   opt.second_order = cfg.second_order;
-  opt.factor_comm = cfg.factor_comm;
   opt.inverse = cfg.inverse;
-  opt.balance = cfg.balance;
-  opt.grad_fusion_threshold = cfg.grad_fusion_threshold;
-  opt.collective_algo = cfg.collective_algo;
-  opt.factor_codec = cfg.factor_codec;
-  opt.grad_codec = cfg.grad_codec;
-  opt.topk_ratio = cfg.topk_ratio;
   IterationResult result;
   sched::ScheduleInputs inputs = sched::inputs_from_model(
       model, batch, cal.compute, world, cfg.second_order);

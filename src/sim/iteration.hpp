@@ -40,15 +40,12 @@ namespace spdkfac::sim {
 using sched::FactorCommMode;
 using sched::InverseMode;
 
-struct AlgorithmConfig {
+/// One simulated algorithm: the plan shape shared with the planner and the
+/// runtime (sched::PlanShape), plus the simulation-only settings below.
+struct AlgorithmConfig : sched::PlanShape {
   std::string name;
   bool second_order = true;  ///< false: plain (S-)SGD
-  FactorCommMode factor_comm = FactorCommMode::kBulk;
   InverseMode inverse = InverseMode::kLocalAll;
-  sched::BalanceMetric balance = sched::BalanceMetric::kEstimatedTime;
-  /// Gradient aggregation is always WFBP + threshold fusion (the Horovod
-  /// default the paper keeps for gradients in every algorithm).
-  std::size_t grad_fusion_threshold = sched::kHorovodThresholdElements;
   /// Concurrent compute workers per GPU — the simulator counterpart of the
   /// runtime's DistKfacOptions::pool_size.  1 reproduces the classic
   /// single-stream pricing (factor builds serialize with the passes);
@@ -58,20 +55,6 @@ struct AlgorithmConfig {
   /// GPU's inverse worklist over all S streams.  The *plan* is identical
   /// for every value; only the pricing of its compute tasks changes.
   int compute_streams = 1;
-  /// All-reduce algorithm used to price every gang collective (gradients
-  /// and factors).  kRing reproduces the seed exactly; kAuto selects per
-  /// message size/topology via the calibration's AlgorithmSelector
-  /// (NCCL-style switching); any concrete algorithm forces that algorithm.
-  comm::AllReduceAlgo collective_algo = comm::AllReduceAlgo::kRing;
-  /// Collective payload codecs (comm/codec.hpp), forwarded to the planner
-  /// exactly like the runtime's DistKfacOptions — compression shifts the m
-  /// of Eq. (14), so the simulated plan's fusion groups, CT/NCT typing and
-  /// algorithm choices are re-derived from the compressed sizes, and the
-  /// pricer charges each collective its wire bytes plus the modeled
-  /// encode/decode compute.  kNone reproduces the seed's pricing exactly.
-  comm::Codec factor_codec = comm::Codec::kNone;
-  comm::Codec grad_codec = comm::Codec::kNone;
-  double topk_ratio = 0.01;  ///< kTopK keep ratio (fraction shipped)
 
   /// Planning profile override — the simulator counterpart of
   /// DistKfacOptions::profile.  Empty: derive pass timing from the

@@ -63,13 +63,23 @@ TEST(TransportKindTest, ToStringRoundTripsAndRejectsUnknown) {
   EXPECT_THROW(comm::transport_from_string(""), std::invalid_argument);
 }
 
+/// The single-process optimizer validates the same K-FAC fields at
+/// construction, so a zero update frequency never reaches step()'s modulo.
+void expect_kfac_optimizer_rejects(const KfacOptions& opts) {
+  tensor::Rng rng(3);
+  nn::Linear fc("fc", 3, 2, true, rng);
+  EXPECT_THROW(KfacOptimizer({&fc}, opts), std::invalid_argument);
+}
+
 TEST(DistKfacOptionsTest, ValidateRejectsZeroUpdateFrequencies) {
   DistKfacOptions opts;
   opts.factor_update_freq = 0;
   EXPECT_THROW(opts.validate(), std::invalid_argument);
+  expect_kfac_optimizer_rejects(opts);
   opts = DistKfacOptions{};
   opts.inverse_update_freq = 0;
   EXPECT_THROW(opts.validate(), std::invalid_argument);
+  expect_kfac_optimizer_rejects(opts);
 }
 
 TEST(DistKfacOptionsTest, ValidateRejectsNonPositiveLrAndDamping) {
@@ -77,9 +87,11 @@ TEST(DistKfacOptionsTest, ValidateRejectsNonPositiveLrAndDamping) {
     DistKfacOptions opts;
     opts.lr = bad;
     EXPECT_THROW(opts.validate(), std::invalid_argument) << "lr=" << bad;
+    expect_kfac_optimizer_rejects(opts);
     opts = DistKfacOptions{};
     opts.damping = bad;
     EXPECT_THROW(opts.validate(), std::invalid_argument) << "damping=" << bad;
+    expect_kfac_optimizer_rejects(opts);
   }
 }
 

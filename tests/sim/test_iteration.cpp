@@ -6,6 +6,7 @@
 
 #include "models/model_spec.hpp"
 #include "perf/models.hpp"
+#include "sched/serialize.hpp"
 
 namespace spdkfac::sim {
 namespace {
@@ -331,6 +332,25 @@ TEST(Iteration, ComputeStreamsPriceTheRuntimeOverlap) {
   EXPECT_LT(simulate_iteration(r50(), 32, cal64(), pooled).total,
             simulate_iteration(r50(), 32, cal64(), AlgorithmConfig::spd_kfac())
                 .total);
+}
+
+TEST(Iteration, SgdPlanIgnoresFactorCommMode) {
+  // A first-order plan has no factor phase, so factor_comm (whose shared
+  // PlanShape default is kOptimalFuse) cannot move SGD's schedule or price.
+  const auto reference =
+      simulate_iteration(r50(), 32, cal64(), AlgorithmConfig::sgd());
+  for (const FactorCommMode mode :
+       {FactorCommMode::kBulk, FactorCommMode::kNaive,
+        FactorCommMode::kLayerWise, FactorCommMode::kThresholdFuse,
+        FactorCommMode::kOptimalFuse}) {
+    AlgorithmConfig cfg = AlgorithmConfig::sgd();
+    cfg.factor_comm = mode;
+    const auto res = simulate_iteration(r50(), 32, cal64(), cfg);
+    EXPECT_EQ(sched::plan_to_text(res.plan),
+              sched::plan_to_text(reference.plan))
+        << sched::to_string(mode);
+    EXPECT_EQ(res.total, reference.total) << sched::to_string(mode);
+  }
 }
 
 TEST(Iteration, ComputeStreamsMustBePositive) {
