@@ -79,16 +79,6 @@ Throughput codec_throughput(comm::Codec codec, std::size_t n) {
 // 2 + 3. Plan bytes and end-to-end pricing
 // -------------------------------------------------------------------------
 
-std::size_t kind_bytes(const sched::IterationPlan& plan, sched::TaskKind kind,
-                       bool wire) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.kind != kind) continue;
-    bytes += (wire ? task.wire_elements : task.elements) * sizeof(double);
-  }
-  return bytes;
-}
-
 /// The paper's fabric constants for P workers with 10x the per-element
 /// network cost: the bandwidth-bound regime the compression targets.
 perf::ClusterCalibration bandwidth_bound_cal(int world) {
@@ -159,16 +149,16 @@ int main() {
                                               compressed(base));
 
         const auto ratio = [&](sched::TaskKind kind) {
-          const std::size_t raw = kind_bytes(lossy.plan, kind, false);
-          const std::size_t wire = kind_bytes(lossy.plan, kind, true);
+          const std::size_t raw = lossy.plan.raw_bytes(kind);
+          const std::size_t wire = lossy.plan.wire_bytes(kind);
           return wire == 0 ? 1.0
                            : static_cast<double>(raw) /
                                  static_cast<double>(wire);
         };
         const double factor_ratio = ratio(sched::TaskKind::kFusedAllReduce);
         const double grad_ratio = ratio(sched::TaskKind::kGradAllReduce);
-        const std::size_t raw_bytes = bench::plan_raw_bytes(lossy.plan);
-        const std::size_t wire_bytes = bench::plan_wire_bytes(lossy.plan);
+        const std::size_t raw_bytes = lossy.plan.raw_bytes();
+        const std::size_t wire_bytes = lossy.plan.wire_bytes();
         const double speedup = lossless.total / lossy.total;
 
         const std::string name = spec.name + "/" + base.name + "/P" +

@@ -24,28 +24,6 @@
 
 namespace spdkfac::bench {
 
-/// Bytes one iteration of `plan` puts on the wire: the sum of each
-/// collective task's post-codec wire payload.  Algorithm-level multipliers
-/// (a ring's 2(P-1)/P passes) hit lossless and compressed payloads alike,
-/// so they cancel out of every compression ratio derived from this.
-inline std::size_t plan_wire_bytes(const sched::IterationPlan& plan) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.is_collective()) bytes += task.wire_elements * sizeof(double);
-  }
-  return bytes;
-}
-
-/// Same sum over the logical (pre-codec) payloads — the lossless baseline
-/// the wire bytes are compared against.
-inline std::size_t plan_raw_bytes(const sched::IterationPlan& plan) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.is_collective()) bytes += task.elements * sizeof(double);
-  }
-  return bytes;
-}
-
 /// The paper's 64x RTX2080Ti testbed calibration (shared instance — every
 /// figure bench prices against the same constants).
 inline const perf::ClusterCalibration& cal64() {
@@ -86,7 +64,7 @@ struct DistTrainResult {
   /// behind computation (engine-clock interval accounting).
   double overlap_fraction = 0.0;
   /// Post-codec / pre-codec collective payload bytes of one step's plan
-  /// (plan_wire_bytes / plan_raw_bytes) — equal unless a codec is on.
+  /// (IterationPlan::wire_bytes / raw_bytes) — equal unless a codec is on.
   std::size_t wire_bytes_per_step = 0;
   std::size_t raw_bytes_per_step = 0;
 };
@@ -157,8 +135,8 @@ inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
         out.push_back(wall);
         out.push_back(static_cast<double>(optimizer.placement().num_cts()));
         out.push_back(busy > 0.0 ? hidden / busy : 0.0);
-        out.push_back(static_cast<double>(plan_wire_bytes(optimizer.plan())));
-        out.push_back(static_cast<double>(plan_raw_bytes(optimizer.plan())));
+        out.push_back(static_cast<double>(optimizer.plan().wire_bytes()));
+        out.push_back(static_cast<double>(optimizer.plan().raw_bytes()));
         out.push_back(static_cast<double>(step_seconds.size()));
         out.insert(out.end(), step_seconds.begin(), step_seconds.end());
         out.push_back(static_cast<double>(layers.size()));

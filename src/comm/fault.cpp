@@ -107,8 +107,6 @@ class FaultyTransport final : public Transport {
     inner_->send(dst, payload, tag, plan_task, codec);
   }
 
-  std::vector<double> recv(int src) override { return inner_->recv(src); }
-
   bool recv_into(int src, std::span<double> out) override {
     return inner_->recv_into(src, out);
   }

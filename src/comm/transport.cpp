@@ -2,6 +2,7 @@
 
 #include <sys/un.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -55,29 +56,58 @@ TransportKind transport_from_string(const std::string& name) {
                               "' (expected inproc, shm or socket)");
 }
 
-bool Transport::recv_into(int src, std::span<double> out) {
-  const std::vector<double> msg = recv(src);
-  if (msg.size() != out.size()) return false;
-  std::copy(msg.begin(), msg.end(), out.begin());
-  return true;
+void Transport::heartbeat() {
+  if (timeout_s() <= 0.0) return;
+  const auto now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now().time_since_epoch())
+                          .count();
+  const auto interval_ns =
+      static_cast<std::int64_t>(heartbeat_interval_s() * 1e9);
+  std::int64_t last = last_heartbeat_ns_.load(std::memory_order_relaxed);
+  if (now_ns - last < interval_ns ||
+      !last_heartbeat_ns_.compare_exchange_strong(last, now_ns,
+                                                  std::memory_order_relaxed)) {
+    return;
+  }
+  heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
+  for (int peer = 0; peer < size(); ++peer) {
+    if (peer == rank()) continue;
+    try {
+      send(peer, {}, wire::kHeartbeatTag);
+    } catch (...) {
+      // Liveness pings are best-effort; a poisoned peer queue must not
+      // break the detection path that is trying to report it.
+    }
+  }
 }
 
-void Transport::barrier() {
-  // Dissemination barrier: in round k every rank signals (rank + 2^k) and
-  // waits on (rank - 2^k); after ceil(log2 P) rounds every rank has
-  // transitively heard from every other.  Zero-length frames ride the same
-  // FIFO streams as data, and since barriers are collectives (called in
-  // the same global order on every rank) the streams stay aligned.
-  const int world = size();
-  try {
-    for (int hop = 1; hop < world; hop <<= 1) {
-      send((rank() + hop) % world, {}, wire::kBarrierTag);
-      recv((rank() - hop + world) % world);
+bool Transport::is_control_frame(std::uint16_t tag) noexcept {
+  return tag == wire::kHeartbeatTag || tag == wire::kFailureTag;
+}
+
+void Transport::on_control_frame(std::uint16_t tag,
+                                 std::span<const double> payload) {
+  if (tag != wire::kFailureTag) return;
+  const int dead = payload.empty() ? -1 : static_cast<int>(payload.front());
+  notify_failure(dead);
+  throw RankFailure(dead, "recv", FailureCause::kPeerNotice, rank(),
+                    timeout_s());
+}
+
+void Transport::fail_recv(int src, FailureCause cause) {
+  notify_failure(src);
+  throw RankFailure(src, "recv", cause, rank(), timeout_s());
+}
+
+void Transport::notify_failure(int dead) {
+  const double who[] = {static_cast<double>(dead)};
+  for (int peer = 0; peer < size(); ++peer) {
+    if (peer == rank() || peer == dead) continue;
+    try {
+      send(peer, who, wire::kFailureTag);
+    } catch (...) {
+      // Best-effort: the local RankFailure is thrown regardless.
     }
-  } catch (RankFailure& failure) {
-    // Surface the primitive-level failure as the collective it broke.
-    failure.set_context("barrier", failure.plan_task());
-    throw;
   }
 }
 

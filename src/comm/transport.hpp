@@ -26,8 +26,8 @@
 // the receiver (unbounded local buffering; the out-of-process backends
 // enqueue encoded frames per peer and pump them from a dedicated exec
 // worker), which is what makes the collectives' neighbour-exchange
-// patterns deadlock-free on a bounded wire.  recv() blocks; messages from
-// one sender arrive in send order.  All backends must be observationally
+// patterns deadlock-free on a bounded wire.  recv_into() blocks; messages
+// from one sender arrive in send order.  All backends must be observationally
 // identical: the cross-backend conformance/determinism suites hold every
 // backend to bitwise-identical collective results.
 #pragma once
@@ -38,13 +38,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
-
-namespace spdkfac::exec {
-class ThreadPool;
-}
 
 namespace spdkfac::comm {
+
+enum class FailureCause;  // comm/fault.hpp
 
 enum class TransportKind {
   kInProcess,     ///< threads + channel mailboxes (default)
@@ -60,9 +57,13 @@ TransportKind transport_from_string(const std::string& name);
 
 /// Ordered reliable point-to-point messaging + barrier between P ranks.
 /// One instance per rank; all methods are called from that rank's threads.
-/// Concurrent sends are safe; recv(src) must not race another recv of the
-/// same src (the Communicator/engine discipline already serializes all
-/// collective traffic per rank).
+/// Concurrent sends are safe; recv_into(src) must not race another receive
+/// of the same src (the Communicator/engine discipline already serializes
+/// all collective traffic per rank).
+///
+/// A backend supplies only its carrier: send(), recv_into() and barrier().
+/// The failure-detection protocol on top of it — heartbeats, failure
+/// notices, and what a receive does with either — lives here, once.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -80,17 +81,13 @@ class Transport {
                     std::uint16_t tag = 0, int plan_task = -1,
                     std::uint16_t codec = 0) = 0;
 
-  /// Blocking receive of the next message from `src`.
-  virtual std::vector<double> recv(int src) = 0;
+  /// Blocking receive of the next message from `src` into `out`; returns
+  /// false (the message is consumed and discarded) when its length !=
+  /// out.size().
+  virtual bool recv_into(int src, std::span<double> out) = 0;
 
-  /// Receives the next message from `src` into `out`; returns false (the
-  /// message is consumed and discarded) when its length != out.size().
-  virtual bool recv_into(int src, std::span<double> out);
-
-  /// Blocks until all ranks arrive.  Default: a dissemination barrier over
-  /// zero-length tagged messages (log2(P) rounds); the in-process and
-  /// shared-memory backends override it with condvar/futex barriers.
-  virtual void barrier();
+  /// Blocks until all ranks arrive.
+  virtual void barrier() = 0;
 
   // -------------------------------------------------------------------------
   // Failure detection (see comm/fault.hpp).  With a timeout armed, every
@@ -109,11 +106,11 @@ class Transport {
   virtual void set_timeout(double seconds) noexcept { timeout_s_ = seconds; }
   virtual double timeout_s() const noexcept { return timeout_s_; }
 
-  /// Best-effort liveness ping to every peer, internally rate-limited to a
-  /// quarter of the timeout; no-op when the deadline is disarmed.  The
-  /// async engine calls this between operations so a rank busy executing a
-  /// long collective queue still reads as alive.
-  virtual void heartbeat() {}
+  /// Best-effort liveness ping (an empty kHeartbeatTag frame) to every
+  /// peer, rate-limited to one round per heartbeat interval; no-op when the
+  /// deadline is disarmed.  The async engine calls this between operations
+  /// so a rank busy executing a long collective queue still reads as alive.
+  virtual void heartbeat();
 
   /// Heartbeat *emission rounds* this rank has actually sent (post
   /// rate-limiting; each round pings all peers).  0 while the deadline is
@@ -130,13 +127,29 @@ class Transport {
     return quarter < 0.001 ? 0.001 : quarter;
   }
 
-  /// Backends call this once per emitted heartbeat round.
-  void note_heartbeat_round() noexcept {
-    heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// True for the protocol's own frames (heartbeats, failure notices),
+  /// which a receive never delivers: the backend's frame loop hands them to
+  /// on_control_frame() and keeps waiting.
+  static bool is_control_frame(std::uint16_t tag) noexcept;
+
+  /// Receipt of a control frame from a peer.  A heartbeat is dropped (its
+  /// arrival already counted as progress).  A failure notice is re-broadcast
+  /// to the other peers (gossip: a peer blocked on *this* rank learns the
+  /// root dead rank instead of later blaming us when our heartbeats stop)
+  /// and thrown as a kPeerNotice RankFailure naming that rank.
+  void on_control_frame(std::uint16_t tag, std::span<const double> payload);
+
+  /// A receive from `src` gave up on it (silent past the deadline, or its
+  /// carrier closed): notify the other peers, then throw the RankFailure.
+  [[noreturn]] void fail_recv(int src, FailureCause cause);
 
  private:
+  /// Best-effort failure notice (a kFailureTag frame carrying `dead`) to
+  /// every peer except `dead`.
+  void notify_failure(int dead);
+
   double timeout_s_ = 0.0;
+  std::atomic<std::int64_t> last_heartbeat_ns_{0};
   std::atomic<std::size_t> heartbeats_sent_{0};
 };
 

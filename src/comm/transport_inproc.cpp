@@ -3,23 +3,22 @@
 // pre-transport cluster did.  This is the test default and the only
 // backend ThreadSanitizer can see end-to-end.
 //
-// Failure detection (timeout armed — see comm/fault.hpp): recv() waits in
-// heartbeat-interval slices, pinging all peers while blocked and resetting
-// the deadline on any frame from the awaited rank (heartbeats included).
-// On expiry it broadcasts a failure notice naming the silent rank and
-// throws RankFailure; a notice received while waiting is rethrown as-is,
-// so every survivor names the same root dead rank.  The barrier names the
-// lowest non-arrived rank via the Barrier's arrival stamps.
-#include <atomic>
+// Failure detection (timeout armed — see comm/fault.hpp): the carrier wait
+// is Channel::recv_for in heartbeat-interval slices, and any frame from the
+// awaited rank (heartbeats included) resets the deadline.  The protocol on
+// top — pings while blocked, notice gossip, the RankFailure on expiry — is
+// Transport's.  The barrier names the lowest non-arrived rank via the
+// Barrier's arrival stamps.
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "comm/channel.hpp"
 #include "comm/fault.hpp"
 #include "comm/transport.hpp"
-#include "comm/wire.hpp"
 
 namespace spdkfac::comm {
 
@@ -66,42 +65,31 @@ class InProcessTransport final : public Transport {
     group_->channel(rank_, dst).send(payload, tag);
   }
 
-  std::vector<double> recv(int src) override {
+  bool recv_into(int src, std::span<double> out) override {
     Channel& ch = group_->channel(src, rank_);
     const double timeout = timeout_s();
-    if (timeout <= 0.0) {
-      for (;;) {
-        Channel::Message msg = ch.recv();
-        if (msg.tag == wire::kHeartbeatTag) continue;
-        if (msg.tag == wire::kFailureTag) throw forward_notice(msg);
-        return std::move(msg.payload);
-      }
-    }
     const auto clock_now = [] { return std::chrono::steady_clock::now(); };
     auto deadline = clock_now() + std::chrono::duration<double>(timeout);
     for (;;) {
-      auto msg = ch.recv_for(heartbeat_interval_s());
-      if (msg) {
+      std::optional<Channel::Message> msg =
+          timeout > 0.0 ? ch.recv_for(heartbeat_interval_s()) : ch.recv();
+      if (!msg) {
+        heartbeat();
+        if (clock_now() >= deadline) fail_recv(src, FailureCause::kTimeout);
+        continue;
+      }
+      if (timeout > 0.0) {
         // Any frame from `src` — heartbeat or data — proves it alive.
         deadline = clock_now() + std::chrono::duration<double>(timeout);
-        if (msg->tag == wire::kHeartbeatTag) continue;
-        if (msg->tag == wire::kFailureTag) throw forward_notice(*msg);
-        return std::move(msg->payload);
       }
-      heartbeat();
-      if (clock_now() >= deadline) {
-        notify_failure(src);
-        throw RankFailure(src, "recv", FailureCause::kTimeout, rank_,
-                          timeout);
+      if (is_control_frame(msg->tag)) {
+        on_control_frame(msg->tag, msg->payload);
+        continue;
       }
+      if (msg->payload.size() != out.size()) return false;
+      std::copy(msg->payload.begin(), msg->payload.end(), out.begin());
+      return true;
     }
-  }
-
-  bool recv_into(int src, std::span<double> out) override {
-    std::vector<double> msg = recv(src);
-    if (msg.size() != out.size()) return false;
-    std::copy(msg.begin(), msg.end(), out.begin());
-    return true;
   }
 
   void barrier() override {
@@ -115,49 +103,9 @@ class InProcessTransport final : public Transport {
     }
   }
 
-  void heartbeat() override {
-    if (timeout_s() <= 0.0) return;
-    const auto now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now().time_since_epoch())
-                            .count();
-    const auto interval_ns = static_cast<std::int64_t>(
-        heartbeat_interval_s() * 1e9);
-    std::int64_t last = last_heartbeat_ns_.load(std::memory_order_relaxed);
-    if (now_ns - last < interval_ns ||
-        !last_heartbeat_ns_.compare_exchange_strong(
-            last, now_ns, std::memory_order_relaxed)) {
-      return;
-    }
-    note_heartbeat_round();
-    for (int peer = 0; peer < size(); ++peer) {
-      if (peer == rank_) continue;
-      group_->channel(rank_, peer).send({}, wire::kHeartbeatTag);
-    }
-  }
-
  private:
-  /// Re-broadcasts a received failure notice before rethrowing it (gossip):
-  /// a peer blocked on *this* rank learns the root dead rank instead of
-  /// later misattributing the failure to us when our heartbeats stop.
-  RankFailure forward_notice(const Channel::Message& msg) {
-    const int dead =
-        msg.payload.empty() ? -1 : static_cast<int>(msg.payload.front());
-    notify_failure(dead);
-    return RankFailure(dead, "recv", FailureCause::kPeerNotice, rank_,
-                       timeout_s());
-  }
-
-  void notify_failure(int dead) {
-    const std::vector<double> who{static_cast<double>(dead)};
-    for (int peer = 0; peer < size(); ++peer) {
-      if (peer == rank_ || peer == dead) continue;
-      group_->channel(rank_, peer).send(who, wire::kFailureTag);
-    }
-  }
-
   std::shared_ptr<InProcessGroup> group_;
   int rank_;
-  std::atomic<std::int64_t> last_heartbeat_ns_{0};
 };
 
 }  // namespace

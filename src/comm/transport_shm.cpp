@@ -16,13 +16,15 @@
 // (detail::FrameSender), preserving the unbounded-send contract the
 // collectives' neighbour exchanges rely on.
 //
-// Failure detection (timeout armed — see comm/fault.hpp): every futex wait
-// becomes a timed wait in heartbeat-interval slices.  A blocked reader
-// pings all peers each slice and resets its deadline on any ring progress
-// (heartbeat frames included); on expiry it forwards a failure notice and
-// throws RankFailure.  The barrier stamps each rank's arrival generation
-// in the arena, so every timed-out waiter independently names the same
-// lowest non-arrived rank — no notice traffic needed.
+// Failure detection (timeout armed — see comm/fault.hpp): the carrier wait
+// is a timed futex wait in heartbeat-interval slices, and any ring progress
+// (heartbeat frames included) resets the deadline.  A blocked reader pings
+// all peers each slice; the pump worker never does, since it is the thread
+// those pings would drain through.  The protocol on top — pings, notice
+// gossip, the RankFailure on expiry — is Transport's.  The barrier stamps
+// each rank's arrival generation in the arena, so every timed-out waiter
+// independently names the same lowest non-arrived rank — no notice traffic
+// needed.
 #include <sys/mman.h>
 #include <sys/syscall.h>
 #include <time.h>
@@ -313,13 +315,6 @@ class ShmTransport final : public Transport {
     sender_.send(dst, wire::encode_frame(header, payload));
   }
 
-  std::vector<double> recv(int src) override {
-    const wire::FrameHeader header = read_header(src);
-    std::vector<double> payload(static_cast<std::size_t>(header.elements));
-    read_payload(src, payload);
-    return payload;
-  }
-
   bool recv_into(int src, std::span<double> out) override {
     const wire::FrameHeader header = read_header(src);
     if (header.elements != out.size()) {
@@ -370,51 +365,20 @@ class ShmTransport final : public Transport {
     }
   }
 
-  void heartbeat() override {
-    if (timeout_s() <= 0.0) return;
-    const auto now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now().time_since_epoch())
-                            .count();
-    const auto interval_ns =
-        static_cast<std::int64_t>(heartbeat_interval_s() * 1e9);
-    std::int64_t last = last_heartbeat_ns_.load(std::memory_order_relaxed);
-    if (now_ns - last < interval_ns ||
-        !last_heartbeat_ns_.compare_exchange_strong(
-            last, now_ns, std::memory_order_relaxed)) {
-      return;
-    }
-    note_heartbeat_round();
-    wire::FrameHeader ping;
-    ping.tag = wire::kHeartbeatTag;
-    ping.src = rank_;
-    const auto frame = wire::encode_frame(ping, {});
-    for (int peer = 0; peer < arena_->size(); ++peer) {
-      if (peer == rank_) continue;
-      try {
-        sender_.send(peer, frame);
-      } catch (...) {
-        // Liveness pings are best-effort; a poisoned peer queue must not
-        // break the detection path that is trying to report it.
-      }
-    }
-  }
-
  private:
   RingDeadline deadline() const noexcept {
     return RingDeadline{timeout_s(), heartbeat_interval_s(), &stall_ping_};
   }
 
-  /// Next data-bearing frame header from `src`: filters heartbeat frames,
-  /// turns failure notices into (forwarded) RankFailures.
+  /// Next data-bearing frame header from `src`: control frames go to
+  /// Transport::on_control_frame with their payload.
   wire::FrameHeader read_header(int src) {
     for (;;) {
       unsigned char raw[wire::kHeaderBytes];
       if (!ring_read(arena_->ring(src, rank_), arena_->ring_data(src, rank_),
                      arena_->ring_bytes(), raw, wire::kHeaderBytes,
                      deadline())) {
-        notify_failure(src);
-        throw RankFailure(src, "recv", FailureCause::kTimeout, rank_,
-                          timeout_s());
+        fail_recv(src, FailureCause::kTimeout);
       }
       wire::FrameHeader header;
       const wire::DecodeStatus status = wire::decode_header(raw, header);
@@ -426,16 +390,10 @@ class ShmTransport final : public Transport {
       if (header.src != src) {
         throw std::runtime_error("shm transport: frame src mismatch");
       }
-      if (header.tag == wire::kHeartbeatTag) continue;
-      if (header.tag == wire::kFailureTag) {
-        std::vector<double> who(static_cast<std::size_t>(header.elements));
-        read_payload(src, who);
-        const int dead = who.empty() ? -1 : static_cast<int>(who.front());
-        notify_failure(dead);  // gossip: peers blocked on *us* learn it too
-        throw RankFailure(dead, "recv", FailureCause::kPeerNotice, rank_,
-                          timeout_s());
-      }
-      return header;
+      if (!is_control_frame(header.tag)) return header;
+      std::vector<double> body(static_cast<std::size_t>(header.elements));
+      read_payload(src, body);
+      on_control_frame(header.tag, body);
     }
   }
 
@@ -445,32 +403,12 @@ class ShmTransport final : public Transport {
                    arena_->ring_bytes(),
                    reinterpret_cast<unsigned char*>(out.data()),
                    out.size_bytes(), deadline())) {
-      notify_failure(src);
-      throw RankFailure(src, "recv", FailureCause::kTimeout, rank_,
-                        timeout_s());
-    }
-  }
-
-  void notify_failure(int dead) {
-    wire::FrameHeader header;
-    header.tag = wire::kFailureTag;
-    header.src = rank_;
-    header.elements = 1;
-    const double who[] = {static_cast<double>(dead)};
-    const auto frame = wire::encode_frame(header, who);
-    for (int peer = 0; peer < arena_->size(); ++peer) {
-      if (peer == rank_ || peer == dead) continue;
-      try {
-        sender_.send(peer, frame);
-      } catch (...) {
-        // Best-effort: the local RankFailure is thrown regardless.
-      }
+      fail_recv(src, FailureCause::kTimeout);
     }
   }
 
   std::shared_ptr<ShmArena> arena_;
   int rank_;
-  std::atomic<std::int64_t> last_heartbeat_ns_{0};
   std::function<void()> stall_ping_;
   detail::FrameSender sender_;  ///< last member: flushes before arena_ dies
 };

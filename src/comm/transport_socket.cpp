@@ -17,18 +17,19 @@
 // Data path: send() encodes one frame and enqueues it on the peer's send
 // queue, pumped by a dedicated exec worker (detail::FrameSender) — so
 // send never blocks on a full kernel buffer, which keeps the collectives'
-// neighbour exchanges deadlock-free.  recv(src) reads the peer's socket
-// into a FrameParser, reassembling frames across short reads; a torn or
-// corrupt stream (bad magic/version/length, unexpected src) throws
-// instead of hanging.
+// neighbour exchanges deadlock-free.  recv_into(src) reads the peer's
+// socket into a FrameParser, reassembling frames across short reads; a
+// torn or corrupt stream (bad magic/version/length, unexpected src)
+// throws instead of hanging.
 //
-// Failure detection (timeout armed — see comm/fault.hpp): recv polls the
-// peer socket in heartbeat-interval slices, pinging all peers while
-// blocked; any bytes from the awaited peer (heartbeats included) reset the
-// deadline.  A dead peer surfaces three ways, all as RankFailure: EOF /
-// ECONNRESET (kPeerClosed — the kernel noticed the SIGKILL), deadline
-// expiry (kTimeout), or a forwarded failure notice naming the root dead
-// rank (kPeerNotice).  Once the awaited peer has sent a frame of the other
+// Failure detection (timeout armed — see comm/fault.hpp): the carrier wait
+// polls the peer socket in heartbeat-interval slices; any bytes from the
+// awaited peer (heartbeats included) reset the deadline.  The protocol on
+// top — pings while blocked, notice gossip, the RankFailure — is
+// Transport's.  A dead peer surfaces three ways: EOF / ECONNRESET
+// (kPeerClosed — the kernel noticed the SIGKILL), deadline expiry
+// (kTimeout), or a forwarded failure notice naming the root dead rank
+// (kPeerNotice).  Once the awaited peer has sent a frame of the other
 // class (a barrier signal while we wait for data, or the reverse), it has
 // moved past the frame we wait for, so its pings stop resetting the
 // deadline.  Without that, live ranks left waiting on each other in a
@@ -42,7 +43,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -200,20 +201,29 @@ class SocketTransport final : public Transport {
     header.plan_task = plan_task;
     header.elements = payload.size();
     header.codec = codec;
+    if (!sender_) {
+      // Only while the mesh is being built or torn down; heartbeat() and
+      // failure notices swallow this, as they do any per-peer send error.
+      throw std::logic_error("socket transport: no send queue");
+    }
     sender_->send(dst, wire::encode_frame(header, payload));
   }
 
-  std::vector<double> recv(int src) override {
-    return next_frame_of(src, /*want_barrier=*/false).payload;
+  bool recv_into(int src, std::span<double> out) override {
+    const wire::Frame frame = next_frame_of(src, /*want_barrier=*/false);
+    if (frame.payload.size() != out.size()) return false;
+    std::copy(frame.payload.begin(), frame.payload.end(), out.begin());
+    return true;
   }
 
   void barrier() override {
-    // Dissemination barrier (as Transport::barrier), but pulling frames
-    // through the tag demultiplexer: after a lost or out-of-phase message
-    // the stream can interleave barrier signals with data frames, and a
-    // barrier signal consumed by a pending data recv (or vice versa) would
-    // turn one rank's failure into a protocol-corruption crash on a
-    // healthy one.
+    // Dissemination barrier: in round k every rank signals (rank + 2^k) and
+    // waits on (rank - 2^k); after ceil(log2 P) rounds every rank has
+    // transitively heard from every other.  Frames are pulled through the
+    // tag demultiplexer: after a lost or out-of-phase message the stream
+    // can interleave barrier signals with data frames, and a barrier signal
+    // consumed by a pending data recv (or vice versa) would turn one rank's
+    // failure into a protocol-corruption crash on a healthy one.
     const int world = size_;
     try {
       for (int hop = 1; hop < world; hop <<= 1) {
@@ -223,35 +233,6 @@ class SocketTransport final : public Transport {
     } catch (RankFailure& failure) {
       failure.set_context("barrier", failure.plan_task());
       throw;
-    }
-  }
-
-  void heartbeat() override {
-    if (timeout_s() <= 0.0 || !sender_) return;
-    const auto now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now().time_since_epoch())
-                            .count();
-    const auto interval_ns =
-        static_cast<std::int64_t>(heartbeat_interval_s() * 1e9);
-    std::int64_t last = last_heartbeat_ns_.load(std::memory_order_relaxed);
-    if (now_ns - last < interval_ns ||
-        !last_heartbeat_ns_.compare_exchange_strong(
-            last, now_ns, std::memory_order_relaxed)) {
-      return;
-    }
-    note_heartbeat_round();
-    wire::FrameHeader ping;
-    ping.tag = wire::kHeartbeatTag;
-    ping.src = rank_;
-    const auto frame = wire::encode_frame(ping, {});
-    for (int peer = 0; peer < size_; ++peer) {
-      if (peer == rank_) continue;
-      try {
-        sender_->send(peer, frame);
-      } catch (...) {
-        // Liveness pings are best-effort; a poisoned peer queue must not
-        // break the detection path that is trying to report it.
-      }
     }
   }
 
@@ -265,9 +246,7 @@ class SocketTransport final : public Transport {
   /// In lockstep operation nothing is ever stashed (collectives keep the
   /// streams aligned); the queues only fill when a fault desynced a peer,
   /// and then they are what keeps a barrier signal from being misread as a
-  /// short data message.  Heartbeats are dropped here; a failure notice is
-  /// re-broadcast (gossip — peers blocked on *us* learn the root dead rank
-  /// too) and rethrown as a structured RankFailure.
+  /// short data message.  Control frames go to Transport::on_control_frame.
   wire::Frame next_frame_of(int src, bool want_barrier) {
     auto& mine = (want_barrier ? pending_barrier_ : pending_data_)[
         static_cast<std::size_t>(src)];
@@ -286,14 +265,9 @@ class SocketTransport final : public Transport {
       if (frame.header.src != src) {
         throw std::runtime_error("socket transport: frame src mismatch");
       }
-      if (frame.header.tag == wire::kHeartbeatTag) continue;
-      if (frame.header.tag == wire::kFailureTag) {
-        const int dead = frame.payload.empty()
-                             ? -1
-                             : static_cast<int>(frame.payload.front());
-        notify_failure(dead);
-        throw RankFailure(dead, "recv", FailureCause::kPeerNotice, rank_,
-                          timeout_s());
+      if (is_control_frame(frame.header.tag)) {
+        on_control_frame(frame.header.tag, frame.payload);
+        continue;
       }
       const bool is_barrier = frame.header.tag == wire::kBarrierTag;
       if (is_barrier == want_barrier) return frame;
@@ -304,8 +278,7 @@ class SocketTransport final : public Transport {
 
   /// Reassembles the next complete frame from `src`, honoring the armed
   /// `deadline`.  With `extend`, any bytes from the peer reset the deadline
-  /// (progress == liveness); EOF and expiry turn into RankFailures after a
-  /// best-effort notice broadcast.
+  /// (progress == liveness); EOF and expiry go to Transport::fail_recv.
   wire::Frame next_frame(int src, Deadline& deadline, bool extend) {
     wire::FrameParser& parser = parsers_[static_cast<std::size_t>(src)];
     const int fd = peer_fds_[static_cast<std::size_t>(src)];
@@ -316,9 +289,7 @@ class SocketTransport final : public Transport {
         if (!poll_fd(fd, POLLIN, heartbeat_interval_s())) {
           heartbeat();
           if (std::chrono::steady_clock::now() >= deadline) {
-            notify_failure(src);
-            throw RankFailure(src, "recv", FailureCause::kTimeout, rank_,
-                              timeout);
+            fail_recv(src, FailureCause::kTimeout);
           }
           continue;
         }
@@ -327,18 +298,10 @@ class SocketTransport final : public Transport {
       const ssize_t r = ::read(fd, chunk, sizeof(chunk));
       if (r < 0) {
         if (errno == EINTR) continue;
-        if (errno == ECONNRESET) {
-          notify_failure(src);
-          throw RankFailure(src, "recv", FailureCause::kPeerClosed, rank_,
-                            timeout);
-        }
+        if (errno == ECONNRESET) fail_recv(src, FailureCause::kPeerClosed);
         throw_errno("read");
       }
-      if (r == 0) {
-        notify_failure(src);
-        throw RankFailure(src, "recv", FailureCause::kPeerClosed, rank_,
-                          timeout);
-      }
+      if (r == 0) fail_recv(src, FailureCause::kPeerClosed);
       if (!parser.feed({chunk, static_cast<std::size_t>(r)})) {
         throw std::runtime_error(
             std::string("socket transport: corrupt stream from peer ") +
@@ -383,24 +346,6 @@ class SocketTransport final : public Transport {
       done += static_cast<std::size_t>(w);
       deadline = std::chrono::steady_clock::now() +
                  std::chrono::duration<double>(timeout);
-    }
-  }
-
-  void notify_failure(int dead) {
-    if (!sender_) return;
-    wire::FrameHeader header;
-    header.tag = wire::kFailureTag;
-    header.src = rank_;
-    header.elements = 1;
-    const double who[] = {static_cast<double>(dead)};
-    const auto frame = wire::encode_frame(header, who);
-    for (int peer = 0; peer < size_; ++peer) {
-      if (peer == rank_ || peer == dead) continue;
-      try {
-        sender_->send(peer, frame);
-      } catch (...) {
-        // Best-effort: the local RankFailure is thrown regardless.
-      }
     }
   }
 
@@ -512,7 +457,6 @@ class SocketTransport final : public Transport {
   // Per-peer stashes for frames that arrived while the other class was
   // awaited (see next_frame_of).  Empty in lockstep operation.
   std::vector<std::deque<wire::Frame>> pending_data_, pending_barrier_;
-  std::atomic<std::int64_t> last_heartbeat_ns_{0};
   std::unique_ptr<detail::FrameSender> sender_;
 };
 

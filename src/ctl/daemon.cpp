@@ -1,9 +1,12 @@
 #include "ctl/daemon.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "comm/transport.hpp"
@@ -19,22 +22,6 @@
 namespace spdkfac::ctl {
 
 namespace {
-
-std::size_t plan_wire_bytes(const sched::IterationPlan& plan) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.is_collective()) bytes += task.wire_elements * sizeof(double);
-  }
-  return bytes;
-}
-
-std::size_t plan_raw_bytes(const sched::IterationPlan& plan) {
-  std::size_t bytes = 0;
-  for (const sched::Task& task : plan.tasks) {
-    if (task.is_collective()) bytes += task.elements * sizeof(double);
-  }
-  return bytes;
-}
 
 std::string json_array(const std::vector<double>& values) {
   std::string out = "[";
@@ -60,6 +47,16 @@ std::pair<std::string, double> parse_assignment(const std::string& arg) {
                                 "' is not a number");
   }
   return {name, value};
+}
+
+/// Parses a `step` count: decimal digits only (no sign, no trailing
+/// characters), at least 1 and within size_t; nullopt otherwise.
+std::optional<std::size_t> parse_step_count(const std::string& text) {
+  std::size_t n = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, err] = std::from_chars(text.data(), last, n);
+  if (err != std::errc{} || end != last || n == 0) return std::nullopt;
+  return n;
 }
 
 /// Splits a command line on single spaces into [verb, args...].
@@ -250,10 +247,10 @@ void Daemon::rank_main(comm::Communicator& comm) {
          static_cast<double>(steps)},
         {"spdkfac_wire_bytes_per_iteration",
          "Post-codec collective payload bytes of one step's plan",
-         Type::kGauge, static_cast<double>(plan_wire_bytes(optimizer.plan()))},
+         Type::kGauge, static_cast<double>(optimizer.plan().wire_bytes())},
         {"spdkfac_raw_bytes_per_iteration",
          "Pre-codec collective payload bytes of one step's plan",
-         Type::kGauge, static_cast<double>(plan_raw_bytes(optimizer.plan()))},
+         Type::kGauge, static_cast<double>(optimizer.plan().raw_bytes())},
         {"spdkfac_arena_bytes_saved_per_iteration",
          "Bytes per step the zero-copy arena stopped copying or zeroing",
          Type::kGauge,
@@ -318,19 +315,17 @@ void Daemon::rank_main(comm::Communicator& comm) {
       if (!failure.empty()) {
         return Response{false, "daemon is failed: " + failure};
       }
-      std::size_t n = 1;
-      if (words.size() == 2) {
-        const std::size_t parsed = std::strtoul(words[1].c_str(), nullptr, 10);
-        if (parsed == 0) {
-          return Response{false, "usage: step [count >= 1]"};
-        }
-        n = parsed;
-      } else if (words.size() > 2) {
+      std::optional<std::size_t> n = 1;
+      if (words.size() > 1) {
+        n = words.size() == 2 ? parse_step_count(words[1]) : std::nullopt;
+      }
+      // The queue itself must not wrap either.
+      if (!n || *n > std::numeric_limits<std::size_t>::max() - budget) {
         return Response{false, "usage: step [count >= 1]"};
       }
-      budget += n;
+      budget += *n;
       return Response{true,
-                      "queued " + std::to_string(n) + " step(s), " +
+                      "queued " + std::to_string(*n) + " step(s), " +
                           std::to_string(budget) + " pending"};
     }
     if (verb == "shutdown") {

@@ -40,4 +40,28 @@ std::vector<int> IterationPlan::collective_order() const {
   return order;
 }
 
+namespace {
+
+std::size_t collective_bytes(const IterationPlan& plan,
+                             std::optional<TaskKind> kind, bool wire) {
+  std::size_t bytes = 0;
+  for (const Task& task : plan.tasks) {
+    if (!task.is_collective() || (kind && task.kind != *kind)) continue;
+    bytes += (wire ? task.wire_elements : task.elements) * sizeof(double);
+  }
+  return bytes;
+}
+
+}  // namespace
+
+std::size_t IterationPlan::wire_bytes(
+    std::optional<TaskKind> kind) const noexcept {
+  return collective_bytes(*this, kind, /*wire=*/true);
+}
+
+std::size_t IterationPlan::raw_bytes(
+    std::optional<TaskKind> kind) const noexcept {
+  return collective_bytes(*this, kind, /*wire=*/false);
+}
+
 }  // namespace spdkfac::sched

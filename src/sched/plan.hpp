@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,17 @@ struct IterationPlan {
   std::size_t num_collectives() const noexcept {
     return comm_order.size() + broadcast_tasks.size();
   }
+
+  /// Bytes one iteration puts on the wire: the sum of the collective tasks'
+  /// post-codec payloads (`wire_elements`), or of one collective `kind`'s
+  /// only.  Algorithm-level multipliers (a ring's 2(P-1)/P passes) hit
+  /// lossless and compressed payloads alike, so they cancel out of every
+  /// compression ratio derived from this.
+  std::size_t wire_bytes(std::optional<TaskKind> kind = {}) const noexcept;
+
+  /// Same sum over the logical (pre-codec) payloads — the lossless
+  /// baseline the wire bytes are compared against.
+  std::size_t raw_bytes(std::optional<TaskKind> kind = {}) const noexcept;
 };
 
 }  // namespace spdkfac::sched

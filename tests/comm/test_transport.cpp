@@ -5,16 +5,20 @@
 // corrupt headers (bad magic / version / oversize length) rejected cleanly
 // — never a hang, never a giant allocation.  The backend smoke tests drive
 // each Transport through the launcher: point-to-point ordering, barrier,
-// zero-length and ring-wrapping messages, and child-failure propagation.
+// zero-length and ring-wrapping messages, heartbeat rate limiting and
+// filtering, and child-failure propagation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/cluster.hpp"
@@ -340,6 +344,50 @@ TEST_P(TransportBackend, LargeMessagesStreamThrough) {
   const double expected = static_cast<double>(kBig) * (kBig - 1) / 2.0;
   ASSERT_EQ(results[1].size(), 1u);
   EXPECT_EQ(results[1][0], expected);
+}
+
+TEST_P(TransportBackend, HeartbeatsAreRateLimitedCountedAndFiltered) {
+  // Each rank pings twice back to back, sleeps past the heartbeat interval
+  // and pings again, then sends one data message to every peer.  The rate
+  // limiter must let exactly one round through per interval, and every
+  // receiver must skip the pings queued ahead of the data.
+  constexpr double kTimeout = 2.0;  // heartbeat interval: a quarter, 0.5 s
+  const Topology topo = Topology::flat(3);
+  const auto results = Cluster::launch_collect(
+      GetParam(), topo, [](Communicator& comm) -> std::vector<double> {
+        Transport& t = comm.transport();
+        t.heartbeat();  // launched disarmed: a no-op
+        const auto disarmed = static_cast<double>(t.heartbeats_sent());
+        t.set_timeout(kTimeout);  // before this rank's first send
+        t.heartbeat();
+        t.heartbeat();
+        const auto burst = static_cast<double>(t.heartbeats_sent());
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(kTimeout / 4.0 + 0.1));
+        t.heartbeat();
+        const auto later = static_cast<double>(t.heartbeats_sent());
+
+        const int me = comm.rank();
+        for (int peer = 0; peer < comm.size(); ++peer) {
+          if (peer != me) comm.send(peer, std::vector<double>{me + 0.5, -0.0});
+        }
+        double intact = 1.0;
+        for (int peer = 0; peer < comm.size(); ++peer) {
+          if (peer == me) continue;
+          std::vector<double> got(2);
+          comm.recv(peer, got);
+          if (got[0] != peer + 0.5 || !std::signbit(got[1])) intact = 0.0;
+        }
+        return {disarmed, burst, later, intact};
+      });
+  ASSERT_EQ(results.size(), 3u);
+  for (const auto& r : results) {
+    ASSERT_EQ(r.size(), 4u);
+    EXPECT_EQ(r[0], 0.0) << "disarmed heartbeat() must not ping";
+    EXPECT_EQ(r[1], 1.0) << "two back-to-back calls are one round";
+    EXPECT_EQ(r[2], 2.0) << "a call past the interval is a new round";
+    EXPECT_EQ(r[3], 1.0) << "data behind the pings arrived damaged";
+  }
 }
 
 TEST_P(TransportBackend, WorkerFailurePropagates) {

@@ -182,7 +182,8 @@ TEST(CtlDaemon, RejectedSetLeavesOptionsUntouched) {
          {"set lr=-1", "set lr=0", "set stat_decay=1.5", "set kl_clip=-2",
           "set factor_update_freq=0", "set factor_update_freq=1.5",
           "set replan_interval=-3", "set no_such_tunable=1", "set lr=abc",
-          "set lr", "set"}) {
+          "set lr", "set", "step -1", "step 3x", "step 0", "step 1 2",
+          "step +2", "step 18446744073709551616"}) {
       ctl::Response r = client.request(bad);
       EXPECT_FALSE(r.ok) << bad << " was accepted: " << r.body;
     }
@@ -190,7 +191,7 @@ TEST(CtlDaemon, RejectedSetLeavesOptionsUntouched) {
     ctl::Response after = client.request("status");
     ASSERT_TRUE(after.ok);
     EXPECT_EQ(before.body, after.body)
-        << "rejected sets must not change anything status reports";
+        << "rejected commands must not change anything status reports";
 
     // The daemon still trains after the rejections.
     ASSERT_TRUE(client.request("step 1").ok);

@@ -76,6 +76,31 @@ TEST(Planner, CommOrderIsSortedByReadinessGradsBeforeFactorsOnTies) {
   EXPECT_EQ(collectives, plan.num_collectives());
 }
 
+TEST(Planner, ByteCountsSumCollectivePayloadsPerKind) {
+  const ScheduleInputs in = mlp_inputs(4);
+  ScheduleOptions opt;
+  opt.factor_codec = comm::Codec::kInt8;
+  opt.grad_codec = comm::Codec::kTopK;
+  const IterationPlan plan = plan_iteration(in, opt, flat_costs(4));
+  std::size_t raw = 0, wire = 0;
+  for (const Task& t : plan.tasks) {
+    if (!t.is_collective()) continue;
+    raw += t.elements * sizeof(double);
+    wire += t.wire_elements * sizeof(double);
+  }
+  EXPECT_EQ(plan.raw_bytes(), raw);
+  EXPECT_EQ(plan.wire_bytes(), wire);
+  EXPECT_LT(wire, raw);  // both codecs compress
+  for (const auto bytes : {&IterationPlan::raw_bytes,
+                           &IterationPlan::wire_bytes}) {
+    EXPECT_EQ((plan.*bytes)(TaskKind::kFusedAllReduce) +
+                  (plan.*bytes)(TaskKind::kGradAllReduce) +
+                  (plan.*bytes)(TaskKind::kBroadcast),
+              (plan.*bytes)(std::nullopt));
+    EXPECT_EQ((plan.*bytes)(TaskKind::kInverse), 0u);  // not a collective
+  }
+}
+
 TEST(Planner, BulkModeDefersBothFamiliesAfterEveryGradientGroup) {
   const ScheduleInputs in = mlp_inputs(2);
   ScheduleOptions opt;
