@@ -16,7 +16,9 @@
 // `out` and `scratch` (the optimizer's steady-state inverse, which touches
 // no new memory) beside spd_inverse on fresh storage, both on the calling
 // thread and under the pool, at the orders the e2e workloads invert.  The
-// layer rows time single GEMM calls at the small CNN's conv shapes.
+// layer rows time single GEMM calls at the small CNN's conv shapes and at
+// the MLPs' Eq. 13 update and Linear forward shapes.  Every row is the
+// best of five self-calibrated samples.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,8 +54,9 @@ double time_call(F&& f) {
   }
 }
 
-/// Best of `samples` time_call() samples: the pooled rows share the host
-/// with the pool's workers, so one sample is noisier than a serial one.
+/// Best of `samples` time_call() samples.  Every row reports one: on a
+/// shared host a single sample can read half the kernel's real speed, and
+/// the pooled rows also share the host with the pool's workers.
 template <typename F>
 double best_time_call(F&& f, int samples = 5) {
   double best = time_call(f);
@@ -80,7 +83,7 @@ KernelSample bench_gemm_nn(const kernels::KernelTable& kt, std::size_t d) {
   auto c = random_vec(d * d, rng);
   KernelSample s;
   s.flops = 2.0 * static_cast<double>(d) * d * d;
-  s.seconds = time_call([&] {
+  s.seconds = best_time_call([&] {
     kt.gemm_nn(d, d, d, a.data(), d, b.data(), d, c.data(), d);
   });
   return s;
@@ -94,7 +97,7 @@ KernelSample bench_gemm_tn(const kernels::KernelTable& kt, std::size_t d) {
   auto c = random_vec(d * d, rng);
   KernelSample s;
   s.flops = 2.0 * static_cast<double>(K) * d * d;
-  s.seconds = time_call([&] {
+  s.seconds = best_time_call([&] {
     kt.gemm_tn(d, K, d, a.data(), d, a.data(), d, c.data(), d);
   });
   return s;
@@ -107,7 +110,7 @@ KernelSample bench_dot(const kernels::KernelTable& kt, std::size_t n) {
   KernelSample s;
   s.flops = 2.0 * static_cast<double>(n);
   double sink = 0.0;
-  s.seconds = time_call([&] { sink += kt.dot(x.data(), y.data(), n); });
+  s.seconds = best_time_call([&] { sink += kt.dot(x.data(), y.data(), n); });
   if (sink == 42.0) std::printf("%f", sink);  // defeat dead-code elimination
   return s;
 }
@@ -119,7 +122,7 @@ KernelSample bench_ema(const kernels::KernelTable& kt, std::size_t n) {
   KernelSample s;
   s.flops = 3.0 * static_cast<double>(n);  // two muls + add per element
   s.seconds =
-      time_call([&] { kt.ema(state.data(), fresh.data(), n, 0.95); });
+      best_time_call([&] { kt.ema(state.data(), fresh.data(), n, 0.95); });
   return s;
 }
 
@@ -131,7 +134,7 @@ KernelSample bench_spd_inverse(std::size_t d) {
   KernelSample s;
   s.flops = tensor::spd_inverse_flops(d);
   tensor::Matrix inv;
-  s.seconds = time_call([&] { inv = tensor::spd_inverse(a); });
+  s.seconds = best_time_call([&] { inv = tensor::spd_inverse(a); });
   return s;
 }
 
@@ -141,7 +144,7 @@ KernelSample bench_transpose(const kernels::KernelTable& kt, std::size_t d) {
   std::vector<double> out(d * d);
   KernelSample s;
   s.flops = static_cast<double>(d) * d;  // elements moved (not real flops)
-  s.seconds = time_call(
+  s.seconds = best_time_call(
       [&] { kt.transpose(in.data(), d, d, d, out.data(), d); });
   return s;
 }
@@ -310,8 +313,10 @@ int main() {
   // 16x16, conv2 16->32 on 8x8; patch widths 28 and 145 with the bias
   // column): the per-sample forward in both gemm_nt orientations, the
   // weight gradient over the whole batch and the per-sample input-gradient
-  // patches, each beside the nearest width that is a multiple of 8, so
-  // the cost of the N mod 8 column tail shows.
+  // patches, each beside a nearby width with no masked column tail, so
+  // the cost of the tail shows.  Then the MLPs' GEMMs: the Eq. 13 update
+  // G^-1 dW A^-1 of the wide MLP's 256->384 and 384->384 layers (bias
+  // column included), and the Linear forwards at batch 32.
   const LayerGemm layer_gemms[] = {
       {"gemm_nt", 16, 28, 256, "conv1 fwd W P^T"},
       {"gemm_nt", 256, 28, 16, "conv1 fwd P W^T"},
@@ -325,6 +330,13 @@ int main() {
       {"gemm_nn", 256, 16, 24, "conv1 dP, N=24"},
       {"gemm_nn", 64, 32, 145, "conv2 dP"},
       {"gemm_nn", 64, 32, 144, "conv2 dP, N=144"},
+      {"gemm_nn", 384, 385, 385, "384->384 update dW A^-1"},
+      {"gemm_nn", 384, 384, 385, "384->384 update G^-1 dW"},
+      {"gemm_nn", 384, 257, 257, "256->384 update dW A^-1"},
+      {"gemm_nn", 384, 384, 257, "256->384 update G^-1 dW"},
+      {"gemm_nt", 32, 257, 384, "256->384 Linear fwd"},
+      {"gemm_nt", 32, 385, 384, "384->384 Linear fwd"},
+      {"gemm_nt", 32, 129, 128, "128->128 Linear fwd"},
   };
   bench::Table layers({"Layer GEMM", "rows x K x N", "use", "ISA", "GFLOP/s",
                        "us/call"});

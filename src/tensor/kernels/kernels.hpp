@@ -9,8 +9,9 @@
 //
 //   kScalar — portable C++ loops, the cross-platform numeric reference;
 //   kAvx2   — cache-blocked AVX2/FMA double-precision microkernels
-//             (4x8 register tiles over 128-step k chunks for the GEMMs,
-//             4-lane FMA dot products, 4x4 in-register transposes),
+//             (4x12 broadcast tiles over 128-step k chunks for
+//             gemm_nn/gemm_tn, 4x3 dot tiles for gemm_nt, 4-lane FMA
+//             dot products, 4x4 in-register transposes),
 //             compiled only on x86-64 and selected only when CPUID
 //             reports AVX2+FMA.
 //
@@ -32,7 +33,7 @@
 //     such as the blocked spd_inverse fix their block widths and derive
 //     every chunk boundary from the shape alone, so results never depend
 //     on the exec pool size.  Callers hand the GEMMs row blocks in
-//     multiples of 4 so the AVX2 4x8 tile runs instead of its 1-row
+//     multiples of 4 so the AVX2 4-row tiles run instead of their 1-row
 //     leftover path; that is a speed rule, not a correctness rule.
 //   * Different ISA levels may round differently (FMA contracts mul+add
 //     into one rounding); bitwise determinism holds *within* a level,

@@ -8,16 +8,24 @@
 // other architectures.
 //
 // Register-tiling scheme:
-//   * gemm_nn / gemm_tn: 4x8 micro-tiles (8 YMM accumulators) with the
+//   * gemm_nn / gemm_tn: 4x12 micro-tiles (12 YMM accumulators) with the
 //     k loop innermost, over k chunks of kKc steps that keep a tile's
-//     strips in L1; the N mod 8 tail columns run 4-row x <=4-column
-//     masked strips (maskload/maskstore) with the same one-FMA-per-k-step
-//     recipe.  Every C element accumulates strictly k ascending in place
-//     — bitwise independent of the caller's row chunking and of whether
-//     its column lands in a tile or a tail strip, as the determinism
-//     suite requires.
-//   * gemm_nt: 1x4 tiles of FMA dot products sharing the A-row loads,
-//     each reduced with the same fixed-tree horizontal sum as dot().
+//     strips in L1.  Each k step loads three B vectors and broadcasts the
+//     four a(i+r, k) straight from memory (vbroadcastsd m64 is a
+//     load-port uop): no set_pd gather and no vpermpd splats competing
+//     for the one shuffle port, so the step is bound by its 12 FMAs.  The
+//     N mod 12 remainder runs at most one 4x8 tile, then 4-row x
+//     <=4-column masked strips (maskload/maskstore); the < 4 leftover
+//     rows run the same shapes one row high.  Every C element accumulates
+//     one FMA per k step, strictly k ascending, in place — bitwise
+//     independent of the caller's row chunking and of whether its column
+//     lands in a 12-wide tile, an 8-wide one or a strip, as the
+//     determinism suite requires.
+//   * gemm_nt: 4x3 tiles of FMA dot products (12 accumulators; four A and
+//     three B loads per 4-wide k stripe), each reduced with the same
+//     fixed-tree horizontal sum and ascending tail as dot(), so every
+//     element equals c + dot(a_i, b_j) bit for bit.  The M mod 3 columns
+//     run 4x1 blocks, the < 4 leftover rows 1x4 blocks and single dots.
 //   * symmetrize / transpose / unpack mirror: 4x4 in-register transposes
 //     (unpacklo/hi + 128-bit permutes) over 32x32 cache blocks.
 //
@@ -81,55 +89,12 @@ inline void transpose4x4(__m256d& r0, __m256d& r1, __m256d& r2,
 // GEMM family
 // ---------------------------------------------------------------------------
 
-/// 4x8 micro-tile: C rows i..i+3, columns j..j+7, full K sweep in
-/// registers.  `load_a4(k)` yields (a(i,k), a(i+1,k), a(i+2,k), a(i+3,k)).
-template <typename LoadA4>
-inline void tile_4x8(std::size_t K, LoadA4 load_a4, const double* b,
-                     std::size_t ldb, double* c0, double* c1, double* c2,
-                     double* c3) {
-  __m256d acc00 = _mm256_loadu_pd(c0), acc01 = _mm256_loadu_pd(c0 + 4);
-  __m256d acc10 = _mm256_loadu_pd(c1), acc11 = _mm256_loadu_pd(c1 + 4);
-  __m256d acc20 = _mm256_loadu_pd(c2), acc21 = _mm256_loadu_pd(c2 + 4);
-  __m256d acc30 = _mm256_loadu_pd(c3), acc31 = _mm256_loadu_pd(c3 + 4);
-  for (std::size_t k = 0; k < K; ++k) {
-    const __m256d a4 = load_a4(k);
-    const __m256d b0 = _mm256_loadu_pd(b + k * ldb);
-    const __m256d b1 = _mm256_loadu_pd(b + k * ldb + 4);
-    const __m256d a0 = _mm256_permute4x64_pd(a4, 0x00);
-    const __m256d a1 = _mm256_permute4x64_pd(a4, 0x55);
-    const __m256d a2 = _mm256_permute4x64_pd(a4, 0xAA);
-    const __m256d a3 = _mm256_permute4x64_pd(a4, 0xFF);
-    acc00 = _mm256_fmadd_pd(a0, b0, acc00);
-    acc01 = _mm256_fmadd_pd(a0, b1, acc01);
-    acc10 = _mm256_fmadd_pd(a1, b0, acc10);
-    acc11 = _mm256_fmadd_pd(a1, b1, acc11);
-    acc20 = _mm256_fmadd_pd(a2, b0, acc20);
-    acc21 = _mm256_fmadd_pd(a2, b1, acc21);
-    acc30 = _mm256_fmadd_pd(a3, b0, acc30);
-    acc31 = _mm256_fmadd_pd(a3, b1, acc31);
-  }
-  _mm256_storeu_pd(c0, acc00);
-  _mm256_storeu_pd(c0 + 4, acc01);
-  _mm256_storeu_pd(c1, acc10);
-  _mm256_storeu_pd(c1 + 4, acc11);
-  _mm256_storeu_pd(c2, acc20);
-  _mm256_storeu_pd(c2 + 4, acc21);
-  _mm256_storeu_pd(c3, acc30);
-  _mm256_storeu_pd(c3 + 4, acc31);
-}
-
-/// 1x8 row tile for the < 4 leftover rows.
-inline void tile_1x8(std::size_t K, const double* ai, std::size_t stride_a,
-                     const double* b, std::size_t ldb, double* ci) {
-  __m256d acc0 = _mm256_loadu_pd(ci);
-  __m256d acc1 = _mm256_loadu_pd(ci + 4);
-  for (std::size_t k = 0; k < K; ++k) {
-    const __m256d va = _mm256_set1_pd(ai[k * stride_a]);
-    acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b + k * ldb), acc0);
-    acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b + k * ldb + 4), acc1);
-  }
-  _mm256_storeu_pd(ci, acc0);
-  _mm256_storeu_pd(ci + 4, acc1);
+/// a(i + r, k) for the row block whose first row is `a`: gemm_nn reads
+/// a[r*lda + k] (kTransA false), gemm_tn a[k*lda + r] (kTransA true).
+template <bool kTransA>
+inline const double* a_at(const double* a, std::size_t lda, std::size_t r,
+                          std::size_t k) noexcept {
+  return kTransA ? a + k * lda + r : a + r * lda + k;
 }
 
 /// Lane mask selecting the first min(width, 4) doubles of a YMM register.
@@ -138,87 +103,95 @@ inline __m256i lane_mask(std::size_t width) noexcept {
                             _mm256_setr_epi64x(0, 1, 2, 3));
 }
 
-/// 4-row x <=4-column masked strip for the column tail past the last 8-wide
-/// tile: one FMA per k step, k ascending, exactly like the tile lanes.
-/// Masked-off lanes are never read or written.
-template <typename LoadA4>
-inline void tile_4xm(std::size_t K, LoadA4 load_a4, const double* b,
-                     std::size_t ldb, __m256i mask, double* c0, double* c1,
-                     double* c2, double* c3) {
-  __m256d acc0 = _mm256_maskload_pd(c0, mask);
-  __m256d acc1 = _mm256_maskload_pd(c1, mask);
-  __m256d acc2 = _mm256_maskload_pd(c2, mask);
-  __m256d acc3 = _mm256_maskload_pd(c3, mask);
-  for (std::size_t k = 0; k < K; ++k) {
-    const __m256d a4 = load_a4(k);
-    const __m256d bk = _mm256_maskload_pd(b + k * ldb, mask);
-    acc0 = _mm256_fmadd_pd(_mm256_permute4x64_pd(a4, 0x00), bk, acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_permute4x64_pd(a4, 0x55), bk, acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_permute4x64_pd(a4, 0xAA), bk, acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_permute4x64_pd(a4, 0xFF), bk, acc3);
+/// kRows x 4*kNv micro-tile: C rows i..i+kRows-1, columns j..j+4*kNv-1,
+/// full K sweep in registers, one FMA per element per k step, k
+/// ascending.  Each step loads kNv B vectors and broadcasts every
+/// a(i+r, k) straight from memory: a memory-source vbroadcastsd is a
+/// load-port uop, so a step issues nothing but loads and kRows*kNv FMAs.
+/// The 4x12 tile holds 12 accumulators, 3 B vectors and one broadcast:
+/// all 16 YMM registers.  A kMasked tile is one vector wide and `mask`
+/// picks its first <= 4 columns (masked-off lanes are never read or
+/// written); unmasked tiles ignore `mask`.
+template <bool kTransA, std::size_t kRows, std::size_t kNv, bool kMasked>
+inline void tile(std::size_t K, const double* a, std::size_t lda,
+                 const double* b, std::size_t ldb, __m256i mask, double* c,
+                 std::size_t ldc) {
+  static_assert(!kMasked || kNv == 1);
+  const auto load = [&](const double* p) {
+    if constexpr (kMasked) {
+      return _mm256_maskload_pd(p, mask);
+    } else {
+      return _mm256_loadu_pd(p);
+    }
+  };
+  __m256d acc[kRows][kNv];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t v = 0; v < kNv; ++v) {
+      acc[r][v] = load(c + r * ldc + 4 * v);
+    }
   }
-  _mm256_maskstore_pd(c0, mask, acc0);
-  _mm256_maskstore_pd(c1, mask, acc1);
-  _mm256_maskstore_pd(c2, mask, acc2);
-  _mm256_maskstore_pd(c3, mask, acc3);
+  for (std::size_t k = 0; k < K; ++k) {
+    __m256d bk[kNv];
+    for (std::size_t v = 0; v < kNv; ++v) bk[v] = load(b + k * ldb + 4 * v);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const __m256d ar = _mm256_broadcast_sd(a_at<kTransA>(a, lda, r, k));
+      for (std::size_t v = 0; v < kNv; ++v) {
+        acc[r][v] = _mm256_fmadd_pd(ar, bk[v], acc[r][v]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t v = 0; v < kNv; ++v) {
+      if constexpr (kMasked) {
+        _mm256_maskstore_pd(c + r * ldc, mask, acc[r][v]);
+      } else {
+        _mm256_storeu_pd(c + r * ldc + 4 * v, acc[r][v]);
+      }
+    }
+  }
 }
 
-/// 1-row masked strip: the column tail of the < 4 leftover rows.
-inline void tile_1xm(std::size_t K, const double* ai, std::size_t stride_a,
-                     const double* b, std::size_t ldb, __m256i mask,
-                     double* ci) {
-  __m256d acc = _mm256_maskload_pd(ci, mask);
-  for (std::size_t k = 0; k < K; ++k) {
-    acc = _mm256_fmadd_pd(_mm256_set1_pd(ai[k * stride_a]),
-                          _mm256_maskload_pd(b + k * ldb, mask), acc);
+/// Every row of one column strip: 4-row tiles, then the < 4 leftover rows
+/// one at a time.  Columns outermost keep the strip's B block (kKc x 12
+/// doubles at most) in L1 while the A panel streams past it.  `width` is
+/// the columns left from the strip's first one; a masked strip covers
+/// min(width, 4) of them.
+template <bool kTransA, std::size_t kNv, bool kMasked>
+inline void column_strip(std::size_t rows, std::size_t K, std::size_t width,
+                         const double* a, std::size_t lda, const double* b,
+                         std::size_t ldb, double* c, std::size_t ldc) {
+  const __m256i mask = lane_mask(width);
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    tile<kTransA, 4, kNv, kMasked>(K, a_at<kTransA>(a, lda, i, 0), lda, b,
+                                   ldb, mask, c + i * ldc, ldc);
   }
-  _mm256_maskstore_pd(ci, mask, acc);
+  for (; i < rows; ++i) {
+    tile<kTransA, 1, kNv, kMasked>(K, a_at<kTransA>(a, lda, i, 0), lda, b,
+                                   ldb, mask, c + i * ldc, ldc);
+  }
 }
 
-/// One k chunk of gemm_nn (kTransA false: a(i,k) at a[i*lda + k]) or
-/// gemm_tn (kTransA true: a(i,k) at a[k*lda + i]) over all `rows` x N
-/// outputs: 4x8 tiles, then 4-row masked strips for the N mod 8 tail
-/// columns; the < 4 leftover rows run 1x8 tiles and 1-row strips.
+/// One k chunk of gemm_nn (kTransA false) or gemm_tn (kTransA true) over
+/// all `rows` x N outputs: 12-wide column strips, then for the N mod 12
+/// remainder at most one 8-wide strip and masked <= 4-wide strips.
 template <bool kTransA>
 inline void gemm_panel(std::size_t rows, std::size_t K, std::size_t N,
                        const double* a, std::size_t lda, const double* b,
                        std::size_t ldb, double* c, std::size_t ldc) {
-  const std::size_t row_step = kTransA ? 1 : lda;
-  const std::size_t k_step = kTransA ? lda : 1;
-  const std::size_t N8 = N & ~std::size_t{7};
-  std::size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    const double* a0 = a + i * row_step;
-    const auto load = [a0, lda](std::size_t k) {
-      if constexpr (kTransA) {
-        // The 4 broadcasts of a step are adjacent: one unaligned load.
-        return _mm256_loadu_pd(a0 + k * lda);
-      } else {
-        return _mm256_set_pd(a0[3 * lda + k], a0[2 * lda + k], a0[lda + k],
-                             a0[k]);
-      }
-    };
-    double* c0 = c + i * ldc;
-    double* c1 = c0 + ldc;
-    double* c2 = c1 + ldc;
-    double* c3 = c2 + ldc;
-    std::size_t j = 0;
-    for (; j < N8; j += 8) {
-      tile_4x8(K, load, b + j, ldb, c0 + j, c1 + j, c2 + j, c3 + j);
-    }
-    for (; j < N; j += 4) {
-      tile_4xm(K, load, b + j, ldb, lane_mask(N - j), c0 + j, c1 + j,
-               c2 + j, c3 + j);
-    }
+  std::size_t j = 0;
+  for (; j + 12 <= N; j += 12) {
+    column_strip<kTransA, 3, false>(rows, K, N - j, a, lda, b + j, ldb,
+                                    c + j, ldc);
   }
-  for (; i < rows; ++i) {
-    const double* ai = a + i * row_step;
-    double* ci = c + i * ldc;
-    std::size_t j = 0;
-    for (; j < N8; j += 8) tile_1x8(K, ai, k_step, b + j, ldb, ci + j);
-    for (; j < N; j += 4) {
-      tile_1xm(K, ai, k_step, b + j, ldb, lane_mask(N - j), ci + j);
-    }
+  if (j + 8 <= N) {
+    column_strip<kTransA, 2, false>(rows, K, N - j, a, lda, b + j, ldb,
+                                    c + j, ldc);
+    j += 8;
+  }
+  for (; j < N; j += 4) {
+    column_strip<kTransA, 1, true>(rows, K, N - j, a, lda, b + j, ldb,
+                                   c + j, ldc);
   }
 }
 
@@ -251,44 +224,72 @@ void gemm_tn_avx2(std::size_t rows, std::size_t K, std::size_t N,
   });
 }
 
+/// kRows x kCols block of gemm_nt outputs, C(i+r, j+s) += a_r . b_s over
+/// K, sharing each stripe's loads: kRows A and kCols B loads feed
+/// kRows*kCols FMAs.  Every accumulator follows the exact dot_avx2 recipe
+/// (4-lane stripe, fixed-tree hsum, ascending scalar tail), so each
+/// element equals c + dot_avx2(a_r, b_s, K) whichever block it lands in.
+template <std::size_t kRows, std::size_t kCols>
+inline void dot_block(std::size_t K, const double* a, std::size_t lda,
+                      const double* b, std::size_t ldb, double* c,
+                      std::size_t ldc) {
+  __m256d acc[kRows][kCols];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t s = 0; s < kCols; ++s) acc[r][s] = _mm256_setzero_pd();
+  }
+  const std::size_t K4 = K & ~std::size_t{3};
+  for (std::size_t k = 0; k < K4; k += 4) {
+    __m256d bk[kCols];
+    for (std::size_t s = 0; s < kCols; ++s) {
+      bk[s] = _mm256_loadu_pd(b + s * ldb + k);
+    }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const __m256d ar = _mm256_loadu_pd(a + r * lda + k);
+      for (std::size_t s = 0; s < kCols; ++s) {
+        acc[r][s] = _mm256_fmadd_pd(ar, bk[s], acc[r][s]);
+      }
+    }
+  }
+  // Unrolled, the accumulators stay in registers through the reductions
+  // instead of going through a stack array: at K = 28 that spill cost
+  // more than the shared loads saved.
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const double* ar = a + r * lda;
+#pragma GCC unroll 4
+    for (std::size_t s = 0; s < kCols; ++s) {
+      const double* bs = b + s * ldb;
+      double sum = hsum(acc[r][s]);
+      for (std::size_t k = K4; k < K; ++k) sum += ar[k] * bs[k];
+      c[r * ldc + s] += sum;
+    }
+  }
+}
+
+/// gemm_nt: 4x3 dot blocks (12 accumulators, 4 A and 3 B loads per
+/// stripe), a 4x1 block per leftover column, and for the < 4 leftover
+/// rows 1x4 blocks and single dots.
 void gemm_nt_avx2(std::size_t rows, std::size_t K, std::size_t M,
                   const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc) {
-  const std::size_t K4 = K & ~std::size_t{3};
-  for (std::size_t i = 0; i < rows; ++i) {
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    const double* ai = a + i * lda;
+    double* ci = c + i * ldc;
+    std::size_t j = 0;
+    for (; j + 3 <= M; j += 3) {
+      dot_block<4, 3>(K, ai, lda, b + j * ldb, ldb, ci + j, ldc);
+    }
+    for (; j < M; ++j) {
+      dot_block<4, 1>(K, ai, lda, b + j * ldb, ldb, ci + j, ldc);
+    }
+  }
+  for (; i < rows; ++i) {
     const double* ai = a + i * lda;
     double* ci = c + i * ldc;
     std::size_t j = 0;
     for (; j + 4 <= M; j += 4) {
-      // Four dot products sharing each A load; every accumulator follows
-      // the exact dot() recipe (4-lane stripe, fixed-tree hsum, ascending
-      // tail), so results match dot_avx2 element for element.
-      const double* b0 = b + j * ldb;
-      const double* b1 = b0 + ldb;
-      const double* b2 = b1 + ldb;
-      const double* b3 = b2 + ldb;
-      __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-      __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
-      for (std::size_t k = 0; k < K4; k += 4) {
-        const __m256d va = _mm256_loadu_pd(ai + k);
-        acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b0 + k), acc0);
-        acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b1 + k), acc1);
-        acc2 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b2 + k), acc2);
-        acc3 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b3 + k), acc3);
-      }
-      double s0 = hsum(acc0), s1 = hsum(acc1), s2 = hsum(acc2),
-             s3 = hsum(acc3);
-      for (std::size_t k = K4; k < K; ++k) {
-        const double av = ai[k];
-        s0 += av * b0[k];
-        s1 += av * b1[k];
-        s2 += av * b2[k];
-        s3 += av * b3[k];
-      }
-      ci[j] += s0;
-      ci[j + 1] += s1;
-      ci[j + 2] += s2;
-      ci[j + 3] += s3;
+      dot_block<1, 4>(K, ai, lda, b + j * ldb, ldb, ci + j, ldc);
     }
     for (; j < M; ++j) ci[j] += dot_avx2(ai, b + j * ldb, K);
   }

@@ -175,10 +175,10 @@ TEST_P(KernelLevel, GemmsAreRowChunkInvariant) {
   Rng rng(104);
   const std::size_t rows = 23, K = 300, N = 19;
   const auto a = random_vec(rows * K, rng);   // row-major rows x K
-  const auto at = random_vec(K * rows, rng);  // row-major K x rows
   const auto b = random_vec(K * N, rng);      // row-major K x N
-  const auto bt = random_vec(N * K, rng);     // row-major N x K
   const auto c0 = random_vec(rows * N, rng);
+  const auto at = random_vec(K * rows, rng);  // row-major K x rows
+  const auto bt = random_vec(N * K, rng);     // row-major N x K
 
   auto whole_nn = c0;
   kt().gemm_nn(rows, K, N, a.data(), K, b.data(), N, whole_nn.data(), N);
@@ -430,20 +430,21 @@ TEST_P(KernelLevel, TransposeExact) {
 }
 
 // The AVX2 gemm_nn/gemm_tn promise one FMA per k step, k ascending, for
-// every output column, whether it lands in a 4x8 tile or in a masked strip
-// of the N mod 8 tail.  The reference tests above compare at 1e-12 and
-// cannot see a tail that rounds differently, so this one compares bit for
-// bit against a std::fma chain.  N = 1..17 covers every tail width with
-// and without full tiles, rows 1..9 both the 4-row and the 1-row paths,
-// K = 130 a k range split at kKc = 128; operands start one element into
-// their buffers, and the padding past N in C must stay untouched.
+// every output column, whether it lands in a 4x12 tile, in the 8-wide
+// tile of the N mod 12 remainder or in a masked strip.  The reference
+// tests above compare at 1e-12 and cannot see a tile that rounds
+// differently, so this one compares bit for bit against a std::fma chain.
+// N = 1..29 puts every N mod 12 behind zero, one and two full 12-wide
+// tiles, rows 1..9 covers both the 4-row and the 1-row paths, K = 130 a k
+// range split at kKc = 128; operands start one element into their
+// buffers, and the padding past N in C must stay untouched.
 TEST(KernelLevel, GemmColumnTailsAreOneFmaPerStep) {
   if (!supported(Isa::kAvx2)) GTEST_SKIP() << "no AVX2 level on this host";
   const KernelTable& kt = table(Isa::kAvx2);
   Rng rng(113);
   for (const std::size_t K : {1u, 5u, 130u}) {
     for (std::size_t rows = 1; rows <= 9; ++rows) {
-      for (std::size_t N = 1; N <= 17; ++N) {
+      for (std::size_t N = 1; N <= 29; ++N) {
         const std::size_t ldb = N + 3, ldc = N + 2;
         const auto b = random_vec(1 + K * ldb, rng);
         const auto c0 = random_vec(1 + rows * ldc, rng);
@@ -480,6 +481,49 @@ TEST(KernelLevel, GemmColumnTailsAreOneFmaPerStep) {
   }
 }
 
+// The AVX2 gemm_nt promises that every element is exactly
+// c + dot(a_i, b_j, K), whether it lands in a 4x3 dot tile, in the 4x1
+// blocks of the M mod 3 columns or on the 1-row path of the rows mod 4
+// leftover rows.  GemmNtMatchesReference compares at 1e-12, so this one
+// compares bit for bit against the table's own dot.  K = 1 and 3 are all
+// scalar tail, K = 4 is one stripe and no tail, K = 5 and 130 are stripes
+// plus tails of 1 and 2 (each tail length rounds its own way in dot);
+// lda/ldb/ldc are padded, operands start one element into their buffers,
+// and the padding past M in C must stay untouched.
+TEST(KernelLevel, GemmNtIsDotPerElement) {
+  if (!supported(Isa::kAvx2)) GTEST_SKIP() << "no AVX2 level on this host";
+  const KernelTable& kt = table(Isa::kAvx2);
+  Rng rng(114);
+  for (const std::size_t K : {1u, 3u, 4u, 5u, 130u}) {
+    const std::size_t lda = K + 3, ldb = K + 1;
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      for (std::size_t M = 1; M <= 7; ++M) {
+        const std::size_t ldc = M + 2;
+        const auto a = random_vec(1 + rows * lda, rng);
+        const auto b = random_vec(1 + M * ldb, rng);
+        const auto c0 = random_vec(1 + rows * ldc, rng);
+        auto want = c0;
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t j = 0; j < M; ++j) {
+            want[1 + i * ldc + j] +=
+                kt.dot(a.data() + 1 + i * lda, b.data() + 1 + j * ldb, K);
+          }
+        }
+        auto c = c0;
+        kt.gemm_nt(rows, K, M, a.data() + 1, lda, b.data() + 1, ldb,
+                   c.data() + 1, ldc);
+        std::string what = "gemm_nt K=";
+        what += std::to_string(K);
+        what += " rows=";
+        what += std::to_string(rows);
+        what += " M=";
+        what += std::to_string(M);
+        expect_bitwise_eq(c, want, what.c_str());
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Levels, KernelLevel,
                          ::testing::ValuesIn(supported_levels()), level_name);
 
@@ -491,16 +535,29 @@ TEST(KernelCrossLevel, GemmLevelsAgreeWithinTolerance) {
   if (!supported(Isa::kAvx2)) GTEST_SKIP() << "single level build/CPU";
   Rng rng(112);
   const std::size_t rows = 31, K = 47, N = 22;
-  const auto a = random_vec(rows * K, rng);
-  const auto b = random_vec(K * N, rng);
+  const auto a = random_vec(rows * K, rng);   // row-major rows x K
+  const auto b = random_vec(K * N, rng);      // row-major K x N
   const auto c0 = random_vec(rows * N, rng);
+  const auto at = random_vec(K * rows, rng);  // row-major K x rows
+  const auto bt = random_vec(N * K, rng);     // row-major N x K
 
+  const KernelTable& scalar = table(Isa::kScalar);
+  const KernelTable& avx2 = table(Isa::kAvx2);
   auto scalar_c = c0, avx2_c = c0;
-  table(Isa::kScalar).gemm_nn(rows, K, N, a.data(), K, b.data(), N,
-                              scalar_c.data(), N);
-  table(Isa::kAvx2).gemm_nn(rows, K, N, a.data(), K, b.data(), N,
-                            avx2_c.data(), N);
+  scalar.gemm_nn(rows, K, N, a.data(), K, b.data(), N, scalar_c.data(), N);
+  avx2.gemm_nn(rows, K, N, a.data(), K, b.data(), N, avx2_c.data(), N);
   expect_close(avx2_c, scalar_c, 1e-13, "gemm_nn cross-level");
+
+  scalar_c = avx2_c = c0;
+  scalar.gemm_tn(rows, K, N, at.data(), rows, b.data(), N, scalar_c.data(),
+                 N);
+  avx2.gemm_tn(rows, K, N, at.data(), rows, b.data(), N, avx2_c.data(), N);
+  expect_close(avx2_c, scalar_c, 1e-13, "gemm_tn cross-level");
+
+  scalar_c = avx2_c = c0;
+  scalar.gemm_nt(rows, K, N, a.data(), K, bt.data(), K, scalar_c.data(), N);
+  avx2.gemm_nt(rows, K, N, a.data(), K, bt.data(), K, avx2_c.data(), N);
+  expect_close(avx2_c, scalar_c, 1e-13, "gemm_nt cross-level");
 }
 
 }  // namespace
