@@ -100,16 +100,11 @@ inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
           const auto step_t0 = std::chrono::steady_clock::now();
           nn::Batch batch = data.sample(cfg.batch, shard);
           const double pass_begin = optimizer.engine_now_s();
-          if (cfg.hooked) {
-            const nn::PassHooks hooks = optimizer.pass_hooks();
-            last_loss = loss.forward(model.forward(batch.inputs, hooks),
-                                     batch.labels);
-            model.backward(loss.backward(), hooks);
-          } else {
-            last_loss =
-                loss.forward(model.forward(batch.inputs), batch.labels);
-            model.backward(loss.backward());
-          }
+          const nn::PassHooks hooks =
+              cfg.hooked ? optimizer.pass_hooks() : nn::PassHooks{};
+          last_loss = loss.forward(model.forward(batch.inputs, hooks),
+                                   batch.labels);
+          model.backward(loss.backward(), hooks);
           pass_windows.emplace_back(pass_begin, optimizer.engine_now_s());
           optimizer.step();
           step_seconds.push_back(std::chrono::duration<double>(

@@ -1,5 +1,7 @@
 #include "comm/async_engine.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "comm/fault.hpp"
@@ -82,9 +84,11 @@ void AsyncCommEngine::wait_all() {
   drained_cv_.wait(lock, [this] { return queue_.empty() && !pumping_; });
 }
 
-std::vector<OpRecord> AsyncCommEngine::records() const {
+std::vector<OpRecord> AsyncCommEngine::records(std::size_t first) const {
   std::lock_guard lock(records_mutex_);
-  return records_;
+  first = std::min(first, records_.size());
+  return {records_.begin() + static_cast<std::ptrdiff_t>(first),
+          records_.end()};
 }
 
 void AsyncCommEngine::pump() {

@@ -186,8 +186,11 @@ class AsyncCommEngine {
     return completed_.load(std::memory_order_acquire);
   }
 
-  /// Snapshot of execution records (call after wait_all for a stable view).
-  std::vector<OpRecord> records() const;
+  /// Snapshot of execution records from index `first` on, in completion
+  /// order (call after wait_all for a stable view).  Records are never
+  /// trimmed, so a caller harvesting step by step passes its cursor instead
+  /// of re-copying the whole run.
+  std::vector<OpRecord> records(std::size_t first = 0) const;
 
   /// Seconds since engine start, on the clock the records use — lets
   /// callers place their own events (pass boundaries, drains) on the same

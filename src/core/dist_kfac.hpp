@@ -312,9 +312,10 @@ class DistKfacOptimizer {
 
   /// Execution records of this rank's background communication engine
   /// (submit/start/end timestamps per collective, tagged with plan-task
-  /// ids) — the observable overlap.
-  std::vector<comm::OpRecord> comm_records() const {
-    return engine_.records();
+  /// ids) — the observable overlap.  `first` skips the records a caller
+  /// already harvested (see AsyncCommEngine::records).
+  std::vector<comm::OpRecord> comm_records(std::size_t first = 0) const {
+    return engine_.records(first);
   }
 
   /// Engine-clock timestamp (the clock comm_records() uses) — lets

@@ -16,6 +16,7 @@
 #include "nn/data.hpp"
 #include "nn/layers.hpp"
 #include "sched/serialize.hpp"
+#include "sim/iteration.hpp"
 #include "tensor/random.hpp"
 #include "util/json.hpp"
 
@@ -110,15 +111,10 @@ void Daemon::rank_main(comm::Communicator& comm) {
   double last_loss = 0.0;
   const std::function<void()> train_one_step = [&] {
     nn::Batch batch = data.sample(opts_.batch, shard);
-    if (opts_.hooked) {
-      const nn::PassHooks hooks = optimizer.pass_hooks();
-      last_loss =
-          loss.forward(model.forward(batch.inputs, hooks), batch.labels);
-      model.backward(loss.backward(), hooks);
-    } else {
-      last_loss = loss.forward(model.forward(batch.inputs), batch.labels);
-      model.backward(loss.backward());
-    }
+    const nn::PassHooks hooks =
+        opts_.hooked ? optimizer.pass_hooks() : nn::PassHooks{};
+    last_loss = loss.forward(model.forward(batch.inputs, hooks), batch.labels);
+    model.backward(loss.backward(), hooks);
     optimizer.step();
   };
 
@@ -132,8 +128,9 @@ void Daemon::rank_main(comm::Communicator& comm) {
   TraceRecorder recorder;
   optimizer.set_task_listener(
       [&recorder](const sched::Task& task, double start_s, double end_s) {
-        recorder.add(task.label.empty() ? to_string(task.kind) : task.label,
-                     TraceRecorder::Lane::kCompute, start_s, end_s);
+        recorder.add({.kind = sim::breakdown_kind(task.kind), .start = start_s,
+                      .end = end_s, .label = task.label,
+                      .resources = {TraceRecorder::kComputeStream}});
       });
 
   std::size_t budget = opts_.auto_steps;
@@ -380,13 +377,20 @@ void Daemon::rank_main(comm::Communicator& comm) {
     steps_done_.store(optimizer.steps());
 
     // Stitch the step's collectives into the trace (compute intervals
-    // arrived live through the task listener).
-    const std::vector<comm::OpRecord> records = optimizer.comm_records();
-    for (; records_harvested < records.size(); ++records_harvested) {
-      const comm::OpRecord& rec = records[records_harvested];
+    // arrived live through the task listener).  plan() is still the plan
+    // the step ran; out-of-plan traffic (the profile sync) is kOther.
+    const std::vector<comm::OpRecord> records =
+        optimizer.comm_records(records_harvested);
+    records_harvested += records.size();
+    for (const comm::OpRecord& rec : records) {
       if (rec.failed) continue;
-      recorder.add(rec.name, TraceRecorder::Lane::kComm, rec.start_s,
-                   rec.end_s);
+      const sim::TaskKind kind =
+          rec.plan_task < 0
+              ? sim::TaskKind::kOther
+              : sim::breakdown_kind(optimizer.plan().task(rec.plan_task).kind);
+      recorder.add({.kind = kind, .start = rec.start_s, .end = rec.end_s,
+                    .label = rec.name,
+                    .resources = {TraceRecorder::kCommStream}});
     }
   }
 

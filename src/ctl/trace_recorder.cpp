@@ -2,97 +2,72 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 
-#include "util/json.hpp"
+#include "sim/trace.hpp"
 
 namespace spdkfac::ctl {
 
-void TraceRecorder::add(std::string name, Lane lane, double start_s,
-                        double end_s) {
+void TraceRecorder::add(sim::ScheduledTask task) {
+  if (task.resources.size() != 1 || (task.resources[0] != kComputeStream &&
+                                     task.resources[0] != kCommStream)) {
+    throw std::invalid_argument("TraceRecorder: not a compute/comm stream");
+  }
   std::lock_guard lock(mu_);
   if (events_.size() >= kMaxEvents) {
     events_.erase(events_.begin(),
                   events_.begin() + static_cast<std::ptrdiff_t>(
                                         kMaxEvents / 4));
   }
-  events_.push_back(Event{std::move(name), lane, start_s, end_s});
-}
-
-std::size_t TraceRecorder::size() const {
-  std::lock_guard lock(mu_);
-  return events_.size();
+  events_.push_back(std::move(task));
 }
 
 std::string TraceRecorder::to_chrome_trace(
     const std::string& process_name) const {
-  std::vector<Event> events;
+  sim::Schedule packed;
   {
     std::lock_guard lock(mu_);
-    events = events_;
+    packed.tasks = events_;
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) {
-                     return a.start_s < b.start_s;
+  std::stable_sort(packed.tasks.begin(), packed.tasks.end(),
+                   [](const sim::ScheduledTask& a,
+                      const sim::ScheduledTask& b) {
+                     return a.start < b.start;
                    });
 
-  // Greedy lane packing per category: place each interval on the first
-  // lane whose previous occupant already ended, else open a new lane.
-  std::vector<double> compute_ends, comm_ends;
-  std::vector<std::size_t> lane_of(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    std::vector<double>& ends =
-        events[i].lane == Lane::kCompute ? compute_ends : comm_ends;
-    std::size_t lane = ends.size();
-    for (std::size_t l = 0; l < ends.size(); ++l) {
-      if (ends[l] <= events[i].start_s) {
-        lane = l;
-        break;
-      }
-    }
-    if (lane == ends.size()) {
-      ends.push_back(events[i].end_s);
-    } else {
-      ends[lane] = std::max(ends[lane], events[i].end_s);
-    }
-    lane_of[i] = lane;
+  // Greedy lane packing per stream: place each interval on the first lane
+  // whose previous occupant already ended, else open a new lane.
+  std::vector<double> lane_ends[2];
+  std::vector<int> stream_of;
+  for (sim::ScheduledTask& t : packed.tasks) {
+    std::vector<double>& ends = lane_ends[t.resources[0]];
+    std::size_t lane = 0;
+    while (lane < ends.size() && ends[lane] > t.start) ++lane;
+    if (lane == ends.size()) ends.push_back(t.end);
+    ends[lane] = std::max(ends[lane], t.end);
+    stream_of.push_back(t.resources[0]);
+    t.resources[0] = static_cast<int>(lane);
   }
 
   // Comm lanes are numbered after every compute lane, so the two groups
   // render as visually distinct blocks.
-  const std::size_t n_compute = std::max<std::size_t>(compute_ends.size(), 1);
-  const std::size_t n_comm = std::max<std::size_t>(comm_ends.size(), 1);
-
-  std::string out = "[\n";
-  out +=
-      R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":)" +
-      util::json_string(process_name) + "}}";
+  const std::size_t n_compute =
+      std::max<std::size_t>(lane_ends[kComputeStream].size(), 1);
+  const std::size_t n_comm =
+      std::max<std::size_t>(lane_ends[kCommStream].size(), 1);
+  for (std::size_t i = 0; i < packed.tasks.size(); ++i) {
+    if (stream_of[i] == kCommStream) {
+      packed.tasks[i].resources[0] += static_cast<int>(n_compute);
+    }
+  }
+  std::vector<std::string> lanes;
   for (std::size_t l = 0; l < n_compute; ++l) {
-    out += ",\n";
-    out += R"({"name":"thread_name","ph":"M","pid":1,"tid":)" +
-           std::to_string(l) + R"(,"args":{"name":)" +
-           util::json_string("compute-" + std::to_string(l)) + "}}";
+    lanes.push_back("compute-" + std::to_string(l));
   }
   for (std::size_t l = 0; l < n_comm; ++l) {
-    out += ",\n";
-    out += R"({"name":"thread_name","ph":"M","pid":1,"tid":)" +
-           std::to_string(n_compute + l) + R"(,"args":{"name":)" +
-           util::json_string("comm-" + std::to_string(l)) + "}}";
+    lanes.push_back("comm-" + std::to_string(l));
   }
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Event& ev = events[i];
-    const bool compute = ev.lane == Lane::kCompute;
-    const std::size_t tid =
-        compute ? lane_of[i] : n_compute + lane_of[i];
-    const double dur_us = std::max(0.0, (ev.end_s - ev.start_s) * 1e6);
-    out += ",\n";
-    out += R"({"name":)" + util::json_string(ev.name) + R"(,"cat":)" +
-           (compute ? R"("compute")" : R"("comm")") +
-           R"(,"ph":"X","pid":1,"tid":)" + std::to_string(tid) +
-           R"(,"ts":)" + util::json_number(ev.start_s * 1e6) +
-           R"(,"dur":)" + util::json_number(dur_us) + "}";
-  }
-  out += "\n]\n";
-  return out;
+  return sim::to_chrome_trace(packed, lanes, process_name);
 }
 
 }  // namespace spdkfac::ctl

@@ -109,8 +109,8 @@ comm::AlgorithmSelector fit_selector(const comm::Topology& topo,
     // Noise-dominated small-message samples can drive the OLS intercept
     // (or slope) negative; a negative term would make this algorithm's
     // cost negative and win every selection, so clamp to physical values.
-    selector.set_term(algo, comm::LinkModel{std::max(fit.alpha, 0.0),
-                                            std::max(fit.beta, 0.0)});
+    selector.set_term(algo,
+                      {std::max(fit.alpha, 0.0), std::max(fit.beta, 0.0)});
   }
   return selector;
 }

@@ -133,8 +133,7 @@ ClusterCalibration ClusterCalibration::for_topology(const comm::Topology& topo) 
   cal.topology = topo;
   cal.collectives = comm::AlgorithmSelector(topo);
   cal.topology_aware = true;
-  const comm::LinkModel ring = cal.collectives.term(comm::AllReduceAlgo::kRing);
-  cal.allreduce.model = LinearModel{ring.alpha, ring.beta};
+  cal.allreduce.model = cal.collectives.term(comm::AllReduceAlgo::kRing);
   cal.name = "topo-" + std::to_string(topo.nodes) + "x" +
              std::to_string(topo.gpus_per_node);
   return cal;

@@ -22,13 +22,8 @@
 
 namespace spdkfac::perf {
 
-/// t(x) = alpha + beta * x.
-struct LinearModel {
-  double alpha = 0.0;
-  double beta = 0.0;
-
-  double operator()(double x) const noexcept { return alpha + beta * x; }
-};
+/// t(x) = alpha + beta * x — the same alpha-beta form as a link's cost.
+using LinearModel = comm::LinkModel;
 
 /// t(x) = alpha * exp(beta * x).
 struct ExpModel {

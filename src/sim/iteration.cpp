@@ -71,20 +71,25 @@ class CollectivePricer {
   comm::AlgorithmSelector selector_;
 };
 
-TaskKind sim_kind(sched::TaskKind kind) noexcept {
+}  // namespace
+
+TaskKind breakdown_kind(sched::TaskKind kind) noexcept {
   switch (kind) {
+    case sched::TaskKind::kFactorCompute:
+      return TaskKind::kFactorComp;
     case sched::TaskKind::kFusedAllReduce:
       return TaskKind::kFactorComm;
     case sched::TaskKind::kGradAllReduce:
       return TaskKind::kGradComm;
+    case sched::TaskKind::kInverse:
+      return TaskKind::kInverseComp;
     case sched::TaskKind::kBroadcast:
       return TaskKind::kInverseComm;
-    default:
+    case sched::TaskKind::kUpdate:
       return TaskKind::kOther;
   }
+  return TaskKind::kOther;
 }
-
-}  // namespace
 
 IterationResult simulate_iteration(const models::ModelSpec& model,
                                    std::size_t batch,
@@ -226,13 +231,13 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
                               ? grad_comm_streams
                               : factor_comm_streams;
     es_of[id] =
-        es.add_gang_task(sim_kind(task.kind), duration, streams, deps,
+        es.add_gang_task(breakdown_kind(task.kind), duration, streams, deps,
                          task.label);
     if (task.kind == sched::TaskKind::kFusedAllReduce) {
       factor_comm_ids.push_back(es_of[id]);
       result.factor_comm_busy += duration;
     }
-    result.collectives.push_back({task.label, sim_kind(task.kind),
+    result.collectives.push_back({task.label, breakdown_kind(task.kind),
                                   task.elements, task.algo, duration, task.id,
                                   -1});
   }

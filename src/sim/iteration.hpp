@@ -109,6 +109,11 @@ struct IterationResult {
   sched::Placement placement;
 };
 
+/// The breakdown category (Figs. 2, 9) a plan task is charged to — the one
+/// mapping behind simulate_iteration and the control plane's live trace.
+/// The update has no category of its own and lands in kOther.
+TaskKind breakdown_kind(sched::TaskKind kind) noexcept;
+
 /// Simulates one iteration of `cfg` training `model` with per-GPU batch
 /// `batch` on the cluster described by `cal` (cal.world_size workers).
 IterationResult simulate_iteration(const models::ModelSpec& model,

@@ -1,8 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <fstream>
-#include <locale>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/json.hpp"
@@ -10,12 +8,6 @@
 namespace spdkfac::sim {
 
 namespace {
-
-using util::json_escape;
-
-/// Shorthand: the shared locale-independent escaper (a locale with a comma
-/// decimal separator or grouping must never corrupt the trace).
-std::string escape(const std::string& s) { return json_escape(s); }
 
 /// Category names double as Perfetto color keys.
 const char* category_of(TaskKind kind) {
@@ -44,19 +36,17 @@ const char* category_of(TaskKind kind) {
 std::string to_chrome_trace(const Schedule& schedule,
                             const std::vector<std::string>& stream_names,
                             const std::string& process_name) {
-  std::ostringstream out;
-  // The stream carries only integers (pid/tid) and pre-formatted strings,
-  // but imbue the classic locale anyway: a grouping global locale would
-  // otherwise render tid 1000 as "1,000".
-  out.imbue(std::locale::classic());
-  out << "[\n";
+  // Built from std::to_string (integers) and the util/json helpers only, so
+  // no global locale can regroup a tid or comma a timestamp.
+  std::string out = "[\n";
   // Process + thread metadata rows.
-  out << R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":")"
-      << escape(process_name) << "\"}}";
+  out += R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":)";
+  out += util::json_string(process_name) + "}}";
   for (std::size_t s = 0; s < stream_names.size(); ++s) {
-    out << ",\n"
-        << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << s
-        << R"(,"args":{"name":")" << escape(stream_names[s]) << "\"}}";
+    out += ",\n";
+    out += R"({"name":"thread_name","ph":"M","pid":1,"tid":)";
+    out += std::to_string(s) + R"(,"args":{"name":)";
+    out += util::json_string(stream_names[s]) + "}}";
   }
   // One complete event per (task, stream) occupancy; gang tasks appear on
   // every stream they hold, exactly as they block them.
@@ -66,18 +56,22 @@ std::string to_chrome_trace(const Schedule& schedule,
       if (s < 0 || static_cast<std::size_t>(s) >= stream_names.size()) {
         throw std::invalid_argument("to_chrome_trace: unnamed stream id");
       }
-      out << ",\n"
-          << R"({"name":")"
-          << escape(t.label.empty() ? to_string(t.kind) : t.label)
-          << R"(","cat":")" << category_of(t.kind)
-          << R"(","ph":"X","pid":1,"tid":)" << s << R"(,"ts":)"
-          << util::json_number(t.start * 1e6) << R"(,"dur":)"
-          << util::json_number((t.end - t.start) * 1e6)
-          << R"(,"args":{"kind":")" << to_string(t.kind) << "\"}}";
+      out += ",\n";
+      out += R"({"name":)";
+      out += util::json_string(t.label.empty() ? to_string(t.kind) : t.label);
+      out += R"(,"cat":")";
+      out += category_of(t.kind);
+      out += R"(","ph":"X","pid":1,"tid":)";
+      out += std::to_string(s) + R"(,"ts":)";
+      out += util::json_number(t.start * 1e6) + R"(,"dur":)";
+      out += util::json_number((t.end - t.start) * 1e6);
+      out += R"(,"args":{"kind":")";
+      out += to_string(t.kind);
+      out += "\"}}";
     }
   }
-  out << "\n]\n";
-  return out.str();
+  out += "\n]\n";
+  return out;
 }
 
 void write_chrome_trace(const std::string& path, const Schedule& schedule,

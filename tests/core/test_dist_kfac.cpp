@@ -289,6 +289,38 @@ TEST(DistKfac, RejectsEmptyLayerList) {
   });
 }
 
+TEST(DistKfac, CommRecordsFromIndexAreTheSuffix) {
+  comm::Cluster::launch(2, [](comm::Communicator& comm) {
+    nn::Sequential model = make_model();
+    auto layers = model.preconditioned_layers();
+    DistKfacOptions opts;
+    opts.strategy = DistStrategy::kSpdKfac;
+    DistKfacOptimizer optimizer(layers, comm, opts);
+    nn::SyntheticClassification data(kClasses, kIn, 1, kDataSeed);
+    Rng rng(23 + comm.rank());
+    for (int s = 0; s < 3; ++s) {
+      run_pass(model, data, rng, 4);
+      optimizer.step();
+    }
+    const std::vector<comm::OpRecord> all = optimizer.comm_records();
+    ASSERT_FALSE(all.empty());
+    for (std::size_t k = 0; k <= all.size() + 1; ++k) {
+      const std::vector<comm::OpRecord> tail = optimizer.comm_records(k);
+      ASSERT_EQ(tail.size(), all.size() - std::min(k, all.size())) << k;
+      for (std::size_t i = 0; i < tail.size(); ++i) {
+        const comm::OpRecord& want = all[k + i];
+        EXPECT_EQ(tail[i].name, want.name);
+        EXPECT_EQ(tail[i].plan_task, want.plan_task);
+        EXPECT_EQ(tail[i].submit_s, want.submit_s);
+        EXPECT_EQ(tail[i].start_s, want.start_s);
+        EXPECT_EQ(tail[i].end_s, want.end_s);
+        EXPECT_EQ(tail[i].elements, want.elements);
+        EXPECT_EQ(tail[i].data, want.data);
+      }
+    }
+  });
+}
+
 TEST(DistKfac, UpdateFrequenciesReduceWork) {
   comm::Cluster::launch(2, [](comm::Communicator& comm) {
     nn::Sequential model = make_model();

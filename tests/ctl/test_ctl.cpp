@@ -6,8 +6,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/transport.hpp"
@@ -17,6 +19,7 @@
 #include "ctl/protocol.hpp"
 #include "ctl/server.hpp"
 #include "ctl/trace_recorder.hpp"
+#include "sim/trace.hpp"
 #include "testsupport/json_validator.hpp"
 #include "util/json.hpp"
 
@@ -150,36 +153,89 @@ TEST(Metrics, RendersPrometheusTextExposition) {
             std::string::npos);
 }
 
+/// One recorded interval on the compute or comm stream.
+sim::ScheduledTask event(std::string label, sim::TaskKind kind, int stream,
+                         double start, double end) {
+  return {.kind = kind,
+          .start = start,
+          .end = end,
+          .label = std::move(label),
+          .resources = {stream}};
+}
+
+constexpr int kCompute = ctl::TraceRecorder::kComputeStream;
+constexpr int kComm = ctl::TraceRecorder::kCommStream;
+
 TEST(TraceRecorder, PacksOverlappingEventsOntoDistinctLanes) {
   ctl::TraceRecorder recorder;
   // Two overlapping compute intervals -> two compute lanes; a third that
   // starts after the first ended reuses lane 0.  One comm interval.
-  recorder.add("factor_a0", ctl::TraceRecorder::Lane::kCompute, 0.0, 1.0);
-  recorder.add("factor_g0", ctl::TraceRecorder::Lane::kCompute, 0.5, 1.5);
-  recorder.add("inverse", ctl::TraceRecorder::Lane::kCompute, 1.0, 2.0);
-  recorder.add("ar@A", ctl::TraceRecorder::Lane::kComm, 0.25, 0.75);
+  recorder.add(event("factor_a0", sim::TaskKind::kFactorComp, kCompute, 0.0,
+                     1.0));
+  recorder.add(event("factor_g0", sim::TaskKind::kFactorComp, kCompute, 0.5,
+                     1.5));
+  recorder.add(event("inverse", sim::TaskKind::kInverseComp, kCompute, 1.0,
+                     2.0));
+  recorder.add(event("ar@A", sim::TaskKind::kFactorComm, kComm, 0.25, 0.75));
   const std::string trace = recorder.to_chrome_trace("test-run");
   std::string error;
   EXPECT_TRUE(valid_json(trace, &error)) << error << "\n" << trace;
   EXPECT_NE(trace.find("\"compute-0\""), std::string::npos);
   EXPECT_NE(trace.find("\"compute-1\""), std::string::npos);
   EXPECT_NE(trace.find("\"comm-0\""), std::string::npos);
-  EXPECT_NE(trace.find("\"cat\":\"comm\""), std::string::npos);
-  EXPECT_NE(trace.find("\"cat\":\"compute\""), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\":\"factor_comm\""), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\":\"factor_comp\""), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\":\"inverse_comp\""), std::string::npos);
   // The comm event's tid sits after both compute lanes.
-  EXPECT_NE(trace.find(R"("cat":"comm","ph":"X","pid":1,"tid":2)"),
+  EXPECT_NE(trace.find(R"("cat":"factor_comm","ph":"X","pid":1,"tid":2)"),
             std::string::npos)
       << trace;
+}
+
+TEST(TraceRecorder, RendersThroughTheSimulatorTraceWriter) {
+  ctl::TraceRecorder recorder;
+  // Recorded out of start order; the recorder sorts, packs and then hands
+  // the schedule to sim::to_chrome_trace, so its output is byte-equal to
+  // rendering the packed schedule by hand.
+  recorder.add(event("bcast[T0]", sim::TaskKind::kInverseComm, kComm, 0.5,
+                     0.75));
+  recorder.add(event("A0", sim::TaskKind::kFactorComp, kCompute, 0.0, 1.0));
+  recorder.add(event("sync", sim::TaskKind::kOther, kComm, 0.25, 0.75));
+  recorder.add(event("inv[T0]", sim::TaskKind::kInverseComp, kCompute, 0.5,
+                     1.5));
+  sim::Schedule packed;
+  packed.tasks = {
+      event("A0", sim::TaskKind::kFactorComp, 0, 0.0, 1.0),
+      event("sync", sim::TaskKind::kOther, 2, 0.25, 0.75),
+      event("bcast[T0]", sim::TaskKind::kInverseComm, 3, 0.5, 0.75),
+      event("inv[T0]", sim::TaskKind::kInverseComp, 1, 0.5, 1.5),
+  };
+  EXPECT_EQ(recorder.to_chrome_trace("shared"),
+            sim::to_chrome_trace(packed,
+                                 {"compute-0", "compute-1", "comm-0",
+                                  "comm-1"},
+                                 "shared"));
+}
+
+TEST(TraceRecorder, RejectsEventsOffTheTwoStreams) {
+  ctl::TraceRecorder recorder;
+  EXPECT_THROW(recorder.add(event("x", sim::TaskKind::kOther, 2, 0.0, 1.0)),
+               std::invalid_argument);
+  sim::ScheduledTask gang = event("y", sim::TaskKind::kOther, kCompute, 0, 1);
+  gang.resources.push_back(kComm);
+  EXPECT_THROW(recorder.add(gang), std::invalid_argument);
+  EXPECT_EQ(recorder.to_chrome_trace("rejected").find(R"("ph":"X")"),
+            std::string::npos);
 }
 
 TEST(TraceRecorder, LongTimestampsKeepFullPrecision) {
   ctl::TraceRecorder recorder;
   // 100 seconds in: a 6-significant-digit emitter would render both events
   // at the same microsecond tick.
-  recorder.add("a", ctl::TraceRecorder::Lane::kCompute, 100.000001,
-               100.000002);
-  recorder.add("b", ctl::TraceRecorder::Lane::kCompute, 100.000003,
-               100.000004);
+  recorder.add(event("a", sim::TaskKind::kFactorComp, kCompute, 100.000001,
+                     100.000002));
+  recorder.add(event("b", sim::TaskKind::kFactorComp, kCompute, 100.000003,
+                     100.000004));
   const std::string trace = recorder.to_chrome_trace("precision");
   EXPECT_TRUE(valid_json(trace));
   // Expected strings replicate the recorder's own ts expression, so these
