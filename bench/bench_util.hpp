@@ -73,8 +73,6 @@ struct DistTrainResult {
 /// rank 0 measures everything itself and ships it back as doubles, so every
 /// backend reports the same fields.
 inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
-  comm::LaunchOptions launch_opts;
-  launch_opts.shm_ring_bytes = cfg.optimizer.shm_ring_bytes;
   const auto per_rank = comm::Cluster::launch_collect(
       cfg.optimizer.transport, comm::Topology::flat(cfg.world),
       [&cfg](comm::Communicator& comm) {
@@ -142,8 +140,7 @@ inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
           out.insert(out.end(), w.data().begin(), w.data().end());
         }
         return out;
-      },
-      launch_opts);
+      });
 
   DistTrainResult result;
   const std::vector<double>& enc = per_rank.at(0);

@@ -7,14 +7,13 @@
 //   * SPD-KFAC genuinely overlaps factor communication with computation
 //     (shown via the async engine's operation records).
 //
-// By default the workers are threads of this process; --transport switches
-// the cluster onto a process-per-rank backend — one OS process per worker
-// talking over shared-memory rings or a Unix-domain socket mesh — without
-// changing one digit of the output losses/weights (the multi-process
-// quickstart of docs/ARCHITECTURE.md "Transports"):
+// By default the workers are threads of this process; --transport=socket
+// switches the cluster onto the process-per-rank backend — one OS process
+// per worker talking over a Unix-domain socket mesh — without changing one
+// digit of the output losses/weights (the multi-process quickstart of
+// docs/ARCHITECTURE.md "Transports"):
 //
 //   $ ./examples/distributed_training                       # threads
-//   $ ./examples/distributed_training --transport=shm       # processes, shm
 //   $ ./examples/distributed_training --transport=socket    # processes, UDS
 #include <algorithm>
 #include <cstdio>
@@ -66,7 +65,7 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--transport=inproc|shm|socket]\n", argv[0]);
+                   "usage: %s [--transport=inproc|socket]\n", argv[0]);
       return 2;
     }
   }

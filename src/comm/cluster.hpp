@@ -117,10 +117,8 @@ class Communicator {
   int size_;
 };
 
-/// Options for Cluster::launch_collect / launch.  `shm_ring_bytes` sizes
-/// the per-pair shared-memory rings (ignored by the other backends).
+/// Options for Cluster::launch_collect / launch.
 struct LaunchOptions {
-  std::size_t shm_ring_bytes = kDefaultShmRingBytes;
   /// Deadline for every blocking transport primitive on every rank
   /// (Transport::set_timeout); <= 0 keeps the wait-forever behavior.  With
   /// a timeout armed a dead peer surfaces as RankFailure instead of a hang.
@@ -211,12 +209,13 @@ class Cluster {
 
   /// Runs `fn` once per rank over the chosen transport and returns each
   /// rank's result vector, index == rank.  kInProcess spawns threads;
-  /// kSharedMemory / kSocket fork one worker *process* per rank (the shm
-  /// arena is mapped before fork; socket ranks rendezvous under a private
-  /// temp directory), ship each rank's result back over a pipe, and reap
-  /// the children.  Any rank failure (exception, abnormal exit, death by
-  /// signal) throws LaunchFailure in the launcher after all workers
-  /// finish, carrying per-rank post-mortems and the survivors' results.
+  /// kSocket forks one worker *process* per rank (the ranks rendezvous
+  /// under a private temp directory), ships each rank's result back over a
+  /// pipe, and reaps the children.  Any rank failure (exception, abnormal
+  /// exit, death by signal) throws LaunchFailure in the launcher after all
+  /// workers finish, carrying per-rank post-mortems and the survivors'
+  /// results.  A failed pipe() or fork() kills and reaps the ranks already
+  /// forked, then throws std::runtime_error.
   static std::vector<std::vector<double>> launch_collect(
       TransportKind kind, const Topology& topo,
       const std::function<std::vector<double>(Communicator&)>& fn,

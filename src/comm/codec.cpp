@@ -270,8 +270,8 @@ void all_reduce_encoded(Communicator& comm, std::span<double> data,
 
   // Ring all-gather of the P encoded vectors: at step s, ship the block
   // received at step s-1 (own block at s=1) to the right neighbour.  The
-  // frames carry the codec id, so the shm/socket backends genuinely move
-  // the compressed bytes.
+  // frames carry the codec id, so the socket backend genuinely moves the
+  // compressed bytes.
   const int right = (rank + 1) % P;
   const int left = (rank - 1 + P) % P;
   for (int s = 1; s < P; ++s) {

@@ -144,7 +144,7 @@ std::size_t broadcast_scratch_elements(Codec codec, std::size_t n,
 
 /// In-place compressed all-reduce: encode the local vector, ring
 /// all-gather the P encoded vectors (point-to-point frames tagged with the
-/// codec id and `plan_task`, so out-of-process backends genuinely ship the
+/// codec id and `plan_task`, so the socket backend genuinely ships the
 /// compressed bytes), then decode + reduce all P of them in rank order
 /// 0..P-1 on every rank.  scratch must hold all_reduce_scratch_elements.
 void compressed_all_reduce(Communicator& comm, std::span<double> data,

@@ -19,7 +19,7 @@
 //                  (the rank dies on the spot — SIGKILL for the
 //                  process-per-rank backends, an exception for threads).
 //                  with_fault_injection() wraps any Transport with the
-//                  seam, so the same spec exercises all three backends.
+//                  seam, so the same spec exercises both backends.
 //
 // The conformance matrix in tests/comm/test_fault_injection.cpp drives
 // backend x {drop, hang, kill} x {send, barrier, fused all-reduce} through

@@ -1,11 +1,10 @@
 // Process-per-rank launcher behind Cluster::launch_collect.
 //
-// The out-of-process backends need rank-0/launcher-owned setup *before* the
-// workers exist: the shm arena must be mapped prior to fork so children
-// inherit the pages, and the socket ranks need an agreed rendezvous
-// directory.  This file owns that sequencing:
+// The socket backend needs launcher-owned setup *before* the workers exist:
+// its ranks need an agreed rendezvous directory.  This file owns that
+// sequencing:
 //
-//   1. prepare shared state (arena mmap / mkdtemp for socket paths);
+//   1. mkdtemp the rendezvous directory for the socket paths;
 //   2. fork one child per rank — no exec, so the caller's std::function
 //      survives into the child via copy-on-write;
 //   3. each child builds its transport (wrapped with fault injection and
@@ -19,8 +18,12 @@
 //      died (signal number, exit status, missing result) plus the results
 //      the surviving ranks still delivered.
 //
+// A pipe() or fork() failure midway through step 2 SIGKILLs and reaps the
+// ranks already forked before it throws: they would otherwise wait forever
+// for peers that never started (a socket rank blocks in accept()).
+//
 // kInProcess goes through the same entry point with threads and a shared
-// results vector, so tests can iterate one API over all three backends.
+// results vector, so tests can iterate one API over both backends.
 #include <dirent.h>
 #include <poll.h>
 #include <signal.h>
@@ -155,6 +158,23 @@ std::unique_ptr<Transport> arm_transport(std::unique_ptr<Transport> transport,
   ::_exit(status);
 }
 
+/// A launch that failed to start rank `forked` (`what` failed with errno
+/// `err`): SIGKILLs and reaps ranks [0, forked), closes their result pipes,
+/// and throws.
+[[noreturn]] void abandon_launch(const std::vector<pid_t>& pids,
+                                 const std::vector<int>& read_fds, int forked,
+                                 const char* what, int err) {
+  for (int r = 0; r < forked; ++r) {
+    const pid_t pid = pids[static_cast<std::size_t>(r)];
+    ::kill(pid, SIGKILL);
+    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+    }
+    ::close(read_fds[static_cast<std::size_t>(r)]);
+  }
+  throw std::runtime_error(std::string("launch_collect: ") + what +
+                           " failed: " + std::strerror(err));
+}
+
 std::vector<std::vector<double>> launch_processes(
     const Topology& topo, const RankFn& fn,
     const std::function<std::unique_ptr<Transport>(int)>& make_transport,
@@ -165,14 +185,13 @@ std::vector<std::vector<double>> launch_processes(
 
   for (int r = 0; r < world; ++r) {
     int fds[2];
-    if (::pipe(fds) != 0) {
-      throw std::runtime_error("launch_collect: pipe failed");
-    }
+    if (::pipe(fds) != 0) abandon_launch(pids, read_fds, r, "pipe", errno);
     const pid_t pid = ::fork();
     if (pid < 0) {
+      const int err = errno;
       ::close(fds[0]);
       ::close(fds[1]);
-      throw std::runtime_error("launch_collect: fork failed");
+      abandon_launch(pids, read_fds, r, "fork", err);
     }
     if (pid == 0) {
       ::close(fds[0]);
@@ -340,14 +359,6 @@ std::vector<std::vector<double>> Cluster::launch_collect(
   switch (kind) {
     case TransportKind::kInProcess:
       return launch_threads(topo, fn, opts);
-    case TransportKind::kSharedMemory: {
-      // Map the arena pre-fork; every child inherits the same pages.
-      auto arena = make_shm_arena(topo.world_size(), opts.shm_ring_bytes);
-      return launch_processes(
-          topo, fn,
-          [&arena](int rank) { return make_shm_transport(arena, rank); },
-          opts);
-    }
     case TransportKind::kSocket: {
       SocketRendezvous rendezvous(topo.world_size());
       const SocketEndpoint ep{rendezvous.base_path(), topo.world_size()};

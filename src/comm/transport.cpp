@@ -40,8 +40,6 @@ const char* to_string(TransportKind kind) noexcept {
   switch (kind) {
     case TransportKind::kInProcess:
       return "inproc";
-    case TransportKind::kSharedMemory:
-      return "shm";
     case TransportKind::kSocket:
       return "socket";
   }
@@ -50,10 +48,9 @@ const char* to_string(TransportKind kind) noexcept {
 
 TransportKind transport_from_string(const std::string& name) {
   if (name == "inproc") return TransportKind::kInProcess;
-  if (name == "shm") return TransportKind::kSharedMemory;
   if (name == "socket") return TransportKind::kSocket;
   throw std::invalid_argument("unknown transport '" + name +
-                              "' (expected inproc, shm or socket)");
+                              "' (expected inproc, socket)");
 }
 
 void Transport::heartbeat() {

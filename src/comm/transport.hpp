@@ -4,17 +4,12 @@
 // Everything above this interface (Communicator's collectives, the
 // AsyncCommEngine, the optimizer) speaks ordered, reliable point-to-point
 // messages plus a barrier; everything below it decides what a "rank" is and
-// what the wire looks like.  Three backends implement the contract:
+// what the wire looks like.  Two backends implement the contract:
 //
 //   kInProcess     ranks are threads in one address space; each directed
 //                  (src, dst) pair owns an unbounded mutex/condvar mailbox
 //                  (comm/channel.hpp) and the barrier is a condvar barrier.
 //                  The test default — fastest, fully TSan-visible.
-//   kSharedMemory  ranks are processes on one host sharing a mmap'd arena
-//                  created by the launcher before fork: one fixed-capacity
-//                  SPSC byte ring per directed pair carrying wire.hpp
-//                  frames, with futex doorbells for ring-full/ring-empty
-//                  and a futex sense-reversing barrier.
 //   kSocket        ranks are processes connected by a full mesh of
 //                  SOCK_STREAM Unix-domain sockets (multi-host-shaped: the
 //                  framing assumes nothing but a byte stream).  Frames are
@@ -23,13 +18,13 @@
 //                  rank connects, both verify a handshake frame).
 //
 // The send contract mirrors the in-process Channel: send() never blocks on
-// the receiver (unbounded local buffering; the out-of-process backends
-// enqueue encoded frames per peer and pump them from a dedicated exec
-// worker), which is what makes the collectives' neighbour-exchange
-// patterns deadlock-free on a bounded wire.  recv_into() blocks; messages
-// from one sender arrive in send order.  All backends must be observationally
-// identical: the cross-backend conformance/determinism suites hold every
-// backend to bitwise-identical collective results.
+// the receiver (unbounded local buffering; the socket backend enqueues
+// encoded frames per peer and pumps them from a dedicated exec worker),
+// which is what makes the collectives' neighbour-exchange patterns
+// deadlock-free on a bounded wire.  recv_into() blocks; messages from one
+// sender arrive in send order.  Both backends must be observationally
+// identical: the cross-backend conformance/determinism suites hold them to
+// bitwise-identical collective results.
 #pragma once
 
 #include <atomic>
@@ -43,15 +38,17 @@ namespace spdkfac::comm {
 
 enum class FailureCause;  // comm/fault.hpp
 
+/// Explicit values: kSocket keeps the 2 it has always had, so anything
+/// that prints the raw enum (gtest parameter dumps, logs) stays comparable
+/// across versions.
 enum class TransportKind {
-  kInProcess,     ///< threads + channel mailboxes (default)
-  kSharedMemory,  ///< process-per-rank, mmap'd rings + futex doorbells
-  kSocket,        ///< process-per-rank, Unix-domain socket mesh
+  kInProcess = 0,  ///< threads + channel mailboxes (default)
+  kSocket = 2,     ///< process-per-rank, Unix-domain socket mesh
 };
 
 const char* to_string(TransportKind kind) noexcept;
 
-/// Parses "inproc" / "shm" / "socket"; throws std::invalid_argument on
+/// Parses "inproc" / "socket"; throws std::invalid_argument on
 /// anything else (used by example/bench CLIs).
 TransportKind transport_from_string(const std::string& name);
 
@@ -154,29 +151,15 @@ class Transport {
 };
 
 // ---------------------------------------------------------------------------
-// Backend factories.  The group/arena objects hold the state shared by all
-// ranks of one cluster (channel matrix, mmap'd arena) and are created by
-// the launcher — before spawning threads, or before fork() so every worker
-// process inherits the mapping.
+// Backend factories.  The in-process group holds the channel matrix shared
+// by all ranks of one cluster and is created by the launcher before it
+// spawns the rank threads; socket ranks share only a rendezvous path.
 // ---------------------------------------------------------------------------
 
 class InProcessGroup;
 std::shared_ptr<InProcessGroup> make_in_process_group(int size);
 std::unique_ptr<Transport> make_in_process_transport(
     std::shared_ptr<InProcessGroup> group, int rank);
-
-inline constexpr std::size_t kDefaultShmRingBytes = std::size_t{1} << 18;
-
-class ShmArena;
-/// Maps the shared arena (MAP_SHARED | MAP_ANONYMOUS): P*P SPSC rings of
-/// `ring_bytes` each plus the futex barrier.  Must be created before the
-/// worker processes fork.  ring_bytes must be a power of two >= 1024
-/// (power-of-two capacity keeps the 32-bit ring cursors exact across
-/// wraparound); messages larger than a ring stream through it in chunks.
-std::shared_ptr<ShmArena> make_shm_arena(
-    int size, std::size_t ring_bytes = kDefaultShmRingBytes);
-std::unique_ptr<Transport> make_shm_transport(std::shared_ptr<ShmArena> arena,
-                                              int rank);
 
 struct SocketEndpoint {
   /// Listener paths are `<base_path>.r<rank>`; keep the base short (Unix

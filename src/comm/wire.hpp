@@ -1,12 +1,12 @@
-// Length-prefixed wire protocol shared by the out-of-process transports.
+// Length-prefixed wire protocol of the out-of-process (socket) transport.
 //
-// Every message the shared-memory and socket backends move between ranks is
-// one *frame*: a fixed 32-byte header followed by the payload doubles.  The
-// header carries enough to validate the stream (magic, version), identify
-// the sender (rank), and tag the traffic class (data / barrier / handshake)
-// plus the sched::IterationPlan task the payload realizes and the
-// comm::Codec the payload is encoded with — the same metadata the async
-// engine's OpRecords carry in-process:
+// Every message the socket backend moves between ranks is one *frame*: a
+// fixed 32-byte header followed by the payload doubles.  The header carries
+// enough to validate the stream (magic, version), identify the sender
+// (rank), and tag the traffic class (data / barrier / handshake) plus the
+// sched::IterationPlan task the payload realizes and the comm::Codec the
+// payload is encoded with — the same metadata the async engine's OpRecords
+// carry in-process:
 //
 //   offset  size  field
 //        0     4  magic          0x53'50'44'4B ("SPDK", little-endian)

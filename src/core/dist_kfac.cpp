@@ -96,13 +96,6 @@ void DistKfacOptions::validate() const {
         "DistKfacOptions: profile and profile_trajectory are mutually "
         "exclusive");
   }
-  if (shm_ring_bytes < 1024 ||
-      (shm_ring_bytes & (shm_ring_bytes - 1)) != 0 ||
-      shm_ring_bytes > (std::size_t{1} << 31)) {
-    throw std::invalid_argument(
-        "DistKfacOptions: shm_ring_bytes must be a power of two in "
-        "[1024, 2^31]");
-  }
   if (factor_codec == comm::Codec::kTopK) {
     throw std::invalid_argument(
         "DistKfacOptions: factor_codec cannot be topk (factors are dense; "

@@ -139,14 +139,10 @@ struct DistKfacOptions : KfacOptions, sched::PlanShape {
 
   /// Transport backend the launcher builds the cluster on (the optimizer
   /// itself is transport-agnostic — it talks to whatever Communicator it
-  /// is handed).  kInProcess runs ranks as threads; kSharedMemory and
-  /// kSocket run one process per rank (see comm/transport.hpp).  Training
-  /// is bitwise identical across all three (tests/core/test_determinism).
+  /// is handed).  kInProcess runs ranks as threads; kSocket runs one
+  /// process per rank (see comm/transport.hpp).  Training is bitwise
+  /// identical across both (tests/core/test_determinism).
   comm::TransportKind transport = comm::TransportKind::kInProcess;
-
-  /// Per-pair ring capacity of the shared-memory transport, in bytes; a
-  /// power of two in [1024, 2^31].  Ignored by the other backends.
-  std::size_t shm_ring_bytes = comm::kDefaultShmRingBytes;
 
   /// Deadline for every blocking communication primitive, in seconds; > 0
   /// arms the transport's failure detection (comm/fault.hpp), so a dead
@@ -165,8 +161,7 @@ struct DistKfacOptions : KfacOptions, sched::PlanShape {
   /// plan_cache_capacity that is a negative value wrapped to unsigned, a
   /// profile_ema outside (0, 1], a profile or
   /// trajectory entry containing negative/non-finite entries, both
-  /// `profile` and `profile_trajectory` set, a shm_ring_bytes that is
-  /// not a power of two in [1024, 2^31], a negative/non-finite
+  /// `profile` and `profile_trajectory` set, a negative/non-finite
   /// comm_timeout_s, a topk factor_codec, or a topk_ratio outside (0, 1].
   void validate() const;
 };

@@ -411,9 +411,8 @@ std::vector<CompressedCase> compressed_cases() {
   std::vector<CompressedCase> cases;
   for (Codec codec : {Codec::kNone, Codec::kFp16, Codec::kInt8, Codec::kTopK}) {
     for (int world : {1, 2, 3, 4, 8}) cases.push_back({codec, world});
-    for (TransportKind kind :
-         {TransportKind::kSharedMemory, TransportKind::kSocket}) {
-      for (int world : {2, 3}) cases.push_back({codec, world, kind});
+    for (int world : {2, 3}) {
+      cases.push_back({codec, world, TransportKind::kSocket});
     }
   }
   return cases;
@@ -461,7 +460,6 @@ std::vector<CompressedCase> broadcast_cases() {
   std::vector<CompressedCase> cases;
   for (Codec codec : {Codec::kNone, Codec::kFp16, Codec::kInt8}) {
     for (int world : {1, 2, 3, 4, 8}) cases.push_back({codec, world});
-    cases.push_back({codec, 3, TransportKind::kSharedMemory});
     cases.push_back({codec, 3, TransportKind::kSocket});
   }
   return cases;

@@ -85,7 +85,7 @@ void expect_conformant(TransportKind kind, const Topology& topo,
   const auto expected = sequential_reference(inputs, op);
 
   // launch_collect runs the ranks as threads (kInProcess) or forked
-  // processes (kSharedMemory / kSocket) and ships each rank's result back —
+  // processes (kSocket) and ships each rank's result back —
   // the same conformance contract is held on every backend.
   const auto results =
       Cluster::launch_collect(kind, topo, [&](Communicator& comm) {
@@ -154,13 +154,12 @@ std::vector<AllReduceAlgo> algos_under_test() {
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
   for (AllReduceAlgo algo : algos_under_test()) {
-    // Full world sweep in-process; the process-per-rank backends cover
+    // Full world sweep in-process; the process-per-rank backend covers
     // P in {2, 3, 4} (the same algorithms over a real wire — forking 8
     // ranks per cell buys no additional coverage).
     for (int world : {1, 2, 3, 4, 8}) cases.push_back({algo, world});
-    for (TransportKind kind :
-         {TransportKind::kSharedMemory, TransportKind::kSocket}) {
-      for (int world : {2, 3, 4}) cases.push_back({algo, world, kind});
+    for (int world : {2, 3, 4}) {
+      cases.push_back({algo, world, TransportKind::kSocket});
     }
   }
   return cases;
@@ -278,9 +277,8 @@ std::vector<CodecCase> codec_cases() {
   for (Codec codec :
        {Codec::kNone, Codec::kFp16, Codec::kInt8, Codec::kTopK}) {
     for (int world : {1, 2, 4, 8}) cases.push_back({codec, world});
-    for (TransportKind kind :
-         {TransportKind::kSharedMemory, TransportKind::kSocket}) {
-      for (int world : {2, 3}) cases.push_back({codec, world, kind});
+    for (int world : {2, 3}) {
+      cases.push_back({codec, world, TransportKind::kSocket});
     }
   }
   return cases;
@@ -321,7 +319,6 @@ TEST_P(ConformanceHierarchical, NodesByGpusAllAlgorithms) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConformanceHierarchical,
     ::testing::Values(HierCase{2, 2}, HierCase{2, 4}, HierCase{4, 2},
-                      HierCase{2, 2, TransportKind::kSharedMemory},
                       HierCase{2, 2, TransportKind::kSocket}),
     [](const auto& info) {
       return std::to_string(info.param.nodes) + "x" +

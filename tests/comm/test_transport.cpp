@@ -5,11 +5,17 @@
 // corrupt headers (bad magic / version / oversize length) rejected cleanly
 // — never a hang, never a giant allocation.  The backend smoke tests drive
 // each Transport through the launcher: point-to-point ordering, barrier,
-// zero-length and ring-wrapping messages, heartbeat rate limiting and
-// filtering, and child-failure propagation.
+// zero-length and large (short-read) messages, heartbeat rate limiting and
+// filtering, and child-failure propagation.  The launcher test checks that
+// a launch failing midway leaves no rank behind.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -251,7 +257,7 @@ TEST(FrameParser, FuzzCorruptedStreamsNeverHangOrYieldGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend smoke tests (all three transports through the launcher)
+// Backend smoke tests (both transports through the launcher)
 // ---------------------------------------------------------------------------
 
 class TransportBackend : public ::testing::TestWithParam<TransportKind> {
@@ -315,15 +321,12 @@ TEST_P(TransportBackend, BarrierSeparatesPhases) {
 }
 
 TEST_P(TransportBackend, LargeMessagesStreamThrough) {
-  // Bigger than the shm ring (forced small below), so the message must
-  // stream through in chunks; also exercises socket short reads.
+  // Bigger than a socket's kernel buffer, so the frame arrives through
+  // many short reads the parser must reassemble.
   const Topology topo = Topology::flat(2);
-  LaunchOptions opts;
-  opts.shm_ring_bytes = 1024;
-  constexpr std::size_t kBig = 40000;  // 320 KB of doubles vs 1 KB ring
+  constexpr std::size_t kBig = 40000;  // 320 KB of doubles
   const auto results = Cluster::launch_collect(
-      GetParam(), topo,
-      [](Communicator& comm) -> std::vector<double> {
+      GetParam(), topo, [](Communicator& comm) -> std::vector<double> {
         if (comm.rank() == 0) {
           std::vector<double> big(kBig);
           std::iota(big.begin(), big.end(), 0.0);
@@ -339,8 +342,7 @@ TEST_P(TransportBackend, LargeMessagesStreamThrough) {
           checksum += big[i];
         }
         return {checksum};
-      },
-      opts);
+      });
   const double expected = static_cast<double>(kBig) * (kBig - 1) / 2.0;
   ASSERT_EQ(results[1].size(), 1u);
   EXPECT_EQ(results[1][0], expected);
@@ -410,17 +412,69 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// Launcher
+// ---------------------------------------------------------------------------
+
+// Helper-process body: a 4-rank socket launch whose third pipe() fails
+// (fds >= 3 closed, RLIMIT_NOFILE = 6, and each forked rank keeps one read
+// end open).  Exit status 0: the launch threw "pipe failed" and left no
+// forked rank alive or unreaped; 1: the rlimit could not be set; 2: no
+// throw; 3: a rank outlived the throw; 4: the wrong error.
+[[noreturn]] void launch_with_too_few_fds() {
+  ::close_range(3, ~0U, 0);
+  rlimit lim{};
+  ::getrlimit(RLIMIT_NOFILE, &lim);
+  lim.rlim_cur = 6;
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) ::_exit(1);
+  int code = 2;
+  try {
+    Cluster::launch_collect(
+        TransportKind::kSocket, Topology::flat(4),
+        [](Communicator&) { return std::vector<double>{}; });
+  } catch (const std::runtime_error& e) {
+    code = 4;
+    if (std::string(e.what()).find("pipe failed") != std::string::npos) {
+      code = ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD ? 0 : 3;
+    }
+  }
+  ::_exit(code);
+}
+
+TEST(Launcher, FailedPipeReapsTheRanksAlreadyForked) {
+  SPDKFAC_SKIP_MULTIPROCESS_UNDER_TSAN(TransportKind::kSocket);
+  // The helper leads its own process group, so a rank it leaks (left
+  // waiting on peers that were never forked) dies with the group.
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    ::setpgid(0, 0);
+    launch_with_too_few_fds();
+  }
+  ::setpgid(helper, helper);
+  int status = 0;
+  pid_t reaped = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((reaped = ::waitpid(helper, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(-helper, SIGKILL);  // leaked ranks, or a helper past the deadline
+  if (reaped == 0) ::waitpid(helper, &status, 0);
+  ASSERT_EQ(reaped, helper) << "helper did not exit within 20 s";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: setrlimit failed, 2: launch did not throw, 3: a forked rank "
+         "outlived the throw, 4: wrong error";
+}
+
+// ---------------------------------------------------------------------------
 // Factory validation
 // ---------------------------------------------------------------------------
 
 TEST(TransportFactories, RejectBadArguments) {
   EXPECT_THROW(make_in_process_group(0), std::invalid_argument);
   EXPECT_THROW(make_in_process_transport(make_in_process_group(2), 2),
-               std::invalid_argument);
-  EXPECT_THROW(make_shm_arena(0), std::invalid_argument);
-  EXPECT_THROW(make_shm_arena(2, 100), std::invalid_argument);  // not pow2
-  EXPECT_THROW(make_shm_arena(2, 512), std::invalid_argument);  // too small
-  EXPECT_THROW(make_shm_transport(make_shm_arena(2), -1),
                std::invalid_argument);
   EXPECT_THROW(make_socket_transport({"/tmp/x", 0}, 0), std::invalid_argument);
   EXPECT_THROW(make_socket_transport({"/tmp/x", 2}, 5), std::invalid_argument);

@@ -6,7 +6,7 @@
 //     fixed tolerance of the lossless run — the EF residuals recover the
 //     sparsification loss across steps;
 //   * determinism: compressed training is bitwise identical across pool
-//     sizes and across all three transport backends (the codec kernels and
+//     sizes and across both transport backends (the codec kernels and
 //     the rank-ordered compressed reduction leave no ordering freedom);
 //   * persistence: checkpoint/restore mid-run — with the per-layer EF
 //     residuals riding the journal as kGradResidual records — resumes

@@ -256,11 +256,11 @@ TEST(Determinism, AdaptiveHookedMatchesPostHocAndRepeats) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-backend determinism: moving the ranks out of process — onto shared
-// memory rings or a socket mesh — must be invisible to the numerics.  The
-// wire carries raw IEEE-754 bits and the collectives apply the identical
-// reduction orders, so P=4 training must be bitwise-identical across all
-// three transports (and across pool sizes on a real wire).
+// Cross-backend determinism: moving the ranks out of process — onto a
+// socket mesh — must be invisible to the numerics.  The wire carries raw
+// IEEE-754 bits and the collectives apply the identical reduction orders,
+// so P=4 training must be bitwise-identical across both transports (and
+// across pool sizes on a real wire).
 // ---------------------------------------------------------------------------
 
 class DeterminismBackend

@@ -31,11 +31,10 @@ namespace spdkfac::testsupport {
 
 inline constexpr comm::TransportKind kAllTransports[] = {
     comm::TransportKind::kInProcess,
-    comm::TransportKind::kSharedMemory,
     comm::TransportKind::kSocket,
 };
 
-/// Backend name for gtest case names ("inproc" / "shm" / "socket") — the CI
+/// Backend name for gtest case names ("inproc" / "socket") — the CI
 /// cross-backend step selects tests by these substrings.
 inline std::string backend_name(comm::TransportKind kind) {
   return comm::to_string(kind);
