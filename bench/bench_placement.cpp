@@ -1,9 +1,13 @@
 // Fig. 12 — comparison of inverse-phase placement policies on the simulated
 // 64-GPU cluster: Non-Dist (every GPU inverts everything, no communication),
 // Seq-Dist (round-robin CTs, the MPD-KFAC scheme of [13,20,22]) and the
-// paper's LBP (Algorithm 1 with CT/NCT typing).  Reports the exposed
+// paper's LBP (Algorithm 1 with CT/NCT typing), plus Layer-LBP (Algorithm
+// 1 placing whole layers whose owner broadcasts ΔW; the Eq. (13) update it
+// also spreads is not priced, like every policy's).  Reports the exposed
 // InverseComp / InverseComm breakdown of the inverse phase plus Algorithm
 // 1's own Eq. (21) prediction and placement statistics.
+#include <algorithm>
+
 #include "bench_util.hpp"
 #include "sched/placement.hpp"
 #include "models/model_spec.hpp"
@@ -19,10 +23,11 @@ int main() {
       {"Non-Dist", sim::InverseMode::kLocalAll},
       {"Seq-Dist", sim::InverseMode::kSeqDist},
       {"LBP", sim::InverseMode::kLBP},
+      {"Layer-LBP", sim::InverseMode::kLayerLBP},
   };
 
   bench::Table table({"Model", "Policy", "InverseComp", "InverseComm", "Sum",
-                      "#NCT", "#CT"});
+                      "#NCT", "#CT", "#owned"});
   for (const auto& spec : models::paper_models()) {
     for (const auto& [name, mode] : variants) {
       sim::AlgorithmConfig cfg = sim::AlgorithmConfig::dkfac();
@@ -36,7 +41,10 @@ int main() {
            bench::seconds(res.breakdown.inverse_comp +
                           res.breakdown.inverse_comm),
            std::to_string(res.placement.num_ncts()),
-           std::to_string(res.placement.num_cts())});
+           std::to_string(res.placement.num_cts()),
+           std::to_string(std::count_if(res.placement.layer_owner.begin(),
+                                        res.placement.layer_owner.end(),
+                                        [](int o) { return o >= 0; }))});
     }
   }
   table.print();

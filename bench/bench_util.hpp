@@ -55,7 +55,8 @@ struct DistTrainConfig {
 
 struct DistTrainResult {
   std::vector<tensor::Matrix> rank0_weights;
-  double rank0_loss = 0.0;
+  double rank0_loss = 0.0;                  ///< last step's cross-entropy
+  double rank0_first_loss = 0.0;            ///< first step's
   double wall_seconds = 0.0;                ///< whole run, rank 0
   std::vector<double> step_seconds;         ///< per-step wall, rank 0
   std::size_t broadcast_cts = 0;            ///< CTs of the final placement
@@ -93,7 +94,7 @@ inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
         std::vector<std::pair<double, double>> pass_windows;
         std::vector<double> step_seconds;
         const auto t0 = std::chrono::steady_clock::now();
-        double last_loss = 0.0;
+        double first_loss = 0.0, last_loss = 0.0;
         for (int s = 0; s < cfg.steps; ++s) {
           const auto step_t0 = std::chrono::steady_clock::now();
           nn::Batch batch = data.sample(cfg.batch, shard);
@@ -102,6 +103,7 @@ inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
               cfg.hooked ? optimizer.pass_hooks() : nn::PassHooks{};
           last_loss = loss.forward(model.forward(batch.inputs, hooks),
                                    batch.labels);
+          if (s == 0) first_loss = last_loss;
           model.backward(loss.backward(), hooks);
           pass_windows.emplace_back(pass_begin, optimizer.engine_now_s());
           optimizer.step();
@@ -125,6 +127,7 @@ inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
           }
         }
         out.push_back(last_loss);
+        out.push_back(first_loss);
         out.push_back(wall);
         out.push_back(static_cast<double>(optimizer.placement().num_cts()));
         out.push_back(busy > 0.0 ? hidden / busy : 0.0);
@@ -147,6 +150,7 @@ inline DistTrainResult dist_train(const DistTrainConfig& cfg) {
   std::size_t pos = 0;
   auto next = [&]() { return enc.at(pos++); };
   result.rank0_loss = next();
+  result.rank0_first_loss = next();
   result.wall_seconds = next();
   result.broadcast_cts = static_cast<std::size_t>(next());
   result.overlap_fraction = next();

@@ -277,6 +277,13 @@ void DistKfacOptimizer::save_checkpoint(std::ostream& out) const {
     writer.record(RecordType::kGradResidual, static_cast<std::uint16_t>(l), r);
   }
 
+  Payload holders;
+  holders.put_u64(static_cast<std::uint64_t>(comm_.rank()));
+  for (const std::int64_t holder : inverse_holder_) {
+    holders.put_u64(static_cast<std::uint64_t>(holder));
+  }
+  writer.record(RecordType::kInverseHolders, 0, holders);
+
   const std::vector<double> prof = profiler_.serialize();
   Payload p;
   p.put_u64(prof.size());
@@ -310,15 +317,18 @@ void DistKfacOptimizer::restore_checkpoint(std::istream& in) {
   std::vector<double> prof;
   sched::PassTiming timing;
   std::uint64_t meta_steps = 0, meta_replans = 0, meta_epoch = 0,
-                meta_next_replan = 0;
+                meta_next_replan = 0, meta_world = 0;
   bool meta_profiled = false;
+  std::vector<int> holders(L, -1);
+  std::int64_t saver_rank = -1;
 
   while (auto rec = reader.next()) {
     auto view = rec->view();
     switch (rec->type) {
       case RecordType::kMeta: {
-        view.get_u64();  // saved world size — informational only; restoring
-                         // at a different P is the elastic-restart path.
+        // Restoring at a different P is the elastic-restart path; the saved
+        // P only decides whether owned layers' inverses stay usable.
+        meta_world = view.get_u64();
         const std::uint64_t layers = view.get_u64();
         if (layers != L) {
           throw std::runtime_error(
@@ -391,6 +401,13 @@ void DistKfacOptimizer::restore_checkpoint(std::istream& in) {
         have_residuals = true;
         break;
       }
+      case RecordType::kInverseHolders:
+        saver_rank = static_cast<std::int64_t>(view.get_u64());
+        for (std::size_t l = 0; l < L; ++l) {
+          holders[l] = static_cast<int>(
+              static_cast<std::int64_t>(view.get_u64()));
+        }
+        break;
       case RecordType::kProfiler:
         prof = view.get_f64s(static_cast<std::size_t>(view.get_u64()));
         have_profiler = true;
@@ -447,6 +464,16 @@ void DistKfacOptimizer::restore_checkpoint(std::istream& in) {
   next_replan_step_ = static_cast<std::size_t>(meta_next_replan);
   profiled_timing_ = meta_profiled;
   current_timing_ = std::move(timing);
+  // A layer owner's inverses are current only in its own journal, and only
+  // at the world size that placed the layer.  Replicated ones are the same
+  // in every rank's journal.
+  const bool own_journal =
+      saver_rank == comm_.rank() &&
+      meta_world == static_cast<std::uint64_t>(comm_.size());
+  for (std::size_t l = 0; l < L; ++l) {
+    inverse_holder_[l] = (holders[l] == -1 || own_journal) ? holders[l] : -2;
+  }
+  restore_check_pending_ = true;
   // The plan cache keys on (profile, world size) and plans are pure
   // functions of both, but after an elastic restore its entries describe a
   // cluster that no longer exists; dropping it costs one planner run and

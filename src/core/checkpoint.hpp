@@ -59,6 +59,11 @@ enum class RecordType : std::uint16_t {
   /// runs grad_codec == kTopK; absent records restore as zeroed residuals,
   /// so version-1 journals from before compression stay readable.
   kGradResidual = 10,
+  /// Whose inverses the saved ones are (payload: u64 saving rank, then per
+  /// layer the i64 holder — -1: every rank computed or received them, r:
+  /// only owner r did).  Absent in journals from before layer-granular
+  /// placement, which replicated every inverse: all restore as -1.
+  kInverseHolders = 11,
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`,

@@ -196,6 +196,8 @@ DistKfacOptimizer::DistKfacOptimizer(
   fresh_a_.resize(L);
   fresh_g_.resize(L);
   agg_grads_.resize(L);
+  deltas_.resize(L);
+  inverse_holder_.assign(L, -1);
 
   // Execution-layer profiling tap: every compute node reports its measured
   // duration; factor builds and inverses land in the profiler's per-layer /
@@ -221,7 +223,7 @@ DistKfacOptimizer::DistKfacOptimizer(
         profiler_.record_inverse(task.tensor, seconds);
         break;
       default:
-        break;  // the update task is not a profiled quantity
+        break;  // the Eq. (13) tasks are not a profiled quantity
     }
   });
 
@@ -291,6 +293,42 @@ void DistKfacOptimizer::refresh_planning_profile(bool measured_fusion) {
   if (profiler_.has_factor_samples()) profiled_timing_ = true;
 }
 
+std::shared_ptr<const sched::IterationPlan> DistKfacOptimizer::fetch_plan(
+    const sched::ScheduleInputs& inputs, const sched::ScheduleOptions& opt) {
+  // Plan through the cache: the quantized signature of the profile in
+  // effect (plus the step kind) keys the schedule, so steady-state steps
+  // reuse the stored plan — a pointer install, not a planner run — byte
+  // for byte.
+  if (options_.plan_cache_capacity == 0) {
+    return std::make_shared<const sched::IterationPlan>(
+        sched::plan_iteration(inputs, opt, costs_));
+  }
+  sched::PlanCache::Key key{
+      opt.factor_update, opt.inverse_update, opt.factor_comm,
+      sched::ProfileSignature::of(current_timing_, comm_.size())};
+  if (auto hit = plan_cache_.find(key)) return hit;
+  return plan_cache_.insert(key, sched::plan_iteration(inputs, opt, costs_));
+}
+
+bool DistKfacOptimizer::restored_inverses_missing() {
+  double missing = 0.0;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const int runs_on = plan_->task(plan_->precondition_tasks[l]).rank;
+    if ((runs_on < 0 || runs_on == comm_.rank()) && !holds_inverses(l)) {
+      missing = 1.0;
+    }
+  }
+  if (comm_.size() > 1) {
+    std::vector<double> flag{missing};
+    engine_
+        .all_reduce_async(flag, comm::ReduceOp::kMax, "restore-check",
+                          collective_algo(1))
+        .wait();
+    missing = flag[0];
+  }
+  return missing > 0.0;
+}
+
 void DistKfacOptimizer::begin_step() {
   if (failed_) {
     throw std::logic_error(
@@ -321,7 +359,7 @@ void DistKfacOptimizer::begin_step() {
       opt.inverse = sched::InverseMode::kSeqDist;
       break;
     case DistStrategy::kSpdKfac:
-      opt.inverse = sched::InverseMode::kLBP;
+      opt.inverse = sched::InverseMode::kLayerLBP;
       break;
   }
 
@@ -362,26 +400,24 @@ void DistKfacOptimizer::begin_step() {
   }
   inputs.timing = current_timing_;
 
-  // Plan through the cache: the quantized signature of the profile in
-  // effect (plus the step kind) keys the schedule, so steady-state steps
-  // reuse the stored plan — a pointer install, not a planner run — byte
-  // for byte.
-  if (options_.plan_cache_capacity > 0) {
-    sched::PlanCache::Key key{opt.factor_update, opt.inverse_update,
-                              opt.factor_comm,
-                              sched::ProfileSignature::of(current_timing_,
-                                                          comm_.size())};
-    if (auto hit = plan_cache_.find(key)) {
-      plan_ = std::move(hit);
-    } else {
-      plan_ = plan_cache_.insert(key,
-                                 sched::plan_iteration(inputs, opt, costs_));
+  plan_ = fetch_plan(inputs, opt);
+  if (restore_check_pending_ && !opt.inverse_update &&
+      options_.strategy == DistStrategy::kSpdKfac) {
+    // A layer's owner keeps its inverses across off-steps; a restored rank
+    // may hold another rank's copy instead, so re-invert rather than
+    // precondition with inverses this rank never computed.
+    if (restored_inverses_missing()) {
+      opt.inverse_update = true;
+      plan_ = fetch_plan(inputs, opt);
     }
-  } else {
-    plan_ = std::make_shared<const sched::IterationPlan>(
-        sched::plan_iteration(inputs, opt, costs_));
   }
+  restore_check_pending_ = false;
   if (!plan_->placement.assignments.empty()) placement_ = plan_->placement;
+  if (plan_->inverse_update) {
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      inverse_holder_[l] = plan_->task(plan_->precondition_tasks[l]).rank;
+    }
+  }
 
   // -------------------------------------------------------------------
   // Packing layout, straight from the plan.  Size the arena slab, then one
@@ -402,6 +438,10 @@ void DistKfacOptimizer::begin_step() {
   std::size_t total = 0;          // slab doubles, aligned per span
   std::size_t codec_scratch = 0;  // largest codec gather/decode need
   for (const sched::Task& task : plan_->tasks) {
+    // A ΔW that is not broadcast gets a span of its own.
+    if (task.kind == sched::TaskKind::kPrecondition && task.rank < 0) {
+      total += BufferArena::aligned(task.elements);
+    }
     if (!task.is_collective()) continue;
     total += BufferArena::aligned(task.elements);
     if (task.codec == comm::Codec::kNone) continue;
@@ -422,6 +462,13 @@ void DistKfacOptimizer::begin_step() {
     if (!task.is_collective()) continue;
     const std::span<double> buffer = arena_.carve(task.elements);
     task_buffer_[static_cast<std::size_t>(task.id)] = buffer;
+    if (task.family == sched::Family::kGrad &&
+        task.kind == sched::TaskKind::kBroadcast) {
+      // A ΔW: the owner's kPrecondition (the only dependency) computes
+      // straight into it.
+      deltas_[task.layer] = buffer;
+      continue;
+    }
     arena_saved_bytes_ += buffer.size() * sizeof(double);  // zero-fill
     std::size_t offset = 0;
     for (std::size_t l : task.member_layers) {
@@ -446,6 +493,20 @@ void DistKfacOptimizer::begin_step() {
       arena_saved_bytes_ +=
           task.dim * task.dim * sizeof(double);  // inverse matrix realloc
     }
+  }
+  for (const int id : plan_->precondition_tasks) {
+    const sched::Task& task = plan_->task(id);
+    if (task.rank < 0) deltas_[task.layer] = arena_.carve(task.elements);
+    // A restored optimizer may precondition before its first factor
+    // build; the borrowed scratch takes the factor's own shape.
+    Matrix& scratch = precondition_scratch(task.layer);
+    if (scratch.empty()) {
+      const std::size_t d = std::max(layers_[task.layer]->dim_a(),
+                                     layers_[task.layer]->dim_g());
+      scratch = Matrix(d, d);
+    }
+    // The update used to allocate ΔW and ∇W A^-1 every step.
+    arena_saved_bytes_ += 2 * task.elements * sizeof(double);
   }
   codec_scratch_ =
       codec_scratch > 0 ? arena_.carve(codec_scratch) : std::span<double>{};
@@ -515,10 +576,26 @@ std::vector<exec::DataflowExecutor::Node> DistKfacOptimizer::build_nodes() {
         node.kind = NodeKind::kSubmission;
         node.work = [this, id] { submit_collective(id); };
         break;
-      case sched::TaskKind::kUpdate:
+      case sched::TaskKind::kPrecondition: {
+        const bool mine = task.rank < 0 || task.rank == comm_.rank();
+        node.kind = mine ? NodeKind::kCompute : NodeKind::kNoop;
+        if (mine) node.work = [this, id] { run_precondition(id); };
+        // Its scratch is a fresh factor buffer: wait until this step's
+        // factor builds (and, through the plan's deps, the inverses that
+        // borrow them) are done with it.
+        if (plan_->factor_update) {
+          add_dep(node.deps, factor_task(sched::Family::kA, task.layer));
+          add_dep(node.deps, factor_task(sched::Family::kG, task.layer));
+        }
+        // Single worker: no gradient group to wait for; step() stages the
+        // local gradients and then releases this gate.
+        if (plan_->grad_comm.empty()) node.external_deps = 1;
+        break;
+      }
+      case sched::TaskKind::kApply:
         node.kind = NodeKind::kCompute;
-        node.external_deps = 1;  // released by step(): passes done, grads staged
-        node.work = [this] { run_update(); };
+        node.external_deps = 1;  // released by step(): the passes are done
+        node.work = [this] { run_apply(); };
         break;
     }
   }
@@ -617,13 +694,20 @@ void DistKfacOptimizer::run_inverse(int task_id) {
   }
 }
 
-void DistKfacOptimizer::run_update() {
-  std::vector<Matrix> deltas(layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const LayerState& st = state_[l];
-    deltas[l] =
-        tensor::matmul(st.g_inv, tensor::matmul(agg_grads_[l], st.a_inv));
-  }
+void DistKfacOptimizer::run_precondition(int task_id) {
+  // Eq. (13) with the same kernels and k order on whichever rank runs it,
+  // so an owner's ΔW is bitwise the one every rank used to compute.
+  const std::size_t l = plan_->task(task_id).layer;
+  const LayerState& st = state_[l];
+  const std::span<double> product =
+      precondition_scratch(l).data().first(deltas_[l].size());
+  tensor::matmul(agg_grads_[l], st.a_inv.data(), st.a_inv.cols(), product);
+  tensor::matmul(st.g_inv, product, st.a_inv.cols(), deltas_[l]);
+}
+
+void DistKfacOptimizer::run_apply() {
+  const std::vector<std::span<const double>> deltas(deltas_.begin(),
+                                                    deltas_.end());
   const double nu =
       kl_clip_factor(deltas, agg_grads_, options_.lr, options_.kl_clip);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -757,6 +841,7 @@ void DistKfacOptimizer::postprocess_collective(int task_id) {
       break;
     }
     case sched::TaskKind::kBroadcast: {
+      if (task.family == sched::Family::kGrad) break;  // ΔW landed in place
       Matrix& inv = inverse_slot(task.tensor);
       if (inv.rows() != task.dim || inv.cols() != task.dim) {
         inv = Matrix(task.dim, task.dim);  // first step / reshape
@@ -854,13 +939,14 @@ void DistKfacOptimizer::step_body() {
   }
 
   // Single-worker steps communicate nothing: the local gradients are the
-  // aggregates.  Staged before the update gate opens.
+  // aggregates.  Staged before the preconditioning gates open.
   if (plan_->grad_comm.empty()) {
     for (std::size_t l = 0; l < L; ++l) {
       agg_grads_[l] = layers_[l]->weight_grad();
+      executor_.satisfy(plan_->precondition_tasks[l]);
     }
   }
-  if (plan_->update_task >= 0) executor_.satisfy(plan_->update_task);
+  if (plan_->apply_task >= 0) executor_.satisfy(plan_->apply_task);
   executor_.wait();
 
   ++step_count_;

@@ -15,7 +15,11 @@
 //   kSpdKfac  — the paper: factor aggregation is pipelined with factor
 //               computation using Eq. (15) dynamic tensor fusion on the
 //               asynchronous engine, and inverses are placed by Algorithm 1
-//               (LBP) with CT/NCT typing.
+//               with CT/NCT typing — at layer granularity where that pays
+//               (sched::InverseMode::kLayerLBP): one owner inverts both of
+//               a layer's factors, computes its Eq. (13) update ΔW and
+//               broadcasts ΔW instead of the inverses, so no rank repeats
+//               another's preconditioning [KAISA, Pauloski'21].
 //
 // Every step the optimizer asks the sched::SchedulePlanner for the
 // iteration's task-graph and *executes* it as a real dataflow: the plan's
@@ -397,7 +401,8 @@ class DistKfacOptimizer {
   // Dataflow node bodies (pool tasks / lane submissions / completions).
   void run_factor_compute(int task_id);
   void run_inverse(int task_id);
-  void run_update();
+  void run_precondition(int task_id);
+  void run_apply();
   void submit_collective(int task_id);
   /// Codec-annotated collective: queued on the engine as a custom pump op
   /// running the comm::compressed_* primitives over the task's arena span
@@ -409,7 +414,20 @@ class DistKfacOptimizer {
   /// first use (grad_codec == kTopK); restore_checkpoint also routes
   /// through this before staging saved residuals.
   void ensure_grad_residuals();
-
+  /// Plans this step through the plan cache (or the planner directly).
+  std::shared_ptr<const sched::IterationPlan> fetch_plan(
+      const sched::ScheduleInputs& inputs, const sched::ScheduleOptions& opt);
+  /// Whether this rank's inverses of `layer` are the ones its last inverse
+  /// step computed (see inverse_holder_).
+  bool holds_inverses(std::size_t layer) const noexcept {
+    return inverse_holder_[layer] == -1 ||
+           inverse_holder_[layer] == comm_.rank();
+  }
+  /// First off-step after a restore: true when any rank would
+  /// precondition a layer with inverses it did not compute (restored from
+  /// another rank's checkpoint, or at another world size).  Rank-identical
+  /// (one all-reduce); the caller then recomputes the inverses.
+  bool restored_inverses_missing();
   /// Plan id of the task building `family`'s factor of model layer `layer`.
   int factor_task(sched::Family family, std::size_t layer) const {
     return family == sched::Family::kA
@@ -437,7 +455,9 @@ class DistKfacOptimizer {
   std::vector<LayerState> state_;
   /// Fresh local factors, rebuilt by each factor compute.  After the
   /// factor barrier they are dead until the next one, so the Cholesky
-  /// inverse of tensor t borrows t's buffer as its W = L^-1 scratch.
+  /// inverse of tensor t borrows t's buffer as its W = L^-1 scratch, and a
+  /// layer's kPrecondition borrows the larger of its two for ∇W A^-1
+  /// (d_out x d_in fits: d_out d_in <= max(d_in, d_out)^2).
   std::vector<tensor::Matrix> fresh_a_, fresh_g_;
   std::vector<tensor::Matrix> agg_grads_;
   std::size_t step_count_ = 0;
@@ -484,6 +504,25 @@ class DistKfacOptimizer {
   std::vector<std::span<double>> task_buffer_;
   /// Per layer: the gradient's staging range and its group's task.
   std::vector<GradSlot> grad_slots_;
+  /// The larger of layer l's fresh factor buffers — kPrecondition's
+  /// scratch.
+  tensor::Matrix& precondition_scratch(std::size_t l) {
+    return layers_[l]->dim_a() >= layers_[l]->dim_g() ? fresh_a_[l]
+                                                       : fresh_g_[l];
+  }
+  /// Per layer: ΔW_l = G^-1 ∇W A^-1, written by the layer's kPrecondition
+  /// and read by kApply.  An owned layer's ΔW is its broadcast payload, so
+  /// the owner computes straight into what it ships and every other rank
+  /// receives into what it applies.
+  std::vector<std::span<double>> deltas_;
+  /// Per layer: whose inverses this rank's a_inv/g_inv are, as of the last
+  /// inverse step — -1 when every rank computed or received them, else the
+  /// owner that computed them (the only rank holding current ones); -2
+  /// after a restore that cannot vouch for them.  Checkpointed.
+  std::vector<int> inverse_holder_;
+  /// Set by restore_checkpoint: the next off-step checks
+  /// restored_inverses_missing() before it plans.
+  bool restore_check_pending_ = false;
   /// Gather/decode scratch for codec-annotated collectives, sized for the
   /// step's largest one.  The engine pump runs ops serially, so one shared
   /// region is race-free.  Empty on lossless steps.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "tensor/kernels/kernels.hpp"
 
@@ -109,7 +110,7 @@ std::pair<double, double> factored_damping(const Matrix& a, const Matrix& g,
   return {pi * root, root / pi};
 }
 
-double kl_clip_factor(std::span<const Matrix> deltas,
+double kl_clip_factor(std::span<const std::span<const double>> deltas,
                       std::span<const Matrix> grads, double lr,
                       double kl_clip) {
   if (kl_clip <= 0.0) return 1.0;
@@ -118,14 +119,26 @@ double kl_clip_factor(std::span<const Matrix> deltas,
   }
   double vg_sum = 0.0;
   for (std::size_t l = 0; l < deltas.size(); ++l) {
-    auto dd = deltas[l].data();
+    const std::span<const double> dd = deltas[l];
     auto gd = grads[l].data();
+    if (dd.size() != gd.size()) {
+      throw std::invalid_argument("kl_clip_factor: delta shape mismatch");
+    }
     double dot = 0.0;
     for (std::size_t i = 0; i < dd.size(); ++i) dot += dd[i] * gd[i];
     vg_sum += lr * lr * dot;
   }
   if (vg_sum <= 0.0) return 1.0;
   return std::min(1.0, std::sqrt(kl_clip / vg_sum));
+}
+
+double kl_clip_factor(std::span<const Matrix> deltas,
+                      std::span<const Matrix> grads, double lr,
+                      double kl_clip) {
+  std::vector<std::span<const double>> views;
+  views.reserve(deltas.size());
+  for (const Matrix& d : deltas) views.push_back(d.data());
+  return kl_clip_factor(views, grads, lr, kl_clip);
 }
 
 void SgdOptimizer::step() {

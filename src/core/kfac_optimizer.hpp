@@ -66,6 +66,10 @@ std::pair<double, double> factored_damping(const tensor::Matrix& a,
 
 /// Computes the KL-clipping factor nu for a set of (delta, grad) pairs.
 /// Returns 1.0 when clipping is disabled or the trust measure is <= 0.
+/// Each delta is a row-major view of its grad's shape.
+double kl_clip_factor(std::span<const std::span<const double>> deltas,
+                      std::span<const tensor::Matrix> grads, double lr,
+                      double kl_clip);
 double kl_clip_factor(std::span<const tensor::Matrix> deltas,
                       std::span<const tensor::Matrix> grads, double lr,
                       double kl_clip);

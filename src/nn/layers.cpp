@@ -66,13 +66,20 @@ Span outputs_inside(std::size_t tap, std::size_t count, std::size_t extent,
 }  // namespace
 
 void PreconditionedLayer::apply_update(const Matrix& delta, double lr) {
-  Matrix& w = weight();
+  const Matrix& w = weight();
   if (delta.rows() != w.rows() || delta.cols() != w.cols()) {
     throw std::invalid_argument("apply_update: delta shape mismatch");
   }
-  auto wd = w.data();
-  auto dd = delta.data();
-  for (std::size_t i = 0; i < wd.size(); ++i) wd[i] -= lr * dd[i];
+  apply_update(delta.data(), lr);
+}
+
+void PreconditionedLayer::apply_update(std::span<const double> delta,
+                                       double lr) {
+  auto wd = weight().data();
+  if (delta.size() != wd.size()) {
+    throw std::invalid_argument("apply_update: delta shape mismatch");
+  }
+  for (std::size_t i = 0; i < wd.size(); ++i) wd[i] -= lr * delta[i];
 }
 
 // ---------------------------------------------------------------------------

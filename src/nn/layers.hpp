@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,8 +58,10 @@ class PreconditionedLayer : public Layer {
   /// Output-gradient rows captured by the last backward() (rows x dim_g).
   virtual const tensor::Matrix& kfac_output_grad() const noexcept = 0;
 
-  /// w <- w - lr * delta, where delta has the weight's shape.
+  /// w <- w - lr * delta, where delta has the weight's shape (or, as a
+  /// span, its size in row order).
   void apply_update(const tensor::Matrix& delta, double lr);
+  void apply_update(std::span<const double> delta, double lr);
 
   std::size_t param_count() const noexcept {
     return dim_a() * dim_g();

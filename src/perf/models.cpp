@@ -74,6 +74,16 @@ double InverseModel::time(std::size_t d) const noexcept {
   return 0.0;
 }
 
+double InverseModel::cube_time(double n3) const noexcept {
+  switch (form) {
+    case Form::kExponential:
+      return alpha * (std::exp(beta * std::cbrt(n3)) - 1.0);
+    case Form::kCubic:
+      return beta * n3;
+  }
+  return 0.0;
+}
+
 ClusterCalibration ClusterCalibration::paper_rtx2080ti_64gpu() {
   ClusterCalibration cal;
   cal.name = "paper-rtx2080ti-64gpu-100GbIB";

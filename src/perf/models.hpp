@@ -104,6 +104,13 @@ struct InverseModel {
   }
 
   double time(std::size_t d) const noexcept;
+
+  /// Seconds for `n3` multiply-adds (an m x k by k x n GEMM has n3 = m k n)
+  /// at this model's per-d^3 rate: the cubic form's coefficient, or for
+  /// the exponential form the rise of its curve above the floor,
+  /// time(d) - time(0) at d^3 = n3.  Prices the Eq. (13) GEMMs that
+  /// layer-granular placement saves (sched::lbp_layer_place).
+  double cube_time(double n3) const noexcept;
 };
 
 /// FLOP-throughput compute model for layer work.  Every task cost is

@@ -43,15 +43,28 @@ bool Placement::valid(std::size_t num_tensors) const noexcept {
   return true;
 }
 
-Placement lbp_place(std::span<const std::size_t> dims, int world_size,
-                    const perf::InverseModel& inverse,
-                    const perf::BroadcastModel& broadcast,
-                    BalanceMetric metric) {
+double precondition_time(const perf::InverseModel& inverse, std::size_t d_in,
+                         std::size_t d_out) noexcept {
+  return inverse.cube_time(static_cast<double>(d_out) *
+                           static_cast<double>(d_in) *
+                           static_cast<double>(d_in + d_out));
+}
+
+namespace {
+
+/// Algorithm 1.  With `delta_broadcast` null it is the paper's
+/// tensor-granular LBP; otherwise layers are placed whole where that pays
+/// (see lbp_layer_place).
+Placement algorithm1(std::span<const std::size_t> dims, int world_size,
+                     const perf::InverseModel& inverse,
+                     const perf::BroadcastModel& broadcast,
+                     const perf::BroadcastModel* delta_broadcast,
+                     BalanceMetric metric) {
   if (world_size < 1) {
     throw std::invalid_argument("lbp_place: world_size must be >= 1");
   }
   Placement placement;
-  placement.policy = "LBP";
+  placement.policy = delta_broadcast == nullptr ? "LBP" : "Layer-LBP";
   placement.world_size = world_size;
   placement.assignments.resize(dims.size());
   placement.per_gpu.assign(world_size, {});
@@ -65,27 +78,71 @@ Placement lbp_place(std::span<const std::size_t> dims, int world_size,
     return dims[a] > dims[b];
   });
 
+  const auto balance_weight = [metric](std::size_t d, double t_comp,
+                                       double t_comm) {
+    switch (metric) {
+      case BalanceMetric::kDim:
+        return static_cast<double>(d);
+      case BalanceMetric::kDimSquared:
+        return static_cast<double>(d) * static_cast<double>(d);
+      case BalanceMetric::kEstimatedTime:
+        return t_comp + t_comm;
+    }
+    return 0.0;
+  };
+
+  // Which layers to own, and what one weighs in its owner's bucket.
+  std::vector<double> layer_weight;  // per layer; < 0: not owned
+  if (delta_broadcast != nullptr) {
+    const std::size_t layers = dims.size() / 2;
+    placement.layer_owner.assign(layers, -1);
+    layer_weight.assign(layers, -1.0);
+    const double others = static_cast<double>(world_size - 1) /
+                          static_cast<double>(world_size);
+    for (std::size_t l = 0; l < layers && world_size > 1; ++l) {
+      const std::size_t d_in = dims[2 * l], d_out = dims[2 * l + 1];
+      double replaced = 0.0;  // the CT broadcasts ΔW stands in for
+      for (const std::size_t d : {d_in, d_out}) {
+        const double t_comm = broadcast.time_dim(d);
+        if (inverse.time(d) >= t_comm) replaced += t_comm;
+      }
+      const double update = precondition_time(inverse, d_in, d_out);
+      const double shipped = delta_broadcast->time_elements(d_out * d_in);
+      if (replaced + others * update <= shipped) continue;
+      layer_weight[l] =
+          metric == BalanceMetric::kEstimatedTime
+              ? inverse.time(d_in) + inverse.time(d_out) + update + shipped
+              : balance_weight(d_in, 0.0, 0.0) + balance_weight(d_out, 0.0, 0.0);
+    }
+  }
+
   std::vector<double> bucket(world_size, 0.0);
+  const auto least_loaded = [&bucket] {
+    return static_cast<int>(std::min_element(bucket.begin(), bucket.end()) -
+                            bucket.begin());
+  };
   for (std::size_t t : order) {
     const std::size_t d = dims[t];
-    const double t_comp = inverse.time(d);
-    const double t_comm = broadcast.time_dim(d);
     TensorAssignment& a = placement.assignments[t];
     a.tensor = t;
     a.dim = d;
 
-    const double weight = [&] {
-      switch (metric) {
-        case BalanceMetric::kDim:
-          return static_cast<double>(d);
-        case BalanceMetric::kDimSquared:
-          return static_cast<double>(d) * static_cast<double>(d);
-        case BalanceMetric::kEstimatedTime:
-          return t_comp + t_comm;
+    if (!layer_weight.empty() && layer_weight[t / 2] >= 0.0) {
+      // An owned layer: its first tensor places the whole layer.
+      int& owner = placement.layer_owner[t / 2];
+      if (owner < 0) {
+        owner = least_loaded();
+        bucket[owner] += layer_weight[t / 2];
       }
-      return 0.0;
-    }();
+      a.nct = false;
+      a.owner = owner;
+      placement.per_gpu[owner].push_back(t);
+      continue;
+    }
 
+    const double t_comp = inverse.time(d);
+    const double t_comm = broadcast.time_dim(d);
+    const double weight = balance_weight(d, t_comp, t_comm);
     if (t_comp < t_comm || world_size == 1) {
       // Lines 8-10: cheaper to invert everywhere than to ship the result.
       a.nct = true;
@@ -95,8 +152,7 @@ Placement lbp_place(std::span<const std::size_t> dims, int world_size,
       for (double& b : bucket) b += comp_weight;
     } else {
       // Lines 11-13: give the tensor to the least-loaded GPU.
-      const int p = static_cast<int>(
-          std::min_element(bucket.begin(), bucket.end()) - bucket.begin());
+      const int p = least_loaded();
       a.nct = false;
       a.owner = p;
       placement.per_gpu[p].push_back(t);
@@ -104,6 +160,29 @@ Placement lbp_place(std::span<const std::size_t> dims, int world_size,
     }
   }
   return placement;
+}
+
+}  // namespace
+
+Placement lbp_place(std::span<const std::size_t> dims, int world_size,
+                    const perf::InverseModel& inverse,
+                    const perf::BroadcastModel& broadcast,
+                    BalanceMetric metric) {
+  return algorithm1(dims, world_size, inverse, broadcast, nullptr, metric);
+}
+
+Placement lbp_layer_place(std::span<const std::size_t> dims, int world_size,
+                          const perf::InverseModel& inverse,
+                          const perf::BroadcastModel& broadcast,
+                          const perf::BroadcastModel& delta_broadcast,
+                          BalanceMetric metric) {
+  if (dims.size() % 2 != 0 || world_size < 1) {
+    throw std::invalid_argument(
+        "lbp_layer_place: dims must hold an (A, G) pair per layer and "
+        "world_size must be >= 1");
+  }
+  return algorithm1(dims, world_size, inverse, broadcast, &delta_broadcast,
+                    metric);
 }
 
 Placement seq_place(std::span<const std::size_t> dims, int world_size) {
@@ -152,8 +231,14 @@ PlacementCost predict_cost(const Placement& placement,
     comp[p] = nct_comp;
     for (std::size_t t : placement.per_gpu[p]) {
       comp[p] += inverse.time(dims[t]);
-      comm[p] += broadcast.time_dim(dims[t]);
+      if (!placement.owned(t / 2)) comm[p] += broadcast.time_dim(dims[t]);
     }
+    cost.per_gpu_seconds[p] = comp[p] + comm[p];
+  }
+  for (std::size_t l = 0; l < placement.layer_owner.size(); ++l) {
+    const int p = placement.layer_owner[l];
+    if (p < 0) continue;
+    comm[p] += broadcast.time_elements(dims[2 * l] * dims[2 * l + 1]);
     cost.per_gpu_seconds[p] = comp[p] + comm[p];
   }
   const auto it = std::max_element(cost.per_gpu_seconds.begin(),

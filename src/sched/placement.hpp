@@ -13,7 +13,10 @@
 // each via the fitted performance models, and assigns CTs to the currently
 // least-loaded GPU.  The baselines of Fig. 12 — Non-Dist (everything NCT,
 // i.e. D-KFAC) and Seq-Dist (round-robin CTs, i.e. MPD-KFAC [13,20,22]) —
-// are provided alongside.
+// are provided alongside, and so is a layer-granular variant in the manner
+// of KAISA (Pauloski et al., SC'21): a layer whose owner inverts both of
+// its factors, preconditions its gradient and broadcasts the d_out x d_in
+// update ΔW instead of the two inverses.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +42,16 @@ struct Placement {
   int world_size = 1;
   std::vector<TensorAssignment> assignments;      // index-aligned with dims
   std::vector<std::vector<std::size_t>> per_gpu;  // CT tensor ids per GPU
+  /// Per layer (tensors 2l and 2l+1), lbp_layer_place only: the GPU that
+  /// inverts both factors, preconditions the layer and broadcasts ΔW_l;
+  /// -1 when every GPU preconditions it.  Empty for the tensor-granular
+  /// policies.  An owned layer's tensors are CTs of the owner that are
+  /// never broadcast.
+  std::vector<int> layer_owner;
+
+  bool owned(std::size_t layer) const noexcept {
+    return layer < layer_owner.size() && layer_owner[layer] >= 0;
+  }
 
   std::size_t num_ncts() const noexcept;
   std::size_t num_cts() const noexcept;
@@ -60,6 +73,29 @@ Placement lbp_place(std::span<const std::size_t> dims, int world_size,
                     const perf::BroadcastModel& broadcast,
                     BalanceMetric metric = BalanceMetric::kEstimatedTime);
 
+/// Algorithm 1 at layer granularity.  `dims` holds layer l's factors at
+/// 2l (A_l, d_in) and 2l+1 (G_l, d_out).  Layer l is owned when
+///   sum of its CTs' broadcast times + (P-1)/P * t_update
+///     > delta_broadcast.time_elements(d_out * d_in),
+/// where t_update = precondition_time(inverse, d_in, d_out): every GPU but
+/// the owner stops running the update GEMMs, and one ΔW replaces the CT
+/// broadcasts.  The traversal is
+/// lbp_place's; the first tensor of an owned layer places the whole layer
+/// (weight: both inverses, the update and the ΔW broadcast under
+/// kEstimatedTime) on the least-loaded GPU, and its second tensor follows.
+/// Other layers' tensors are typed and placed exactly as lbp_place does.
+/// Throws std::invalid_argument on an odd tensor count or world_size < 1.
+Placement lbp_layer_place(std::span<const std::size_t> dims, int world_size,
+                          const perf::InverseModel& inverse,
+                          const perf::BroadcastModel& broadcast,
+                          const perf::BroadcastModel& delta_broadcast,
+                          BalanceMetric metric = BalanceMetric::kEstimatedTime);
+
+/// Modeled time of layer l's two Eq. (13) GEMMs, G^-1 (∇W A^-1): d_out
+/// d_in (d_in + d_out) multiply-adds priced by inverse.cube_time.
+double precondition_time(const perf::InverseModel& inverse, std::size_t d_in,
+                         std::size_t d_out) noexcept;
+
 /// MPD-KFAC baseline: tensor i on GPU i % P, everything CT.
 Placement seq_place(std::span<const std::size_t> dims, int world_size);
 
@@ -68,7 +104,8 @@ Placement nondist_place(std::span<const std::size_t> dims, int world_size);
 
 /// Predicted cost of executing a placement, per the paper's objective
 /// Eq. (21): every GPU pays the compute time of its CTs plus all NCTs plus
-/// the broadcast time of its CTs; the phase ends with the slowest GPU.
+/// the broadcast time of its CTs; the phase ends with the slowest GPU.  An
+/// owned layer's owner pays one ΔW broadcast instead of its tensors'.
 struct PlacementCost {
   std::vector<double> per_gpu_seconds;
   double max_seconds = 0.0;        ///< Eq. (21) objective value

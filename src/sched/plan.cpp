@@ -14,8 +14,10 @@ const char* to_string(TaskKind kind) noexcept {
       return "Inverse";
     case TaskKind::kBroadcast:
       return "Broadcast";
-    case TaskKind::kUpdate:
-      return "Update";
+    case TaskKind::kPrecondition:
+      return "Precondition";
+    case TaskKind::kApply:
+      return "Apply";
   }
   return "?";
 }

@@ -37,8 +37,14 @@ enum class TaskKind {
   kFusedAllReduce,  ///< aggregate one fused factor group across workers
   kGradAllReduce,   ///< aggregate one WFBP gradient group across workers
   kInverse,         ///< damped inverse of one tensor (owner or replicated)
-  kBroadcast,       ///< ship one CT inverse from its owner to every worker
-  kUpdate,          ///< apply the preconditioned update (Eq. 13)
+  kBroadcast,       ///< ship one CT inverse, or one layer's ΔW (family
+                    ///< kGrad), from its owner to every worker
+  kPrecondition,    ///< ΔW_l = G_l^-1 ∇W_l A_l^-1 of one layer (Eq. 13),
+                    ///< on the layer's owner or on every rank
+  kApply,           ///< kl-clip factor ν over every ΔW, then W -= lr ν ΔW
+  /// kApply's name from when one task both preconditioned and applied;
+  /// bench/e2e's ledger still spells it.
+  kUpdate = kApply,
 };
 
 const char* to_string(TaskKind kind) noexcept;
@@ -59,14 +65,22 @@ const char* to_string(Family family) noexcept;
 ///                    `first`)
 ///   kInverse         tensor, dim, elements (packed), rank (owner; -1 =
 ///                    replicated NCT), deps (the factor barrier)
-///   kBroadcast       tensor, dim, elements, rank (root), deps
-///   kUpdate          elements (total parameters), deps
+///   kBroadcast       tensor, dim, elements, rank (root), deps (the CT's
+///                    inverse); family kGrad: layer, elements (d_out x
+///                    d_in), rank (the layer's owner), deps (its
+///                    kPrecondition)
+///   kPrecondition    layer, elements (d_out x d_in), rank (the layer's
+///                    owner; -1 = every rank), deps (the layer's two
+///                    inverses or their broadcasts, its gradient group)
+///   kApply           elements (total parameters), deps (every
+///                    kPrecondition and ΔW broadcast)
 struct Task {
   int id = -1;
-  TaskKind kind = TaskKind::kUpdate;
+  TaskKind kind = TaskKind::kApply;
   Family family = Family::kNone;
 
-  std::size_t layer = 0;       ///< model layer (kFactorCompute)
+  std::size_t layer = 0;  ///< model layer (kFactorCompute, kPrecondition,
+                          ///< ΔW broadcast)
   std::size_t pass_index = 0;  ///< position within its pass (kFactorCompute)
   std::size_t first = 0;       ///< see table above
   std::size_t last = 0;
@@ -131,14 +145,17 @@ struct IterationPlan {
   std::vector<int> grad_comm;   ///< per gradient group
   std::vector<int> comm_order;  ///< all all-reduce tasks, submission order
   std::vector<int> inverse_tasks;    ///< execution order (CTs then NCTs)
-  std::vector<int> broadcast_tasks;  ///< submission order
-  int update_task = -1;
+  /// Submission order: the CT inverse broadcasts, then the ΔW broadcasts.
+  std::vector<int> broadcast_tasks;
+  std::vector<int> precondition_tasks;  ///< per layer
+  int apply_task = -1;
 
   const Task& task(int id) const { return tasks[static_cast<std::size_t>(id)]; }
 
   /// Every collective in canonical submission order: `comm_order` followed
   /// by `broadcast_tasks` (the inverse phase starts only after the factor
-  /// barrier, so broadcasts always trail the all-reduces).
+  /// barrier, and a ΔW only after its layer's gradient group, so
+  /// broadcasts always trail the all-reduces).
   std::vector<int> collective_order() const;
 
   std::size_t num_collectives() const noexcept {

@@ -33,6 +33,8 @@ const char* to_string(InverseMode mode) noexcept {
       return "Seq-Dist";
     case InverseMode::kLBP:
       return "LBP";
+    case InverseMode::kLayerLBP:
+      return "Layer-LBP";
   }
   return "?";
 }
@@ -394,31 +396,75 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
   // Inverse phase: placement per the configured policy; CT inverses each
   // followed by their broadcast, in deterministic submission order, then
   // the replicated NCT inverses (computed while the broadcasts drain).
+  // Layer-LBP places on off-steps too: the owner that inverted a layer's
+  // factors keeps preconditioning it until the next inverse step, and the
+  // placement is a function of shapes, P and the cost models only, so it
+  // cannot move in between.
   // -------------------------------------------------------------------
-  if (plan.inverse_update) {
-    std::vector<std::size_t> dims(2 * L);
-    for (std::size_t l = 0; l < L; ++l) {
-      dims[2 * l] = inputs.layers[l].dim_a;
-      dims[2 * l + 1] = inputs.layers[l].dim_g;
-    }
+  const bool layer_mode = options.inverse == InverseMode::kLayerLBP;
+  std::vector<std::size_t> dims(2 * L);
+  for (std::size_t l = 0; l < L; ++l) {
+    dims[2 * l] = inputs.layers[l].dim_a;
+    dims[2 * l + 1] = inputs.layers[l].dim_g;
+  }
+  Placement placement;
+  std::vector<std::size_t> ct_order;  // CT inverse submission order
+  if (plan.inverse_update || (options.second_order && layer_mode)) {
+    // CT/NCT typing under compression: a compressed broadcast is cheaper,
+    // so the crossover dimension drops and more tensors become
+    // communicated (Algorithm 1 re-derived on beta').  ΔW ships lossless.
+    const perf::BroadcastModel bcast =
+        with_codec(costs.broadcast, bcast_codec, topk_ratio);
     switch (options.inverse) {
       case InverseMode::kLocalAll:
-        plan.placement = nondist_place(dims, inputs.world_size);
+        placement = nondist_place(dims, inputs.world_size);
         break;
       case InverseMode::kSeqDist:
-        plan.placement = seq_place(dims, inputs.world_size);
+        placement = seq_place(dims, inputs.world_size);
         break;
       case InverseMode::kLBP:
-        // CT/NCT typing under compression: a compressed broadcast is
-        // cheaper, so the crossover dimension drops and more tensors
-        // become communicated (Algorithm 1 re-derived on beta').
-        plan.placement =
-            lbp_place(dims, inputs.world_size, costs.inverse,
-                      with_codec(costs.broadcast, bcast_codec, topk_ratio),
-                      options.balance);
+        placement = lbp_place(dims, inputs.world_size, costs.inverse, bcast,
+                              options.balance);
+        break;
+      case InverseMode::kLayerLBP:
+        placement =
+            lbp_layer_place(dims, inputs.world_size, costs.inverse, bcast,
+                            costs.broadcast, options.balance);
         break;
     }
+    // LBP emits largest-dimension first (the order Algorithm 1 assigned),
+    // an owned layer's second tensor right behind its first so the owner
+    // can precondition early; Seq-Dist uses tensor index order.
+    for (std::size_t t = 0; t < dims.size(); ++t) {
+      if (!placement.assignments[t].nct) ct_order.push_back(t);
+    }
+    if (options.inverse == InverseMode::kLBP || layer_mode) {
+      std::stable_sort(
+          ct_order.begin(), ct_order.end(),
+          [&dims](std::size_t x, std::size_t y) { return dims[x] > dims[y]; });
+    }
+    if (layer_mode) {
+      std::vector<std::size_t> grouped;
+      std::vector<bool> taken(dims.size(), false);
+      for (const std::size_t t : ct_order) {
+        if (taken[t]) continue;
+        grouped.push_back(t);
+        taken[t] = true;
+        if (placement.owned(t / 2) && !taken[t ^ 1]) {
+          grouped.push_back(t ^ 1);
+          taken[t ^ 1] = true;
+        }
+      }
+      ct_order = std::move(grouped);
+    }
+  }
 
+  // Per tensor: the task a preconditioning reads its inverse from this
+  // step (the broadcast of a CT, else the inverse itself); -1 on
+  // off-steps, which reuse the inverses of the last inverse step.
+  std::vector<int> inverse_source(dims.size(), -1);
+  if (plan.inverse_update) {
+    plan.placement = placement;
     // Inverses start once every rank holds the aggregated factors: after
     // the last factor collective, or the last factor compute when nothing
     // was communicated (single worker).  Off-steps reuse stale factors and
@@ -429,30 +475,19 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
       barrier.push_back(plan.g_compute.back());
     }
 
-    // CT submission order: LBP emits largest-dimension first (the order
-    // Algorithm 1 assigned); Seq-Dist uses tensor index order.
-    std::vector<std::size_t> ct_order;
-    for (std::size_t t = 0; t < dims.size(); ++t) {
-      if (!plan.placement.assignments[t].nct) ct_order.push_back(t);
-    }
-    if (options.inverse == InverseMode::kLBP) {
-      std::stable_sort(
-          ct_order.begin(), ct_order.end(),
-          [&dims](std::size_t x, std::size_t y) { return dims[x] > dims[y]; });
-    }
-
     for (std::size_t t : ct_order) {
       Task inv;
       inv.kind = TaskKind::kInverse;
       inv.tensor = t;
       inv.dim = dims[t];
       inv.elements = packed_size(dims[t]);
-      inv.rank = plan.placement.assignments[t].owner;
+      inv.rank = placement.assignments[t].owner;
       inv.deps = barrier;
       inv.label = "inv[T" + std::to_string(t) + "]";
       const int inv_id = b.add(std::move(inv));
       plan.inverse_tasks.push_back(inv_id);
-      if (inputs.world_size > 1) {
+      inverse_source[t] = inv_id;
+      if (inputs.world_size > 1 && !placement.owned(t / 2)) {
         Task bc;
         bc.kind = TaskKind::kBroadcast;
         bc.tensor = t;
@@ -460,14 +495,16 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
         bc.elements = packed_size(dims[t]);
         bc.codec = bcast_codec;
         bc.wire_elements = comm::wire_elements(bcast_codec, bc.elements);
-        bc.rank = plan.placement.assignments[t].owner;
+        bc.rank = placement.assignments[t].owner;
         bc.deps = {inv_id};
         bc.label = "bcast[T" + std::to_string(t) + "]";
-        plan.broadcast_tasks.push_back(b.add(std::move(bc)));
+        const int bc_id = b.add(std::move(bc));
+        plan.broadcast_tasks.push_back(bc_id);
+        inverse_source[t] = bc_id;
       }
     }
     for (std::size_t t = 0; t < dims.size(); ++t) {
-      if (!plan.placement.assignments[t].nct) continue;
+      if (!placement.assignments[t].nct) continue;
       Task inv;
       inv.kind = TaskKind::kInverse;
       inv.tensor = t;
@@ -476,24 +513,78 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
       inv.rank = -1;
       inv.deps = barrier;
       inv.label = "inv[T" + std::to_string(t) + "]";
-      plan.inverse_tasks.push_back(b.add(std::move(inv)));
+      inverse_source[t] = b.add(std::move(inv));
+      plan.inverse_tasks.push_back(inverse_source[t]);
     }
   }
 
   // -------------------------------------------------------------------
-  // Update task: Eq. (13) applied once everything above retired.
+  // Eq. (13), one kPrecondition per layer (on its owner, or on every rank)
+  // once its inverses and its gradient group are in, then the owned
+  // layers' ΔW broadcasts in the order their owners finish them, then one
+  // kApply: ν needs every ΔW.
   // -------------------------------------------------------------------
   if (options.second_order) {
-    Task up;
-    up.kind = TaskKind::kUpdate;
-    up.elements = total_params;
-    up.deps = plan.inverse_tasks;
-    up.deps.insert(up.deps.end(), plan.broadcast_tasks.begin(),
-                   plan.broadcast_tasks.end());
-    up.deps.insert(up.deps.end(), plan.grad_comm.begin(),
-                   plan.grad_comm.end());
-    up.label = "update";
-    plan.update_task = b.add(std::move(up));
+    std::vector<int> grad_group(L, -1);
+    for (const int id : plan.grad_comm) {
+      for (const std::size_t l : plan.task(id).member_layers) {
+        grad_group[l] = id;
+      }
+    }
+    Task apply;
+    apply.kind = TaskKind::kApply;
+    apply.elements = total_params;
+    apply.label = "apply";
+    for (std::size_t l = 0; l < L; ++l) {
+      Task pc;
+      pc.kind = TaskKind::kPrecondition;
+      pc.layer = l;
+      pc.elements = inputs.layers[l].grad_elements;
+      pc.rank = placement.owned(l) ? placement.layer_owner[l] : -1;
+      for (const int dep : {inverse_source[2 * l], inverse_source[2 * l + 1],
+                            grad_group[l]}) {
+        if (dep >= 0) pc.deps.push_back(dep);
+      }
+      pc.label = "precond[" + std::to_string(l) + "]";
+      plan.precondition_tasks.push_back(b.add(std::move(pc)));
+      apply.deps.push_back(plan.precondition_tasks.back());
+    }
+    // ΔW broadcasts in the order their owners should finish them: each
+    // owner inverts its CTs in ct_order (an owned layer's pair back to
+    // back), then preconditions the layer.  Off-steps keep the order.
+    std::vector<double> busy(static_cast<std::size_t>(inputs.world_size),
+                             0.0);
+    std::vector<std::pair<double, std::size_t>> finish;  // (time, layer)
+    std::vector<bool> inverted(dims.size(), false);
+    for (const std::size_t t : ct_order) {
+      const auto r = static_cast<std::size_t>(placement.assignments[t].owner);
+      busy[r] += costs.inverse.time(dims[t]);
+      inverted[t] = true;
+      const std::size_t l = t / 2;
+      if (placement.owned(l) && inverted[t ^ 1]) {  // the pair is done
+        busy[r] += precondition_time(costs.inverse, dims[2 * l],
+                                     dims[2 * l + 1]);
+        finish.emplace_back(busy[r], l);
+      }
+    }
+    std::stable_sort(finish.begin(), finish.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
+    for (const auto& [time, l] : finish) {
+      Task bc;
+      bc.kind = TaskKind::kBroadcast;
+      bc.family = Family::kGrad;
+      bc.layer = l;
+      bc.elements = inputs.layers[l].grad_elements;
+      bc.wire_elements = bc.elements;
+      bc.rank = placement.layer_owner[l];
+      bc.deps = {plan.precondition_tasks[l]};
+      bc.label = "bcast[dW" + std::to_string(l) + "]";
+      plan.broadcast_tasks.push_back(b.add(std::move(bc)));
+      apply.deps.push_back(plan.broadcast_tasks.back());
+    }
+    plan.apply_task = b.add(std::move(apply));
   }
 
   return plan;

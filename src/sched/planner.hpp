@@ -8,8 +8,10 @@
 //     threshold-fused, or the Eq. (15) optimal-fusion DP (SPD-KFAC);
 //   * all-reduce algorithm resolution (kAuto via the AlgorithmSelector,
 //     identically on every rank);
-//   * inverse placement per InverseMode — Non-Dist, Seq-Dist, or LBP
-//     (Algorithm 1) with CT/NCT typing — and the broadcast order.
+//   * inverse placement per InverseMode — Non-Dist, Seq-Dist, LBP
+//     (Algorithm 1) with CT/NCT typing, or Layer-LBP (Algorithm 1 placing
+//     whole layers whose owner broadcasts ΔW) — and the broadcast order;
+//   * the per-layer Eq. (13) preconditioning tasks and the one apply.
 //
 // The runtime feeds measured (or profiled) pass timing and executes the
 // resulting plan; the simulator feeds model-derived timing and prices it.
@@ -43,7 +45,11 @@ enum class FactorCommMode {
 enum class InverseMode {
   kLocalAll,  ///< every GPU inverts everything (Non-Dist, D-KFAC)
   kSeqDist,   ///< round-robin ownership, all CT (Seq-Dist, MPD-KFAC)
-  kLBP,       ///< Algorithm 1 with CT/NCT typing (SPD-KFAC)
+  kLBP,       ///< Algorithm 1 with CT/NCT typing (the paper's SPD-KFAC)
+  /// Algorithm 1 placing a whole layer wherever that pays: one owner
+  /// inverts both factors, preconditions the layer and broadcasts ΔW
+  /// instead of the inverses (lbp_layer_place; the runtime's SPD-KFAC).
+  kLayerLBP,
 };
 
 const char* to_string(FactorCommMode mode) noexcept;

@@ -55,13 +55,23 @@ std::string plan_to_text(const IterationPlan& plan) {
         out += comm::to_string(t.algo);
         out += " deferred=" + std::to_string(t.deferred);
         break;
-      case TaskKind::kInverse:
       case TaskKind::kBroadcast:
+        if (t.family == Family::kGrad) {  // a layer's ΔW
+          out += " layer=" + std::to_string(t.layer) +
+                 " rank=" + std::to_string(t.rank);
+          break;
+        }
+        [[fallthrough]];
+      case TaskKind::kInverse:
         out += " tensor=" + std::to_string(t.tensor) +
                " dim=" + std::to_string(t.dim) +
                " rank=" + std::to_string(t.rank);
         break;
-      case TaskKind::kUpdate:
+      case TaskKind::kPrecondition:
+        out += " layer=" + std::to_string(t.layer) +
+               " rank=" + std::to_string(t.rank);
+        break;
+      case TaskKind::kApply:
         break;
     }
     out += " elems=" + std::to_string(t.elements);
@@ -110,7 +120,9 @@ std::string plan_to_text(const IterationPlan& plan) {
   append_list(out, "inverse_tasks", plan.inverse_tasks);
   out += ' ';
   append_list(out, "broadcast_tasks", plan.broadcast_tasks);
-  out += " update=" + std::to_string(plan.update_task) + "\n";
+  out += ' ';
+  append_list(out, "precondition_tasks", plan.precondition_tasks);
+  out += " apply=" + std::to_string(plan.apply_task) + "\n";
 
   out += "placement";
   for (std::size_t t = 0; t < plan.placement.assignments.size(); ++t) {
@@ -119,6 +131,15 @@ std::string plan_to_text(const IterationPlan& plan) {
            ",nct=" + std::to_string(a.nct) + ",dim=" + std::to_string(a.dim);
   }
   out += "\n";
+  // Layer owners exist only under Layer-LBP, so the tensor-granular plans'
+  // text ends where it always did.
+  if (!plan.placement.layer_owner.empty()) {
+    out += "layer_owners";
+    for (const int owner : plan.placement.layer_owner) {
+      out += ' ' + std::to_string(owner);
+    }
+    out += "\n";
+  }
   return out;
 }
 

@@ -83,9 +83,10 @@ TaskKind breakdown_kind(sched::TaskKind kind) noexcept {
       return TaskKind::kGradComm;
     case sched::TaskKind::kInverse:
       return TaskKind::kInverseComp;
-    case sched::TaskKind::kBroadcast:
+    case sched::TaskKind::kBroadcast:  // a CT inverse or a layer's ΔW
       return TaskKind::kInverseComm;
-    case sched::TaskKind::kUpdate:
+    case sched::TaskKind::kPrecondition:
+    case sched::TaskKind::kApply:
       return TaskKind::kOther;
   }
   return TaskKind::kOther;
@@ -267,15 +268,18 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
             ? std::vector<int>{}
             : translate_deps(plan.task(plan.inverse_tasks.front()).deps);
 
-    // Broadcast pricing per tensor: wire bytes under the plan's codec plus
-    // encode/decode compute.  For kNone this is exactly time_dim(d) — the
-    // task's elements are the packed triangle time_dim prices.
-    std::vector<double> bcast_price(2 * L, 0.0);
+    // Broadcast pricing per plan task: wire bytes under the plan's codec
+    // plus encode/decode compute.  For a lossless CT this is exactly
+    // time_dim(d) — the task's elements are the packed triangle time_dim
+    // prices.  A tensor of an owned layer has no broadcast of its own.
+    const auto bcast_price = [&cal](const sched::Task& task) {
+      return cal.bcast_fabric.time_elements(task.wire_elements) +
+             comm::codec_compute_cost(task.codec, task.elements);
+    };
+    std::vector<int> tensor_bcast(2 * L, -1);
     for (int id : plan.broadcast_tasks) {
       const sched::Task& task = plan.task(id);
-      bcast_price[task.tensor] =
-          cal.bcast_fabric.time_elements(task.wire_elements) +
-          comm::codec_compute_cost(task.codec, task.elements);
+      if (task.family != sched::Family::kGrad) tensor_bcast[task.tensor] = id;
     }
 
     std::vector<std::vector<std::size_t>> worklists(world);
@@ -284,7 +288,8 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
       for (const auto& a : result.placement.assignments) {
         if (a.nct) worklists[p].push_back(a.tensor);
       }
-      if (cfg.inverse == InverseMode::kLBP) {
+      if (cfg.inverse == InverseMode::kLBP ||
+          cfg.inverse == InverseMode::kLayerLBP) {
         std::stable_sort(worklists[p].begin(), worklists[p].end(),
                          [&](std::size_t x, std::size_t y) {
                            return dims[x] > dims[y];
@@ -293,6 +298,7 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
     }
     std::size_t max_len = 0;
     for (const auto& wl : worklists) max_len = std::max(max_len, wl.size());
+    std::vector<int> owner_inverse(2 * L, -1);  // owned layers' inverses
     for (std::size_t r = 0; r < max_len; ++r) {
       for (int p = 0; p < world; ++p) {
         if (r >= worklists[p].size()) continue;
@@ -303,12 +309,27 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
             TaskKind::kInverseComp, cal.inverse.time(dims[t]),
             comp[p][r % static_cast<std::size_t>(S)], barrier,
             "inv[T" + std::to_string(t) + "]");
-        if (!result.placement.assignments[t].nct && world > 1) {
-          es.add_gang_task(TaskKind::kInverseComm, bcast_price[t],
+        if (result.placement.owned(t / 2)) owner_inverse[t] = inv_id;
+        if (tensor_bcast[t] >= 0) {
+          es.add_gang_task(TaskKind::kInverseComm,
+                           bcast_price(plan.task(tensor_bcast[t])),
                            {comm[p], fabric}, {inv_id},
                            "bcast[T" + std::to_string(t) + "]");
         }
       }
+    }
+    // An owned layer's ΔW ships from its owner once both inverses are done
+    // (the preconditioning itself is not priced, like the update of every
+    // other mode).
+    for (int id : plan.broadcast_tasks) {
+      const sched::Task& task = plan.task(id);
+      if (task.family != sched::Family::kGrad) continue;
+      const int p = task.rank;
+      es.add_gang_task(TaskKind::kInverseComm, bcast_price(task),
+                       {comm[p], fabric},
+                       {owner_inverse[2 * task.layer],
+                        owner_inverse[2 * task.layer + 1]},
+                       task.label);
     }
 
     // Record the broadcasts in the plan's canonical submission order (what
@@ -318,8 +339,7 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
       const sched::Task& task = plan.task(id);
       result.collectives.push_back({task.label, TaskKind::kInverseComm,
                                     task.elements, task.algo,
-                                    bcast_price[task.tensor], task.id,
-                                    task.rank});
+                                    bcast_price(task), task.id, task.rank});
     }
   }
 

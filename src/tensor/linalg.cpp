@@ -94,34 +94,50 @@ void ensure_square(Matrix& m, std::size_t n) {
 /// Left-looking, one column panel J = [j0, j1) of width kNb at a time.
 /// First every row at or below the panel is reduced by the finished
 /// columns left of it, in place: S(i, J) = A(i, J) - L(i, :j0) L(J, :j0)^T,
-/// a 1-row gemm_nt per row, rows split into shape-only chunks.  Then each
-/// row is finished against the panel's own columns with dot:
+/// rows split into shape-only chunks — a 1-row gemm_nt per diagonal-block
+/// row (each stops at the diagonal), one multi-row gemm_nt for a chunk's
+/// rows below the block.  Then each row is finished against the panel's
+/// own columns:
 ///   L(i, j) = (S(i, j) - L(i, j0:j) . L(j, j0:j)) / L(j, j).
 /// The diagonal block holds every pivot of the panel and is finished
-/// serially, so the non-SPD/NaN check never runs inside a pool chunk;
-/// the rows below it are independent of each other.
+/// serially with dot, so the non-SPD/NaN check never runs inside a pool
+/// chunk; the rows below it are independent of each other and go four at
+/// a time, each column's four dot products one gemm_nt into a zeroed
+/// scratch.  gemm_nt adds each dot product to its output, and dot never
+/// returns -0.0, so 0 + dot is dot bit for bit, and the multi-row calls
+/// give every element the bits of the row-at-a-time ones.
 bool cholesky_stage(const Matrix& a, double damping, Matrix& l) {
   const std::size_t n = a.rows();
   const auto& kt = kernels::active_table();
+  constexpr std::size_t kRows = 4;  // rows per panel-solve gemm_nt
   for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
     const std::size_t j1 = std::min(n, j0 + kNb);
     exec::parallel_for(
         n - j0, items_per_chunk(std::max<std::size_t>(j0, 1) * (j1 - j0)),
         [&, j0, j1](std::size_t s0, std::size_t s1) {
-          for (std::size_t i = j0 + s0; i < j0 + s1; ++i) {
-            // Diagonal-block rows stop at the diagonal and clear the rest
-            // of the row too, so L is exactly zero above it.
-            const bool diagonal = i < j1;
-            const std::size_t w = std::min(j1, i + 1) - j0;
+          const std::size_t r0 = j0 + s0, r1 = j0 + s1;
+          // Diagonal-block rows stop at the diagonal and clear the rest of
+          // the row too, so L is exactly zero above it.
+          for (std::size_t i = r0; i < std::min(r1, j1); ++i) {
             double* li = l.row_ptr(i);
-            std::fill(li + j0, li + (diagonal ? n : j1), 0.0);
-            kt.gemm_nt(1, j0, w, li, n, l.row_ptr(j0), n, li + j0, n);
+            std::fill(li + j0, li + n, 0.0);
+            kt.gemm_nt(1, j0, i + 1 - j0, li, n, l.row_ptr(j0), n, li + j0,
+                       n);
             const double* ai = a.row_ptr(i);
-            const std::size_t off_diagonal_end = j0 + w - (diagonal ? 1 : 0);
-            for (std::size_t j = j0; j < off_diagonal_end; ++j) {
-              li[j] = ai[j] - li[j];
-            }
-            if (diagonal) li[i] = (ai[i] + damping) - li[i];
+            for (std::size_t j = j0; j < i; ++j) li[j] = ai[j] - li[j];
+            li[i] = (ai[i] + damping) - li[i];
+          }
+          const std::size_t b0 = std::max(r0, j1);
+          if (b0 >= r1) return;
+          for (std::size_t i = b0; i < r1; ++i) {
+            std::fill(l.row_ptr(i) + j0, l.row_ptr(i) + j1, 0.0);
+          }
+          kt.gemm_nt(r1 - b0, j0, j1 - j0, l.row_ptr(b0), n, l.row_ptr(j0),
+                     n, l.row_ptr(b0) + j0, n);
+          for (std::size_t i = b0; i < r1; ++i) {
+            double* li = l.row_ptr(i);
+            const double* ai = a.row_ptr(i);
+            for (std::size_t j = j0; j < j1; ++j) li[j] = ai[j] - li[j];
           }
         });
     for (std::size_t j = j0; j < j1; ++j) {
@@ -138,11 +154,16 @@ bool cholesky_stage(const Matrix& a, double damping, Matrix& l) {
     exec::parallel_for(
         n - j1, items_per_chunk((j1 - j0) * (j1 - j0)),
         [&, j0, j1](std::size_t s0, std::size_t s1) {
-          for (std::size_t i = j1 + s0; i < j1 + s1; ++i) {
+          for (std::size_t i = j1 + s0; i < j1 + s1; i += kRows) {
+            const std::size_t rows = std::min(kRows, j1 + s1 - i);
             double* li = l.row_ptr(i);
             for (std::size_t j = j0; j < j1; ++j) {
               const double* lj = l.row_ptr(j);
-              li[j] = (li[j] - kt.dot(li + j0, lj + j0, j - j0)) / lj[j];
+              double dots[kRows] = {};
+              kt.gemm_nt(rows, j - j0, 1, li + j0, n, lj + j0, n, dots, 1);
+              for (std::size_t r = 0; r < rows; ++r) {
+                li[r * n + j] = (li[r * n + j] - dots[r]) / lj[j];
+              }
             }
           }
         });

@@ -114,23 +114,41 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
+void matmul(const Matrix& a, std::span<const double> b, std::size_t n,
+            std::span<double> c) {
+  if (b.size() != a.cols() * n || c.size() != a.rows() * n) {
+    throw std::invalid_argument("matmul shape mismatch");
+  }
+  const auto overlaps = [&c](std::span<const double> m) {
+    return !m.empty() && !c.empty() && c.data() < m.data() + m.size() &&
+           m.data() < c.data() + c.size();
+  };
+  if (overlaps(a.data()) || overlaps(b)) {
+    throw std::invalid_argument("matmul: c must not alias a or b");
+  }
+  if (c.empty()) return;
+  // Rows of c are independent, so the outer loop blocks across the ambient
+  // pool; each chunk clears its rows, then runs the active ISA's
+  // register-tiled microkernel.  No zero-skip on a(i,k): it would break
+  // IEEE special-value propagation (0 * NaN must stay NaN) and defeat
+  // vectorization.
+  const auto& kt = kernels::active_table();
+  exec::parallel_for(
+      a.rows(), rows_per_chunk(a.cols() * n),
+      [&](std::size_t r0, std::size_t r1) {
+        double* c0 = c.data() + r0 * n;
+        std::fill(c0, c0 + (r1 - r0) * n, 0.0);
+        kt.gemm_nn(r1 - r0, a.cols(), n, a.row_ptr(r0), a.cols(), b.data(),
+                   n, c0, n);
+      });
+}
+
 Matrix matmul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("matmul shape mismatch");
   }
   Matrix c(a.rows(), b.cols());
-  if (c.rows() == 0 || c.cols() == 0) return c;
-  // Rows of c are independent, so the outer loop blocks across the ambient
-  // pool; each chunk runs the active ISA's register-tiled microkernel.  No
-  // zero-skip on a(i,k): it would break IEEE special-value propagation
-  // (0 * NaN must stay NaN) and defeat vectorization.
-  const auto& kt = kernels::active_table();
-  exec::parallel_for(
-      a.rows(), rows_per_chunk(a.cols() * b.cols()),
-      [&](std::size_t r0, std::size_t r1) {
-        kt.gemm_nn(r1 - r0, a.cols(), b.cols(), a.row_ptr(r0), a.cols(),
-                   b.row_ptr(0), b.cols(), c.row_ptr(r0), c.cols());
-      });
+  matmul(a, b.data(), b.cols(), c.data());
   return c;
 }
 

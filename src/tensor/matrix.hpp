@@ -107,6 +107,14 @@ class Matrix {
 
 /// C = A * B.  Dimensions must agree; throws std::invalid_argument otherwise.
 Matrix matmul(const Matrix& a, const Matrix& b);
+/// The same product over row-major views of persistent storage (an arena
+/// span, a borrowed buffer): `b` holds A.cols() rows of `n` doubles, and
+/// the A.rows() x n product is written into `c`.  Its prior contents are
+/// irrelevant, and the bits equal the returning form's.  Throws
+/// std::invalid_argument when the sizes disagree or `c` overlaps `a` or
+/// `b`.
+void matmul(const Matrix& a, std::span<const double> b, std::size_t n,
+            std::span<double> c);
 
 /// C = A^T * B without forming A^T.
 Matrix matmul_tn(const Matrix& a, const Matrix& b);

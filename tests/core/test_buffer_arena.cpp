@@ -112,12 +112,16 @@ struct ArenaObservation {
   bool last_step_ranges_disjoint = true;
 };
 
-/// Doubles the optimizer must carve for `plan`: every collective's payload,
-/// 64-byte aligned, plus the largest codec gather/decode scratch.
+/// Doubles the optimizer must carve for `plan`: every collective's payload
+/// and every ΔW that is not a broadcast payload, 64-byte aligned, plus the
+/// largest codec gather/decode scratch.
 std::size_t expected_carved(const sched::IterationPlan& plan,
                             const DistKfacOptions& opts) {
   std::size_t total = 0, scratch = 0;
   for (const sched::Task& t : plan.tasks) {
+    if (t.kind == sched::TaskKind::kPrecondition && t.rank < 0) {
+      total += BufferArena::aligned(t.elements);
+    }
     if (!t.is_collective()) continue;
     total += BufferArena::aligned(t.elements);
     if (t.codec == comm::Codec::kNone) continue;
@@ -131,14 +135,21 @@ std::size_t expected_carved(const sched::IterationPlan& plan,
   return total + BufferArena::aligned(scratch);
 }
 
-/// arena_bytes_saved_per_step() in closed form: the payload bytes, plus a
-/// d x d dense intermediate per fused factor member, plus the gradient
-/// bytes per gradient-group member, plus a dim x dim matrix per broadcast.
+/// arena_bytes_saved_per_step() in closed form: the payload bytes (but a
+/// ΔW's, which no earlier layout zero-filled), plus a d x d dense
+/// intermediate per fused factor member, plus the gradient bytes per
+/// gradient-group member, plus a dim x dim matrix per inverse broadcast,
+/// plus a ΔW and a ∇W A^-1 per layer.
 std::size_t expected_saved(const sched::IterationPlan& plan,
                            const std::vector<nn::PreconditionedLayer*>& layers) {
   std::size_t bytes = 0;
   for (const sched::Task& t : plan.tasks) {
-    if (!t.is_collective()) continue;
+    if (t.kind == sched::TaskKind::kPrecondition) {
+      bytes += 2 * t.elements * sizeof(double);
+    }
+    const bool delta = t.kind == sched::TaskKind::kBroadcast &&
+                       t.family == sched::Family::kGrad;
+    if (!t.is_collective() || delta) continue;
     bytes += t.elements * sizeof(double);
     for (std::size_t l : t.member_layers) {
       if (t.kind == sched::TaskKind::kFusedAllReduce) {

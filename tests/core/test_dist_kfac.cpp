@@ -218,7 +218,8 @@ TEST(DistKfac, SpdPlacementUsesLbp) {
     Rng rng(7 + comm.rank());
     run_pass(model, data, rng, 4);
     spd.step();
-    EXPECT_EQ(spd.placement().policy, "LBP");
+    // Algorithm 1 at layer granularity (sched::lbp_layer_place).
+    EXPECT_EQ(spd.placement().policy, "Layer-LBP");
     EXPECT_TRUE(spd.placement().valid(2 * layers.size()));
   });
 }
@@ -344,13 +345,15 @@ TEST(DistKfac, UpdateFrequenciesReduceWork) {
 /// Steady steps rebuild every factor-sized matrix in place: once a step has
 /// sized them, the inverse slots keep their storage whether this rank
 /// inverts a tensor itself (NCT, D-KFAC, a CT it owns) or receives its
-/// broadcast, serially and under a pool.  The input width makes the first
-/// layer's A factor large enough for LBP to broadcast it while the
-/// 3-class G factor stays replicated, so SPD-KFAC covers both kinds.
+/// broadcast, serially and under a pool.  MPD-KFAC broadcasts every
+/// inverse, D-KFAC replicates every inverse, and the input width makes
+/// SPD-KFAC's layers worth owning, so its owners invert in place what the
+/// other rank never holds.
 TEST(DistKfac, InverseSlotsKeepTheirStorageAcrossSteps) {
   constexpr std::size_t kWideIn = 48;
   for (const DistStrategy strategy :
-       {DistStrategy::kSpdKfac, DistStrategy::kDKfac}) {
+       {DistStrategy::kSpdKfac, DistStrategy::kMpdKfac,
+        DistStrategy::kDKfac}) {
     for (const std::size_t pool_size : {0u, 2u}) {
       comm::Cluster::launch(2, [&](comm::Communicator& comm) {
         Rng init(kModelSeed);
@@ -387,9 +390,8 @@ TEST(DistKfac, InverseSlotsKeepTheirStorageAcrossSteps) {
         }
         if (strategy == DistStrategy::kSpdKfac) {
           const sched::Placement& placement = optimizer.placement();
-          EXPECT_EQ(placement.policy, "LBP");
-          EXPECT_GT(placement.num_ncts(), 0u);
-          EXPECT_LT(placement.num_ncts(), 2 * layers.size());
+          EXPECT_EQ(placement.policy, "Layer-LBP");
+          EXPECT_TRUE(placement.owned(0));
         }
       });
     }

@@ -124,6 +124,7 @@ std::vector<StepCapture> run_adaptive_runtime(
 sim::AlgorithmConfig adaptive_sim_config() {
   sim::AlgorithmConfig cfg = sim::AlgorithmConfig::spd_kfac();
   cfg.grad_fusion_threshold = kGradThreshold;
+  cfg.inverse = sim::InverseMode::kLayerLBP;  // the runtime's SPD-KFAC
   return cfg;
 }
 

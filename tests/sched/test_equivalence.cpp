@@ -129,6 +129,9 @@ sim::AlgorithmConfig sim_config(const Config& c) {
     case core::DistStrategy::kSpdKfac:
       cfg = sim::AlgorithmConfig::spd_kfac();
       cfg.factor_comm = c.factor_comm;
+      // The runtime's SPD-KFAC places whole layers where that pays; the
+      // paper configuration keeps Algorithm 1's tensor granularity.
+      cfg.inverse = sim::InverseMode::kLayerLBP;
       break;
   }
   cfg.grad_fusion_threshold = kGradThreshold;

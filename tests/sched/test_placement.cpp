@@ -82,6 +82,61 @@ TEST(LbpPlace, WorldSizeValidation) {
   EXPECT_THROW(seq_place(dims, 0), std::invalid_argument);
 }
 
+// Layer-granular Algorithm 1 at the paper's models: a big layer's two
+// GEMMs outweigh one ΔW broadcast and it goes to one owner whole; a
+// 64/128 layer's update is cheaper than a broadcast start-up, so it keeps
+// lbp_place's per-tensor typing.
+TEST(LbpLayerPlace, OwnsLayersWhoseUpdateOutweighsOneBroadcast) {
+  const std::vector<std::size_t> dims{4096, 4096, 64, 128, 2048, 1024};
+  const Placement p = lbp_layer_place(dims, 4, paper_inverse(),
+                                      paper_broadcast(), paper_broadcast());
+  const Placement tensor = lbp_place(dims, 4, paper_inverse(),
+                                     paper_broadcast());
+  EXPECT_EQ(p.policy, "Layer-LBP");
+  EXPECT_TRUE(p.valid(dims.size()));
+  ASSERT_EQ(p.layer_owner.size(), 3u);
+  EXPECT_TRUE(p.owned(0));
+  EXPECT_FALSE(p.owned(1));
+  EXPECT_TRUE(p.owned(2));
+  EXPECT_NE(p.layer_owner[0], p.layer_owner[2]) << "owned layers spread";
+  for (const std::size_t l : {std::size_t{0}, std::size_t{2}}) {
+    for (const std::size_t t : {2 * l, 2 * l + 1}) {
+      EXPECT_FALSE(p.assignments[t].nct);
+      EXPECT_EQ(p.assignments[t].owner, p.layer_owner[l]);
+    }
+  }
+  for (const std::size_t t : {std::size_t{2}, std::size_t{3}}) {
+    EXPECT_EQ(p.assignments[t].nct, tensor.assignments[t].nct) << t;
+  }
+  EXPECT_TRUE(tensor.layer_owner.empty());
+}
+
+TEST(LbpLayerPlace, SingleGpuOwnsNothingAndBadInputThrows) {
+  const std::vector<std::size_t> dims{4096, 4096};
+  const Placement p = lbp_layer_place(dims, 1, paper_inverse(),
+                                      paper_broadcast(), paper_broadcast());
+  EXPECT_FALSE(p.owned(0));
+  EXPECT_EQ(p.num_ncts(), 2u);
+  const std::vector<std::size_t> odd{64, 128, 256};
+  EXPECT_THROW(lbp_layer_place(odd, 4, paper_inverse(), paper_broadcast(),
+                               paper_broadcast()),
+               std::invalid_argument);
+  EXPECT_THROW(lbp_layer_place(dims, 0, paper_inverse(), paper_broadcast(),
+                               paper_broadcast()),
+               std::invalid_argument);
+}
+
+TEST(PredictCost, OwnedLayerPaysOneDeltaBroadcastInsteadOfItsInverses) {
+  const std::vector<std::size_t> dims{4096, 2048};
+  const auto inv = paper_inverse();
+  const auto bc = paper_broadcast();
+  const Placement p = lbp_layer_place(dims, 2, inv, bc, bc);
+  ASSERT_TRUE(p.owned(0));
+  const PlacementCost cost = predict_cost(p, dims, inv, bc);
+  EXPECT_DOUBLE_EQ(cost.bottleneck_comm, bc.time_elements(4096 * 2048));
+  EXPECT_DOUBLE_EQ(cost.bottleneck_comp, inv.time(4096) + inv.time(2048));
+}
+
 TEST(PredictCost, NonDistHasNoCommAndFullComp) {
   const std::vector<std::size_t> dims{1000, 2000};
   const Placement p = nondist_place(dims, 4);

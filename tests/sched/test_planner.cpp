@@ -58,7 +58,8 @@ TEST(Planner, SpdPlanCoversEveryLayerAndTensor) {
   EXPECT_EQ(plan.inverse_tasks.size(), 2 * L);
   EXPECT_TRUE(plan.placement.valid(2 * L));
   EXPECT_EQ(plan.broadcast_tasks.size(), plan.placement.num_cts());
-  EXPECT_GE(plan.update_task, 0);
+  EXPECT_EQ(plan.precondition_tasks.size(), L);
+  EXPECT_GE(plan.apply_task, 0);
 }
 
 TEST(Planner, CommOrderIsSortedByReadinessGradsBeforeFactorsOnTies) {
@@ -289,7 +290,9 @@ TEST(Planner, TaskKindNamesAreStable) {
   EXPECT_STREQ(to_string(TaskKind::kGradAllReduce), "GradAllReduce");
   EXPECT_STREQ(to_string(TaskKind::kInverse), "Inverse");
   EXPECT_STREQ(to_string(TaskKind::kBroadcast), "Broadcast");
-  EXPECT_STREQ(to_string(TaskKind::kUpdate), "Update");
+  EXPECT_STREQ(to_string(TaskKind::kPrecondition), "Precondition");
+  EXPECT_STREQ(to_string(TaskKind::kApply), "Apply");
+  EXPECT_STREQ(to_string(InverseMode::kLayerLBP), "Layer-LBP");
 }
 
 }  // namespace

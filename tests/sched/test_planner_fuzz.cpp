@@ -99,8 +99,8 @@ FuzzCase sample_case(std::mt19937_64& rng) {
       FactorCommMode::kOptimalFuse};
   opt.factor_comm = modes[std::uniform_int_distribution<int>(0, 4)(rng)];
   const InverseMode inv[] = {InverseMode::kLocalAll, InverseMode::kSeqDist,
-                             InverseMode::kLBP};
-  opt.inverse = inv[std::uniform_int_distribution<int>(0, 2)(rng)];
+                             InverseMode::kLBP, InverseMode::kLayerLBP};
+  opt.inverse = inv[std::uniform_int_distribution<int>(0, 3)(rng)];
   const comm::AllReduceAlgo algos[] = {comm::AllReduceAlgo::kRing,
                                        comm::AllReduceAlgo::kAuto,
                                        comm::AllReduceAlgo::kHalvingDoubling};
@@ -264,15 +264,42 @@ void check_invariants(const IterationPlan& plan, const FuzzCase& fc,
     for (std::size_t t = 0; t < 2 * L; ++t) {
       EXPECT_EQ(tensors.count(t), 1u) << ctx << " tensor " << t;
     }
-    // One broadcast per CT, rooted at the owner (multi-worker only).
+    // One broadcast per CT of a layer nobody owns, rooted at the owner,
+    // and one ΔW broadcast per owned layer, rooted at the layer's owner
+    // (multi-worker only).
+    std::size_t owned_cts = 0, owned_layers = 0;
+    for (std::size_t l = 0; l < L; ++l) {
+      if (!plan.placement.owned(l)) continue;
+      ++owned_layers;
+      owned_cts += 2;
+      for (const std::size_t t : {2 * l, 2 * l + 1}) {
+        EXPECT_EQ(plan.placement.assignments[t].owner,
+                  plan.placement.layer_owner[l])
+            << ctx << ": an owned layer's inverses run on its owner";
+      }
+    }
+    if (fc.options.inverse != InverseMode::kLayerLBP) {
+      EXPECT_TRUE(plan.placement.layer_owner.empty()) << ctx;
+    }
     if (fc.world > 1) {
-      ASSERT_EQ(plan.broadcast_tasks.size(), ct_count) << ctx;
+      ASSERT_EQ(plan.broadcast_tasks.size(),
+                ct_count - owned_cts + owned_layers)
+          << ctx;
       for (int id : plan.broadcast_tasks) {
         const Task& bc = plan.task(id);
         EXPECT_EQ(bc.kind, TaskKind::kBroadcast) << ctx;
+        ASSERT_EQ(bc.deps.size(), 1u) << ctx;
+        if (bc.family == Family::kGrad) {
+          EXPECT_EQ(bc.rank, plan.placement.layer_owner[bc.layer])
+              << ctx << ": ΔW must be rooted at the layer's owner";
+          EXPECT_EQ(bc.deps[0], plan.precondition_tasks[bc.layer]) << ctx;
+          EXPECT_EQ(bc.elements, fc.inputs.layers[bc.layer].grad_elements)
+              << ctx;
+          continue;
+        }
+        EXPECT_FALSE(plan.placement.owned(bc.tensor / 2)) << ctx;
         EXPECT_EQ(bc.rank, plan.placement.assignments[bc.tensor].owner)
             << ctx << ": broadcast must be rooted at the inverse owner";
-        ASSERT_EQ(bc.deps.size(), 1u) << ctx;
         EXPECT_EQ(plan.task(bc.deps[0]).tensor, bc.tensor) << ctx;
       }
     } else {
@@ -280,21 +307,44 @@ void check_invariants(const IterationPlan& plan, const FuzzCase& fc,
     }
   } else {
     EXPECT_TRUE(plan.inverse_tasks.empty()) << ctx;
-    EXPECT_TRUE(plan.broadcast_tasks.empty()) << ctx;
+    for (int id : plan.broadcast_tasks) {
+      EXPECT_EQ(plan.task(id).family, Family::kGrad)
+          << ctx << ": off-steps broadcast ΔW only";
+    }
   }
 
-  // --- Update task: present iff second-order, last, gated on everything. ---
+  // --- Eq. (13): one precondition per layer, then the apply — last and
+  // gated, at least transitively, on everything. ---
   if (fc.options.second_order) {
-    ASSERT_EQ(plan.update_task,
-              static_cast<int>(plan.tasks.size()) - 1)
+    ASSERT_EQ(plan.precondition_tasks.size(), L) << ctx;
+    ASSERT_EQ(plan.apply_task, static_cast<int>(plan.tasks.size()) - 1)
         << ctx;
-    const Task& up = plan.task(plan.update_task);
-    std::set<int> deps(up.deps.begin(), up.deps.end());
-    for (int id : plan.inverse_tasks) EXPECT_TRUE(deps.count(id)) << ctx;
-    for (int id : plan.broadcast_tasks) EXPECT_TRUE(deps.count(id)) << ctx;
-    for (int id : plan.grad_comm) EXPECT_TRUE(deps.count(id)) << ctx;
+    std::set<int> reached;
+    std::vector<int> stack{plan.apply_task};
+    while (!stack.empty()) {
+      const int id = stack.back();
+      stack.pop_back();
+      for (const int dep : plan.task(id).deps) {
+        if (reached.insert(dep).second) stack.push_back(dep);
+      }
+    }
+    for (int id : plan.inverse_tasks) EXPECT_TRUE(reached.count(id)) << ctx;
+    for (int id : plan.broadcast_tasks) EXPECT_TRUE(reached.count(id)) << ctx;
+    for (int id : plan.grad_comm) EXPECT_TRUE(reached.count(id)) << ctx;
+    for (std::size_t l = 0; l < L; ++l) {
+      const Task& pc = plan.task(plan.precondition_tasks[l]);
+      EXPECT_EQ(pc.kind, TaskKind::kPrecondition) << ctx;
+      EXPECT_EQ(pc.layer, l) << ctx;
+      if (plan.inverse_update) {
+        EXPECT_EQ(pc.rank, plan.placement.owned(l)
+                               ? plan.placement.layer_owner[l]
+                               : -1)
+            << ctx;
+      }
+    }
   } else {
-    EXPECT_EQ(plan.update_task, -1) << ctx;
+    EXPECT_TRUE(plan.precondition_tasks.empty()) << ctx;
+    EXPECT_EQ(plan.apply_task, -1) << ctx;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -311,6 +312,69 @@ TEST(SpdInverseBlocked, BitwiseAcrossPoolSizesAtEveryIsaLevel) {
                      " workers=" + std::to_string(pool->workers()));
         expect_bitwise_eq(cholesky(a)->lower, lower, "cholesky");
         expect_bitwise_eq(spd_inverse(a), inv, "spd_inverse");
+      }
+    }
+  }
+  kernels::force(saved);
+}
+
+/// The blocked Cholesky one row at a time: the same 64-wide panels and
+/// per-element k order, with a 1-row gemm_nt per row for the reduction
+/// and one dot per element for the panel solve.
+Matrix row_at_a_time_cholesky(const Matrix& a) {
+  constexpr std::size_t kNb = 64;
+  const std::size_t n = a.rows();
+  const auto& kt = kernels::active_table();
+  Matrix l(n, n);
+  for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
+    const std::size_t j1 = std::min(n, j0 + kNb);
+    for (std::size_t i = j0; i < n; ++i) {
+      const bool diagonal = i < j1;
+      const std::size_t w = std::min(j1, i + 1) - j0;
+      double* li = l.row_ptr(i);
+      std::fill(li + j0, li + (diagonal ? n : j1), 0.0);
+      kt.gemm_nt(1, j0, w, li, n, l.row_ptr(j0), n, li + j0, n);
+      const std::size_t end = j0 + w - (diagonal ? 1 : 0);
+      for (std::size_t j = j0; j < end; ++j) li[j] = a(i, j) - li[j];
+      if (diagonal) li[i] = a(i, i) - li[i];
+    }
+    for (std::size_t j = j0; j < j1; ++j) {
+      double* lj = l.row_ptr(j);
+      lj[j] = std::sqrt(lj[j] - kt.dot(lj + j0, lj + j0, j - j0));
+      for (std::size_t i = j + 1; i < n; ++i) {
+        double* li = l.row_ptr(i);
+        li[j] = (li[j] - kt.dot(li + j0, lj + j0, j - j0)) / lj[j];
+      }
+    }
+  }
+  return l;
+}
+
+// cholesky() batches rows into multi-row gemm_nt calls; every element must
+// keep the bits of the row-at-a-time factorization, serially and under a
+// pool, at each ISA level.
+TEST(Cholesky, BitwiseEqualsRowAtATimeReferenceAtEveryIsaLevel) {
+  std::vector<kernels::Isa> levels{kernels::Isa::kScalar};
+  if (kernels::supported(kernels::Isa::kAvx2)) {
+    levels.push_back(kernels::Isa::kAvx2);
+  }
+  const kernels::Isa saved = kernels::active();
+  exec::ThreadPool two(2);
+  for (const kernels::Isa level : levels) {
+    kernels::force(level);
+    for (const std::size_t n : {1, 5, 64, 65, 130, 257}) {
+      Rng rng(static_cast<unsigned>(n * 17 + 3));
+      const Matrix a = random_spd(n, rng, 1e-2);
+      const Matrix want = row_at_a_time_cholesky(a);
+      for (exec::ThreadPool* pool : {static_cast<exec::ThreadPool*>(nullptr),
+                                     &two}) {
+        exec::Context ctx(pool);
+        SCOPED_TRACE(std::string(kernels::to_string(level)) +
+                     " n=" + std::to_string(n) +
+                     (pool == nullptr ? " serial" : " pool"));
+        const auto chol = cholesky(a);
+        ASSERT_TRUE(chol.has_value());
+        expect_bitwise_eq(chol->lower, want, "cholesky");
       }
     }
   }
