@@ -159,8 +159,8 @@ int main() {
   const bench::SampleStats s = bench::stats(step_seconds);
   std::printf("  steps %d, replan every %zu: %zu re-plans, %zu sync ops\n",
               kSteps, kReplanInterval, replans, sync_ops);
-  std::printf("  plan cache: %zu hits / %zu misses (steady state hits when\n"
-              "  the quantized profile signature is stable)\n",
+  std::printf("  plan cache: %zu hits / %zu misses (plans are rebuilt when\n"
+              "  the timing or step kind changes)\n",
               cache_hits, cache_misses);
   std::printf("  step time mean %.4fs p50 %.4fs p90 %.4fs\n", s.mean, s.p50,
               s.p90);

@@ -47,9 +47,8 @@ struct DistTrainConfig {
   std::uint64_t data_seed = 3;
   double noise = 0.0;
   /// Every rank's optimizer, including the cluster backend it runs on
-  /// (`transport`): in-process threads, or one process per rank over shared
-  /// memory / Unix sockets.  The numerics are bitwise identical on every
-  /// backend.
+  /// (`transport`): in-process threads, or one process per rank over Unix
+  /// sockets.  The numerics are bitwise identical on every backend.
   core::DistKfacOptions optimizer;
 };
 

@@ -474,10 +474,8 @@ void DistKfacOptimizer::restore_checkpoint(std::istream& in) {
     inverse_holder_[l] = (holders[l] == -1 || own_journal) ? holders[l] : -2;
   }
   restore_check_pending_ = true;
-  // The plan cache keys on (profile, world size) and plans are pure
-  // functions of both, but after an elastic restore its entries describe a
-  // cluster that no longer exists; dropping it costs one planner run and
-  // removes the staleness class entirely.
+  // Memoized plans were built from the timing just replaced; the next step
+  // re-plans from the restored one.
   plan_cache_.clear();
   // A restored optimizer is a fresh start: the failure that motivated the
   // restore belonged to the previous incarnation's cluster.

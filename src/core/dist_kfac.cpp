@@ -50,11 +50,6 @@ void DistKfacOptions::validate() const {
         "DistKfacOptions: replan_interval is a negative value cast to "
         "unsigned");
   }
-  if (plan_cache_capacity > std::numeric_limits<std::size_t>::max() / 2) {
-    throw std::invalid_argument(
-        "DistKfacOptions: plan_cache_capacity is a negative value cast to "
-        "unsigned");
-  }
   if (!(profile_ema > 0.0) || !(profile_ema <= 1.0) ||
       !std::isfinite(profile_ema)) {
     throw std::invalid_argument(
@@ -178,7 +173,6 @@ DistKfacOptimizer::DistKfacOptimizer(
              options_.inverse_model, selector_},
       profiler_(std::max<std::size_t>(layers_.size(), 1),
                 options_.profile_ema),
-      plan_cache_(options_.plan_cache_capacity),
       pool_(options_.pool_size > 0
                 ? std::make_unique<exec::ThreadPool>(options_.pool_size)
                 : nullptr),
@@ -276,36 +270,36 @@ void DistKfacOptimizer::refresh_planning_profile(bool measured_fusion) {
       options_.profile.empty()
           ? std::span<const sched::PassTiming>(options_.profile_trajectory)
           : std::span<const sched::PassTiming>(&options_.profile, 1);
+  sched::PassTiming timing;
   if (!traj.empty()) {
-    current_timing_ = traj[std::min(replan_epoch_, traj.size() - 1)];
-    ++replan_epoch_;
+    timing = traj[std::min(replan_epoch_, traj.size() - 1)];
     profiled_timing_ = true;
-    return;
+  } else {
+    // Live mode: rank-average the profile when it steers fusion decisions
+    // (a rank-divergent fusion plan would make the collectives mismatch;
+    // plans whose structure ignores the timing magnitudes — bulk/naive
+    // factor comm — stay rank-identical from local values, because the
+    // pass walk's event *order* is shape-determined).
+    if (measured_fusion) sync_profile();
+    timing = sched::timing_from_profile(profiler_.snapshot());
+    if (profiler_.has_factor_samples()) profiled_timing_ = true;
   }
-  // Live mode: rank-average the profile when it steers fusion decisions (a
-  // rank-divergent fusion plan would make the collectives mismatch; plans
-  // whose structure ignores the timing magnitudes — bulk/naive factor comm
-  // — stay rank-identical from local values, because the pass walk's event
-  // *order* is shape-determined).
-  if (measured_fusion) sync_profile();
-  current_timing_ = sched::timing_from_profile(profiler_.snapshot());
   ++replan_epoch_;
-  if (profiler_.has_factor_samples()) profiled_timing_ = true;
+  // The memo holds plans built from the timing in effect, so only a
+  // changed timing retires them: a fixed profile or a clamped trajectory
+  // entry keeps every plan.
+  if (timing != current_timing_) {
+    current_timing_ = std::move(timing);
+    plan_cache_.clear();
+  }
 }
 
 std::shared_ptr<const sched::IterationPlan> DistKfacOptimizer::fetch_plan(
     const sched::ScheduleInputs& inputs, const sched::ScheduleOptions& opt) {
-  // Plan through the cache: the quantized signature of the profile in
-  // effect (plus the step kind) keys the schedule, so steady-state steps
-  // reuse the stored plan — a pointer install, not a planner run — byte
-  // for byte.
-  if (options_.plan_cache_capacity == 0) {
-    return std::make_shared<const sched::IterationPlan>(
-        sched::plan_iteration(inputs, opt, costs_));
-  }
-  sched::PlanCache::Key key{
-      opt.factor_update, opt.inverse_update, opt.factor_comm,
-      sched::ProfileSignature::of(current_timing_, comm_.size())};
+  // Every memoized plan was built from current_timing_, so the step kind
+  // alone picks it — a pointer install, not a planner run.
+  const sched::PlanCache::Key key{opt.factor_update, opt.inverse_update,
+                                  opt.factor_comm};
   if (auto hit = plan_cache_.find(key)) return hit;
   return plan_cache_.insert(key, sched::plan_iteration(inputs, opt, costs_));
 }

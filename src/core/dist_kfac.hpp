@@ -48,13 +48,14 @@
 // pass hooks and the engine's completion records; every `replan_interval`
 // iterations (at a factor step) the profile is rank-synced with a small
 // all-reduce and the planning timing rebuilt from it; each step's plan is
-// then fetched through a sched::PlanCache keyed by the quantized profile
-// signature, so steady-state steps pay zero planning cost and execute a
-// bitwise-stable schedule.  A `profile_trajectory` replays a deterministic
-// sequence of profiles across re-plan epochs — the form the adaptive
-// equivalence and determinism suites lock down, mirrored by
-// sim::simulate_trajectory; a fixed `profile` is its one-entry case, which
-// pins the timing forever (reproducible schedules, no sync op).
+// then fetched through a sched::PlanCache that memoizes one plan per step
+// kind and is emptied only when that timing changes, so steady-state steps
+// pay zero planning cost and execute a bitwise-stable schedule.  A
+// `profile_trajectory` replays a deterministic sequence of profiles across
+// re-plan epochs — the form the adaptive equivalence and determinism
+// suites lock down, mirrored by sim::simulate_trajectory; a fixed
+// `profile` is its one-entry case, which pins the timing forever
+// (reproducible schedules, no sync op).
 #pragma once
 
 #include <cstddef>
@@ -128,18 +129,12 @@ struct DistKfacOptions : KfacOptions, sched::PlanShape {
   /// fires at the first factor-update step on or after each boundary: the
   /// profile is synced across ranks (live mode), the planning timing
   /// rebuilt, and the next boundary armed.  Steps in between plan from the
-  /// unchanged timing — through the plan cache, at zero planning cost.
+  /// unchanged timing — through the plan memo, at zero planning cost.
   std::size_t replan_interval = 1;
 
   /// EMA weight of new samples in the online profiler, in (0, 1]; 1 keeps
   /// only the latest measurement.
   double profile_ema = 0.5;
-
-  /// Plan-cache entries (keyed by quantized profile signature + step
-  /// kind).  0 disables caching: every step re-runs the planner — the
-  /// reference path the cache must be bitwise-equivalent to under a fixed
-  /// profile or trajectory (see tests/sched/test_adaptive.cpp).
-  std::size_t plan_cache_capacity = sched::PlanCache::kDefaultCapacity;
 
   /// Transport backend the launcher builds the cluster on (the optimizer
   /// itself is transport-agnostic — it talks to whatever Communicator it
@@ -161,11 +156,10 @@ struct DistKfacOptions : KfacOptions, sched::PlanShape {
 
   /// Throws std::invalid_argument on nonsensical settings: whatever
   /// KfacOptions::validate() rejects (checked first), a
-  /// grad_fusion_threshold / pool_size / replan_interval /
-  /// plan_cache_capacity that is a negative value wrapped to unsigned, a
-  /// profile_ema outside (0, 1], a profile or
-  /// trajectory entry containing negative/non-finite entries, both
-  /// `profile` and `profile_trajectory` set, a negative/non-finite
+  /// grad_fusion_threshold / pool_size / replan_interval that is a
+  /// negative value wrapped to unsigned, a profile_ema outside (0, 1], a
+  /// profile or trajectory entry containing negative/non-finite entries,
+  /// both `profile` and `profile_trajectory` set, a negative/non-finite
   /// comm_timeout_s, a topk factor_codec, or a topk_ratio outside (0, 1].
   void validate() const;
 };
@@ -272,9 +266,9 @@ class DistKfacOptimizer {
   /// Restores state saved by save_checkpoint into this optimizer.  Layer
   /// count, layer shapes and strategy must match (throws
   /// std::runtime_error otherwise); the world size may differ — the
-  /// elastic-restart path — in which case the next step re-plans for the
-  /// new cluster (the plan cache keys on world size, and plans are pure
-  /// functions of profile x options x P).
+  /// elastic-restart path: this optimizer was built on the new cluster, so
+  /// it plans for its own P.  The plan memo is emptied, and the next step
+  /// re-plans from the restored timing.
   void restore_checkpoint(std::istream& in);
 
   /// Algorithm this optimizer submits for an all-reduce of `elements`
@@ -292,7 +286,7 @@ class DistKfacOptimizer {
   /// timings, collective aggregates).  Read between steps only.
   const perf::OnlineProfiler& profiler() const noexcept { return profiler_; }
 
-  /// The plan cache (hit/miss counters expose how often steady state
+  /// The plan memo (hit/miss counters expose how often steady state
   /// avoided the planner).
   const sched::PlanCache& plan_cache() const noexcept { return plan_cache_; }
 
@@ -383,7 +377,7 @@ class DistKfacOptimizer {
   /// trajectory entry (a fixed profile is a one-entry trajectory), or the
   /// (synced) live profile laid out along the pass walk.
   void refresh_planning_profile(bool measured_fusion);
-  /// Builds this step's plan (through the plan cache), stages the packing
+  /// Builds this step's plan (through the plan memo), stages the packing
   /// layout, and installs the plan as a dataflow graph on the executor.
   void begin_step();
   /// step() minus the rank-failure teardown wrapper.
@@ -414,7 +408,7 @@ class DistKfacOptimizer {
   /// first use (grad_codec == kTopK); restore_checkpoint also routes
   /// through this before staging saved residuals.
   void ensure_grad_residuals();
-  /// Plans this step through the plan cache (or the planner directly).
+  /// Plans this step through the plan memo.
   std::shared_ptr<const sched::IterationPlan> fetch_plan(
       const sched::ScheduleInputs& inputs, const sched::ScheduleOptions& opt);
   /// Whether this rank's inverses of `layer` are the ones its last inverse
@@ -465,9 +459,10 @@ class DistKfacOptimizer {
 
   // Adaptive re-planning state.  `current_timing_` is refreshed only at
   // re-plan points; between them every step plans from it through the
-  // cache.  `profiled_timing_` gates the warm-up fallback (Eq. (15) needs
-  // real timings): false until a refresh saw factor samples (live mode) or
-  // an injected profile/trajectory supplied timing.
+  // memo, which holds only plans built from it.  `profiled_timing_` gates
+  // the warm-up fallback (Eq. (15) needs real timings): false until a
+  // refresh saw factor samples (live mode) or an injected
+  // profile/trajectory supplied timing.
   perf::OnlineProfiler profiler_;
   sched::PlanCache plan_cache_;
   TaskListener task_listener_;  ///< see set_task_listener
@@ -480,8 +475,8 @@ class DistKfacOptimizer {
   /// yield per-layer forward/backward kernel samples for the profiler.
   std::chrono::steady_clock::time_point last_pass_event_{};
 
-  /// The schedule in execution — immutable and shared with the plan cache,
-  /// so a cache hit installs it by pointer instead of copying O(tasks)
+  /// The schedule in execution — immutable and shared with the plan memo,
+  /// so a memo hit installs it by pointer instead of copying O(tasks)
   /// state on the steady-state path.  Never null.
   std::shared_ptr<const sched::IterationPlan> plan_ =
       std::make_shared<const sched::IterationPlan>();

@@ -215,7 +215,6 @@ void Daemon::rank_main(comm::Communicator& comm) {
     out += "\"hits\": " + std::to_string(cache.hits());
     out += ", \"misses\": " + std::to_string(cache.misses());
     out += ", \"entries\": " + std::to_string(cache.size());
-    out += ", \"capacity\": " + std::to_string(cache.capacity());
     out += ", \"hit_rate\": " +
            util::json_number(lookups > 0.0
                                  ? static_cast<double>(cache.hits()) / lookups

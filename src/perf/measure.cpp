@@ -38,38 +38,46 @@ std::vector<Sample> measure_collective(std::span<const std::size_t> sizes,
                                        const comm::Topology& topo, int runs,
                                        int warmup, bool broadcast,
                                        comm::AllReduceAlgo algo) {
+  std::vector<double> best(sizes.size(), 0.0);
+  comm::Cluster::launch(topo, [&](comm::Communicator& comm) {
+    std::vector<double> buf(
+        sizes.empty() ? 0 : *std::max_element(sizes.begin(), sizes.end()),
+        comm.rank() + 1.0);
+    const auto run_once = [&](std::size_t n) {
+      const std::span<double> data(buf.data(), n);
+      if (broadcast) {
+        comm.broadcast(data, 0);
+      } else {
+        comm.all_reduce(data, comm::ReduceOp::kSum, algo);
+      }
+    };
+    for (std::size_t n : sizes) {
+      for (int i = 0; i < warmup; ++i) run_once(n);
+    }
+    // Each repetition starts from a barrier so all ranks start together and
+    // ends at one so every rank has finished; rank 0's wall clock is the
+    // sample, and the fastest repetition per size is reported.  Repetitions
+    // cycle through the sizes, so one host stall rarely covers every
+    // repetition of a size — a stalled sample would skew the fitted slope.
+    for (int i = 0; i < runs; ++i) {
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        comm.barrier();
+        const auto start = std::chrono::steady_clock::now();
+        run_once(sizes[k]);
+        comm.barrier();
+        if (comm.rank() == 0) {
+          const double secs = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+          best[k] = i == 0 ? secs : std::min(best[k], secs);
+        }
+      }
+    }
+  });
   std::vector<Sample> samples;
   samples.reserve(sizes.size());
-  for (std::size_t n : sizes) {
-    double elapsed = 0.0;
-    comm::Cluster::launch(topo, [&](comm::Communicator& comm) {
-      std::vector<double> buf(n, comm.rank() + 1.0);
-      // Warm the channels, then time from a barrier so all ranks start
-      // together; rank 0's wall clock is the reported sample.
-      for (int i = 0; i < warmup; ++i) {
-        if (broadcast) {
-          comm.broadcast(buf, 0);
-        } else {
-          comm.all_reduce(buf, comm::ReduceOp::kSum, algo);
-        }
-      }
-      comm.barrier();
-      const auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < runs; ++i) {
-        if (broadcast) {
-          comm.broadcast(buf, 0);
-        } else {
-          comm.all_reduce(buf, comm::ReduceOp::kSum, algo);
-        }
-      }
-      comm.barrier();
-      if (comm.rank() == 0) {
-        const auto end = std::chrono::steady_clock::now();
-        elapsed =
-            std::chrono::duration<double>(end - start).count() / runs;
-      }
-    });
-    samples.push_back({static_cast<double>(n), elapsed});
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    samples.push_back({static_cast<double>(sizes[k]), best[k]});
   }
   return samples;
 }

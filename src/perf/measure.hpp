@@ -32,7 +32,9 @@ std::vector<Sample> measure_inverse_times(std::span<const std::size_t> dims,
 
 /// Measures in-process all-reduce across `world` worker threads for each
 /// message size in `sizes` (element counts), using the given algorithm
-/// (flat topology; ring by default, matching the seed's behaviour).
+/// (flat topology; ring by default, matching the seed's behaviour).  Each
+/// sample is the fastest of `runs` barrier-separated repetitions, taken in
+/// turns across the sizes.
 std::vector<Sample> measure_allreduce_times(
     std::span<const std::size_t> sizes, int world, int runs = 3,
     int warmup = 1, comm::AllReduceAlgo algo = comm::AllReduceAlgo::kRing);
@@ -42,7 +44,8 @@ std::vector<Sample> measure_allreduce_times(
     std::span<const std::size_t> sizes, const comm::Topology& topo,
     comm::AllReduceAlgo algo, int runs = 3, int warmup = 1);
 
-/// Measures in-process binomial broadcast (root 0) across `world` workers.
+/// Measures in-process binomial broadcast (root 0) across `world` workers;
+/// each sample is the fastest of `runs` barrier-separated repetitions.
 std::vector<Sample> measure_broadcast_times(std::span<const std::size_t> sizes,
                                             int world, int runs = 3,
                                             int warmup = 1);

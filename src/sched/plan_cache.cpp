@@ -1,91 +1,13 @@
 #include "sched/plan_cache.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
 
 namespace spdkfac::sched {
 
-namespace {
-
-/// 64-bit FNV-1a over a stream of integers.
-struct Fnv {
-  std::uint64_t state = 1469598103934665603ull;
-  void mix(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      state ^= (v >> (8 * i)) & 0xff;
-      state *= 1099511628211ull;
-    }
-  }
-};
-
-void quantize_into(const std::vector<double>& values, double quantum,
-                   std::vector<std::int64_t>& out) {
-  for (double v : values) {
-    out.push_back(static_cast<std::int64_t>(std::llround(v / quantum)));
-  }
-}
-
-}  // namespace
-
-ProfileSignature ProfileSignature::of(const PassTiming& timing,
-                                      int world_size, int resolution_bits) {
-  // The walk's span sets the relative grid.  backward_end is the natural
-  // span; guard against degenerate profiles (all zeros) with a floor that
-  // keeps the division meaningful.
-  double span = timing.backward_end;
-  for (const auto* v :
-       {&timing.a_ready, &timing.g_ready, &timing.grad_ready}) {
-    for (double t : *v) span = std::max(span, t);
-  }
-  span = std::max(span, 1e-12);
-  const double quantum =
-      span / static_cast<double>(std::int64_t{1} << resolution_bits);
-
-  ProfileSignature sig;
-  sig.buckets.reserve(timing.a_ready.size() + timing.g_ready.size() +
-                      timing.grad_ready.size() + 6);
-  // Cluster population first: plans are P-specific (fusion-group shapes,
-  // LBP placement, all-reduce cost) — an elastic restart at a different P
-  // must miss every entry built for the old one.
-  sig.buckets.push_back(static_cast<std::int64_t>(world_size));
-  // Absolute scale on a 1/16-octave log grid: two profiles with the same
-  // shape but different magnitudes must not collide (fusion decisions
-  // compare pass gaps against the absolute all-reduce startup cost).
-  sig.buckets.push_back(
-      static_cast<std::int64_t>(std::llround(std::log2(span) * 16.0)));
-  // Section lengths disambiguate the concatenation.
-  sig.buckets.push_back(static_cast<std::int64_t>(timing.a_ready.size()));
-  sig.buckets.push_back(static_cast<std::int64_t>(timing.g_ready.size()));
-  sig.buckets.push_back(static_cast<std::int64_t>(timing.grad_ready.size()));
-  quantize_into(timing.a_ready, quantum, sig.buckets);
-  quantize_into(timing.g_ready, quantum, sig.buckets);
-  quantize_into(timing.grad_ready, quantum, sig.buckets);
-  sig.buckets.push_back(
-      static_cast<std::int64_t>(std::llround(timing.backward_end / quantum)));
-  return sig;
-}
-
-std::size_t ProfileSignatureHash::operator()(
-    const ProfileSignature& sig) const noexcept {
-  Fnv h;
-  for (std::int64_t b : sig.buckets) h.mix(static_cast<std::uint64_t>(b));
-  return static_cast<std::size_t>(h.state);
-}
-
-std::size_t PlanCache::KeyHash::operator()(const Key& key) const noexcept {
-  Fnv h;
-  h.mix(static_cast<std::uint64_t>(key.factor_update));
-  h.mix(static_cast<std::uint64_t>(key.inverse_update) << 1);
-  h.mix(static_cast<std::uint64_t>(key.factor_comm) << 2);
-  h.mix(ProfileSignatureHash{}(key.signature));
-  return static_cast<std::size_t>(h.state);
-}
-
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {}
-
 std::shared_ptr<const IterationPlan> PlanCache::find(const Key& key) {
-  const auto it = entries_.find(key);
+  const auto it =
+      std::find_if(entries_.begin(), entries_.end(),
+                   [&key](const auto& entry) { return entry.first == key; });
   if (it == entries_.end()) {
     ++misses_;
     return nullptr;
@@ -96,22 +18,9 @@ std::shared_ptr<const IterationPlan> PlanCache::find(const Key& key) {
 
 std::shared_ptr<const IterationPlan> PlanCache::insert(const Key& key,
                                                        IterationPlan plan) {
-  auto stored = std::make_shared<const IterationPlan>(std::move(plan));
-  if (capacity_ == 0) return stored;
-  while (entries_.size() >= capacity_ && !order_.empty()) {
-    entries_.erase(order_.front());
-    order_.pop_front();
-  }
-  auto [it, inserted] = entries_.insert_or_assign(key, std::move(stored));
-  if (inserted) order_.push_back(key);
-  return it->second;
-}
-
-void PlanCache::clear() {
-  entries_.clear();
-  order_.clear();
-  hits_ = 0;
-  misses_ = 0;
+  return entries_
+      .emplace_back(key, std::make_shared<const IterationPlan>(std::move(plan)))
+      .second;
 }
 
 }  // namespace spdkfac::sched

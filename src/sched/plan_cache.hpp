@@ -1,27 +1,22 @@
-// Plan caching for the adaptive re-planning loop.
+// Plan memo for the adaptive re-planning loop.
 //
-// The runtime re-plans from measured timings, but timings jitter: replanning
-// from raw wall-clock every step would rebuild the Eq. (15) DP constantly
-// and — worse — flap the schedule (and with it the bit-exact collective
-// reassociation) between runs.  The cache's key is therefore a *quantized*
-// profile signature: pass timings snapped to a relative grid plus a coarse
-// absolute-scale bucket.  Profiles that quantize identically reuse the plan
-// built for the first representative — steady-state iterations pay zero
-// planning cost and execute a bitwise-stable schedule — while a real drift
-// (layers slowing down, cache effects settling, different pool sizes
-// changing compute overlap) moves the signature and triggers a re-plan.
+// A plan is a pure function of the layer shapes, the options, the world
+// size, the step kind and the planning timing.  Within one optimizer only
+// the last two change, so the memo holds at most one plan per step kind,
+// all built from the timing currently in effect; the owner clears it when
+// that timing changes (exact equality — a re-plan point that lands on the
+// same timing, as a fixed profile or a clamped trajectory entry does,
+// keeps its plans).  Steady-state steps therefore pay zero planning cost
+// and execute a bitwise-stable schedule, and a memoized plan is always the
+// plan a fresh sched::plan_iteration would build.
 //
-// The signature is a pure function of the PassTiming, so ranks that plan
-// from the same synced profile (the profile-sync all-reduce guarantees
-// this) hit or miss their caches identically — the engine's cross-rank
-// collective-order contract survives caching.
+// Ranks that plan from the same synced timing hit or miss identically, so
+// the engine's cross-rank collective-order contract survives memoization.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sched/plan.hpp"
@@ -29,80 +24,41 @@
 
 namespace spdkfac::sched {
 
-/// Quantized fingerprint of a planning profile.  Equal signatures mean
-/// "close enough that the same plan applies"; building it is O(L).
-struct ProfileSignature {
-  std::vector<std::int64_t> buckets;
-
-  bool operator==(const ProfileSignature&) const = default;
-
-  /// Quantizes `timing` with 2^resolution_bits relative buckets across the
-  /// pass walk plus a log-scale bucket of the absolute walk length (scale
-  /// changes flip Eq. (15) decisions even when the shape is unchanged,
-  /// because the all-reduce alpha/beta costs are absolute).  `world_size`
-  /// folds the cluster population into the key: after an elastic restart
-  /// at a different P, every fusion-group size, LBP placement and
-  /// all-reduce cost changes, so a plan built for the old P must never be
-  /// replayed (0 keeps the legacy P-agnostic signature).
-  static ProfileSignature of(const PassTiming& timing, int world_size = 0,
-                             int resolution_bits = 12);
-};
-
-struct ProfileSignatureHash {
-  std::size_t operator()(const ProfileSignature& sig) const noexcept;
-};
-
-/// FIFO-evicting cache of iteration plans, keyed by the step kind (factor /
-/// inverse phases due, resolved factor-comm mode) and the profile
-/// signature.  One cache serves one fixed planning context (layer shapes,
-/// options, cost models) — the key deliberately excludes them; callers
-/// with several contexts hold several caches.  World size rides inside the
-/// signature (ProfileSignature::of) so an elastic restart re-keys cleanly.
 class PlanCache {
  public:
+  /// The step kind: which phases the step plans and the *resolved*
+  /// factor-comm mode (the warm-up fallback downgrades kOptimalFuse to
+  /// kLayerWise before measurements exist, and those plans must not be
+  /// reused once real timings arrive).
   struct Key {
     bool factor_update = true;
     bool inverse_update = true;
-    /// The *resolved* mode (the warm-up fallback downgrades kOptimalFuse to
-    /// kLayerWise before measurements exist, and those plans must not be
-    /// reused once real timings arrive).
     FactorCommMode factor_comm = FactorCommMode::kOptimalFuse;
-    ProfileSignature signature;
 
     bool operator==(const Key&) const = default;
   };
 
-  explicit PlanCache(std::size_t capacity = kDefaultCapacity);
-
-  /// The cached plan, or nullptr.  Counts a hit or a miss.  Entries are
-  /// shared immutably, so a hit is a pointer copy (no O(tasks) plan copy
-  /// on the steady-state path) and the returned plan outlives any later
-  /// insert/eviction.
+  /// The memoized plan of this step kind, or nullptr.  Counts a hit or a
+  /// miss.  Entries are shared immutably, so a hit is a pointer copy (no
+  /// O(tasks) plan copy on the steady-state path) and the returned plan
+  /// outlives a later clear().
   std::shared_ptr<const IterationPlan> find(const Key& key);
 
-  /// Stores `plan` (evicting the oldest entry at capacity) and returns the
-  /// stored handle.  A capacity-0 cache stores nothing but still hands the
-  /// plan back.
+  /// Stores `plan` as this step kind's entry (after find(key) missed) and
+  /// returns the stored handle.
   std::shared_ptr<const IterationPlan> insert(const Key& key,
                                               IterationPlan plan);
 
   std::size_t size() const noexcept { return entries_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
   std::size_t hits() const noexcept { return hits_; }
   std::size_t misses() const noexcept { return misses_; }
-  void clear();
 
-  static constexpr std::size_t kDefaultCapacity = 64;
+  /// Drops every entry (the timing they were built from is gone); the
+  /// hit/miss counters keep counting across clears.
+  void clear() noexcept { entries_.clear(); }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept;
-  };
-
-  std::size_t capacity_;
-  std::unordered_map<Key, std::shared_ptr<const IterationPlan>, KeyHash>
-      entries_;
-  std::deque<Key> order_;  ///< insertion order, for FIFO eviction
+  std::vector<std::pair<Key, std::shared_ptr<const IterationPlan>>> entries_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

@@ -74,6 +74,8 @@ struct PassTiming {
   std::vector<double> grad_ready;  ///< layer order: grad of layer l
   double backward_end = 0.0;
 
+  bool operator==(const PassTiming&) const = default;
+
   bool empty() const noexcept {
     return a_ready.empty() && g_ready.empty() && grad_ready.empty();
   }

@@ -227,9 +227,9 @@ TEST(Determinism, RepeatedPooledRunsAreBitwiseStable) {
 
 TEST(Determinism, AdaptiveReplanningIsBitwiseIdenticalAcrossPoolSizes) {
   // The adaptive loop re-plans mid-run (trajectory epochs at steps 0, 2,
-  // 4), changing fusion groups between epochs.  Re-planning, the profile
-  // signature, and the plan cache are all pure functions of the injected
-  // trajectory — so every executor configuration must still produce the
+  // 4), changing fusion groups between epochs.  Re-planning and the plan
+  // memo are pure functions of the injected trajectory — so every
+  // executor configuration must still produce the
   // identical bits, exactly like the fixed-profile runs above.
   RunConfig cfg;
   cfg.world = 2;

@@ -170,14 +170,6 @@ TEST(DistKfacOptionsTest, ValidateRejectsOutOfRangeProfileEma) {
   }
 }
 
-TEST(DistKfacOptionsTest, ValidateRejectsWrappedNegativeCacheCapacity) {
-  DistKfacOptions opts;
-  opts.plan_cache_capacity = static_cast<std::size_t>(-8);
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts.plan_cache_capacity = 0;  // always-replan: legitimate
-  EXPECT_NO_THROW(opts.validate());
-}
-
 TEST(DistKfacOptionsTest, ValidateChecksTrajectoryEntriesAndExclusivity) {
   sched::PassTiming good;
   good.a_ready = {0.1, 0.2};
@@ -211,7 +203,6 @@ TEST(DistKfacOptionsTest, AdaptiveDefaultsArePaperFaithful) {
   EXPECT_EQ(opts.replan_interval, 1u);
   EXPECT_DOUBLE_EQ(opts.profile_ema, 0.5);
   EXPECT_TRUE(opts.profile_trajectory.empty());
-  EXPECT_EQ(opts.plan_cache_capacity, sched::PlanCache::kDefaultCapacity);
 }
 
 TEST(DistKfacOptionsTest, OptimizerConstructionValidatesOptions) {

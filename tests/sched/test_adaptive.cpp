@@ -9,15 +9,16 @@
 //      submissions of every step must be exactly that epoch's canonical
 //      collective sequence, with no out-of-plan traffic (trajectory mode
 //      needs no profile sync).
-//   2. Cache equivalence: with the same trajectory, training through the
-//      plan cache must produce *bitwise-identical* parameters to the
-//      always-replan path (capacity 0), and the steady-state steps must
-//      actually hit the cache.
+//   2. Memo equivalence: with the same trajectory, every step's plan —
+//      memoized or not — must be byte-identical to a fresh
+//      sched::plan_iteration on that epoch's entry, the steady-state steps
+//      must actually hit the memo, and only a changed timing re-plans.
 //   3. Live mode: measured-profile adaptivity completes, syncs the profile
 //      across ranks (the out-of-plan "profile-sync" all-reduce), and feeds
 //      the profiler from the executor/engine taps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -37,7 +38,6 @@ namespace spdkfac {
 namespace {
 
 using nn::Tensor4D;
-using tensor::Matrix;
 using tensor::Rng;
 
 constexpr std::size_t kWidths[] = {6, 10, 8, 3};
@@ -187,15 +187,21 @@ INSTANTIATE_TEST_SUITE_P(WorldSizes, AdaptiveEquivalence,
                            return name;
                          });
 
-/// Adaptive training run; returns rank-0 final weights and (optionally)
-/// cache counters.
-std::vector<Matrix> train_adaptive(int world, std::size_t cache_capacity,
-                                   int steps, std::size_t* hits = nullptr,
-                                   std::size_t* misses = nullptr) {
-  const auto cal =
-      perf::ClusterCalibration::for_topology(comm::Topology::flat(world));
+struct MemoRun {
+  std::vector<std::string> plan_text;   ///< rank 0's plan, per step
+  std::vector<std::string> fresh_text;  ///< plan_iteration on that epoch
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+};
+
+/// Adaptive training run over `trajectory`; captures rank 0's per-step plan
+/// next to a fresh planner run on the step's trajectory entry, plus the
+/// memo counters.
+MemoRun train_adaptive(int world,
+                       const std::vector<sched::PassTiming>& trajectory,
+                       int steps, const perf::ClusterCalibration& cal) {
   const models::ModelSpec spec = models::mlp_spec(kWidths);
-  std::vector<Matrix> weights;
+  MemoRun run;
   comm::Cluster::launch(world, [&](comm::Communicator& comm) {
     Rng init(2024);
     nn::Sequential model = nn::make_mlp(kWidths, init);
@@ -207,10 +213,24 @@ std::vector<Matrix> train_adaptive(int world, std::size_t cache_capacity,
     opts.lr = 0.1;
     opts.damping = 0.1;
     opts.stat_decay = 0.5;
-    opts.profile_trajectory = trajectory_for(spec, cal);
+    opts.allreduce_model = cal.allreduce;
+    opts.broadcast_model = cal.bcast_fabric;
+    opts.inverse_model = cal.inverse;
+    opts.profile_trajectory = trajectory;
     opts.replan_interval = kReplanInterval;
-    opts.plan_cache_capacity = cache_capacity;
     core::DistKfacOptimizer optimizer(layers, comm, opts);
+
+    // What the optimizer plans every step (factors and inverses are due
+    // every step at the default frequencies).
+    sched::ScheduleOptions plan_opts;
+    static_cast<sched::PlanShape&>(plan_opts) = opts;
+    plan_opts.inverse = sched::InverseMode::kLayerLBP;
+    const sched::ScheduleCosts costs{opts.allreduce_model,
+                                     opts.broadcast_model, opts.inverse_model,
+                                     comm::AlgorithmSelector(comm.topology())};
+    sched::ScheduleInputs inputs;
+    inputs.layers = sched::shapes_from_model(spec);
+    inputs.world_size = comm.size();
 
     nn::SyntheticClassification data(kClasses, kIn, 1, 55);
     Rng shard(300 + comm.rank());
@@ -222,36 +242,63 @@ std::vector<Matrix> train_adaptive(int world, std::size_t cache_capacity,
       loss.forward(model.forward(flat), batch.labels);
       model.backward(loss.backward());
       optimizer.step();
+      if (comm.rank() == 0) {
+        const std::size_t epoch = static_cast<std::size_t>(s) /
+                                  kReplanInterval;
+        inputs.timing = trajectory[std::min(epoch, trajectory.size() - 1)];
+        run.plan_text.push_back(sched::plan_to_text(optimizer.plan()));
+        run.fresh_text.push_back(sched::plan_to_text(
+            sched::plan_iteration(inputs, plan_opts, costs)));
+      }
     }
     if (comm.rank() == 0) {
-      for (auto* l : layers) weights.push_back(l->weight());
-      if (hits != nullptr) *hits = optimizer.plan_cache().hits();
-      if (misses != nullptr) *misses = optimizer.plan_cache().misses();
+      run.hits = optimizer.plan_cache().hits();
+      run.misses = optimizer.plan_cache().misses();
     }
   });
-  return weights;
+  return run;
 }
 
 TEST(AdaptivePlanCache, HitPathIsBitwiseIdenticalToAlwaysReplan) {
   // 7 steps over a 3-entry trajectory at interval 2: epochs at steps 0, 2,
   // 4 and a clamped refresh at 6.  Steps 1/3/5 and the step-6 refresh
-  // (same trajectory entry, same signature) must hit the cache; and the
-  // parameters after the run must match the capacity-0 (planner every
-  // step) reference bit for bit.
+  // (same trajectory entry, equal timing) must hit the memo, and every
+  // step's plan must be the one a fresh planner run builds.
   constexpr int kSteps = 7;
-  std::size_t hits = 0, misses = 0;
-  const auto cached = train_adaptive(2, sched::PlanCache::kDefaultCapacity,
-                                     kSteps, &hits, &misses);
-  const auto replanned = train_adaptive(2, 0, kSteps);
+  const auto cal =
+      perf::ClusterCalibration::for_topology(comm::Topology::flat(2));
+  const MemoRun run = train_adaptive(
+      2, trajectory_for(models::mlp_spec(kWidths), cal), kSteps, cal);
 
-  ASSERT_EQ(cached.size(), replanned.size());
-  for (std::size_t l = 0; l < cached.size(); ++l) {
-    EXPECT_EQ(tensor::max_abs_diff(cached[l], replanned[l]), 0.0)
-        << "layer " << l;
+  ASSERT_EQ(run.plan_text.size(), static_cast<std::size_t>(kSteps));
+  for (int s = 0; s < kSteps; ++s) {
+    EXPECT_EQ(run.plan_text[s], run.fresh_text[s]) << "step " << s;
   }
-  EXPECT_EQ(misses, 3u) << "one planner run per distinct trajectory epoch";
-  EXPECT_EQ(hits, static_cast<std::size_t>(kSteps) - 3u)
-      << "every steady-state step must reuse the cached plan";
+  EXPECT_EQ(run.misses, 3u) << "one planner run per distinct trajectory epoch";
+  EXPECT_EQ(run.hits, static_cast<std::size_t>(kSteps) - 3u)
+      << "every steady-state step must reuse the memoized plan";
+}
+
+TEST(AdaptivePlanCache, ReturningProfileReplansToTheSamePlan) {
+  // Trajectory {p, q, p}: the third epoch's timing differs from the
+  // second's, so it misses — and rebuilds exactly the first epoch's plan.
+  constexpr int kSteps = 6;
+  const auto cal =
+      perf::ClusterCalibration::for_topology(comm::Topology::flat(2));
+  const std::vector<sched::PassTiming> pq =
+      trajectory_for(models::mlp_spec(kWidths), cal);
+  const MemoRun run = train_adaptive(2, {pq.front(), pq.back(), pq.front()},
+                                     kSteps, cal);
+
+  ASSERT_EQ(run.plan_text.size(), static_cast<std::size_t>(kSteps));
+  for (int s = 0; s < kSteps; ++s) {
+    EXPECT_EQ(run.plan_text[s], run.fresh_text[s]) << "step " << s;
+  }
+  EXPECT_NE(run.plan_text[0], run.plan_text[2])
+      << "p and q chosen too close — same plan every epoch";
+  EXPECT_EQ(run.plan_text[4], run.plan_text[0]);
+  EXPECT_EQ(run.misses, 3u) << "the return to p is a planner run";
+  EXPECT_EQ(run.hits, 3u);
 }
 
 TEST(AdaptiveLiveMode, MeasuredProfileLoopSyncsAndCompletes) {

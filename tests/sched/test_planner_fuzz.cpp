@@ -380,51 +380,53 @@ TEST(PlannerFuzz, PlanningIsDeterministicAcrossRebuildsAndRanks) {
   }
 }
 
-TEST(PlannerFuzz, SignatureIsStableAndScaleSensitive) {
-  std::mt19937_64 rng(kSeed ^ 0x51811ull);
-  for (int c = 0; c < 20; ++c) {
-    const FuzzCase fc = sample_case(rng);
-    const ProfileSignature sig = ProfileSignature::of(fc.inputs.timing);
-    EXPECT_EQ(sig, ProfileSignature::of(fc.inputs.timing))
-        << "case " << c << ": signature not a pure function";
-
-    // Doubling every entry keeps the shape but moves the absolute scale —
-    // fusion decisions compare gaps against absolute alpha, so the
-    // signature must change.
-    PassTiming scaled = fc.inputs.timing;
-    for (auto* v : {&scaled.a_ready, &scaled.g_ready, &scaled.grad_ready}) {
-      for (double& t : *v) t *= 2.0;
-    }
-    scaled.backward_end *= 2.0;
-    EXPECT_NE(sig, ProfileSignature::of(scaled))
-        << "case " << c << ": scale change must move the signature";
-  }
-}
-
-TEST(PlannerFuzz, PlanCacheRoundTripsAndEvicts) {
+TEST(PlannerFuzz, PlanMemoRoundTripsPerStepKindAndClearKeepsCounters) {
+  // The runtime's plan memo holds one plan per step kind (phases due,
+  // resolved factor-comm mode), all built from one timing: each kind
+  // round-trips byte-identically and hits on a repeat lookup, and clear()
+  // (a changed timing) drops every entry while the counters keep counting.
   std::mt19937_64 rng(kSeed ^ 0xcac4eull);
-  PlanCache cache(4);
+  const FuzzCase fc = sample_case(rng);
+  const ScheduleCosts costs = costs_for(fc.world);
+  PlanCache cache;
   std::vector<std::pair<PlanCache::Key, std::string>> stored;
-  for (int c = 0; c < 8; ++c) {
-    const FuzzCase fc = sample_case(rng);
-    const ScheduleCosts costs = costs_for(fc.world);
-    IterationPlan plan = plan_iteration(fc.inputs, fc.options, costs);
-    PlanCache::Key key{fc.options.factor_update, fc.options.inverse_update,
-                       fc.options.factor_comm,
-                       ProfileSignature::of(fc.inputs.timing)};
-    const std::string text = plan_to_text(plan);
-    cache.insert(key, std::move(plan));
-    stored.emplace_back(std::move(key), text);
-    EXPECT_LE(cache.size(), cache.capacity());
+  for (const bool factor : {true, false}) {
+    for (const bool inverse : {true, false}) {
+      for (const FactorCommMode mode :
+           {FactorCommMode::kLayerWise, FactorCommMode::kOptimalFuse}) {
+        const PlanCache::Key key{factor, inverse, mode};
+        EXPECT_EQ(cache.find(key), nullptr);
+        ScheduleOptions opt = fc.options;
+        opt.factor_update = factor;
+        opt.inverse_update = inverse;
+        opt.factor_comm = mode;
+        IterationPlan plan = plan_iteration(fc.inputs, opt, costs);
+        stored.emplace_back(key, plan_to_text(plan));
+        cache.insert(key, std::move(plan));
+      }
+    }
   }
-  // The four newest survive FIFO eviction and round-trip byte-identically.
-  for (std::size_t i = stored.size() - 4; i < stored.size(); ++i) {
-    const std::shared_ptr<const IterationPlan> hit =
-        cache.find(stored[i].first);
-    ASSERT_NE(hit, nullptr) << "entry " << i << " evicted too early";
-    EXPECT_EQ(plan_to_text(*hit), stored[i].second);
+  ASSERT_EQ(cache.size(), stored.size());
+  EXPECT_EQ(cache.misses(), stored.size());
+  EXPECT_EQ(cache.hits(), 0u);
+  for (const auto& [key, text] : stored) {
+    const std::shared_ptr<const IterationPlan> hit = cache.find(key);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(plan_to_text(*hit), text);
   }
-  EXPECT_GE(cache.hits(), 4u);
+  EXPECT_EQ(cache.hits(), stored.size());
+
+  // An installed plan outlives the clear that retires its entry.
+  const std::shared_ptr<const IterationPlan> installed =
+      cache.find(stored.front().first);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits(), stored.size() + 1);
+  EXPECT_EQ(cache.misses(), stored.size());
+  EXPECT_EQ(cache.find(stored.front().first), nullptr);
+  EXPECT_EQ(cache.misses(), stored.size() + 1);
+  ASSERT_NE(installed, nullptr);
+  EXPECT_EQ(plan_to_text(*installed), stored.front().second);
 }
 
 }  // namespace
