@@ -116,6 +116,8 @@ class FaultyTransport final : public Transport {
     inner_->barrier();
   }
 
+  void flush() override { inner_->flush(); }
+
  private:
   /// Consults the injector; returns true when the op must be skipped
   /// (kDrop).  kHang sleeps out the silence window, then dies like kKill:
@@ -137,8 +139,16 @@ class FaultyTransport final : public Transport {
     return false;
   }
 
+  /// The death lands exactly at the trigger op: every earlier send reaches
+  /// the carrier first (a queued frame would otherwise die with the
+  /// process, and the survivors would fail at an earlier op).
   [[noreturn]] void die() {
     if (inner_->kind() != TransportKind::kInProcess) {
+      try {
+        inner_->flush();
+      } catch (...) {
+        // A peer is already gone; the frames it missed no longer matter.
+      }
       ::raise(SIGKILL);
     }
     throw FaultInjected("fault injected: rank " + std::to_string(rank()) +

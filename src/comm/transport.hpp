@@ -86,6 +86,11 @@ class Transport {
   /// Blocks until all ranks arrive.
   virtual void barrier() = 0;
 
+  /// Blocks until every frame send() has accepted is on the carrier, so it
+  /// outlives this process; rethrows a write error captured since.  A no-op
+  /// where send() already delivers before it returns.
+  virtual void flush() {}
+
   // -------------------------------------------------------------------------
   // Failure detection (see comm/fault.hpp).  With a timeout armed, every
   // blocking primitive becomes deadline-aware: a blocked call that sees no

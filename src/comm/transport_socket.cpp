@@ -318,6 +318,10 @@ class SocketTransport final : public Transport {
     sender_->send(dst, wire::encode_frame(header, payload));
   }
 
+  void flush() override {
+    if (sender_) sender_->flush();
+  }
+
   bool recv_into(int src, std::span<double> out) override {
     const wire::Frame frame = next_frame_of(src, /*want_barrier=*/false);
     if (frame.payload.size() != out.size()) return false;

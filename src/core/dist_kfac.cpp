@@ -664,19 +664,15 @@ void DistKfacOptimizer::run_inverse(int task_id) {
     const auto [ga, gg] = factored_damping(st.a, st.g, options_.damping);
     gamma = t % 2 == 0 ? ga : gg;
   }
-  // The inverse lands in the tensor's persistent slot.  The Cholesky path
-  // borrows the tensor's fresh local factor as its W scratch: that buffer
-  // is dead once the factor barrier has passed (packed into the fused
-  // all-reduce, or folded into the running average on a single worker)
-  // and is rebuilt before it is read again, so the inverse phase
-  // allocates nothing on a steady step.
+  // The inverse lands in the tensor's persistent slot.  It borrows the
+  // tensor's fresh local factor as its W scratch: that buffer is dead once
+  // the factor barrier has passed (packed into the fused all-reduce, or
+  // folded into the running average on a single worker) and is rebuilt
+  // before it is read again, so the inverse phase allocates nothing on a
+  // steady step.
   Matrix& slot = inverse_slot(t);
-  if (options_.inverse_method == InverseMethod::kCholesky) {
-    Matrix& scratch = t % 2 == 0 ? fresh_a_[t / 2] : fresh_g_[t / 2];
-    tensor::damped_inverse_into(factor_of(t), gamma, slot, scratch);
-  } else {
-    slot = damped_inverse_by(factor_of(t), gamma, options_.inverse_method);
-  }
+  Matrix& scratch = t % 2 == 0 ? fresh_a_[t / 2] : fresh_g_[t / 2];
+  tensor::damped_inverse_into(factor_of(t), gamma, slot, scratch);
   const std::span<double> bcast =
       task_buffer_[static_cast<std::size_t>(task_id)];
   if (!bcast.empty()) {

@@ -79,17 +79,6 @@ void update_running_average(Matrix& state, const Matrix& fresh,
                                       state.data().size(), decay);
 }
 
-Matrix damped_inverse_by(const Matrix& m, double damping,
-                         InverseMethod method) {
-  switch (method) {
-    case InverseMethod::kCholesky:
-      return tensor::damped_inverse(m, damping);
-    case InverseMethod::kEigen:
-      return tensor::symmetric_eigen(m).damped_inverse(damping);
-  }
-  throw std::logic_error("damped_inverse_by: unknown method");
-}
-
 namespace {
 
 double trace_of(const Matrix& m) {
@@ -179,8 +168,8 @@ void KfacOptimizer::step() {
           options_.pi_damping
               ? factored_damping(st.a, st.g, options_.damping)
               : std::pair<double, double>{options_.damping, options_.damping};
-      st.a_inv = damped_inverse_by(st.a, gamma_a, options_.inverse_method);
-      st.g_inv = damped_inverse_by(st.g, gamma_g, options_.inverse_method);
+      st.a_inv = tensor::damped_inverse(st.a, gamma_a);
+      st.g_inv = tensor::damped_inverse(st.g, gamma_g);
     }
     // Precondition: delta = G^-1 * grad * A^-1.
     grads[l] = layer.weight_grad();

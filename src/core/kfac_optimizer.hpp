@@ -4,7 +4,8 @@
 //   A_l = a_l^T a_l / rows    (layer-input second moment, bias-augmented)
 //   G_l = g_l^T g_l / rows    (pre-activation-gradient second moment)
 // as exponential running averages, computes the damped inverses
-// (A_l + gamma I)^-1 and (G_l + gamma I)^-1 via Cholesky, and applies
+// (A_l + gamma I)^-1 and (G_l + gamma I)^-1 with tensor::damped_inverse
+// (the blocked Cholesky path, the only factor inverse), and applies
 //   W_l <- W_l - lr * G_l^-1 (dL/dW_l) A_l^-1,
 // which is the matrix form of Eq. (12) under the Kronecker identity
 // (A ⊗ G)^-1 vec(V) = vec(G^-1 V A^-1).
@@ -23,12 +24,6 @@
 
 namespace spdkfac::core {
 
-/// How damped factor inverses are computed.
-enum class InverseMethod {
-  kCholesky,  ///< direct Cholesky inverse (the paper's cuSolver path)
-  kEigen,     ///< Jacobi eigendecomposition; Q diag(1/(l+g)) Q^T (KAISA-style)
-};
-
 struct KfacOptions {
   double lr = 0.05;
   double damping = 3e-2;       ///< gamma of Eq. (12)
@@ -39,7 +34,6 @@ struct KfacOptions {
   /// nu = min(1, sqrt(kl_clip / sum_l lr^2 <delta_l, grad_l>)) so the
   /// preconditioned step's approximate KL stays bounded.  0 disables.
   double kl_clip = 0.0;
-  InverseMethod inverse_method = InverseMethod::kCholesky;
   /// Factored Tikhonov damping (Martens & Grosse §6.3): split gamma between
   /// the factors as gamma_A = pi*sqrt(gamma), gamma_G = sqrt(gamma)/pi with
   /// pi = sqrt((tr A / d_A) / (tr G / d_G)), equalizing the two factors'
@@ -51,11 +45,6 @@ struct KfacOptions {
   /// a negative/non-finite kl_clip.
   void validate() const;
 };
-
-/// Damped inverse via the chosen method; both satisfy
-/// (m + damping*I) * result ~= I.
-tensor::Matrix damped_inverse_by(const tensor::Matrix& m, double damping,
-                                 InverseMethod method);
 
 /// The factored-damping split {gamma_a, gamma_g} of §6.3 (see
 /// KfacOptions::pi_damping).  Falls back to {gamma, gamma} when a trace is

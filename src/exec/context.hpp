@@ -1,11 +1,11 @@
 // Ambient execution context for the numeric kernels.
 //
-// The tensor kernels (GEMM, Cholesky, SPD inverse, eigen reconstruction)
-// parallelize their inner loops with exec::parallel_for, which resolves the
-// pool to split across *ambiently*: an explicit exec::Context installed on
-// the calling thread wins, otherwise the pool the thread is a worker of
-// (so plan tasks dispatched by the DataflowExecutor parallelize on the same
-// shared pool automatically), otherwise serial.  Chunk boundaries never
+// The tensor kernels (GEMM, Cholesky, SPD inverse) parallelize their inner
+// loops with exec::parallel_for, which resolves the pool to split across
+// *ambiently*: an explicit exec::Context installed on the calling thread
+// wins, otherwise the pool the thread is a worker of (so plan tasks
+// dispatched by the DataflowExecutor parallelize on the same shared pool
+// automatically), otherwise serial.  Chunk boundaries never
 // depend on the worker count, so every resolution produces bitwise-identical
 // results — tests force determinism-critical sections serial with
 // `exec::Context serial(nullptr);`.

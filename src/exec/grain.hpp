@@ -13,9 +13,11 @@
 namespace spdkfac::exec {
 
 /// Inner operations a chunk should amortize scheduling overhead over.
-/// Changing this perturbs chunk-ordered partial sums (symmetric_eigen's
-/// off-diagonal norm) and therefore golden numeric snapshots — bump only
-/// with the snapshot suite regenerated.
+/// No caller combines per-chunk partial sums: each output element is
+/// accumulated inside one chunk, in an order that does not depend on where
+/// the chunk boundaries fall.  So this tunes speed only and leaves every
+/// result bit unchanged; a kernel that reduces across chunks would make it
+/// part of the numerics.
 inline constexpr std::size_t kChunkTargetOps = std::size_t{1} << 16;
 
 /// Outer-loop items per chunk when each item costs ~ops_per_item inner ops.

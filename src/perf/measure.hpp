@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,14 +18,11 @@ struct Sample {
   double seconds = 0.0;
 };
 
-/// Times `fn` `runs` times after `warmup` discarded runs; returns the mean
-/// wall-clock seconds.
-double time_mean(const std::function<void()>& fn, int runs = 5,
-                 int warmup = 1);
-
-/// Measures damped SPD inverses for each dimension in `dims` on this CPU and
-/// returns (d, seconds) samples.  This is the CPU analogue of the paper's
-/// cuSolver benchmark of Fig. 8.
+/// Measures damped SPD inverses (tensor::damped_inverse_into, the call the
+/// runtime makes) for each dimension in `dims` on this CPU and returns
+/// (d, seconds) samples.  Each sample is the fastest of `runs` repetitions,
+/// taken in turns across the dims after `warmup` discarded ones.  This is
+/// the CPU analogue of the paper's cuSolver benchmark of Fig. 8.
 std::vector<Sample> measure_inverse_times(std::span<const std::size_t> dims,
                                           int runs = 3, int warmup = 1);
 

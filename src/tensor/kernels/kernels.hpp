@@ -124,11 +124,6 @@ struct KernelTable {
   void (*unpack_upper)(const double* packed, std::size_t d, double* a,
                        std::size_t lda);
 
-  /// Averages a(i,j)/a(j,i) pairs owned by rows [r0, r1) (pair owner:
-  /// min(i,j)), writing both mirror elements.
-  void (*symmetrize_rows)(double* a, std::size_t n, std::size_t lda,
-                          std::size_t r0, std::size_t r1);
-
   /// out(c, r) = in(r, c), cache-blocked.
   void (*transpose)(const double* in, std::size_t rows, std::size_t cols,
                     std::size_t ldi, double* out, std::size_t ldo);

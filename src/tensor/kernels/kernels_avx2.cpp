@@ -26,7 +26,7 @@
 //     fixed-tree horizontal sum and ascending tail as dot(), so every
 //     element equals c + dot(a_i, b_j) bit for bit.  The M mod 3 columns
 //     run 4x1 blocks, the < 4 leftover rows 1x4 blocks and single dots.
-//   * symmetrize / transpose / unpack mirror: 4x4 in-register transposes
+//   * transpose / unpack mirror: 4x4 in-register transposes
 //     (unpacklo/hi + 128-bit permutes) over 32x32 cache blocks.
 //
 // Elementwise kernels (add/max/scale) round identically to scalar ops, so
@@ -418,7 +418,7 @@ void ema_unpack_avx2(const double* packed, std::size_t d, double* state,
 }
 
 // ---------------------------------------------------------------------------
-// Symmetric pack/unpack and symmetrize
+// Symmetric pack/unpack
 // ---------------------------------------------------------------------------
 
 void unpack_upper_avx2(const double* packed, std::size_t d, double* a,
@@ -430,58 +430,6 @@ void unpack_upper_avx2(const double* packed, std::size_t d, double* a,
     idx += run;
   }
   mirror_lower_avx2(a, d, lda);
-}
-
-void symmetrize_rows_avx2(double* a, std::size_t n, std::size_t lda,
-                          std::size_t r0, std::size_t r1) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  auto scalar_pair = [&](std::size_t i, std::size_t j) {
-    const double avg = 0.5 * (a[i * lda + j] + a[j * lda + i]);
-    a[i * lda + j] = avg;
-    a[j * lda + i] = avg;
-  };
-  std::size_t i = r0;
-  for (; i + 4 <= r1; i += 4) {
-    // Pairs inside the diagonal 4x4 corner stay scalar.
-    for (std::size_t r = i; r < i + 4; ++r) {
-      for (std::size_t j = r + 1; j < std::min(i + 4, n); ++j) {
-        scalar_pair(r, j);
-      }
-    }
-    std::size_t j = i + 4;
-    for (; j + 4 <= n; j += 4) {
-      // avg = 0.5 * (upper_tile + lower_tile^T); write it and its
-      // transpose back.  0.5*(x+y) rounds identically to the scalar path.
-      __m256d u0 = _mm256_loadu_pd(a + i * lda + j);
-      __m256d u1 = _mm256_loadu_pd(a + (i + 1) * lda + j);
-      __m256d u2 = _mm256_loadu_pd(a + (i + 2) * lda + j);
-      __m256d u3 = _mm256_loadu_pd(a + (i + 3) * lda + j);
-      __m256d l0 = _mm256_loadu_pd(a + j * lda + i);
-      __m256d l1 = _mm256_loadu_pd(a + (j + 1) * lda + i);
-      __m256d l2 = _mm256_loadu_pd(a + (j + 2) * lda + i);
-      __m256d l3 = _mm256_loadu_pd(a + (j + 3) * lda + i);
-      transpose4x4(l0, l1, l2, l3);
-      u0 = _mm256_mul_pd(half, _mm256_add_pd(u0, l0));
-      u1 = _mm256_mul_pd(half, _mm256_add_pd(u1, l1));
-      u2 = _mm256_mul_pd(half, _mm256_add_pd(u2, l2));
-      u3 = _mm256_mul_pd(half, _mm256_add_pd(u3, l3));
-      _mm256_storeu_pd(a + i * lda + j, u0);
-      _mm256_storeu_pd(a + (i + 1) * lda + j, u1);
-      _mm256_storeu_pd(a + (i + 2) * lda + j, u2);
-      _mm256_storeu_pd(a + (i + 3) * lda + j, u3);
-      transpose4x4(u0, u1, u2, u3);
-      _mm256_storeu_pd(a + j * lda + i, u0);
-      _mm256_storeu_pd(a + (j + 1) * lda + i, u1);
-      _mm256_storeu_pd(a + (j + 2) * lda + i, u2);
-      _mm256_storeu_pd(a + (j + 3) * lda + i, u3);
-    }
-    for (; j < n; ++j) {
-      for (std::size_t r = i; r < i + 4; ++r) scalar_pair(r, j);
-    }
-  }
-  for (; i < r1; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) scalar_pair(i, j);
-  }
 }
 
 void transpose_avx2(const double* in, std::size_t rows, std::size_t cols,
@@ -629,8 +577,7 @@ const KernelTable& avx2_table() noexcept {
       max_avx2,          scale_avx2,
       ema_avx2,          ema_unpack_avx2,
       scalar_table().pack_upper,  // memcpy row runs — already optimal
-      unpack_upper_avx2, symmetrize_rows_avx2,
-      transpose_avx2,
+      unpack_upper_avx2, transpose_avx2,
       absmax_avx2,       int8_quantize_avx2,
       int8_dequantize_avx2, fp16_pack_avx2,
       fp16_unpack_avx2};

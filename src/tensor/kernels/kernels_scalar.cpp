@@ -139,18 +139,6 @@ void unpack_upper_scalar(const double* packed, std::size_t d, double* a,
   }
 }
 
-void symmetrize_rows_scalar(double* a, std::size_t n, std::size_t lda,
-                            std::size_t r0, std::size_t r1) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    double* arow = a + i * lda;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double avg = 0.5 * (arow[j] + a[j * lda + i]);
-      arow[j] = avg;
-      a[j * lda + i] = avg;
-    }
-  }
-}
-
 void transpose_scalar(const double* in, std::size_t rows, std::size_t cols,
                       std::size_t ldi, double* out, std::size_t ldo) {
   // Cache-blocked: a 32x32 double tile is 8 KiB per operand, so both the
@@ -278,7 +266,7 @@ const KernelTable& scalar_table() noexcept {
       gemm_nt_scalar,     dot_scalar,         add_scalar,
       max_scalar,         scale_scalar,       ema_scalar,
       ema_unpack_scalar,  pack_upper_scalar,
-      unpack_upper_scalar, symmetrize_rows_scalar, transpose_scalar,
+      unpack_upper_scalar, transpose_scalar,
       absmax_scalar,      int8_quantize_scalar, int8_dequantize_scalar,
       fp16_pack_scalar,   fp16_unpack_scalar};
   return t;

@@ -28,57 +28,6 @@ std::size_t items_per_chunk(std::size_t ops_per_item) noexcept {
 constexpr std::size_t kNb = 64;
 constexpr std::size_t kStrip = 8;
 
-}  // namespace
-
-void Cholesky::solve_lower(std::span<double> b) const {
-  const std::size_t n = lower.rows();
-  const auto& kt = kernels::active_table();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* li = lower.row_ptr(i);
-    b[i] = (b[i] - kt.dot(li, b.data(), i)) / li[i];
-  }
-}
-
-void Cholesky::solve_upper(std::span<double> b) const {
-  const std::size_t n = lower.rows();
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = b[ii];
-    // Traverse column ii of L below the diagonal, i.e. row entries L(k, ii).
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= lower(k, ii) * b[k];
-    b[ii] = sum / lower(ii, ii);
-  }
-}
-
-std::vector<double> Cholesky::solve(std::span<const double> b) const {
-  std::vector<double> x(b.begin(), b.end());
-  solve_lower(x);
-  solve_upper(x);
-  return x;
-}
-
-Matrix Cholesky::solve(const Matrix& b) const {
-  if (b.rows() != lower.rows()) {
-    throw std::invalid_argument("Cholesky::solve shape mismatch");
-  }
-  Matrix x = b.transposed();  // iterate columns of b contiguously
-  for (std::size_t c = 0; c < x.rows(); ++c) {
-    std::span<double> col(x.row_ptr(c), x.cols());
-    solve_lower(col);
-    solve_upper(col);
-  }
-  return x.transposed();
-}
-
-double Cholesky::log_det() const noexcept {
-  double s = 0.0;
-  for (std::size_t i = 0; i < lower.rows(); ++i) {
-    s += std::log(lower(i, i));
-  }
-  return 2.0 * s;
-}
-
-namespace {
-
 /// Makes `m` n x n, reallocating only when its shape differs: a buffer
 /// reused across calls keeps its storage (and stale contents, which every
 /// stage below clears before it accumulates).
@@ -267,13 +216,13 @@ void gram_stage(const Matrix& w, Matrix& x) {
 
 }  // namespace
 
-std::optional<Cholesky> cholesky(const Matrix& a) {
+std::optional<Matrix> cholesky(const Matrix& a) {
   if (!a.square()) {
     throw std::invalid_argument("cholesky requires a square matrix");
   }
   Matrix l(a.rows(), a.rows());
   if (!cholesky_stage(a, 0.0, l)) return std::nullopt;
-  return Cholesky{std::move(l)};
+  return l;
 }
 
 void damped_inverse_into(const Matrix& a, double damping, Matrix& out,
@@ -313,137 +262,9 @@ bool is_symmetric(const Matrix& a, double tol) noexcept {
   return true;
 }
 
-void symmetrize(Matrix& a) {
-  if (!a.square()) {
-    throw std::invalid_argument("symmetrize requires a square matrix");
-  }
-  // Each unordered pair {i, j} is owned by the chunk containing min(i, j),
-  // so chunks write disjoint element sets.  0.5*(x+y) is elementwise, so
-  // every ISA level produces identical bits here.
-  const auto& kt = kernels::active_table();
-  exec::parallel_for(a.rows(), items_per_chunk(a.cols()),
-                     [&](std::size_t r0, std::size_t r1) {
-                       kt.symmetrize_rows(a.row_ptr(0), a.rows(), a.cols(),
-                                          r0, r1);
-                     });
-}
-
 double spd_inverse_flops(std::size_t n) noexcept {
   const double nd = static_cast<double>(n);
   return nd * nd * nd;
-}
-
-Matrix SymmetricEigen::damped_inverse(double damping) const {
-  const std::size_t n = eigenvalues.size();
-  // Validate serially (throwing out of a pool chunk is not allowed), then
-  // build Q * diag(1/(lambda+damping)) in parallel row blocks; the
-  // reconstruction GEMM and symmetrize parallelize internally.
-  std::vector<double> inv_denoms(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double denom = eigenvalues[j] + damping;
-    if (denom <= 0.0 || !std::isfinite(denom)) {
-      throw std::domain_error(
-          "SymmetricEigen::damped_inverse: non-positive damped eigenvalue");
-    }
-    inv_denoms[j] = 1.0 / denom;
-  }
-  Matrix scaled(n, n);  // Q * diag(1/(lambda+damping))
-  exec::parallel_for(n, items_per_chunk(n),
-                     [&](std::size_t r0, std::size_t r1) {
-                       for (std::size_t i = r0; i < r1; ++i) {
-                         for (std::size_t j = 0; j < n; ++j) {
-                           scaled(i, j) = eigenvectors(i, j) * inv_denoms[j];
-                         }
-                       }
-                     });
-  Matrix result = matmul_nt(scaled, eigenvectors);
-  symmetrize(result);
-  return result;
-}
-
-SymmetricEigen symmetric_eigen(const Matrix& a, int max_sweeps, double tol) {
-  if (!a.square()) {
-    throw std::invalid_argument("symmetric_eigen requires a square matrix");
-  }
-  const std::size_t n = a.rows();
-  Matrix m = a;
-  symmetrize(m);
-  Matrix q = Matrix::identity(n);
-
-  // Parallel sweep-convergence check with a deterministic reduction: chunk
-  // partial sums land in fixed slots and combine in chunk order, so the
-  // result never depends on the pool size.  (The rotations themselves stay
-  // serial — cyclic Jacobi is sequentially dependent rotation to rotation.)
-  auto off_diagonal_norm = [&m, n] {
-    const std::size_t chunk = items_per_chunk(n);
-    const std::size_t nchunks = (n + chunk - 1) / chunk;
-    std::vector<double> partial(std::max<std::size_t>(nchunks, 1), 0.0);
-    exec::parallel_for(n, chunk, [&](std::size_t r0, std::size_t r1) {
-      double s = 0.0;
-      for (std::size_t i = r0; i < r1; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) s += m(i, j) * m(i, j);
-      }
-      partial[r0 / chunk] = s;
-    });
-    double s = 0.0;
-    for (double p : partial) s += p;
-    return std::sqrt(2.0 * s);
-  };
-
-  const double scale = std::max(m.max_abs(), 1.0);
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    if (off_diagonal_norm() <= tol * scale * n) break;
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q_idx = p + 1; q_idx < n; ++q_idx) {
-        const double apq = m(p, q_idx);
-        if (std::abs(apq) <= tol * scale) continue;
-        // Classic Jacobi rotation annihilating m(p, q).
-        const double theta = (m(q_idx, q_idx) - m(p, p)) / (2.0 * apq);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(theta) +
-                          std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double mkp = m(k, p), mkq = m(k, q_idx);
-          m(k, p) = c * mkp - s * mkq;
-          m(k, q_idx) = s * mkp + c * mkq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double mpk = m(p, k), mqk = m(q_idx, k);
-          m(p, k) = c * mpk - s * mqk;
-          m(q_idx, k) = s * mpk + c * mqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double qkp = q(k, p), qkq = q(k, q_idx);
-          q(k, p) = c * qkp - s * qkq;
-          q(k, q_idx) = s * qkp + c * qkq;
-        }
-      }
-    }
-  }
-
-  SymmetricEigen eigen;
-  eigen.eigenvalues.resize(n);
-  for (std::size_t i = 0; i < n; ++i) eigen.eigenvalues[i] = m(i, i);
-
-  // Sort ascending, permuting the eigenvector columns accordingly.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&eigen](std::size_t x,
-                                                 std::size_t y) {
-    return eigen.eigenvalues[x] < eigen.eigenvalues[y];
-  });
-  SymmetricEigen sorted;
-  sorted.eigenvalues.resize(n);
-  sorted.eigenvectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    sorted.eigenvalues[j] = eigen.eigenvalues[order[j]];
-    for (std::size_t i = 0; i < n; ++i) {
-      sorted.eigenvectors(i, j) = q(i, order[j]);
-    }
-  }
-  return sorted;
 }
 
 }  // namespace spdkfac::tensor

@@ -286,29 +286,6 @@ TEST(KfacOptimizer, KlClipScalesAppliedStep) {
   (void)rng;
 }
 
-TEST(InverseMethodOption, EigenPathMatchesCholeskyPath) {
-  auto run = [](InverseMethod method) {
-    Rng local(55);
-    nn::Sequential model;
-    model.add(std::make_unique<nn::Linear>("fc", 4, 3, true, local));
-    auto layers = model.preconditioned_layers();
-    KfacOptions opts;
-    opts.inverse_method = method;
-    KfacOptimizer kfac(layers, opts);
-    Tensor4D x(4, 4, 1, 1);
-    Rng data_rng(9);
-    tensor::fill_normal(x.data, data_rng);
-    nn::SoftmaxCrossEntropy loss;
-    std::vector<int> labels{0, 1, 2, 0};
-    loss.forward(model.forward(x), labels);
-    model.backward(loss.backward());
-    kfac.step();
-    return layers[0]->weight();
-  };
-  EXPECT_TRUE(tensor::allclose(run(InverseMethod::kEigen),
-                               run(InverseMethod::kCholesky), 1e-8, 1e-10));
-}
-
 TEST(FactoredDamping, BalancedFactorsGiveSymmetricSplit) {
   // When tr(A)/d_A == tr(G)/d_G, pi = 1 and both factors get sqrt(gamma).
   Matrix a = Matrix::identity(4) * 2.0;
@@ -369,10 +346,13 @@ TEST(PiDamping, ChangesUpdateButStillLearns) {
 
 TEST(DistPiDamping, ConsistentAcrossRanksAndStrategies) {
   // pi-damping derives from aggregated factors, so ranks stay identical and
-  // strategies agree.
+  // the three inverse placements agree: every rank inverting everything
+  // (D-KFAC), round-robin owners broadcasting inverses (MPD-KFAC) and
+  // Layer-LBP owners broadcasting the preconditioned update (SPD-KFAC).
   auto run = [](DistStrategy strategy) {
-    std::vector<tensor::Matrix> weights;
-    comm::Cluster::launch(3, [&](comm::Communicator& comm) {
+    constexpr int kWorld = 3;
+    std::vector<std::vector<tensor::Matrix>> weights(kWorld);
+    comm::Cluster::launch(kWorld, [&](comm::Communicator& comm) {
       Rng local(77);
       const std::size_t widths[] = {5, 7, 3};
       nn::Sequential model = nn::make_mlp(widths, local);
@@ -380,7 +360,6 @@ TEST(DistPiDamping, ConsistentAcrossRanksAndStrategies) {
       DistKfacOptions opts;
       opts.strategy = strategy;
       opts.pi_damping = true;
-      opts.inverse_method = InverseMethod::kEigen;
       DistKfacOptimizer optimizer(layers, comm, opts);
       nn::SyntheticClassification data(3, 5, 1, 12);
       Rng shard(300 + comm.rank());
@@ -393,15 +372,23 @@ TEST(DistPiDamping, ConsistentAcrossRanksAndStrategies) {
         model.backward(loss.backward());
         optimizer.step();
       }
-      if (comm.rank() == 0) {
-        for (auto* l : layers) weights.push_back(l->weight());
-      }
+      for (auto* l : layers) weights[comm.rank()].push_back(l->weight());
     });
-    return weights;
+    for (int r = 1; r < kWorld; ++r) {
+      for (std::size_t l = 0; l < weights[0].size(); ++l) {
+        EXPECT_EQ(tensor::max_abs_diff(weights[r][l], weights[0][l]), 0.0)
+            << to_string(strategy) << " rank " << r << " layer " << l;
+      }
+    }
+    return weights[0];
   };
   const auto dkfac = run(DistStrategy::kDKfac);
+  const auto mpd = run(DistStrategy::kMpdKfac);
   const auto spd = run(DistStrategy::kSpdKfac);
+  ASSERT_EQ(dkfac.size(), 2u);
   for (std::size_t l = 0; l < dkfac.size(); ++l) {
+    EXPECT_TRUE(tensor::allclose(mpd[l], dkfac[l], 1e-9, 1e-11))
+        << "layer " << l;
     EXPECT_TRUE(tensor::allclose(spd[l], dkfac[l], 1e-9, 1e-11))
         << "layer " << l;
   }

@@ -23,7 +23,6 @@ TEST(DistKfacOptionsTest, DefaultsMatchPaperConfiguration) {
   EXPECT_EQ(opts.factor_update_freq, 1u);
   EXPECT_EQ(opts.inverse_update_freq, 1u);
   EXPECT_DOUBLE_EQ(opts.kl_clip, 0.0);
-  EXPECT_EQ(opts.inverse_method, InverseMethod::kCholesky);
   EXPECT_FALSE(opts.pi_damping);
   EXPECT_EQ(opts.strategy, DistStrategy::kSpdKfac);
   EXPECT_EQ(opts.balance, sched::BalanceMetric::kEstimatedTime);

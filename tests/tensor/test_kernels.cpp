@@ -387,30 +387,6 @@ TEST_P(KernelLevel, EmaUnpackMatchesUnpackThenEma) {
   }
 }
 
-TEST_P(KernelLevel, SymmetrizeRowsMatchesScalarAndComposes) {
-  Rng rng(110);
-  for (std::size_t n : {std::size_t{1}, std::size_t{6}, std::size_t{35}}) {
-    const auto a0 = random_vec(n * n, rng);
-    auto got = a0, want = a0;
-    kt().symmetrize_rows(got.data(), n, n, 0, n);
-    table(Isa::kScalar).symmetrize_rows(want.data(), n, n, 0, n);
-    expect_bitwise_eq(got, want, "symmetrize vs scalar");
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        EXPECT_EQ(got[r * n + c], got[c * n + r]);
-      }
-    }
-    // Chunked row ranges compose to the full-range result (the matrix
-    // symmetrize parallelizes over row chunks).
-    if (n > 2) {
-      auto parts = a0;
-      kt().symmetrize_rows(parts.data(), n, n, 0, n / 2);
-      kt().symmetrize_rows(parts.data(), n, n, n / 2, n);
-      expect_bitwise_eq(parts, got, "symmetrize chunked");
-    }
-  }
-}
-
 TEST_P(KernelLevel, TransposeExact) {
   Rng rng(111);
   const std::size_t shapes[][2] = {

@@ -77,7 +77,7 @@ TEST(PackUnpack, UpperTriangleIsTruth) {
 
 TEST(PackUnpack, InversesSurvivePackedTransport) {
   // The real optimizer ships damped inverses as packed triangles; since
-  // spd_inverse symmetrizes, transport must be lossless.
+  // spd_inverse mirrors its lower triangle, transport must be lossless.
   Rng rng(77);
   Matrix inv = spd_inverse(random_spd(24, rng));
   Matrix back = SymmetricPacked::pack(inv).unpack();
@@ -89,8 +89,8 @@ class PackedRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PackedRoundTrip, RandomSymmetricRoundTrip) {
   const std::size_t d = GetParam();
   Rng rng(d);
-  Matrix m = random_normal(d, d, rng);
-  symmetrize(m);
+  const Matrix r = random_normal(d, d, rng);
+  const Matrix m = r + r.transposed();  // exactly symmetric
   EXPECT_EQ(max_abs_diff(SymmetricPacked::pack(m).unpack(), m), 0.0);
 }
 
