@@ -12,13 +12,17 @@
 // shapes under a 2-worker pool, each beside twice the single-thread
 // kernel's GFLOP/s on the same shape (perfect 2-worker scaling).  That is
 // the path real steps take: a chunking that starves the microkernel shows
-// up only there.  The inverse rows time damped_inverse_into with warm
-// `out` and `scratch` (the optimizer's steady-state inverse, which touches
-// no new memory) beside spd_inverse on fresh storage, both on the calling
-// thread and under the pool, at the orders the e2e workloads invert.  The
-// layer rows time single GEMM calls at the small CNN's conv shapes and at
-// the MLPs' Eq. 13 update and Linear forward shapes.  Every row is the
-// best of five self-calibrated samples.
+// up only there.  The inverse rows time damped_cholesky_into, the
+// InverseComp task, with a warm output (the optimizer's steady state,
+// which touches no new memory) beside fresh storage, both on the calling
+// thread and under the pool, at the orders the e2e workloads factorize.
+// The update rows time the Eq. 13 update G^-1 dW A^-1 at the e2e layer
+// shapes both ways: the solve pair the runtime runs (solve_right, then
+// solve_left, on a copy of dW) beside the two dense GEMMs with explicit
+// inverses that it replaces — kernel evidence only, as a step-time claim
+// needs bench/e2e.  The layer rows time single GEMM calls at the small
+// CNN's conv shapes and at the MLPs' Eq. 13 update and Linear forward
+// shapes.  Every row is the best of five self-calibrated samples.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -28,6 +32,7 @@
 
 #include "bench_util.hpp"
 #include "exec/context.hpp"
+#include "exec/grain.hpp"
 #include "exec/thread_pool.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/linalg.hpp"
@@ -126,15 +131,16 @@ KernelSample bench_ema(const kernels::KernelTable& kt, std::size_t n) {
   return s;
 }
 
-KernelSample bench_spd_inverse(std::size_t d) {
-  // Routed through linalg (blocked Cholesky, W = L^-1, then W^T W), which
-  // takes its GEMMs and dots from the *active* table — force() selects it.
+KernelSample bench_factorize(std::size_t d) {
+  // Routed through linalg (blocked Cholesky, then the diagonal-block
+  // inverses), which takes its GEMMs and dots from the *active* table —
+  // force() selects it.
   tensor::Rng rng(5);
   const tensor::Matrix a = tensor::random_spd(d, rng);
   KernelSample s;
   s.flops = tensor::spd_inverse_flops(d);
-  tensor::Matrix inv;
-  s.seconds = best_time_call([&] { inv = tensor::spd_inverse(a); });
+  tensor::Matrix f;
+  s.seconds = best_time_call([&] { tensor::damped_cholesky_into(a, 0.0, f); });
   return s;
 }
 
@@ -223,25 +229,77 @@ PooledSample bench_matmul_tn_pooled(const kernels::KernelTable& kt,
   return s;
 }
 
-/// One d x d SPD inverse, on the calling thread and under `pool`:
-/// spd_inverse (fresh out, scratch and L every call) or damped_inverse_into
-/// with storage kept across calls (time_call's warm-up call sizes it).
+/// One d x d damped_cholesky_into, on the calling thread and under
+/// `pool`: into fresh storage every call, or into storage kept across
+/// calls (time_call's warm-up call sizes it).
 PooledSample bench_inverse(std::size_t d, bool warm, exec::ThreadPool& pool) {
   tensor::Rng rng(5);
   const tensor::Matrix a = tensor::random_spd(d, rng);
   PooledSample s;
   s.single.flops = s.pooled.flops = tensor::spd_inverse_flops(d);
-  tensor::Matrix inv, scratch;
+  tensor::Matrix f;
   const auto call = [&] {
-    if (warm) {
-      tensor::damped_inverse_into(a, 0.0, inv, scratch);
-    } else {
-      inv = tensor::spd_inverse(a);
-    }
+    if (!warm) f = tensor::Matrix();
+    tensor::damped_cholesky_into(a, 0.0, f);
   };
   s.single.seconds = best_time_call(call);
   exec::Context ctx(&pool);
   s.pooled.seconds = best_time_call(call);
+  return s;
+}
+
+/// C = A * B into preallocated rows of C (B and C row-major, n wide), the
+/// way the update multiplied by explicit inverses: 4-row shape-only chunks
+/// of gemm_nn under the ambient pool, as tensor::matmul chunks them.
+void matmul_into(const tensor::Matrix& a, const double* b, std::size_t n,
+                 double* c) {
+  const auto& kt = kernels::active_table();
+  const std::size_t k = a.cols();
+  const std::size_t rows = (exec::grain_for_ops(k * n) + 3) / 4 * 4;
+  exec::parallel_for(a.rows(), rows, [&](std::size_t r0, std::size_t r1) {
+    std::fill(c + r0 * n, c + r1 * n, 0.0);
+    kt.gemm_nn(r1 - r0, k, n, a.row_ptr(r0), k, b, n, c + r0 * n, n);
+  });
+}
+
+/// The Eq. 13 update of one m x n layer gradient (A of order n, G of
+/// order m), on the calling thread and under `pool`: the runtime's solve
+/// pair on a copy of dW, or the two GEMMs dW A^-1 and G^-1 (dW A^-1) with
+/// explicit inverses.  Both count the GEMM pair's flops, so the GFLOP/s
+/// columns compare wall time.
+struct UpdateSample {
+  PooledSample solves, gemms;
+};
+
+UpdateSample bench_update(std::size_t m, std::size_t n,
+                          exec::ThreadPool& pool) {
+  tensor::Rng rng(11);
+  const tensor::Matrix a = tensor::random_spd(n, rng);
+  const tensor::Matrix g = tensor::random_spd(m, rng);
+  const tensor::Matrix grad = tensor::random_normal(m, n, rng);
+  tensor::Matrix fa, fg;
+  tensor::damped_cholesky_into(a, 0.1, fa);
+  tensor::damped_cholesky_into(g, 0.1, fg);
+  tensor::Matrix delta(m, n), product(m, n);
+  const auto solves = [&] {
+    delta = grad;
+    tensor::solve_right(fa, delta.data());
+    tensor::solve_left(fg, delta.data());
+  };
+  const auto gemms = [&] {
+    matmul_into(grad, a.row_ptr(0), n, product.row_ptr(0));
+    matmul_into(g, product.row_ptr(0), n, delta.row_ptr(0));
+  };
+  UpdateSample s;
+  const double flops = 2.0 * static_cast<double>(m) * n * (n + m);
+  for (PooledSample* p : {&s.solves, &s.gemms}) {
+    p->single.flops = p->pooled.flops = flops;
+  }
+  s.solves.single.seconds = best_time_call(solves);
+  s.gemms.single.seconds = best_time_call(gemms);
+  exec::Context ctx(&pool);
+  s.solves.pooled.seconds = best_time_call(solves);
+  s.gemms.pooled.seconds = best_time_call(gemms);
   return s;
 }
 
@@ -301,7 +359,8 @@ int main() {
   const std::size_t sizes[] = {64, 128, 256, 385, 513};
   bench::BenchJson json("kernels");
   bench::Table table({"Kernel", "d", "ISA", "GFLOP/s", "us/call"});
-  bench::Table inverse_share({"d", "ISA", "spd_inverse / gemm_nn GFLOP/s"});
+  bench::Table inverse_share(
+      {"d", "ISA", "damped_cholesky / gemm_nn GFLOP/s"});
   // 384x385x385 is the wide MLP's update (dW * A^-1); 2048x145 is the
   // small CNN's conv2 A factor (im2col rows x patch width).
   exec::ThreadPool pool(2);
@@ -309,6 +368,13 @@ int main() {
                        "2x 1-thread kernel GFLOP/s", "share"});
   bench::Table inverses({"Inverse", "storage", "d", "ISA", "workers",
                          "GFLOP/s", "us/call"});
+  // The Eq. 13 update shapes (d_out x d_in, bias column included): the
+  // small CNN's fc and conv2 layers, the deep MLP's 128->128 and the wide
+  // MLP's 384->384.
+  const std::pair<std::size_t, std::size_t> update_shapes[] = {
+      {10, 513}, {32, 145}, {128, 129}, {384, 385}};
+  bench::Table updates({"Update", "m x n", "ISA", "workers", "GFLOP/s",
+                        "us/call"});
   // The small CNN's layer GEMMs at batch 32 (conv1 3->16 channels on
   // 16x16, conv2 16->32 on 8x8; patch widths 28 and 145 with the bias
   // column): the per-sample forward in both gemm_nt orientations, the
@@ -347,7 +413,7 @@ int main() {
   for (std::size_t li = 0; li < levels.size(); ++li) {
     const kernels::Isa level = levels[li];
     const kernels::KernelTable& kt = kernels::table(level);
-    kernels::force(level);  // spd_inverse reads the active table
+    kernels::force(level);  // the linalg routines read the active table
     const char* isa = kernels::to_string(level);
 
     for (const std::size_t d : sizes) {
@@ -358,7 +424,7 @@ int main() {
       const Entry entries[] = {
           {"gemm_nn", bench_gemm_nn(kt, d)},
           {"gemm_tn", bench_gemm_tn(kt, d)},
-          {"spd_inverse", bench_spd_inverse(d)},
+          {"damped_cholesky", bench_factorize(d)},
           {"transpose", bench_transpose(kt, d)},
       };
       for (const Entry& e : entries) {
@@ -369,15 +435,16 @@ int main() {
                  {{"gflops", e.sample.gflops()},
                   {"seconds_per_call", e.sample.seconds}});
       }
-      // How close the inverse gets to the GEMM it is built from.
+      // How close the factorization gets to the GEMM it is built from.
       const double share =
           entries[2].sample.gflops() / entries[0].sample.gflops();
       inverse_share.add_row({std::to_string(d), isa,
                              bench::fmt("%.0f%%", 100.0 * share)});
-      json.add("spd_inverse_share_of_gemm_nn/d=" + std::to_string(d) + "/" +
-                   isa,
+      json.add("damped_cholesky_share_of_gemm_nn/d=" + std::to_string(d) +
+                   "/" + isa,
                {{"share", share}});
-      // The single-rank factor+inverse hot path: factor GEMM + SPD inverse.
+      // The single-rank factor+inverse hot path: factor GEMM + the damped
+      // factorization.
       hot_path[li].push_back(entries[1].sample.seconds +
                              entries[2].sample.seconds);
     }
@@ -417,8 +484,8 @@ int main() {
         PooledSample sample;
       };
       const Entry entries[] = {
-          {"spd_inverse", "fresh", bench_inverse(d, false, pool)},
-          {"damped_inverse_into", "warm", bench_inverse(d, true, pool)},
+          {"damped_cholesky_into", "fresh", bench_inverse(d, false, pool)},
+          {"damped_cholesky_into", "warm", bench_inverse(d, true, pool)},
       };
       for (const Entry& e : entries) {
         const std::pair<std::size_t, KernelSample> runs[] = {
@@ -430,6 +497,32 @@ int main() {
                             bench::fmt("%.1f", k.seconds * 1e6)});
           json.add(std::string(e.name) + "/d=" + std::to_string(d) +
                        "/workers=" + std::to_string(workers) + "/" + isa,
+                   {{"gflops", k.gflops()}, {"seconds_per_call", k.seconds}});
+        }
+      }
+    }
+
+    for (const auto& [m, n] : update_shapes) {
+      const UpdateSample u = bench_update(m, n, pool);
+      std::string shape = std::to_string(m);
+      shape += 'x';
+      shape += std::to_string(n);
+      const struct {
+        const char* name;
+        const char* key;
+        const PooledSample* sample;
+      } ways[] = {
+          {"solve_right + solve_left", "update_solves", &u.solves},
+          {"matmul x2 (explicit inverses)", "update_gemms", &u.gemms}};
+      for (const auto& w : ways) {
+        const std::pair<std::size_t, KernelSample> runs[] = {
+            {0, w.sample->single}, {pool.workers(), w.sample->pooled}};
+        for (const auto& [workers, k] : runs) {
+          updates.add_row({w.name, shape, isa, std::to_string(workers),
+                           bench::fmt("%.2f", k.gflops()),
+                           bench::fmt("%.1f", k.seconds * 1e6)});
+          json.add(std::string(w.key) + "/" + shape + "/workers=" +
+                       std::to_string(workers) + "/" + isa,
                    {{"gflops", k.gflops()}, {"seconds_per_call", k.seconds}});
         }
       }
@@ -468,6 +561,10 @@ int main() {
   pooled.print();
   std::printf("\nInverse storage (workers 0 = calling thread only):\n");
   inverses.print();
+  std::printf(
+      "\nEq. 13 update, solves vs explicit-inverse GEMMs (kernel evidence "
+      "only; GFLOP/s counts the GEMM pair's flops):\n");
+  updates.print();
   std::printf("\nLayer GEMMs (one call, calling thread):\n");
   layers.print();
 

@@ -261,15 +261,16 @@ void DistKfacOptimizer::save_checkpoint(std::ostream& out) const {
     writer.record(RecordType::kFactorA, idx, a);
     g.put_matrix(state_[l].g);
     writer.record(RecordType::kFactorG, idx, g);
-    ai.put_matrix(state_[l].a_inv);
+    ai.put_matrix(state_[l].a_chol);
     writer.record(RecordType::kInverseA, idx, ai);
-    gi.put_matrix(state_[l].g_inv);
+    gi.put_matrix(state_[l].g_chol);
     writer.record(RecordType::kInverseG, idx, gi);
   }
 
   // Error-feedback residuals exist only once a top-k gradient step ran;
   // checkpoints without them restore to zeroed residuals (same state a
-  // fresh optimizer starts from), so the journal version stays at 1.
+  // fresh optimizer starts from), so they need no format version of their
+  // own.
   for (std::size_t l = 0; l < grad_residuals_.size(); ++l) {
     Payload r;
     r.put_u64(grad_residuals_[l].size());
@@ -438,8 +439,8 @@ void DistKfacOptimizer::restore_checkpoint(std::istream& in) {
     layers_[l]->weight() = std::move(weights[l]);
     state_[l].a = std::move(fa[l]);
     state_[l].g = std::move(fg[l]);
-    state_[l].a_inv = std::move(ia[l]);
-    state_[l].g_inv = std::move(ig[l]);
+    state_[l].a_chol = std::move(ia[l]);
+    state_[l].g_chol = std::move(ig[l]);
   }
   if (have_residuals) {
     ensure_grad_residuals();

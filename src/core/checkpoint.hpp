@@ -38,26 +38,32 @@
 namespace spdkfac::core::journal {
 
 /// Format magic ("SPDKFAC" + journal revision marker) and version.  Bump
-/// kVersion on any layout change; Reader rejects mismatches.
+/// kVersion on any layout change; Reader rejects mismatches.  Version 2:
+/// the kInverseA/kInverseG records carry the factored form of
+/// tensor::damped_cholesky_into instead of an explicit inverse, so a
+/// version-1 journal is refused rather than solved with as a factor.
 inline constexpr char kMagic[8] = {'S', 'P', 'D', 'K', 'F', 'A', 'C', 'J'};
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 
-/// Record types of version-1 journals.  Matrix records carry their layer
+/// Record types of version-2 journals.  Matrix records carry their layer
 /// index in the frame's `index` field.
 enum class RecordType : std::uint16_t {
   kMeta = 1,      ///< run counters + shape of everything that follows
   kWeights = 2,   ///< layer weight matrix
   kFactorA = 3,   ///< running-average Kronecker factor A_l
   kFactorG = 4,   ///< running-average Kronecker factor G_l
-  kInverseA = 5,  ///< damped inverse of A_l (may be 0x0 before first inverse)
-  kInverseG = 6,  ///< damped inverse of G_l
+  /// Factored form of A_l + gamma I (tensor::damped_cholesky_into: L
+  /// with its diagonal blocks inverted), dense; 0x0 before the first
+  /// inverse step.
+  kInverseA = 5,
+  kInverseG = 6,  ///< the same for G_l
   kProfiler = 7,  ///< perf::OnlineProfiler::serialize() vector
   kTiming = 8,    ///< the planning PassTiming in effect
   kEnd = 9,       ///< terminator; index == number of preceding records
   /// Per-layer top-k error-feedback residual (index = layer; payload is
   /// u64 element count + that many f64s).  Written only when the optimizer
   /// runs grad_codec == kTopK; absent records restore as zeroed residuals,
-  /// so version-1 journals from before compression stay readable.
+  /// the state a fresh optimizer starts from.
   kGradResidual = 10,
   /// Whose inverses the saved ones are (payload: u64 saving rank, then per
   /// layer the i64 holder — -1: every rank computed or received them, r:

@@ -491,14 +491,6 @@ void DistKfacOptimizer::begin_step() {
   for (const int id : plan_->precondition_tasks) {
     const sched::Task& task = plan_->task(id);
     if (task.rank < 0) deltas_[task.layer] = arena_.carve(task.elements);
-    // A restored optimizer may precondition before its first factor
-    // build; the borrowed scratch takes the factor's own shape.
-    Matrix& scratch = precondition_scratch(task.layer);
-    if (scratch.empty()) {
-      const std::size_t d = std::max(layers_[task.layer]->dim_a(),
-                                     layers_[task.layer]->dim_g());
-      scratch = Matrix(d, d);
-    }
     // The update used to allocate ΔW and ∇W A^-1 every step.
     arena_saved_bytes_ += 2 * task.elements * sizeof(double);
   }
@@ -574,13 +566,6 @@ std::vector<exec::DataflowExecutor::Node> DistKfacOptimizer::build_nodes() {
         const bool mine = task.rank < 0 || task.rank == comm_.rank();
         node.kind = mine ? NodeKind::kCompute : NodeKind::kNoop;
         if (mine) node.work = [this, id] { run_precondition(id); };
-        // Its scratch is a fresh factor buffer: wait until this step's
-        // factor builds (and, through the plan's deps, the inverses that
-        // borrow them) are done with it.
-        if (plan_->factor_update) {
-          add_dep(node.deps, factor_task(sched::Family::kA, task.layer));
-          add_dep(node.deps, factor_task(sched::Family::kG, task.layer));
-        }
         // Single worker: no gradient group to wait for; step() stages the
         // local gradients and then releases this gate.
         if (plan_->grad_comm.empty()) node.external_deps = 1;
@@ -664,35 +649,32 @@ void DistKfacOptimizer::run_inverse(int task_id) {
     const auto [ga, gg] = factored_damping(st.a, st.g, options_.damping);
     gamma = t % 2 == 0 ? ga : gg;
   }
-  // The inverse lands in the tensor's persistent slot.  It borrows the
-  // tensor's fresh local factor as its W scratch: that buffer is dead once
-  // the factor barrier has passed (packed into the fused all-reduce, or
-  // folded into the running average on a single worker) and is rebuilt
-  // before it is read again, so the inverse phase allocates nothing on a
-  // steady step.
-  Matrix& slot = inverse_slot(t);
-  Matrix& scratch = t % 2 == 0 ? fresh_a_[t / 2] : fresh_g_[t / 2];
-  tensor::damped_inverse_into(factor_of(t), gamma, slot, scratch);
+  // The inverse task stops at the factored form, in the tensor's
+  // persistent slot (allocation-free on a steady step); the update solves
+  // with it.
+  Matrix& slot = cholesky_slot(t);
+  tensor::damped_cholesky_into(factor_of(t), gamma, slot);
   const std::span<double> bcast =
       task_buffer_[static_cast<std::size_t>(task_id)];
   if (!bcast.empty()) {
-    // CT: the owner packs from its slot; the broadcast (dependent on this
-    // node) ships it and its completion unpacks into the slot on every
-    // rank identically (the owner's included, a no-op for a lossless
-    // payload: the inverse is exactly symmetric).
-    tensor::pack_upper(slot, bcast);
+    // CT: the owner packs the triangle from its slot; the broadcast
+    // (dependent on this node) ships it and its completion unpacks into
+    // the slot on every rank identically (the owner's included, a no-op
+    // for a lossless payload).
+    tensor::pack_lower(slot, bcast);
   }
 }
 
 void DistKfacOptimizer::run_precondition(int task_id) {
-  // Eq. (13) with the same kernels and k order on whichever rank runs it,
-  // so an owner's ΔW is bitwise the one every rank used to compute.
+  // Eq. (13) as two in-place solves, with the same kernels and k order on
+  // whichever rank runs it, so an owner's ΔW is bitwise the one every rank
+  // would compute.
   const std::size_t l = plan_->task(task_id).layer;
   const LayerState& st = state_[l];
-  const std::span<double> product =
-      precondition_scratch(l).data().first(deltas_[l].size());
-  tensor::matmul(agg_grads_[l], st.a_inv.data(), st.a_inv.cols(), product);
-  tensor::matmul(st.g_inv, product, st.a_inv.cols(), deltas_[l]);
+  const std::span<const double> grad = agg_grads_[l].data();
+  std::copy(grad.begin(), grad.end(), deltas_[l].begin());
+  tensor::solve_right(st.a_chol, deltas_[l]);
+  tensor::solve_left(st.g_chol, deltas_[l]);
 }
 
 void DistKfacOptimizer::run_apply() {
@@ -832,12 +814,12 @@ void DistKfacOptimizer::postprocess_collective(int task_id) {
     }
     case sched::TaskKind::kBroadcast: {
       if (task.family == sched::Family::kGrad) break;  // ΔW landed in place
-      Matrix& inv = inverse_slot(task.tensor);
-      if (inv.rows() != task.dim || inv.cols() != task.dim) {
-        inv = Matrix(task.dim, task.dim);  // first step / reshape
+      Matrix& slot = cholesky_slot(task.tensor);
+      if (slot.rows() != task.dim || slot.cols() != task.dim) {
+        slot = Matrix(task.dim, task.dim);  // first step / reshape
       }
-      tensor::unpack_upper(task_buffer_[static_cast<std::size_t>(task_id)],
-                           inv);
+      tensor::unpack_lower(task_buffer_[static_cast<std::size_t>(task_id)],
+                           slot);
       break;
     }
     default:

@@ -21,6 +21,12 @@
 //               broadcasts ΔW instead of the inverses, so no rank repeats
 //               another's preconditioning [KAISA, Pauloski'21].
 //
+// An "inverse" here is always the factored form of the damped factor
+// (tensor::damped_cholesky_into): the inverse tasks stop at it, a CT
+// broadcast ships its packed lower triangle, and the update solves with it
+// (tensor::solve_right / solve_left) instead of multiplying by an explicit
+// inverse.
+//
 // Every step the optimizer asks the sched::SchedulePlanner for the
 // iteration's task-graph and *executes* it as a real dataflow: the plan's
 // tasks become nodes of an exec::DataflowExecutor on the rank's shared
@@ -255,12 +261,12 @@ class DistKfacOptimizer {
   bool failed() const noexcept { return failed_; }
 
   /// Serializes the full optimizer state — step counters, re-planning
-  /// epoch, layer weights, Kronecker factors and inverses, the online
-  /// profiler, and the planning timing — as a versioned, CRC-guarded
-  /// journal (core/checkpoint.hpp).  Call between steps, on every rank
-  /// (each rank's state is rank-identical by construction, so any one
-  /// rank's checkpoint restores the whole cluster).  A run resumed from
-  /// the checkpoint is bitwise identical to the uninterrupted run.
+  /// epoch, layer weights, Kronecker factors and their factored inverses,
+  /// the online profiler, and the planning timing — as a versioned,
+  /// CRC-guarded journal (core/checkpoint.hpp).  Call between steps, on
+  /// every rank (each rank's state is rank-identical by construction, so
+  /// any one rank's checkpoint restores the whole cluster).  A run resumed
+  /// from the checkpoint is bitwise identical to the uninterrupted run.
   void save_checkpoint(std::ostream& out) const;
 
   /// Restores state saved by save_checkpoint into this optimizer.  Layer
@@ -342,11 +348,13 @@ class DistKfacOptimizer {
   // Introspection for the equivalence tests.
   const tensor::Matrix& factor_a(std::size_t l) const { return state_[l].a; }
   const tensor::Matrix& factor_g(std::size_t l) const { return state_[l].g; }
-  const tensor::Matrix& inverse_a(std::size_t l) const {
-    return state_[l].a_inv;
+  /// The factored forms of (A_l + gamma I) and (G_l + gamma I) that
+  /// layer l's update solves with (tensor::damped_cholesky_into).
+  const tensor::Matrix& cholesky_a(std::size_t l) const {
+    return state_[l].a_chol;
   }
-  const tensor::Matrix& inverse_g(std::size_t l) const {
-    return state_[l].g_inv;
+  const tensor::Matrix& cholesky_g(std::size_t l) const {
+    return state_[l].g_chol;
   }
   const tensor::Matrix& aggregated_grad(std::size_t l) const {
     return agg_grads_[l];
@@ -355,7 +363,7 @@ class DistKfacOptimizer {
  private:
   struct LayerState {
     tensor::Matrix a, g;
-    tensor::Matrix a_inv, g_inv;
+    tensor::Matrix a_chol, g_chol;  ///< factored damped factors
   };
 
   /// Where one layer's gradient stages: its span inside the gradient
@@ -431,9 +439,9 @@ class DistKfacOptimizer {
   const tensor::Matrix& factor_of(std::size_t tensor) const {
     return tensor % 2 == 0 ? state_[tensor / 2].a : state_[tensor / 2].g;
   }
-  tensor::Matrix& inverse_slot(std::size_t tensor) {
-    return tensor % 2 == 0 ? state_[tensor / 2].a_inv
-                           : state_[tensor / 2].g_inv;
+  tensor::Matrix& cholesky_slot(std::size_t tensor) {
+    return tensor % 2 == 0 ? state_[tensor / 2].a_chol
+                           : state_[tensor / 2].g_chol;
   }
 
   std::vector<nn::PreconditionedLayer*> layers_;
@@ -443,15 +451,11 @@ class DistKfacOptimizer {
   sched::ScheduleCosts costs_;
 
   /// Factor-sized storage persists across steps: each layer's aggregated
-  /// factors and inverse slots here, its fresh local factors below.  A
-  /// steady step rebuilds them in place (tensor::matmul_tn and
-  /// tensor::damped_inverse_into reallocate only on a shape change).
+  /// factors and factored-inverse slots here, its fresh local factors
+  /// (rebuilt by each factor compute) below.  A steady step rebuilds them
+  /// in place (tensor::matmul_tn and tensor::damped_cholesky_into
+  /// reallocate only on a shape change).
   std::vector<LayerState> state_;
-  /// Fresh local factors, rebuilt by each factor compute.  After the
-  /// factor barrier they are dead until the next one, so the Cholesky
-  /// inverse of tensor t borrows t's buffer as its W = L^-1 scratch, and a
-  /// layer's kPrecondition borrows the larger of its two for ∇W A^-1
-  /// (d_out x d_in fits: d_out d_in <= max(d_in, d_out)^2).
   std::vector<tensor::Matrix> fresh_a_, fresh_g_;
   std::vector<tensor::Matrix> agg_grads_;
   std::size_t step_count_ = 0;
@@ -499,21 +503,15 @@ class DistKfacOptimizer {
   std::vector<std::span<double>> task_buffer_;
   /// Per layer: the gradient's staging range and its group's task.
   std::vector<GradSlot> grad_slots_;
-  /// The larger of layer l's fresh factor buffers — kPrecondition's
-  /// scratch.
-  tensor::Matrix& precondition_scratch(std::size_t l) {
-    return layers_[l]->dim_a() >= layers_[l]->dim_g() ? fresh_a_[l]
-                                                       : fresh_g_[l];
-  }
-  /// Per layer: ΔW_l = G^-1 ∇W A^-1, written by the layer's kPrecondition
-  /// and read by kApply.  An owned layer's ΔW is its broadcast payload, so
-  /// the owner computes straight into what it ships and every other rank
-  /// receives into what it applies.
+  /// Per layer: ΔW_l = G^-1 ∇W A^-1, solved in place by the layer's
+  /// kPrecondition (from a copy of ∇W) and read by kApply.  An owned
+  /// layer's ΔW is its broadcast payload, so the owner computes straight
+  /// into what it ships and every other rank receives into what it applies.
   std::vector<std::span<double>> deltas_;
-  /// Per layer: whose inverses this rank's a_inv/g_inv are, as of the last
-  /// inverse step — -1 when every rank computed or received them, else the
-  /// owner that computed them (the only rank holding current ones); -2
-  /// after a restore that cannot vouch for them.  Checkpointed.
+  /// Per layer: whose inverses this rank's a_chol/g_chol are, as of the
+  /// last inverse step — -1 when every rank computed or received them,
+  /// else the owner that computed them (the only rank holding current
+  /// ones); -2 after a restore that cannot vouch for them.  Checkpointed.
   std::vector<int> inverse_holder_;
   /// Set by restore_checkpoint: the next off-step checks
   /// restored_inverses_missing() before it plans.

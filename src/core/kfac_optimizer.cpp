@@ -168,13 +168,14 @@ void KfacOptimizer::step() {
           options_.pi_damping
               ? factored_damping(st.a, st.g, options_.damping)
               : std::pair<double, double>{options_.damping, options_.damping};
-      st.a_inv = tensor::damped_inverse(st.a, gamma_a);
-      st.g_inv = tensor::damped_inverse(st.g, gamma_g);
+      tensor::damped_cholesky_into(st.a, gamma_a, st.a_chol);
+      tensor::damped_cholesky_into(st.g, gamma_g, st.g_chol);
     }
-    // Precondition: delta = G^-1 * grad * A^-1.
+    // Precondition: delta = G^-1 * grad * A^-1, two in-place solves.
     grads[l] = layer.weight_grad();
-    deltas[l] =
-        tensor::matmul(st.g_inv, tensor::matmul(grads[l], st.a_inv));
+    deltas[l] = grads[l];
+    tensor::solve_right(st.a_chol, deltas[l].data());
+    tensor::solve_left(st.g_chol, deltas[l].data());
   }
   const double nu =
       kl_clip_factor(deltas, grads, options_.lr, options_.kl_clip);

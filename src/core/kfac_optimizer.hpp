@@ -3,11 +3,14 @@
 // For every preconditioned layer l the optimizer maintains Kronecker factors
 //   A_l = a_l^T a_l / rows    (layer-input second moment, bias-augmented)
 //   G_l = g_l^T g_l / rows    (pre-activation-gradient second moment)
-// as exponential running averages, computes the damped inverses
-// (A_l + gamma I)^-1 and (G_l + gamma I)^-1 with tensor::damped_inverse
-// (the blocked Cholesky path, the only factor inverse), and applies
+// as exponential running averages, factorizes the damped factors
+// A_l + gamma I and G_l + gamma I with tensor::damped_cholesky_into (the
+// blocked Cholesky path; the inverses themselves are never formed), and
+// applies
 //   W_l <- W_l - lr * G_l^-1 (dL/dW_l) A_l^-1,
-// which is the matrix form of Eq. (12) under the Kronecker identity
+// with the two inverse products as in-place triangular solves
+// (tensor::solve_right, then tensor::solve_left).  That is the matrix form
+// of Eq. (12) under the Kronecker identity
 // (A ⊗ G)^-1 vec(V) = vec(G^-1 V A^-1).
 //
 // The distributed variants in dist_kfac.hpp produce the same update with the
@@ -114,18 +117,20 @@ class KfacOptimizer {
   const tensor::Matrix& factor_g(std::size_t l) const {
     return state_[l].g;
   }
-  const tensor::Matrix& inverse_a(std::size_t l) const {
-    return state_[l].a_inv;
+  /// The factored forms of (A_l + gamma I) and (G_l + gamma I) the update
+  /// solves with (tensor::damped_cholesky_into).
+  const tensor::Matrix& cholesky_a(std::size_t l) const {
+    return state_[l].a_chol;
   }
-  const tensor::Matrix& inverse_g(std::size_t l) const {
-    return state_[l].g_inv;
+  const tensor::Matrix& cholesky_g(std::size_t l) const {
+    return state_[l].g_chol;
   }
   std::size_t num_layers() const noexcept { return layers_.size(); }
 
  private:
   struct LayerState {
     tensor::Matrix a, g;          // running-average factors
-    tensor::Matrix a_inv, g_inv;  // damped inverses
+    tensor::Matrix a_chol, g_chol;  // factored damped factors
   };
 
   std::vector<nn::PreconditionedLayer*> layers_;

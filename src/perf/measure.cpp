@@ -12,19 +12,20 @@ namespace spdkfac::perf {
 
 std::vector<Sample> measure_inverse_times(std::span<const std::size_t> dims,
                                           int runs, int warmup) {
-  // One input and one reused out/scratch pair per d, so every timed call is
-  // the runtime's damped_inverse_into on storage it already owns.
+  // One input and one reused output per d, so every timed call is the
+  // runtime's InverseComp task, damped_cholesky_into, on storage it already
+  // owns.
   struct Case {
-    tensor::Matrix spd, out, scratch;
+    tensor::Matrix spd, out;
   };
   std::vector<Case> cases;
   cases.reserve(dims.size());
   tensor::Rng rng(0x5eed);
   for (std::size_t d : dims) {
-    cases.push_back({tensor::random_spd(d, rng, /*jitter=*/0.05), {}, {}});
+    cases.push_back({tensor::random_spd(d, rng, /*jitter=*/0.05), {}});
   }
   const auto run_once = [](Case& c) {
-    tensor::damped_inverse_into(c.spd, 1e-3, c.out, c.scratch);
+    tensor::damped_cholesky_into(c.spd, 1e-3, c.out);
   };
   for (Case& c : cases) {
     for (int i = 0; i < warmup; ++i) run_once(c);

@@ -18,11 +18,12 @@ struct Sample {
   double seconds = 0.0;
 };
 
-/// Measures damped SPD inverses (tensor::damped_inverse_into, the call the
-/// runtime makes) for each dimension in `dims` on this CPU and returns
-/// (d, seconds) samples.  Each sample is the fastest of `runs` repetitions,
-/// taken in turns across the dims after `warmup` discarded ones.  This is
-/// the CPU analogue of the paper's cuSolver benchmark of Fig. 8.
+/// Measures the runtime's InverseComp task (tensor::damped_cholesky_into,
+/// the factored form the update solves with) for each dimension in `dims`
+/// on this CPU and returns (d, seconds) samples.  Each sample is the
+/// fastest of `runs` repetitions, taken in turns across the dims after
+/// `warmup` discarded ones.  This is the CPU analogue of the paper's
+/// cuSolver benchmark of Fig. 8.
 std::vector<Sample> measure_inverse_times(std::span<const std::size_t> dims,
                                           int runs = 3, int warmup = 1);
 

@@ -1,10 +1,11 @@
 // Runtime-dispatched CPU microkernels for the factor/inverse hot path.
 //
 // Everything numeric the distributed optimizer spends its time in — the
-// GEMM variants behind factor construction, preconditioning and the
-// blocked SPD inverse, the dot products that finish its Cholesky panels,
-// symmetric pack/unpack, the EMA fold, and the collectives' elementwise
-// reduce loops — funnels through the function-pointer table returned by
+// GEMM variants behind factor construction, the blocked Cholesky
+// factorization and the triangular solves of the preconditioned update,
+// the dot products that finish the Cholesky panels, symmetric
+// pack/unpack, the EMA fold, and the collectives' elementwise reduce
+// loops — funnels through the function-pointer table returned by
 // active().  Two implementations exist:
 //
 //   kScalar — portable C++ loops, the cross-platform numeric reference;
@@ -29,12 +30,15 @@
 //     ascending per output element, in place in C, regardless of row
 //     chunking, register blocking or k chunking (so a k range split over
 //     consecutive calls gives the bits of one call); dot() uses a fixed
-//     4-lane stripe + fixed-tree horizontal sum + ascending tail.  Callers
-//     such as the blocked spd_inverse fix their block widths and derive
-//     every chunk boundary from the shape alone, so results never depend
-//     on the exec pool size.  Callers hand the GEMMs row blocks in
-//     multiples of 4 so the AVX2 4-row tiles run instead of their 1-row
-//     leftover path; that is a speed rule, not a correctness rule.
+//     4-lane stripe + fixed-tree horizontal sum + ascending tail (at the
+//     AVX2 level one explicit std::fma per tail element, so no compiler's
+//     contraction choice can move its bits).  Callers such as the blocked
+//     Cholesky factorization and its triangular solves fix their block
+//     widths and derive every chunk boundary from the shape alone, so
+//     results never depend on the exec pool size.  Callers hand the GEMMs
+//     row blocks in multiples of 4 so the AVX2 4-row tiles run instead of
+//     their 1-row leftover path; that is a speed rule, not a correctness
+//     rule.
 //   * Different ISA levels may round differently (FMA contracts mul+add
 //     into one rounding); bitwise determinism holds *within* a level,
 //     and the scalar level is the portable reference.

@@ -23,8 +23,8 @@
 //     determinism suite requires.
 //   * gemm_nt: 4x3 tiles of FMA dot products (12 accumulators; four A and
 //     three B loads per 4-wide k stripe), each reduced with the same
-//     fixed-tree horizontal sum and ascending tail as dot(), so every
-//     element equals c + dot(a_i, b_j) bit for bit.  The M mod 3 columns
+//     fixed-tree horizontal sum and ascending std::fma tail as dot(), so
+//     every element equals c + dot(a_i, b_j) bit for bit.  The M mod 3 columns
 //     run 4x1 blocks, the < 4 leftover rows 1x4 blocks and single dots.
 //   * transpose / unpack mirror: 4x4 in-register transposes
 //     (unpacklo/hi + 128-bit permutes) over 32x32 cache blocks.
@@ -68,7 +68,7 @@ double dot_avx2(const double* x, const double* y, std::size_t n) {
                           acc);
   }
   double sum = hsum(acc);
-  for (; k < n; ++k) sum += x[k] * y[k];
+  for (; k < n; ++k) sum = std::fma(x[k], y[k], sum);
   return sum;
 }
 
@@ -227,7 +227,7 @@ void gemm_tn_avx2(std::size_t rows, std::size_t K, std::size_t N,
 /// kRows x kCols block of gemm_nt outputs, C(i+r, j+s) += a_r . b_s over
 /// K, sharing each stripe's loads: kRows A and kCols B loads feed
 /// kRows*kCols FMAs.  Every accumulator follows the exact dot_avx2 recipe
-/// (4-lane stripe, fixed-tree hsum, ascending scalar tail), so each
+/// (4-lane stripe, fixed-tree hsum, ascending std::fma tail), so each
 /// element equals c + dot_avx2(a_r, b_s, K) whichever block it lands in.
 template <std::size_t kRows, std::size_t kCols>
 inline void dot_block(std::size_t K, const double* a, std::size_t lda,
@@ -260,7 +260,7 @@ inline void dot_block(std::size_t K, const double* a, std::size_t lda,
     for (std::size_t s = 0; s < kCols; ++s) {
       const double* bs = b + s * ldb;
       double sum = hsum(acc[r][s]);
-      for (std::size_t k = K4; k < K; ++k) sum += ar[k] * bs[k];
+      for (std::size_t k = K4; k < K; ++k) sum = std::fma(ar[k], bs[k], sum);
       c[r * ldc + s] += sum;
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/context.hpp"
@@ -13,6 +14,12 @@ namespace spdkfac::tensor {
 
 namespace {
 
+/// Every block and chunk boundary below is a multiple of the block width
+/// (or of a microkernel tile height) clipped at n, so the work
+/// decomposition, and with it every element's rounding, is a function of
+/// the shape alone, never of the pool size.
+constexpr std::size_t kNb = kCholeskyBlock;
+
 /// Shape-only chunking (see exec/grain.hpp): ~64k inner ops per chunk, so
 /// the kernels stay bitwise-deterministic across pool sizes and serial for
 /// small factors.
@@ -20,22 +27,7 @@ std::size_t items_per_chunk(std::size_t ops_per_item) noexcept {
   return exec::grain_for_ops(ops_per_item);
 }
 
-/// Block width of the blocked Cholesky and of W = L^-1, and the row-strip
-/// height of the W^T W product.  Every block, strip and chunk boundary
-/// there is a multiple of one of these clipped at n, so the work
-/// decomposition (and with it every element's rounding) is a function of
-/// the matrix order alone, never of the pool size.
-constexpr std::size_t kNb = 64;
-constexpr std::size_t kStrip = 8;
-
-/// Makes `m` n x n, reallocating only when its shape differs: a buffer
-/// reused across calls keeps its storage (and stale contents, which every
-/// stage below clears before it accumulates).
-void ensure_square(Matrix& m, std::size_t n) {
-  if (m.rows() != n || m.cols() != n) m = Matrix(n, n);
-}
-
-/// Stage 1: L with L L^T = A + damping*I into `l` (n x n, any contents),
+/// L with L L^T = A + damping*I into `l` (n x n, any contents),
 /// reading only A's lower triangle; the damping is added to each diagonal
 /// element as it is read, so no damped copy of A exists.  Returns false
 /// when a pivot is not positive or not finite (l is then partly written).
@@ -120,151 +112,199 @@ bool cholesky_stage(const Matrix& a, double damping, Matrix& l) {
   return true;
 }
 
-/// Stage 2: W = L^-1 into `w` (n x n, any contents), on kNb blocks.  Each
-/// chunk clears every element it accumulates into before its GEMMs.  Only
-/// W's lower triangle and the upper triangles of its diagonal blocks
-/// (exact zeros) are written, and nothing reads W further right.
-///
-/// Every element is written by exactly one pool chunk and every GEMM sums
-/// its k terms ascending, so the bits do not depend on the pool size.
-/// Terms that multiply the exact zeros above W's diagonal are finite (L
-/// passed the pivot checks) and do not need trimming.
-void lower_inverse_stage(const Matrix& l, Matrix& w) {
-  const std::size_t n = l.rows();
-  const std::size_t nb = (n + kNb - 1) / kNb;
+/// Overwrites each kNb x kNb diagonal block of L (in `f`) with its
+/// inverse L_II^-1, by row substitution: row r of the inverse is one 1-row
+/// GEMM of L(r, I) (copied out first, since the row is overwritten)
+/// against the finished rows above it, scaled by -1/L(r, r).  The GEMM
+/// width is rounded up to whole 8-wide vector tiles; the columns at and
+/// right of r only add products with zeros to zeros.  Blocks are
+/// independent, one pool chunk each.
+void invert_diagonal_blocks(Matrix& f) {
+  const std::size_t n = f.rows();
   const auto& kt = kernels::active_table();
-  // Diagonal blocks first: W_II = L_II^-1 by row substitution, row r being
-  // one 1-row GEMM of L(r, I) against the finished rows above it.  The
-  // GEMM width is rounded up to whole 8-wide vector tiles; the columns at
-  // and right of r only add products with zeros to zeros.
-  exec::parallel_for(nb, 1, [&](std::size_t b0, std::size_t b1) {
+  exec::parallel_for((n + kNb - 1) / kNb, 1, [&](std::size_t b0,
+                                                   std::size_t b1) {
+    double row[kNb];
     for (std::size_t b = b0; b < b1; ++b) {
-      const std::size_t i0 = b * kNb, i1 = std::min(n, i0 + kNb);
-      for (std::size_t r = i0; r < i1; ++r) {
-        double* wr = w.row_ptr(r) + i0;
-        std::fill(wr, wr + (i1 - i0), 0.0);
-        const std::size_t width =
-            std::min(i1 - i0, (r - i0 + 7) & ~std::size_t{7});
-        kt.gemm_nn(1, r - i0, width, l.row_ptr(r) + i0, n,
-                   w.row_ptr(i0) + i0, n, wr, n);
-        const double inv_lrr = 1.0 / l(r, r);
-        kt.scale(wr, r - i0, -inv_lrr);
-        wr[r - i0] = inv_lrr;
+      const std::size_t i0 = b * kNb, w = std::min(n, i0 + kNb) - i0;
+      for (std::size_t r = 0; r < w; ++r) {
+        double* fr = f.row_ptr(i0 + r) + i0;
+        const double inv = 1.0 / fr[r];
+        std::copy(fr, fr + r, row);
+        std::fill(fr, fr + w, 0.0);
+        const std::size_t width = std::min(w, (r + 7) & ~std::size_t{7});
+        kt.gemm_nn(1, r, width, row, kNb, f.row_ptr(i0) + i0, n, fr, n);
+        kt.scale(fr, r, -inv);
+        fr[r] = inv;
       }
     }
   });
-  // Off-diagonal blocks, block row by block row:
-  //   W_IJ = -W_II (L(I, [j0, i0)) W([j0, i0), J)).
-  // A block needs only the blocks above it in its own column block, so
-  // each column block is one pool chunk walking its rows top-down (the
-  // leftmost, longest walk is claimed first).  The last column block has
-  // no blocks below its diagonal.
-  exec::parallel_for(
-      std::max<std::size_t>(nb, 1) - 1, 1, [&](std::size_t b0, std::size_t b1) {
-        std::vector<double> t(kNb * kNb);
-        for (std::size_t jb = b0; jb < b1; ++jb) {
-          const std::size_t j0 = jb * kNb, wj = std::min(n, j0 + kNb) - j0;
-          for (std::size_t ib = jb + 1; ib < nb; ++ib) {
-            const std::size_t i0 = ib * kNb, wi = std::min(n, i0 + kNb) - i0;
-            std::fill(t.begin(), t.begin() + wi * wj, 0.0);
-            kt.gemm_nn(wi, i0 - j0, wj, l.row_ptr(i0) + j0, n,
-                       w.row_ptr(j0) + j0, n, t.data(), wj);
-            kt.scale(t.data(), wi * wj, -1.0);
-            for (std::size_t r = i0; r < i0 + wi; ++r) {
-              std::fill(w.row_ptr(r) + j0, w.row_ptr(r) + j0 + wj, 0.0);
-            }
-            kt.gemm_nn(wi, wi, wj, w.row_ptr(i0) + i0, n, t.data(), wj,
-                       w.row_ptr(i0) + j0, n);
-          }
-        }
-      });
 }
 
-/// Stage 3: X = W^T W into `x` (n x n, any contents; every element is
-/// written), on the lower triangle only, by kStrip-row strips: W is zero
-/// above its diagonal, so X(R, :r1) = W([r0, n), R)^T W([r0, n), :r1) for
-/// the strip R = [r0, r1), one gemm_tn that skips the zero rows, into the
-/// strip's cleared lower part.  Each strip is mirrored into its upper
-/// partner, which makes X exactly symmetric by construction.  A strip
-/// costs about kStrip n^2 / 3 ops on average, which sets the chunk grain
-/// (one strip per chunk once n is past a few dozen; small inverses stay
-/// on the calling thread).
-void gram_stage(const Matrix& w, Matrix& x) {
-  const std::size_t n = w.rows();
-  const auto& kt = kernels::active_table();
-  exec::parallel_for(
-      (n + kStrip - 1) / kStrip, items_per_chunk(kStrip * n * n / 3),
-      [&](std::size_t s0, std::size_t s1) {
-        for (std::size_t s = s0; s < s1; ++s) {
-          const std::size_t r0 = s * kStrip, r1 = std::min(n, r0 + kStrip);
-          const std::size_t h = r1 - r0;
-          double* xs = x.row_ptr(r0);
-          for (std::size_t r = 0; r < h; ++r) {
-            std::fill(xs + r * n, xs + r * n + r1, 0.0);
-          }
-          kt.gemm_tn(h, n - r0, r1, w.row_ptr(r0) + r0, n, w.row_ptr(r0), n,
-                     xs, n);
-          kt.transpose(xs, h, r0, n, x.row_ptr(0) + r0, n);
-          for (std::size_t r = 0; r < h; ++r) {
-            for (std::size_t c = r + 1; c < h; ++c) {
-              xs[r * n + r0 + c] = xs[c * n + r0 + r];
-            }
-          }
-        }
-      });
+/// The solves multiply by a stored diagonal-block inverse in kSub-wide
+/// groups (of output columns or rows, or of the k range), each touching
+/// only the part of the triangular block that is nonzero: about 5/8 of a
+/// full block product.  The skipped terms are exact zeros and every group
+/// boundary is a multiple of 4, so the bits equal the full product's at
+/// both ISA levels.
+constexpr std::size_t kSub = 16;
+
+/// Column strip of solve_left, and the unit of its chunks: four 12-wide
+/// GEMM tiles, enough columns per pass over L to keep the kernels near
+/// their peak (narrower strips re-read L more often).
+constexpr std::size_t kLeftCols = 48;
+
+/// t := x - t elementwise over an h x w block (t packed, x with stride
+/// ldx), then x := 0 over the block: the off-diagonal update finished,
+/// and the block cleared for the diagonal multiply to accumulate into.
+void subtract_and_clear(double* x, std::size_t ldx, double* t, std::size_t h,
+                        std::size_t w) {
+  for (std::size_t r = 0; r < h; ++r) {
+    double* xr = x + r * ldx;
+    double* tr = t + r * w;
+    for (std::size_t c = 0; c < w; ++c) tr[c] = xr[c] - tr[c];
+    std::fill(xr, xr + w, 0.0);
+  }
+}
+
+/// Shape-only chunk of a solve over X's rows (or columns), each about n^2
+/// multiply-adds, rounded up to a multiple of `multiple`.
+std::size_t solve_chunk(std::size_t n, std::size_t multiple) {
+  const std::size_t grain = items_per_chunk(n * n);
+  return (grain + multiple - 1) / multiple * multiple;
+}
+
+/// This thread's block buffer for the solves, grown to at least `size`
+/// doubles and kept for its next solve: each thread keeps resident only
+/// the largest block it has used (fixed-size stack blocks cost every
+/// pool thread the full 64 x 64 in resident stack pages).
+double* block_scratch(std::size_t size) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < size) scratch.resize(size);
+  return scratch.data();
+}
+
+std::size_t check_solve(const Matrix& f, std::span<const double> x,
+                        const char* what) {
+  const std::size_t n = f.rows();
+  if (!f.square() || (n == 0 ? !x.empty() : x.size() % n != 0)) {
+    throw std::invalid_argument(std::string(what) +
+                                ": F must be square and X have n-wide rows");
+  }
+  return n == 0 ? 0 : x.size() / n;
 }
 
 }  // namespace
 
-std::optional<Matrix> cholesky(const Matrix& a) {
+void damped_cholesky_into(const Matrix& a, double damping, Matrix& f) {
   if (!a.square()) {
-    throw std::invalid_argument("cholesky requires a square matrix");
-  }
-  Matrix l(a.rows(), a.rows());
-  if (!cholesky_stage(a, 0.0, l)) return std::nullopt;
-  return l;
-}
-
-void damped_inverse_into(const Matrix& a, double damping, Matrix& out,
-                         Matrix& scratch) {
-  if (!a.square()) {
-    throw std::invalid_argument("damped_inverse requires a square matrix");
-  }
-  if (&out == &a || &scratch == &a || &out == &scratch) {
     throw std::invalid_argument(
-        "damped_inverse_into: a, out and scratch must be distinct");
+        "damped_cholesky_into requires a square matrix");
+  }
+  if (&f == &a) {
+    throw std::invalid_argument("damped_cholesky_into: f must not be a");
   }
   const std::size_t n = a.rows();
-  ensure_square(out, n);
-  ensure_square(scratch, n);
-  if (!cholesky_stage(a, damping, out)) {
-    throw std::domain_error("damped_inverse: matrix is not positive definite");
+  if (f.rows() != n || f.cols() != n) f = Matrix(n, n);
+  if (!cholesky_stage(a, damping, f)) {
+    throw std::domain_error(
+        "damped_cholesky_into: matrix is not positive definite");
   }
-  lower_inverse_stage(out, scratch);  // W = L^-1; L is dead after this
-  gram_stage(scratch, out);           // A^-1 = W^T W over L's storage
+  invert_diagonal_blocks(f);
 }
 
-Matrix spd_inverse(const Matrix& a) { return damped_inverse(a, 0.0); }
-
-Matrix damped_inverse(const Matrix& a, double damping) {
-  Matrix out, scratch;
-  damped_inverse_into(a, damping, out, scratch);
-  return out;
-}
-
-bool is_symmetric(const Matrix& a, double tol) noexcept {
-  if (!a.square()) return false;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = i + 1; j < a.cols(); ++j) {
-      if (std::abs(a(i, j) - a(j, i)) > tol) return false;
+void solve_right(const Matrix& f, std::span<double> x) {
+  const std::size_t m = check_solve(f, x, "solve_right");
+  const std::size_t n = f.rows();
+  const auto& kt = kernels::active_table();
+  const double* fp = f.row_ptr(0);
+  exec::parallel_for(m, solve_chunk(n, 4), [&](std::size_t c0,
+                                                std::size_t c1) {
+    double* t = block_scratch(std::min(c1 - c0, kNb) * std::min(n, kNb));
+    for (std::size_t r0 = c0; r0 < c1; r0 += kNb) {
+      const std::size_t h = std::min(c1, r0 + kNb) - r0;
+      double* xs = x.data() + r0 * n;
+      // Y L^T = X: Y(:, J) = (X(:, J) - Y(:, :j0) L(J, :j0)^T) L_JJ^-T.
+      // Output column g of the diagonal product needs k <= g only.
+      for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
+        const std::size_t w = std::min(n, j0 + kNb) - j0;
+        std::fill(t, t + h * w, 0.0);
+        kt.gemm_nt(h, j0, w, xs, n, fp + j0 * n, n, t, w);
+        subtract_and_clear(xs + j0, n, t, h, w);
+        for (std::size_t g0 = 0; g0 < w; g0 += kSub) {
+          const std::size_t g1 = std::min(w, g0 + kSub);
+          kt.gemm_nt(h, g1, g1 - g0, t, w, fp + (j0 + g0) * n + j0, n,
+                     xs + j0 + g0, n);
+        }
+      }
+      // Z L = Y: Z(:, J) = (Y(:, J) - Z(:, j1:) L(j1:, J)) L_JJ^-1.
+      // Rows [g0, g1) of the diagonal product's k range feed output
+      // columns < g1 only; the groups run k ascending, so each element
+      // still sums k ascending across the calls.
+      for (std::size_t j1 = n; j1 > 0;) {
+        const std::size_t j0 = (j1 - 1) / kNb * kNb, w = j1 - j0;
+        std::fill(t, t + h * w, 0.0);
+        kt.gemm_nn(h, n - j1, w, xs + j1, n, fp + j1 * n + j0, n, t, w);
+        subtract_and_clear(xs + j0, n, t, h, w);
+        for (std::size_t g0 = 0; g0 < w; g0 += kSub) {
+          const std::size_t g1 = std::min(w, g0 + kSub);
+          kt.gemm_nn(h, g1 - g0, g1, t + g0, w, fp + (j0 + g0) * n + j0, n,
+                     xs + j0, n);
+        }
+        j1 = j0;
+      }
     }
-  }
-  return true;
+  });
+}
+
+void solve_left(const Matrix& f, std::span<double> x) {
+  const std::size_t c = check_solve(f, x, "solve_left");
+  const std::size_t n = f.rows();
+  const auto& kt = kernels::active_table();
+  const double* fp = f.row_ptr(0);
+  exec::parallel_for(c, solve_chunk(n, kLeftCols),
+                     [&](std::size_t c0, std::size_t c1) {
+    double* t = block_scratch(std::min(n, kNb) * std::min(c1 - c0, kLeftCols));
+    for (std::size_t s0 = c0; s0 < c1; s0 += kLeftCols) {
+      const std::size_t w = std::min(c1, s0 + kLeftCols) - s0;
+      double* xs = x.data() + s0;
+      // L Y = X: Y(I, :) = L_II^-1 (X(I, :) - L(I, :i0) Y(:i0, :)).
+      // Output row g of the diagonal product needs k <= g only.
+      for (std::size_t i0 = 0; i0 < n; i0 += kNb) {
+        const std::size_t h = std::min(n, i0 + kNb) - i0;
+        std::fill(t, t + h * w, 0.0);
+        kt.gemm_nn(h, i0, w, fp + i0 * n, n, xs, c, t, w);
+        subtract_and_clear(xs + i0 * c, c, t, h, w);
+        for (std::size_t g0 = 0; g0 < h; g0 += kSub) {
+          const std::size_t g1 = std::min(h, g0 + kSub);
+          kt.gemm_nn(g1 - g0, g1, w, fp + (i0 + g0) * n + i0, n, t, w,
+                     xs + (i0 + g0) * c, c);
+        }
+      }
+      // L^T Z = Y: Z(I, :) = L_II^-T (Y(I, :) - L(i1:, I)^T Z(i1:, :)).
+      // Output row g of the diagonal product needs k >= g only.
+      for (std::size_t i1 = n; i1 > 0;) {
+        const std::size_t i0 = (i1 - 1) / kNb * kNb, h = i1 - i0;
+        std::fill(t, t + h * w, 0.0);
+        kt.gemm_tn(h, n - i1, w, fp + i1 * n + i0, n, xs + i1 * c, c, t, w);
+        subtract_and_clear(xs + i0 * c, c, t, h, w);
+        for (std::size_t g0 = 0; g0 < h; g0 += kSub) {
+          const std::size_t g1 = std::min(h, g0 + kSub);
+          kt.gemm_tn(g1 - g0, h - g0, w, fp + (i0 + g0) * n + i0 + g0, n,
+                     t + g0 * w, w, xs + (i0 + g0) * c, c);
+        }
+        i1 = i0;
+      }
+    }
+  });
 }
 
 double spd_inverse_flops(std::size_t n) noexcept {
-  const double nd = static_cast<double>(n);
-  return nd * nd * nd;
+  const auto cube = [](std::size_t k) {
+    const double kd = static_cast<double>(k);
+    return kd * kd * kd / 3.0;
+  };
+  return cube(n) + static_cast<double>(n / kNb) * cube(kNb) + cube(n % kNb);
 }
 
 }  // namespace spdkfac::tensor

@@ -107,14 +107,6 @@ class Matrix {
 
 /// C = A * B.  Dimensions must agree; throws std::invalid_argument otherwise.
 Matrix matmul(const Matrix& a, const Matrix& b);
-/// The same product over row-major views of persistent storage (an arena
-/// span, a borrowed buffer): `b` holds A.cols() rows of `n` doubles, and
-/// the A.rows() x n product is written into `c`.  Its prior contents are
-/// irrelevant, and the bits equal the returning form's.  Throws
-/// std::invalid_argument when the sizes disagree or `c` overlaps `a` or
-/// `b`.
-void matmul(const Matrix& a, std::span<const double> b, std::size_t n,
-            std::span<double> c);
 
 /// C = A^T * B without forming A^T.
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
@@ -137,9 +129,6 @@ void gram(const Matrix& a, Matrix& c);
 
 /// C = A * B^T without forming B^T.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
-
-/// y = A * x for a vector x (x.size() == A.cols()).
-std::vector<double> matvec(const Matrix& a, std::span<const double> x);
 
 /// Returns true when |a - b| <= atol + rtol * |b| element-wise.
 bool allclose(const Matrix& a, const Matrix& b, double rtol = 1e-9,

@@ -4,8 +4,9 @@
 // triangle (d*(d+1)/2 elements) of each symmetric factor/inverse (Section V-B
 // and the "# As"/"# Gs" columns of Table II count exactly these elements).
 // This module provides the pack/unpack pair used by the real distributed
-// optimizer as well as the element-count helpers used by the communication
-// performance models.
+// optimizer for its factors, the lower-triangle pair for the factored
+// inverses it broadcasts (the same element count), and the element-count
+// helpers used by the communication performance models.
 #pragma once
 
 #include <cstddef>
@@ -70,5 +71,16 @@ void pack_upper(const Matrix& dense, std::span<double> out);
 
 /// Fills a dense symmetric matrix from a packed upper triangle.
 void unpack_upper(std::span<const double> packed, Matrix& dense);
+
+/// Copies the lower triangle (incl. diagonal) of square `dense`, row by
+/// row, into `out` (packed_size(dim) elements): the payload of a
+/// triangular matrix such as the factored form of damped_cholesky_into,
+/// which has as many elements as a packed symmetric one.
+void pack_lower(const Matrix& dense, std::span<double> out);
+
+/// Inverse of pack_lower: fills the lower triangle of square `dense` from
+/// `packed` and zeroes everything above the diagonal, with no mirroring,
+/// so a triangular matrix round-trips bit for bit.
+void unpack_lower(std::span<const double> packed, Matrix& dense);
 
 }  // namespace spdkfac::tensor

@@ -133,6 +133,23 @@ TEST(Journal, RejectsForeignMagicAndVersion) {
   EXPECT_THROW(journal::Reader reader(in), std::runtime_error);
 }
 
+// Version-1 journals carried explicit inverses where version 2 carries the
+// factored form; solving with an inverse as if it were a factor would
+// silently train on garbage, so the old version must be refused by name.
+TEST(Journal, RejectsVersionOneJournalNamingTheVersion) {
+  ASSERT_EQ(journal::kVersion, 2u);
+  std::string old = valid_journal();
+  old[8] = 1;  // little-endian version field, low byte
+  std::istringstream in(old);
+  try {
+    journal::Reader reader(in);
+    FAIL() << "a version-1 journal was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Training harness (mirrors test_dist_kfac.cpp)
 // ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@
 
 #include "comm/cluster.hpp"
 #include "nn/data.hpp"
-#include "tensor/linalg.hpp"
+#include "testsupport/linalg_reference.hpp"
 
 namespace spdkfac::core {
 namespace {
@@ -126,8 +126,8 @@ TEST_P(StrategySuite, MatchesSerialShardAveragedReference) {
     g *= 1.0 / world;
     grad *= 1.0 / world;
     const Matrix delta =
-        tensor::matmul(tensor::damped_inverse(g, 0.1),
-                       tensor::matmul(grad, tensor::damped_inverse(a, 0.1)));
+        tensor::matmul(testsupport::damped_inverse(g, 0.1),
+                       tensor::matmul(grad, testsupport::damped_inverse(a, 0.1)));
     Matrix w = ref_layers[l]->weight();
     expected.push_back(w - delta * 0.1);
   }
@@ -335,10 +335,10 @@ TEST(DistKfac, UpdateFrequenciesReduceWork) {
     Rng rng(31 + comm.rank());
     run_pass(model, data, rng, 4);
     optimizer.step();
-    const Matrix inv_after_1 = optimizer.inverse_a(0);
+    const Matrix inv_after_1 = optimizer.cholesky_a(0);
     run_pass(model, data, rng, 4);
     optimizer.step();  // freq 2: inverses must be unchanged
-    EXPECT_EQ(tensor::max_abs_diff(optimizer.inverse_a(0), inv_after_1), 0.0);
+    EXPECT_EQ(tensor::max_abs_diff(optimizer.cholesky_a(0), inv_after_1), 0.0);
   });
 }
 
@@ -377,8 +377,8 @@ TEST(DistKfac, InverseSlotsKeepTheirStorageAcrossSteps) {
           optimizer.step();
           std::vector<const double*> storage;
           for (std::size_t l = 0; l < layers.size(); ++l) {
-            storage.push_back(optimizer.inverse_a(l).data().data());
-            storage.push_back(optimizer.inverse_g(l).data().data());
+            storage.push_back(optimizer.cholesky_a(l).data().data());
+            storage.push_back(optimizer.cholesky_g(l).data().data());
           }
           if (s == 0) {
             warm = storage;

@@ -10,7 +10,7 @@
 #include "comm/cluster.hpp"
 #include "core/dist_kfac.hpp"
 #include "nn/data.hpp"
-#include "tensor/linalg.hpp"
+#include "testsupport/linalg_reference.hpp"
 
 namespace spdkfac::core {
 namespace {
@@ -34,7 +34,7 @@ TEST(ComputeFactors, MatchHandComputedMoments) {
   EXPECT_DOUBLE_EQ(a(0, 0), (1.0 + 9.0) / 2);
   EXPECT_DOUBLE_EQ(a(0, 1), (2.0 + 12.0) / 2);
   EXPECT_DOUBLE_EQ(a(2, 2), 1.0);
-  EXPECT_TRUE(tensor::is_symmetric(a));
+  EXPECT_TRUE(testsupport::is_symmetric(a));
 
   // g rows: [1,0], [0,1];  G = g^T g / 2 = I/2.
   const Matrix g = compute_factor_g(fc);
@@ -89,8 +89,8 @@ TEST(KfacOptimizer, StepAppliesPreconditionedUpdate) {
 
   // Expected: w - lr * (G+gI)^-1 grad (A+gI)^-1.
   const Matrix delta = tensor::matmul(
-      tensor::damped_inverse(g, 0.5),
-      tensor::matmul(grad, tensor::damped_inverse(a, 0.5)));
+      testsupport::damped_inverse(g, 0.5),
+      tensor::matmul(grad, testsupport::damped_inverse(a, 0.5)));
   const Matrix expect = w_before - delta * 0.1;
   EXPECT_TRUE(tensor::allclose(layers[0]->weight(), expect, 1e-10, 1e-12));
   EXPECT_EQ(kfac.steps(), 1u);
@@ -119,13 +119,13 @@ TEST(KfacOptimizer, InverseUpdateFreqSkipsReinversion) {
 
   pass();
   kfac.step();
-  const Matrix inv_after_1 = kfac.inverse_a(0);
+  const Matrix inv_after_1 = kfac.cholesky_a(0);
   pass();
   kfac.step();  // step 1: inverses NOT refreshed (freq 2)
-  EXPECT_EQ(tensor::max_abs_diff(kfac.inverse_a(0), inv_after_1), 0.0);
+  EXPECT_EQ(tensor::max_abs_diff(kfac.cholesky_a(0), inv_after_1), 0.0);
   pass();
   kfac.step();  // step 2: refreshed
-  EXPECT_GT(tensor::max_abs_diff(kfac.inverse_a(0), inv_after_1), 0.0);
+  EXPECT_GT(tensor::max_abs_diff(kfac.cholesky_a(0), inv_after_1), 0.0);
 }
 
 TEST(KfacOptimizer, WithHugeDampingApproachesScaledSgd) {

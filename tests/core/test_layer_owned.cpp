@@ -227,7 +227,7 @@ TEST(LayerOwned, EachOwnedLayerIsPreconditionedOnceAcrossRanks) {
     optimizer.step();
     for (std::size_t l = 0; l < kLayers; ++l) {
       holds[static_cast<std::size_t>(comm.rank())][l] =
-          optimizer.inverse_a(l).empty() ? 0 : 1;
+          optimizer.cholesky_a(l).empty() ? 0 : 1;
       if (comm.rank() == 0) {
         owner[l] = optimizer.placement().owned(l)
                        ? optimizer.placement().layer_owner[l]

@@ -500,6 +500,49 @@ TEST(KernelLevel, GemmNtIsDotPerElement) {
   }
 }
 
+// The AVX2 dot's recipe, spelled out with explicit std::fma: four lane
+// accumulators over the whole 4-wide stripes, the fixed-tree sum
+// (l0 + l2) + (l1 + l3), then one fused multiply-add per tail element.
+// The 1-3 element tails are written with std::fma in the kernel too, so no
+// compiler's contraction choice can move these bits; n = 1..7 covers every
+// tail length with and without a stripe in front, and gemm_nt (whose dot
+// tiles share the tail) must give c + that value per element.
+TEST(KernelLevel, DotTailIsAnExplicitFmaChain) {
+  if (!supported(Isa::kAvx2)) GTEST_SKIP() << "no AVX2 level on this host";
+  const KernelTable& kt = table(Isa::kAvx2);
+  Rng rng(115);
+  for (std::size_t n = 1; n <= 7; ++n) {
+    const auto x = random_vec(4 * n, rng);
+    const auto y = random_vec(4 * n, rng);
+    auto c = random_vec(4 * 4, rng);
+    const auto c0 = c;
+    kt.gemm_nt(4, n, 4, x.data(), n, y.data(), n, c.data(), 4);
+    for (std::size_t i = 0; i < 4; ++i) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        const double* xi = x.data() + i * n;
+        const double* yj = y.data() + j * n;
+        const std::size_t n4 = n & ~std::size_t{3};
+        double lane[4] = {};
+        for (std::size_t k = 0; k < n4; ++k) {
+          lane[k % 4] = std::fma(xi[k], yj[k], lane[k % 4]);
+        }
+        double want = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+        for (std::size_t k = n4; k < n; ++k) {
+          want = std::fma(xi[k], yj[k], want);
+        }
+        std::string what = "n=";
+        what += std::to_string(n);
+        const double got = kt.dot(xi, yj, n);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << "dot " << what << ": " << got << " vs " << want;
+        const double tile = c[i * 4 + j], tile_want = c0[i * 4 + j] + want;
+        EXPECT_EQ(std::memcmp(&tile, &tile_want, sizeof(double)), 0)
+            << "gemm_nt " << what;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Levels, KernelLevel,
                          ::testing::ValuesIn(supported_levels()), level_name);
 

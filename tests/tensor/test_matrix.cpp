@@ -322,19 +322,6 @@ TEST(MatmulChunking, BitwiseEqualsOneWholeMatrixKernelCall) {
   kernels::force(saved);
 }
 
-TEST(Matvec, MatchesMatmul) {
-  Rng rng(17);
-  Matrix a = random_normal(4, 3, rng);
-  std::vector<double> x{1.0, -2.0, 0.5};
-  const auto y = matvec(a, x);
-  ASSERT_EQ(y.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    double expect = 0;
-    for (std::size_t j = 0; j < 3; ++j) expect += a(i, j) * x[j];
-    EXPECT_DOUBLE_EQ(y[i], expect);
-  }
-}
-
 TEST(Allclose, DetectsDifference) {
   Matrix a{{1.0}};
   Matrix b{{1.0 + 1e-6}};

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "tensor/linalg.hpp"
 #include "tensor/random.hpp"
 
@@ -76,12 +80,24 @@ TEST(PackUnpack, UpperTriangleIsTruth) {
 }
 
 TEST(PackUnpack, InversesSurvivePackedTransport) {
-  // The real optimizer ships damped inverses as packed triangles; since
-  // spd_inverse mirrors its lower triangle, transport must be lossless.
+  // The real optimizer ships each damped inverse as its factored form, a
+  // lower-triangular matrix, packed in as many elements as a symmetric
+  // factor.  Transport must be lossless and must not mirror: the receiver
+  // gets the triangle back with exact zeros above the diagonal.  Its
+  // stale contents (a previous step's, here NaN) must not survive.
   Rng rng(77);
-  Matrix inv = spd_inverse(random_spd(24, rng));
-  Matrix back = SymmetricPacked::pack(inv).unpack();
-  EXPECT_EQ(max_abs_diff(inv, back), 0.0);
+  Matrix f;
+  damped_cholesky_into(random_spd(130, rng), 1e-3, f);
+  std::vector<double> packed(packed_size(130));
+  pack_lower(f, packed);
+  Matrix back(130, 130, std::numeric_limits<double>::quiet_NaN());
+  unpack_lower(packed, back);
+  EXPECT_EQ(std::memcmp(back.data().data(), f.data().data(),
+                        f.data().size_bytes()),
+            0);
+  Matrix wrong(129, 129);
+  EXPECT_THROW(unpack_lower(packed, wrong), std::invalid_argument);
+  EXPECT_THROW(pack_lower(wrong, packed), std::invalid_argument);
 }
 
 class PackedRoundTrip : public ::testing::TestWithParam<std::size_t> {};
