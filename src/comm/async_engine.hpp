@@ -110,10 +110,6 @@ struct OpRecord {
   /// Pump-side execution time — what the online profiler accumulates as
   /// the measured cost of this collective.
   double duration_s() const noexcept { return end_s - start_s; }
-
-  /// Submission-to-completion latency (includes queueing behind earlier
-  /// operations).
-  double latency_s() const noexcept { return end_s - submit_s; }
 };
 
 /// Per-rank background communication engine (see file comment).

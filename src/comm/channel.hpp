@@ -87,8 +87,6 @@ class Barrier {
   explicit Barrier(std::size_t parties)
       : parties_(parties), stamps_(parties, 0) {}
 
-  void arrive_and_wait() { arrive_and_wait_for(kUnknownParty, 0.0); }
-
   /// Arrives as `who` and waits up to `timeout_s` (forever when <= 0).
   /// Returns -1 on success; on expiry, the lowest party index that had not
   /// arrived for this generation (every timed-out waiter computes the same
@@ -97,7 +95,7 @@ class Barrier {
   int arrive_and_wait_for(std::size_t who, double timeout_s) {
     std::unique_lock lock(mutex_);
     const std::size_t gen = generation_;
-    if (who != kUnknownParty) stamps_[who] = gen + 1;
+    stamps_[who] = gen + 1;
     if (++arrived_ == parties_) {
       arrived_ = 0;
       ++generation_;
@@ -120,8 +118,6 @@ class Barrier {
   }
 
  private:
-  static constexpr std::size_t kUnknownParty = ~std::size_t{0};
-
   std::mutex mutex_;
   std::condition_variable cv_;
   std::size_t parties_;

@@ -1,24 +1,11 @@
 #include "comm/cluster.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "comm/collectives.hpp"
-
 namespace spdkfac::comm {
-
-// Every ReduceOp flows through the same two shared helpers (also used by
-// the alternative algorithms in collectives.cpp): detail::accumulate for
-// the elementwise combine (kSum/kAverage add, kMax maxes) and
-// detail::finalize for the single end-of-reduction kAverage division —
-// so the scalar and _v collectives cannot drift apart in op handling.
-using detail::accumulate;
-using detail::even_partition;
-using detail::finalize;
-using detail::offsets_of;
 
 // ---------------------------------------------------------------------------
 // Cluster
@@ -87,82 +74,6 @@ void Communicator::recv(int src, std::span<double> out) {
   }
 }
 
-void Communicator::all_reduce(std::span<double> data, ReduceOp op) {
-  const auto counts = even_partition(data.size(), size_);
-  reduce_scatter_v(data, counts, op);
-  all_gather_v(data, counts);
-}
-
-void Communicator::reduce_scatter_v(std::span<double> data,
-                                    std::span<const std::size_t> counts,
-                                    ReduceOp op) {
-  if (static_cast<int>(counts.size()) != size_) {
-    throw std::invalid_argument("reduce_scatter_v: counts size != world size");
-  }
-  const auto offsets = offsets_of(counts);
-  if (offsets.back() != data.size()) {
-    throw std::invalid_argument("reduce_scatter_v: counts do not sum to size");
-  }
-  if (size_ == 1) return;  // sum/max/average of one value is itself
-
-  const int right = (rank_ + 1) % size_;
-  const int left = (rank_ + size_ - 1) % size_;
-  std::vector<double> recv_buf;
-
-  // Ring reduce-scatter.  At step s, rank r forwards segment (r - s - 1) and
-  // accumulates segment (r - s - 2); after P-1 steps, rank r owns the fully
-  // reduced segment r.  Additions for a given segment happen in ring order
-  // regardless of which rank observes them, so every rank's final segments
-  // are bitwise identical — the determinism the synchronous-training
-  // consistency tests rely on.
-  for (int step = 0; step < size_ - 1; ++step) {
-    const int send_seg = ((rank_ - step - 1) % size_ + size_) % size_;
-    const int recv_seg = ((rank_ - step - 2) % size_ + size_) % size_;
-    std::span<double> send_view =
-        data.subspan(offsets[send_seg], counts[send_seg]);
-    std::span<double> recv_view =
-        data.subspan(offsets[recv_seg], counts[recv_seg]);
-    transport_->send(right, send_view);
-    recv_buf.resize(recv_view.size());
-    if (!transport_->recv_into(left, recv_buf)) {
-      throw std::runtime_error("reduce_scatter_v: segment size mismatch");
-    }
-    accumulate(recv_view, recv_buf, op);
-  }
-
-  // Op finalization on the reduced (own) segment only — the other segments
-  // are unspecified on return.
-  finalize(data.subspan(offsets[rank_], counts[rank_]), op, size_);
-}
-
-void Communicator::all_gather_v(std::span<double> data,
-                                std::span<const std::size_t> counts) {
-  if (static_cast<int>(counts.size()) != size_) {
-    throw std::invalid_argument("all_gather_v: counts size != world size");
-  }
-  const auto offsets = offsets_of(counts);
-  if (offsets.back() != data.size()) {
-    throw std::invalid_argument("all_gather_v: counts do not sum to size");
-  }
-  if (size_ == 1) return;
-
-  const int right = (rank_ + 1) % size_;
-  const int left = (rank_ + size_ - 1) % size_;
-
-  // Ring all-gather: at step s, forward segment (r - s) and receive segment
-  // (r - s - 1) from the left neighbour.
-  for (int step = 0; step < size_ - 1; ++step) {
-    const int send_seg = ((rank_ - step) % size_ + size_) % size_;
-    const int recv_seg = ((rank_ - step - 1) % size_ + size_) % size_;
-    transport_->send(right, data.subspan(offsets[send_seg], counts[send_seg]));
-    std::span<double> recv_view =
-        data.subspan(offsets[recv_seg], counts[recv_seg]);
-    if (!transport_->recv_into(left, recv_view)) {
-      throw std::runtime_error("all_gather_v: segment size mismatch");
-    }
-  }
-}
-
 void Communicator::broadcast(std::span<double> data, int root) {
   if (root < 0 || root >= size_) {
     throw std::invalid_argument("broadcast: bad root");
@@ -188,15 +99,6 @@ void Communicator::broadcast(std::span<double> data, int root) {
     }
     mask >>= 1;
   }
-}
-
-void Communicator::all_gather_scalar(double value, std::span<double> out) {
-  if (static_cast<int>(out.size()) != size_) {
-    throw std::invalid_argument("all_gather_scalar: out size != world size");
-  }
-  out[rank_] = value;
-  std::vector<std::size_t> counts(size_, 1);
-  all_gather_v(out, counts);
 }
 
 }  // namespace spdkfac::comm

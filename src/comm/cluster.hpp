@@ -2,12 +2,12 @@
 //
 // Cluster::run(P, fn) spawns P workers, each receiving a Communicator bound
 // to its rank.  The Communicator offers MPI/NCCL-style collectives (ring
-// all-reduce, binomial-tree broadcast, reduce-scatter, all-gather — plus the
-// alternative all-reduce algorithms of collectives.hpp, selectable per call)
+// all-reduce by default, the alternative all-reduce algorithms of
+// collectives.hpp selectable per call, and a binomial-tree broadcast)
 // built on a pluggable point-to-point Transport (comm/transport.hpp):
-// in-process threads by default, or real processes talking over shared
-// memory / Unix-domain sockets, substituting for the paper's 64-GPU
-// InfiniBand fabric while preserving collective semantics:
+// in-process threads by default, or one process per rank talking over
+// Unix-domain sockets, substituting for the paper's 64-GPU InfiniBand
+// fabric while preserving collective semantics:
 //   * all ranks must call collectives in the same order with matching sizes;
 //   * results are bitwise identical on every rank (ring reduction applies
 //     additions in a rank-independent order per segment) — on every backend.
@@ -77,15 +77,14 @@ class Communicator {
   /// must equal out.size() (throws std::runtime_error otherwise).
   void recv(int src, std::span<double> out);
 
-  /// Ring all-reduce (reduce-scatter + all-gather, 2*(P-1) steps).  In-place;
-  /// every rank ends with the identical reduced vector.
-  void all_reduce(std::span<double> data, ReduceOp op = ReduceOp::kSum);
-
-  /// All-reduce with an explicit algorithm (kAuto selects per message size
-  /// and cluster topology).  Every algorithm preserves the collective
-  /// contract: results are bitwise identical on every rank, though different
+  /// In-place all-reduce; every rank ends with the identical reduced
+  /// vector.  The default ring (reduce-scatter + all-gather, 2*(P-1)
+  /// steps) is bandwidth-optimal; kAuto selects per message size and
+  /// cluster topology.  Every algorithm preserves the collective contract:
+  /// results are bitwise identical on every rank, though different
   /// algorithms may round differently (floating-point reassociation).
-  void all_reduce(std::span<double> data, ReduceOp op, AllReduceAlgo algo);
+  void all_reduce(std::span<double> data, ReduceOp op = ReduceOp::kSum,
+                  AllReduceAlgo algo = AllReduceAlgo::kRing);
 
   /// The cluster shape this communicator runs on (flat unless the Cluster
   /// was built from an explicit Topology).
@@ -93,22 +92,6 @@ class Communicator {
 
   /// Binomial-tree broadcast from `root`; in-place on non-root ranks.
   void broadcast(std::span<double> data, int root);
-
-  /// Reduce-scatter with per-rank segment sizes `counts` (counts.size() ==
-  /// world size, sum == data.size()).  On return, the caller's own segment
-  /// inside `data` holds the reduced values; other segments are unspecified.
-  void reduce_scatter_v(std::span<double> data,
-                        std::span<const std::size_t> counts,
-                        ReduceOp op = ReduceOp::kSum);
-
-  /// All-gather with per-rank segment sizes.  Rank p contributes the segment
-  /// of `data` at offset sum(counts[0..p)) and on return every rank holds
-  /// every segment.
-  void all_gather_v(std::span<double> data,
-                    std::span<const std::size_t> counts);
-
-  /// Gathers a scalar from every rank into `out` (out.size() == world size).
-  void all_gather_scalar(double value, std::span<double> out);
 
  private:
   Transport* transport_;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -52,16 +51,6 @@ const char* to_string(Codec codec) noexcept {
       return "auto";
   }
   return "?";
-}
-
-Codec codec_from_string(const std::string& name) {
-  if (name == "none") return Codec::kNone;
-  if (name == "fp16") return Codec::kFp16;
-  if (name == "int8") return Codec::kInt8;
-  if (name == "topk") return Codec::kTopK;
-  if (name == "auto") return Codec::kAuto;
-  throw std::invalid_argument("unknown codec: \"" + name +
-                              "\" (expected none|fp16|int8|topk|auto)");
 }
 
 Codec resolve_codec(Codec option, std::size_t elements,

@@ -40,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "comm/cluster.hpp"
 
@@ -59,10 +58,6 @@ enum class Codec : std::uint8_t {
 };
 
 const char* to_string(Codec codec) noexcept;
-
-/// Parses "none" / "fp16" / "int8" / "topk" / "auto"; throws
-/// std::invalid_argument on anything else (CLIs, CI env overrides).
-Codec codec_from_string(const std::string& name);
 
 /// int8 quantization chunk: one scale double per 256 elements.
 inline constexpr std::size_t kInt8ChunkElements = 256;

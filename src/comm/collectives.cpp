@@ -1,14 +1,14 @@
 #include "comm/collectives.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
 namespace spdkfac::comm {
 
 using detail::accumulate;
-using detail::even_partition;
 using detail::finalize;
-using detail::offsets_of;
 
 const char* to_string(AllReduceAlgo algo) noexcept {
   switch (algo) {
@@ -30,53 +30,77 @@ const char* to_string(AllReduceAlgo algo) noexcept {
 // Algorithms
 // ---------------------------------------------------------------------------
 
-void all_reduce_ring(Communicator& comm, std::span<double> data,
-                     ReduceOp op) {
-  // The seed's algorithm: Communicator::all_reduce composes the ring
-  // reduce-scatter and all-gather primitives.
-  comm.all_reduce(data, op);
-}
-
 namespace {
 
-/// Ring all-reduce over a strided sub-group: members are the ranks
-/// first + i*stride for i in [0, members); `index` is the caller's i.
-/// Handles kSum/kMax only (kAverage is finalized by the caller so the
-/// division happens exactly once over the full world size).
+/// Splits n elements into `parts` contiguous segments as evenly as possible
+/// (first n % parts segments get one extra element).  Returns segment sizes.
+std::vector<std::size_t> even_partition(std::size_t n, std::size_t parts) {
+  std::vector<std::size_t> counts(parts, n / parts);
+  for (std::size_t i = 0; i < n % parts; ++i) ++counts[i];
+  return counts;
+}
+
+std::vector<std::size_t> offsets_of(std::span<const std::size_t> counts) {
+  std::vector<std::size_t> offsets(counts.size() + 1, 0);
+  std::partial_sum(counts.begin(), counts.end(), offsets.begin() + 1);
+  return offsets;
+}
+
+/// The ring all-reduce: reduce-scatter, then all-gather (Thakur,
+/// Rabenseifner & Gropp, IJHPCA 2005), over a strided sub-group whose
+/// members are the ranks first + i*stride for i in [0, members); `index`
+/// is the caller's i.  At reduce-scatter step s, member i forwards segment
+/// (i - s - 1) and accumulates segment (i - s - 2), so after members-1
+/// steps it owns the fully reduced segment i.  Additions for a segment
+/// happen in ring order whichever member observes them, so every member's
+/// final vector is bitwise identical.  kAverage is finalized once, on the
+/// owned segment between the two phases, dividing by `world`: the flat
+/// ring passes its own size, the hierarchical leader ring the full world,
+/// so what the all-gather spreads is already final.
 void ring_all_reduce_strided(Communicator& comm, std::span<double> data,
                              ReduceOp op, int members, int index, int first,
-                             int stride) {
-  if (members <= 1) return;
+                             int stride, int world) {
+  if (members <= 1) {
+    finalize(data, op, world);
+    return;
+  }
   auto rank_of = [&](int i) { return first + i * stride; };
   const int right = rank_of((index + 1) % members);
   const int left = rank_of((index + members - 1) % members);
   const auto counts = even_partition(data.size(), members);
   const auto offsets = offsets_of(counts);
-  std::vector<double> recv_buf;
-
-  // Same schedule as Communicator::reduce_scatter_v / all_gather_v, with
-  // ranks mapped through the group: additions for a segment happen in ring
-  // order regardless of the observer, so every member's final vector is
-  // bitwise identical.
-  for (int step = 0; step < members - 1; ++step) {
-    const int send_seg = ((index - step - 1) % members + members) % members;
-    const int recv_seg = ((index - step - 2) % members + members) % members;
-    comm.send(right, data.subspan(offsets[send_seg], counts[send_seg]));
-    std::span<double> recv_view =
-        data.subspan(offsets[recv_seg], counts[recv_seg]);
-    recv_buf.resize(recv_view.size());
-    comm.recv(left, recv_buf);
-    accumulate(recv_view, recv_buf, op);
+  auto segment = [&](int seg) {
+    return data.subspan(offsets[seg], counts[seg]);
+  };
+  {
+    // Freed before the all-gather: held across it, the buffer stacks
+    // under that phase's in-flight message copies and raises peak RSS.
+    std::vector<double> recv_buf;
+    for (int step = 0; step < members - 1; ++step) {
+      const int send_seg = ((index - step - 1) % members + members) % members;
+      const int recv_seg = ((index - step - 2) % members + members) % members;
+      comm.send(right, segment(send_seg));
+      recv_buf.resize(counts[recv_seg]);
+      comm.recv(left, recv_buf);
+      accumulate(segment(recv_seg), recv_buf, op);
+    }
   }
+  finalize(segment(index), op, world);
   for (int step = 0; step < members - 1; ++step) {
     const int send_seg = ((index - step) % members + members) % members;
     const int recv_seg = ((index - step - 1) % members + members) % members;
-    comm.send(right, data.subspan(offsets[send_seg], counts[send_seg]));
-    comm.recv(left, data.subspan(offsets[recv_seg], counts[recv_seg]));
+    comm.send(right, segment(send_seg));
+    comm.recv(left, segment(recv_seg));
   }
 }
 
 }  // namespace
+
+void all_reduce_ring(Communicator& comm, std::span<double> data,
+                     ReduceOp op) {
+  ring_all_reduce_strided(comm, data, op, comm.size(), comm.rank(),
+                          /*first=*/0, /*stride=*/1, comm.size());
+}
 
 void all_reduce_halving_doubling(Communicator& comm, std::span<double> data,
                                  ReduceOp op) {
@@ -187,36 +211,32 @@ void all_reduce_hierarchical(Communicator& comm, std::span<double> data,
       topo.world_size() == P ? topo : Topology::flat(P);
   const int G = t.gpus_per_node;
   const int leader = t.leader_of(rank);
-  // Average divides once by the full world size at the very end; the
-  // reduction levels run the raw combine.
-  const ReduceOp level_op = op == ReduceOp::kAverage ? ReduceOp::kSum : op;
 
   // 1) Intra-node reduce to the leader, local-rank order.
   if (rank == leader) {
     std::vector<double> buf(data.size());
     for (int lr = 1; lr < G; ++lr) {
       comm.recv(leader + lr, buf);
-      accumulate(data, buf, level_op);
+      accumulate(data, buf, op);
     }
   } else {
     comm.send(leader, data);
   }
 
-  // 2) Ring all-reduce across node leaders over the inter-node links.
+  // 2) Ring all-reduce across node leaders over the inter-node links; it
+  // finalizes kAverage over the full world size.
   if (rank == leader) {
-    ring_all_reduce_strided(comm, data, level_op, t.nodes, t.node_of(rank),
-                            /*first=*/0, /*stride=*/G);
+    ring_all_reduce_strided(comm, data, op, t.nodes, t.node_of(rank),
+                            /*first=*/0, /*stride=*/G, P);
   }
 
   // 3) Intra-node broadcast of the leader's (identical-across-leaders)
-  // result.
+  // final result.
   if (rank == leader) {
     for (int lr = 1; lr < G; ++lr) comm.send(leader + lr, data);
   } else {
     comm.recv(leader, data);
   }
-
-  finalize(data, op, P);
 }
 
 // ---------------------------------------------------------------------------

@@ -40,12 +40,9 @@
 // demands exact cross-rank equality.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
-#include <numeric>
 #include <span>
-#include <vector>
 
 #include "comm/cluster.hpp"
 #include "comm/topology.hpp"
@@ -65,22 +62,6 @@ inline constexpr std::array<AllReduceAlgo, 4> kAllReduceAlgos{
 
 namespace detail {
 
-/// Splits n elements into `parts` contiguous segments as evenly as possible
-/// (first n % parts segments get one extra element).  Returns segment sizes.
-inline std::vector<std::size_t> even_partition(std::size_t n,
-                                               std::size_t parts) {
-  std::vector<std::size_t> counts(parts, n / parts);
-  for (std::size_t i = 0; i < n % parts; ++i) ++counts[i];
-  return counts;
-}
-
-inline std::vector<std::size_t> offsets_of(
-    std::span<const std::size_t> counts) {
-  std::vector<std::size_t> offsets(counts.size() + 1, 0);
-  std::partial_sum(counts.begin(), counts.end(), offsets.begin() + 1);
-  return offsets;
-}
-
 /// Elementwise combine shared by every algorithm and every ReduceOp: kSum
 /// and kAverage accumulate (averaging is a separate finalize step so the
 /// division happens exactly once), kMax takes the elementwise maximum.
@@ -97,9 +78,9 @@ inline void accumulate(std::span<double> dst, std::span<const double> src,
   }
 }
 
-/// Op finalization after a sum-based reduction: kAverage divides by the
-/// world size (identically on every rank — bitwise determinism), the other
-/// ops need nothing.
+/// Op finalization after a sum-based reduction: kAverage multiplies by
+/// 1/world (one elementwise rounding, so the bits do not depend on which
+/// rank applies it), the other ops need nothing.
 inline void finalize(std::span<double> data, ReduceOp op, int world) {
   if (op != ReduceOp::kAverage || world <= 1) return;
   tensor::kernels::active_table().scale(data.data(), data.size(),

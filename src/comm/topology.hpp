@@ -42,12 +42,10 @@ struct Topology {
 
   int world_size() const noexcept { return nodes * gpus_per_node; }
   int node_of(int rank) const noexcept { return rank / gpus_per_node; }
-  int local_rank(int rank) const noexcept { return rank % gpus_per_node; }
   /// The node leader owns the node's inter-node traffic (local rank 0).
   int leader_of(int rank) const noexcept {
     return node_of(rank) * gpus_per_node;
   }
-  bool is_leader(int rank) const noexcept { return local_rank(rank) == 0; }
   /// True when both levels of the hierarchy are non-trivial.
   bool hierarchical() const noexcept { return nodes > 1 && gpus_per_node > 1; }
   /// Worst link class a flat (all-ranks) collective must cross.

@@ -58,14 +58,6 @@ double ModelSpec::total_bwd_flops(std::size_t batch) const noexcept {
   return sum;
 }
 
-double ModelSpec::total_factor_flops(std::size_t batch) const noexcept {
-  double sum = 0;
-  for (const auto& l : layers) {
-    sum += l.factor_a_flops(batch) + l.factor_g_flops(batch);
-  }
-  return sum;
-}
-
 std::vector<std::size_t> ModelSpec::factor_packed_sizes() const {
   std::vector<std::size_t> sizes;
   sizes.reserve(2 * layers.size());

@@ -100,7 +100,6 @@ struct ModelSpec {
   std::size_t total_g_elements() const noexcept;
   double total_fwd_flops(std::size_t batch) const noexcept;
   double total_bwd_flops(std::size_t batch) const noexcept;
-  double total_factor_flops(std::size_t batch) const noexcept;
 
   /// Packed sizes of all 2L Kronecker factors in schedule order
   /// (A_0..A_{L-1} then G_L..G_1) — the Fig. 3 distribution.

@@ -62,10 +62,6 @@ class PreconditionedLayer : public Layer {
   /// span, its size in row order).
   void apply_update(const tensor::Matrix& delta, double lr);
   void apply_update(std::span<const double> delta, double lr);
-
-  std::size_t param_count() const noexcept {
-    return dim_a() * dim_g();
-  }
 };
 
 // ---------------------------------------------------------------------------

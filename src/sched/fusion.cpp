@@ -131,10 +131,4 @@ std::vector<FusionGroup> plan_fusion(const FusionPlanInput& input,
   return materialize(input, bounds, model);
 }
 
-double non_overlapped_tail(std::span<const FusionGroup> groups,
-                           double last_compute_end) {
-  if (groups.empty()) return 0.0;
-  return std::max(0.0, groups.back().comm_end - last_compute_end);
-}
-
 }  // namespace spdkfac::sched

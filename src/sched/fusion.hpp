@@ -23,8 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "perf/models.hpp"
@@ -77,10 +75,5 @@ std::vector<FusionGroup> plan_fusion(const FusionPlanInput& input,
                                      FusionPolicy policy,
                                      std::size_t threshold_elements =
                                          kHorovodThresholdElements);
-
-/// Total time the pass's communication extends beyond the last compute task
-/// (i.e. the non-hidden factor-communication tail) under a plan.
-double non_overlapped_tail(std::span<const FusionGroup> groups,
-                           double last_compute_end);
 
 }  // namespace spdkfac::sched

@@ -87,7 +87,6 @@ class EventSim {
   int add_gang_task(TaskKind kind, double duration, std::vector<int> streams,
                     std::vector<int> deps = {}, std::string label = {});
 
-  std::size_t num_tasks() const noexcept { return tasks_.size(); }
   const std::string& stream_name(int id) const { return stream_names_[id]; }
 
   /// Computes start/end times for every task.  Deterministic; throws

@@ -115,18 +115,17 @@ struct KernelTable {
               double decay);
 
   /// Folds a packed upper triangle straight into a dense symmetric EMA
-  /// state (both triangles), the zero-copy replacement for
-  /// unpack_upper + dense EMA: with init, state(r,c) = packed value; else
+  /// state (both triangles), with no dense intermediate: with init (the
+  /// unpack), state(r,c) = packed value; else
   /// state(r,c) = decay*state(r,c) + (1-decay)*value.  Requires the dense
   /// state to be exactly symmetric (bitwise), which the EMA preserves.
   void (*ema_unpack)(const double* packed, std::size_t d, double* state,
                      std::size_t lds, double decay, bool init);
 
-  /// Packed upper triangle (row-major, incl. diagonal) <-> dense symmetric.
+  /// Dense symmetric -> packed upper triangle (row-major, incl. diagonal);
+  /// ema_unpack with init is the way back.
   void (*pack_upper)(const double* a, std::size_t d, std::size_t lda,
                      double* out);
-  void (*unpack_upper)(const double* packed, std::size_t d, double* a,
-                       std::size_t lda);
 
   /// out(c, r) = in(r, c), cache-blocked.
   void (*transpose)(const double* in, std::size_t rows, std::size_t cols,

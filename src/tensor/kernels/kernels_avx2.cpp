@@ -417,21 +417,6 @@ void ema_unpack_avx2(const double* packed, std::size_t d, double* state,
   mirror_lower_avx2(state, d, lds);
 }
 
-// ---------------------------------------------------------------------------
-// Symmetric pack/unpack
-// ---------------------------------------------------------------------------
-
-void unpack_upper_avx2(const double* packed, std::size_t d, double* a,
-                       std::size_t lda) {
-  std::size_t idx = 0;
-  for (std::size_t r = 0; r < d; ++r) {
-    const std::size_t run = d - r;
-    std::memcpy(a + r * lda + r, packed + idx, run * sizeof(double));
-    idx += run;
-  }
-  mirror_lower_avx2(a, d, lda);
-}
-
 void transpose_avx2(const double* in, std::size_t rows, std::size_t cols,
                     std::size_t ldi, double* out, std::size_t ldo) {
   constexpr std::size_t kBlock = 32;
@@ -577,7 +562,7 @@ const KernelTable& avx2_table() noexcept {
       max_avx2,          scale_avx2,
       ema_avx2,          ema_unpack_avx2,
       scalar_table().pack_upper,  // memcpy row runs — already optimal
-      unpack_upper_avx2, transpose_avx2,
+      transpose_avx2,
       absmax_avx2,       int8_quantize_avx2,
       int8_dequantize_avx2, fp16_pack_avx2,
       fp16_unpack_avx2};

@@ -125,20 +125,6 @@ void pack_upper_scalar(const double* a, std::size_t d, std::size_t lda,
   }
 }
 
-void unpack_upper_scalar(const double* packed, std::size_t d, double* a,
-                         std::size_t lda) {
-  std::size_t idx = 0;
-  for (std::size_t r = 0; r < d; ++r) {
-    const std::size_t run = d - r;
-    std::memcpy(a + r * lda + r, packed + idx, run * sizeof(double));
-    idx += run;
-  }
-  for (std::size_t r = 1; r < d; ++r) {
-    double* arow = a + r * lda;
-    for (std::size_t c = 0; c < r; ++c) arow[c] = a[c * lda + r];
-  }
-}
-
 void transpose_scalar(const double* in, std::size_t rows, std::size_t cols,
                       std::size_t ldi, double* out, std::size_t ldo) {
   // Cache-blocked: a 32x32 double tile is 8 KiB per operand, so both the
@@ -266,7 +252,7 @@ const KernelTable& scalar_table() noexcept {
       gemm_nt_scalar,     dot_scalar,         add_scalar,
       max_scalar,         scale_scalar,       ema_scalar,
       ema_unpack_scalar,  pack_upper_scalar,
-      unpack_upper_scalar, transpose_scalar,
+      transpose_scalar,
       absmax_scalar,      int8_quantize_scalar, int8_dequantize_scalar,
       fp16_pack_scalar,   fp16_unpack_scalar};
   return t;

@@ -94,18 +94,6 @@ void Matrix::set_zero() noexcept {
   std::fill(data_.begin(), data_.end(), 0.0);
 }
 
-double Matrix::frobenius_norm() const noexcept {
-  double sum = 0.0;
-  for (double v : data_) sum += v * v;
-  return std::sqrt(sum);
-}
-
-double Matrix::max_abs() const noexcept {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   if (rows_ == 0 || cols_ == 0) return t;
@@ -191,33 +179,6 @@ void gram(const Matrix& a, Matrix& c) {
                        c.row_ptr(i1) + i0, n);
         }
       });
-}
-
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.cols()) {
-    throw std::invalid_argument("matmul_nt shape mismatch");
-  }
-  Matrix c(a.rows(), b.rows());
-  if (c.rows() == 0 || c.cols() == 0) return c;
-  const auto& kt = kernels::active_table();
-  exec::parallel_for(
-      a.rows(), rows_per_chunk(a.cols() * b.rows()),
-      [&](std::size_t r0, std::size_t r1) {
-        kt.gemm_nt(r1 - r0, a.cols(), b.rows(), a.row_ptr(r0), a.cols(),
-                   b.row_ptr(0), b.cols(), c.row_ptr(r0), c.cols());
-      });
-  return c;
-}
-
-bool allclose(const Matrix& a, const Matrix& b, double rtol,
-              double atol) noexcept {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  auto da = a.data();
-  auto db = b.data();
-  for (std::size_t i = 0; i < da.size(); ++i) {
-    if (std::abs(da[i] - db[i]) > atol + rtol * std::abs(db[i])) return false;
-  }
-  return true;
 }
 
 double max_abs_diff(const Matrix& a, const Matrix& b) {

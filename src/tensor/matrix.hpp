@@ -91,12 +91,6 @@ class Matrix {
   /// Resets all elements to zero without reallocating.
   void set_zero() noexcept;
 
-  /// Frobenius norm.
-  double frobenius_norm() const noexcept;
-
-  /// Largest absolute element.
-  double max_abs() const noexcept;
-
   Matrix transposed() const;
 
  private:
@@ -126,13 +120,6 @@ void matmul_tn(const Matrix& a, const Matrix& b, Matrix& c);
 /// ascending, and a product does not depend on its operand order.  `c`
 /// must not alias `a` (std::invalid_argument).
 void gram(const Matrix& a, Matrix& c);
-
-/// C = A * B^T without forming B^T.
-Matrix matmul_nt(const Matrix& a, const Matrix& b);
-
-/// Returns true when |a - b| <= atol + rtol * |b| element-wise.
-bool allclose(const Matrix& a, const Matrix& b, double rtol = 1e-9,
-              double atol = 1e-12) noexcept;
 
 /// Maximum element-wise absolute difference; requires equal shapes.
 double max_abs_diff(const Matrix& a, const Matrix& b);

@@ -9,14 +9,6 @@ Matrix random_normal(std::size_t rows, std::size_t cols, Rng& rng, double mean,
   return m;
 }
 
-Matrix random_uniform(std::size_t rows, std::size_t cols, Rng& rng, double lo,
-                      double hi) {
-  Matrix m(rows, cols);
-  std::uniform_real_distribution<double> dist(lo, hi);
-  for (double& v : m.data()) v = dist(rng);
-  return m;
-}
-
 Matrix random_spd(std::size_t n, Rng& rng, double jitter) {
   Matrix b = random_normal(n, n, rng);
   Matrix spd = matmul_tn(b, b);

@@ -16,10 +16,6 @@ using Rng = std::mt19937_64;
 Matrix random_normal(std::size_t rows, std::size_t cols, Rng& rng,
                      double mean = 0.0, double stddev = 1.0);
 
-/// Matrix with i.i.d. U(lo, hi) entries.
-Matrix random_uniform(std::size_t rows, std::size_t cols, Rng& rng,
-                      double lo = 0.0, double hi = 1.0);
-
 /// Random symmetric positive-definite matrix: B^T B / n + jitter * I with B
 /// an n x n Gaussian matrix.  `jitter` keeps the spectrum away from zero so
 /// Cholesky succeeds even for large n.

@@ -28,6 +28,7 @@
 #include "comm/collectives.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "testsupport/backends.hpp"
+#include "testsupport/codec_names.hpp"
 
 namespace spdkfac::comm {
 namespace {
@@ -161,6 +162,7 @@ TEST(CodecFormat, ResolveCodecHonoursCrossover) {
 }
 
 TEST(CodecFormat, FromStringRoundTrips) {
+  using testsupport::codec_from_string;
   for (Codec codec : {Codec::kNone, Codec::kFp16, Codec::kInt8, Codec::kTopK,
                       Codec::kAuto}) {
     EXPECT_EQ(codec_from_string(to_string(codec)), codec);

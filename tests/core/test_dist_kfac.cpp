@@ -16,6 +16,7 @@
 #include "comm/cluster.hpp"
 #include "nn/data.hpp"
 #include "testsupport/linalg_reference.hpp"
+#include "testsupport/matrix_helpers.hpp"
 
 namespace spdkfac::core {
 namespace {
@@ -133,7 +134,7 @@ TEST_P(StrategySuite, MatchesSerialShardAveragedReference) {
   }
 
   for (std::size_t l = 0; l < expected.size(); ++l) {
-    EXPECT_TRUE(tensor::allclose(dist_weights[0][l], expected[l], 1e-8, 1e-10))
+    EXPECT_TRUE(testsupport::allclose(dist_weights[0][l], expected[l], 1e-8, 1e-10))
         << to_string(GetParam()) << " layer " << l << " max diff "
         << tensor::max_abs_diff(dist_weights[0][l], expected[l]);
   }
@@ -158,9 +159,9 @@ TEST(DistKfac, StrategiesAgreeWithEachOther) {
   const auto mpd = train_distributed(4, DistStrategy::kMpdKfac, 3);
   const auto spd = train_distributed(4, DistStrategy::kSpdKfac, 3);
   for (std::size_t l = 0; l < dkfac[0].size(); ++l) {
-    EXPECT_TRUE(tensor::allclose(mpd[0][l], dkfac[0][l], 1e-9, 1e-11))
+    EXPECT_TRUE(testsupport::allclose(mpd[0][l], dkfac[0][l], 1e-9, 1e-11))
         << "MPD vs D layer " << l;
-    EXPECT_TRUE(tensor::allclose(spd[0][l], dkfac[0][l], 1e-9, 1e-11))
+    EXPECT_TRUE(testsupport::allclose(spd[0][l], dkfac[0][l], 1e-9, 1e-11))
         << "SPD vs D layer " << l;
   }
 }
@@ -184,7 +185,7 @@ TEST(DistKfac, SingleWorkerMatchesLocalKfacOptimizer) {
   }
   for (std::size_t l = 0; l < layers.size(); ++l) {
     EXPECT_TRUE(
-        tensor::allclose(dist_weights[0][l], layers[l]->weight(), 1e-9, 1e-11))
+        testsupport::allclose(dist_weights[0][l], layers[l]->weight(), 1e-9, 1e-11))
         << "layer " << l;
   }
 }
@@ -447,9 +448,9 @@ TEST(DistKfac, TopologyAwareCollectivesMatchRingNumerics) {
     }
   }
   for (std::size_t l = 0; l < ring[0].size(); ++l) {
-    EXPECT_TRUE(tensor::allclose(autosel[0][l], ring[0][l], 1e-8, 1e-10))
+    EXPECT_TRUE(testsupport::allclose(autosel[0][l], ring[0][l], 1e-8, 1e-10))
         << "auto vs ring, layer " << l;
-    EXPECT_TRUE(tensor::allclose(hd[0][l], ring[0][l], 1e-8, 1e-10))
+    EXPECT_TRUE(testsupport::allclose(hd[0][l], ring[0][l], 1e-8, 1e-10))
         << "halving-doubling vs ring, layer " << l;
   }
 }

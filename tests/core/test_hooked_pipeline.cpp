@@ -9,6 +9,7 @@
 #include "nn/data.hpp"
 #include "nn/layers.hpp"
 #include "tensor/matrix.hpp"
+#include "testsupport/matrix_helpers.hpp"
 
 namespace spdkfac::core {
 namespace {
@@ -82,7 +83,7 @@ TEST_P(HookedStrategy, HookedMatchesPostHocExactly) {
   ASSERT_EQ(plain.size(), hooked.size());
   for (std::size_t l = 0; l < plain.size(); ++l) {
     if (GetParam() == DistStrategy::kSpdKfac) {
-      EXPECT_TRUE(tensor::allclose(hooked[l], plain[l], 1e-9, 1e-11))
+      EXPECT_TRUE(testsupport::allclose(hooked[l], plain[l], 1e-9, 1e-11))
           << "layer " << l << " diff "
           << tensor::max_abs_diff(plain[l], hooked[l]);
     } else {
@@ -140,7 +141,7 @@ TEST(HookedPipeline, FactorUpdateFreqSkipsFactorWork) {
   const auto plain =
       train(2, DistStrategy::kSpdKfac, 4, /*hooked=*/false, /*freq=*/2);
   for (std::size_t l = 0; l < weights.size(); ++l) {
-    EXPECT_TRUE(tensor::allclose(weights[l], plain[l], 1e-9, 1e-11));
+    EXPECT_TRUE(testsupport::allclose(weights[l], plain[l], 1e-9, 1e-11));
   }
 }
 

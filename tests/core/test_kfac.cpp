@@ -11,6 +11,7 @@
 #include "core/dist_kfac.hpp"
 #include "nn/data.hpp"
 #include "testsupport/linalg_reference.hpp"
+#include "testsupport/matrix_helpers.hpp"
 
 namespace spdkfac::core {
 namespace {
@@ -38,7 +39,7 @@ TEST(ComputeFactors, MatchHandComputedMoments) {
 
   // g rows: [1,0], [0,1];  G = g^T g / 2 = I/2.
   const Matrix g = compute_factor_g(fc);
-  EXPECT_TRUE(tensor::allclose(g, Matrix::identity(2) * 0.5));
+  EXPECT_TRUE(testsupport::allclose(g, Matrix::identity(2) * 0.5));
 }
 
 TEST(ComputeFactors, ThrowWithoutCapturedPass) {
@@ -92,7 +93,7 @@ TEST(KfacOptimizer, StepAppliesPreconditionedUpdate) {
       testsupport::damped_inverse(g, 0.5),
       tensor::matmul(grad, testsupport::damped_inverse(a, 0.5)));
   const Matrix expect = w_before - delta * 0.1;
-  EXPECT_TRUE(tensor::allclose(layers[0]->weight(), expect, 1e-10, 1e-12));
+  EXPECT_TRUE(testsupport::allclose(layers[0]->weight(), expect, 1e-10, 1e-12));
   EXPECT_EQ(kfac.steps(), 1u);
 }
 
@@ -153,7 +154,7 @@ TEST(KfacOptimizer, WithHugeDampingApproachesScaledSgd) {
   const Matrix grad = layers[0]->weight_grad();
   kfac.step();
   const Matrix applied = (w_before - layers[0]->weight()) * (g * g);
-  EXPECT_TRUE(tensor::allclose(applied, grad, 1e-3, 1e-9));
+  EXPECT_TRUE(testsupport::allclose(applied, grad, 1e-3, 1e-9));
 }
 
 TEST(KfacOptimizer, ReducesLossOnSyntheticTask) {
@@ -277,7 +278,7 @@ TEST(KfacOptimizer, KlClipScalesAppliedStep) {
     model.backward(loss.backward());
     const Matrix before = layers[0]->weight();
     kfac.step();
-    return (before - layers[0]->weight()).frobenius_norm();
+    return testsupport::frobenius_norm(before - layers[0]->weight());
   };
   const double unclipped = run(0.0);
   const double clipped = run(1e-6);  // tiny trust region
@@ -387,9 +388,9 @@ TEST(DistPiDamping, ConsistentAcrossRanksAndStrategies) {
   const auto spd = run(DistStrategy::kSpdKfac);
   ASSERT_EQ(dkfac.size(), 2u);
   for (std::size_t l = 0; l < dkfac.size(); ++l) {
-    EXPECT_TRUE(tensor::allclose(mpd[l], dkfac[l], 1e-9, 1e-11))
+    EXPECT_TRUE(testsupport::allclose(mpd[l], dkfac[l], 1e-9, 1e-11))
         << "layer " << l;
-    EXPECT_TRUE(tensor::allclose(spd[l], dkfac[l], 1e-9, 1e-11))
+    EXPECT_TRUE(testsupport::allclose(spd[l], dkfac[l], 1e-9, 1e-11))
         << "layer " << l;
   }
 }
@@ -409,7 +410,7 @@ TEST(SgdOptimizer, AppliesPlainGradientStep) {
   const Matrix grad = layers[0]->weight_grad();
   SgdOptimizer sgd(layers, 0.5);
   sgd.step();
-  EXPECT_TRUE(tensor::allclose(layers[0]->weight(), w - grad * 0.5));
+  EXPECT_TRUE(testsupport::allclose(layers[0]->weight(), w - grad * 0.5));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "tensor/kernels/kernels.hpp"
+#include "testsupport/matrix_helpers.hpp"
 
 namespace spdkfac::nn {
 namespace {
@@ -342,7 +343,7 @@ PassResult conv_reference(const Matrix& weight, std::size_t kernel,
       }
     }
   }
-  const Matrix out_rows = tensor::matmul_nt(r.kfac_input, weight);
+  const Matrix out_rows = testsupport::matmul_nt(r.kfac_input, weight);
   r.out = Tensor4D(n, cout, oh, ow);
   r.kfac_output_grad = Matrix(n * oh * ow, cout);
   for (std::size_t ni = 0; ni < n; ++ni) {
@@ -390,7 +391,7 @@ PassResult linear_reference(const Matrix& weight, bool bias,
     for (std::size_t j = 0; j < in; ++j) r.kfac_input(i, j) = input.sample(i)[j];
     if (bias) r.kfac_input(i, in) = 1.0;
   }
-  const Matrix out_rows = tensor::matmul_nt(r.kfac_input, weight);
+  const Matrix out_rows = testsupport::matmul_nt(r.kfac_input, weight);
   r.out = Tensor4D(n, out, 1, 1);
   r.kfac_output_grad = Matrix(n, out);
   for (std::size_t i = 0; i < n; ++i) {

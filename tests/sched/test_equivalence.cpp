@@ -27,6 +27,7 @@
 #include "sched/serialize.hpp"
 #include "sim/iteration.hpp"
 #include "testsupport/backends.hpp"
+#include "testsupport/codec_names.hpp"
 
 namespace spdkfac {
 namespace {
@@ -61,10 +62,10 @@ struct Config {
 /// — that is the point: the whole suite must hold under compression too).
 Config with_env_codecs(Config c) {
   if (const char* env = std::getenv("SPDKFAC_TEST_FACTOR_CODEC")) {
-    c.factor_codec = comm::codec_from_string(env);
+    c.factor_codec = testsupport::codec_from_string(env);
   }
   if (const char* env = std::getenv("SPDKFAC_TEST_GRAD_CODEC")) {
-    c.grad_codec = comm::codec_from_string(env);
+    c.grad_codec = testsupport::codec_from_string(env);
   }
   if (const char* env = std::getenv("SPDKFAC_TEST_TOPK_RATIO")) {
     c.topk_ratio = std::stod(env);

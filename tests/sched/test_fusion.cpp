@@ -149,15 +149,6 @@ TEST(PlanFusion, MismatchedInputsThrow) {
       std::invalid_argument);
 }
 
-TEST(NonOverlappedTail, MeasuresExposure) {
-  FusionGroup g;
-  g.comm_end = 5.0;
-  std::vector<FusionGroup> groups{g};
-  EXPECT_DOUBLE_EQ(non_overlapped_tail(groups, 3.0), 2.0);
-  EXPECT_DOUBLE_EQ(non_overlapped_tail(groups, 6.0), 0.0);
-  EXPECT_DOUBLE_EQ(non_overlapped_tail({}, 1.0), 0.0);
-}
-
 // Property: under any policy the plan covers the factors exactly once, in
 // order, and optimal never produces a worse predicted finish than no-fusion.
 class FusionProperty : public ::testing::TestWithParam<int> {};

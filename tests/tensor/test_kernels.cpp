@@ -341,8 +341,15 @@ TEST_P(KernelLevel, PackUnpackRoundTripBitwise) {
     const std::size_t packed_n = d * (d + 1) / 2;
     const auto packed = random_vec(packed_n, rng);
     std::vector<double> dense(d * d, kNan);
-    kt().unpack_upper(packed.data(), d, dense.data(), d);
-    // Dense result is exactly symmetric.
+    kt().ema_unpack(packed.data(), d, dense.data(), d, 0.9, /*init=*/true);
+    // Dense result is exactly symmetric, and its upper triangle is the
+    // packed values, row by row.
+    std::size_t idx = 0;
+    for (std::size_t r = 0; r < d; ++r) {
+      for (std::size_t c = r; c < d; ++c) {
+        EXPECT_EQ(dense[r * d + c], packed[idx++]) << d;
+      }
+    }
     for (std::size_t r = 0; r < d; ++r) {
       for (std::size_t c = 0; c < d; ++c) {
         EXPECT_EQ(dense[r * d + c], dense[c * d + r]) << d;
@@ -354,9 +361,9 @@ TEST_P(KernelLevel, PackUnpackRoundTripBitwise) {
   }
 }
 
-// ema_unpack is the zero-copy fusion of unpack_upper + dense ema; on a
-// bitwise-symmetric state it must equal the two-step version bit for bit
-// (same level on both sides).
+// ema_unpack folds a packed triangle into a dense EMA state with no dense
+// intermediate; on a bitwise-symmetric state it must equal a plain unpack
+// loop followed by the dense ema, bit for bit (same level on both sides).
 TEST_P(KernelLevel, EmaUnpackMatchesUnpackThenEma) {
   Rng rng(109);
   for (std::size_t d : {std::size_t{1}, std::size_t{5}, std::size_t{19},
@@ -366,21 +373,29 @@ TEST_P(KernelLevel, EmaUnpackMatchesUnpackThenEma) {
     const auto fresh_packed = random_vec(packed_n, rng);
     const double decay = 0.9;
 
-    // Symmetric starting state, built by the same level's unpack.
-    std::vector<double> state(d * d);
-    kt().unpack_upper(seed_packed.data(), d, state.data(), d);
+    // Reference unpack: a plain loop writing both triangles.
+    const auto unpack = [d](const std::vector<double>& packed) {
+      std::vector<double> dense(d * d);
+      std::size_t idx = 0;
+      for (std::size_t r = 0; r < d; ++r) {
+        for (std::size_t c = r; c < d; ++c) {
+          dense[r * d + c] = dense[c * d + r] = packed[idx++];
+        }
+      }
+      return dense;
+    };
+    const std::vector<double> state = unpack(seed_packed);
 
     // Reference: unpack to a dense intermediate, then dense EMA.
     std::vector<double> want = state;
-    std::vector<double> dense(d * d);
-    kt().unpack_upper(fresh_packed.data(), d, dense.data(), d);
+    const std::vector<double> dense = unpack(fresh_packed);
     kt().ema(want.data(), dense.data(), d * d, decay);
 
     auto got = state;
     kt().ema_unpack(fresh_packed.data(), d, got.data(), d, decay, false);
     expect_bitwise_eq(got, want, "ema_unpack fold");
 
-    // init=true is exactly unpack_upper.
+    // init=true is exactly the unpack.
     std::vector<double> init_got(d * d, kNan);
     kt().ema_unpack(fresh_packed.data(), d, init_got.data(), d, decay, true);
     expect_bitwise_eq(init_got, dense, "ema_unpack init");

@@ -14,13 +14,16 @@
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/random.hpp"
 #include "testsupport/linalg_reference.hpp"
+#include "testsupport/matrix_helpers.hpp"
 
 namespace spdkfac::tensor {
 namespace {
 
+using testsupport::allclose;
 using testsupport::damped_inverse;
 using testsupport::is_symmetric;
 using testsupport::lower_factor;
+using testsupport::matmul_nt;
 using testsupport::spd_inverse;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
