@@ -4,19 +4,14 @@
 // all-reduce and broadcast operations asynchronously ("hvd.allreduce_async_",
 // "hvd.broadcast_async_") so they execute in the background while the caller
 // keeps computing the next layer's Kronecker factor.  This engine reproduces
-// that execution model on the shared exec::ThreadPool: operations are queued
-// and executed in submission order by a serial *pump* task that the engine
-// keeps scheduled on the pool while the queue is non-empty — one operation
-// at a time, FIFO, exactly like the dedicated Horovod background thread it
-// replaces, but sharing workers with the compute tasks so a rank's threads
-// are owned in one place.  An engine constructed without a pool owns a
-// single-worker pool of its own (standalone/test use).
+// that execution model: operations are queued and executed in submission
+// order by the engine's own *pump* thread — one operation at a time, FIFO,
+// exactly like Horovod's dedicated background thread.  A collective blocks
+// on its peers there, so it never holds one of the rank's compute threads.
 //
-// Callers synchronize through CommHandle::wait() — from threads *outside*
-// the pool only (a pool task blocking on a handle could occupy the worker
-// the pump needs) — or through the completion listener, which is how the
-// DataflowExecutor turns op completions into successor work without
-// blocking anything.
+// Callers synchronize through CommHandle::wait() or through the completion
+// listener, which is how the DataflowExecutor turns op completions into
+// successor work without blocking anything.
 //
 // Correctness contract (same as Horovod after negotiation): every rank must
 // submit the same sequence of collective operations with matching shapes.
@@ -34,10 +29,10 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/cluster.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace spdkfac::comm {
 
@@ -55,7 +50,7 @@ class CommHandle {
 
   /// Blocks until the operation completes, then rethrows its error if it
   /// failed (RankFailure for a dead peer).  No-op for invalid handles.
-  /// Must not be called from a task running on the engine's pool.
+  /// Must not be called from the completion listener (the pump thread).
   void wait() const {
     if (!state_) return;
     std::unique_lock lock(state_->mutex);
@@ -120,12 +115,11 @@ struct OpRecord {
 /// streams of different operations never interleave.
 class AsyncCommEngine {
  public:
-  /// `pool` is where the pump runs; the engine owns a single-worker pool
-  /// when none is given.  A shared pool must outlive the engine.
-  explicit AsyncCommEngine(Communicator& comm,
-                           exec::ThreadPool* pool = nullptr);
+  /// Starts the pump thread.
+  explicit AsyncCommEngine(Communicator& comm);
 
-  /// Drains the queue (every submitted operation completes).
+  /// Drains the queue (every submitted operation completes), then joins
+  /// the pump.
   ~AsyncCommEngine();
 
   AsyncCommEngine(const AsyncCommEngine&) = delete;
@@ -158,12 +152,12 @@ class AsyncCommEngine {
   /// Invoked by the pump after each operation completes (after its handle
   /// is signalled), with the operation's record.  The listener must not
   /// block; it is how the dataflow layer reacts to collective completions
-  /// (it typically enqueues post-processing on the pool).  Install before
+  /// (it typically enqueues post-processing on the compute pool).  Install before
   /// submitting the operations it should observe.
   void set_completion_listener(std::function<void(const OpRecord&)> listener);
 
   /// Blocks until every operation submitted so far has completed.  Must not
-  /// be called from a pool task.  Never throws — a failure is observable
+  /// be called from the completion listener.  Never throws — a failure is observable
   /// per-handle (wait()), via failed records, or through error().
   void wait_all();
 
@@ -207,26 +201,29 @@ class AsyncCommEngine {
     const double* data = nullptr;
   };
 
-  /// Runs queued ops FIFO until the queue empties, then retires itself;
-  /// submit() schedules a new pump when none is active.
+  /// The pump thread: runs queued ops FIFO, sleeping while the queue is
+  /// empty, until the destructor stops it.
   void pump();
+  /// Executes one op, records it, signals its handle and the listener.
+  void execute(Op& op, const std::function<void(const OpRecord&)>& listener);
 
   Communicator& comm_;
   std::chrono::steady_clock::time_point epoch_;
 
-  std::unique_ptr<exec::ThreadPool> owned_pool_;  ///< standalone engines
-  exec::ThreadPool* pool_;
-
   mutable std::mutex mutex_;
+  std::condition_variable work_cv_;     ///< queue non-empty, or stopping
+  std::condition_variable drained_cv_;  ///< queue empty and pump idle
   std::deque<Op> queue_;
-  bool pumping_ = false;  ///< a pump task is scheduled or running
+  bool busy_ = false;      ///< the pump is executing an op
+  bool stopping_ = false;  ///< the destructor asked the pump to exit
   std::exception_ptr error_;  ///< first pump failure; poisons later ops
   std::atomic<std::size_t> completed_{0};
-  std::condition_variable drained_cv_;
   std::function<void(const OpRecord&)> listener_;
 
   mutable std::mutex records_mutex_;
   std::vector<OpRecord> records_;
+
+  std::thread pump_;  ///< last: starts after every member it reads
 };
 
 }  // namespace spdkfac::comm

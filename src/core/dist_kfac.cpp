@@ -173,13 +173,16 @@ DistKfacOptimizer::DistKfacOptimizer(
              options_.inverse_model, selector_},
       profiler_(std::max<std::size_t>(layers_.size(), 1),
                 options_.profile_ema),
-      pool_(options_.pool_size > 0
-                ? std::make_unique<exec::ThreadPool>(options_.pool_size)
+      pool_(options_.pool_size > 1
+                ? std::make_unique<exec::ThreadPool>(options_.pool_size - 1)
                 : nullptr),
-      engine_(comm, pool_.get()) {
+      engine_(comm) {
   if (layers_.empty()) {
     throw std::invalid_argument("DistKfacOptimizer: no preconditioned layers");
   }
+  // The constructing thread is the pool's last compute thread: its passes
+  // split across the workers, and step() works while it waits.
+  if (pool_ != nullptr) member_.emplace(*pool_);
   if (options_.comm_timeout_s > 0.0) {
     // Arm the transport's failure detection; 0 leaves whatever the
     // launcher configured (possibly already armed) untouched.
@@ -326,8 +329,8 @@ bool DistKfacOptimizer::restored_inverses_missing() {
 void DistKfacOptimizer::begin_step() {
   if (failed_) {
     throw std::logic_error(
-        "DistKfacOptimizer: a prior step observed a rank failure; restore "
-        "a checkpoint into a freshly launched cluster to continue");
+        "DistKfacOptimizer: a prior step failed; restore a checkpoint into "
+        "a freshly launched cluster to continue");
   }
   if (!executor_.idle()) {
     // A previous step was abandoned mid-flight — e.g. a hooked step whose
@@ -877,11 +880,12 @@ nn::PassHooks DistKfacOptimizer::pass_hooks() {
 void DistKfacOptimizer::step() {
   try {
     step_body();
-  } catch (const comm::RankFailure&) {
-    // A peer died mid-step.  Quiesce the engine (queued ops fail fast
-    // against its poisoned state — never throws) so no pump work runs
-    // after the caller observes the failure, then refuse further steps:
-    // the surviving ranks' collective state has diverged.
+  } catch (...) {
+    // A peer died mid-step, or a task threw (a non-SPD factor).  Quiesce
+    // the engine (queued ops complete, or fail fast against its poisoned
+    // state — never throws) so no pump work runs after the caller observes
+    // the failure, then refuse further steps: the plan was abandoned
+    // mid-flight, and the ranks' collective state may have diverged.
     failed_ = true;
     engine_.wait_all();
     throw;

@@ -67,6 +67,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <chrono>
@@ -101,12 +102,15 @@ const char* to_string(DistStrategy strategy) noexcept;
 struct DistKfacOptions : KfacOptions, sched::PlanShape {
   DistStrategy strategy = DistStrategy::kSpdKfac;
 
-  /// Worker threads of the per-rank execution pool that the plan's compute
-  /// tasks, the tensor kernels' inner loops, and the comm engine's pump
-  /// share.  0 selects the serial executor: plan tasks run inline at their
-  /// trigger points (the pre-dataflow behavior) and the engine pumps on a
-  /// private single-worker pool.  Results are bitwise identical for every
-  /// value (see tests/core/test_determinism.cpp).
+  /// Compute threads per rank, the thread that constructs the optimizer
+  /// included: the pool spawns pool_size - 1 workers, and the constructing
+  /// thread joins it as its member, so its layer passes split across the
+  /// workers and step() runs plan tasks while it waits.  The plan's compute
+  /// tasks, the collectives' post-processing and the kernels' inner loops
+  /// share these threads; the comm engine pumps on a thread of its own.
+  /// 0 and 1 select the serial executor: plan tasks run inline at their
+  /// trigger points (the pre-dataflow behavior).  Results are bitwise
+  /// identical for every value (see tests/core/test_determinism.cpp).
   std::size_t pool_size = 2;
 
   /// Cost models used for planning only (fusion rule, Algorithm 1, CT/NCT).
@@ -185,6 +189,8 @@ class DistKfacOptimizer {
   /// `layers` is this rank's model replica (weights must already be
   /// identical across ranks — use a shared initialization seed).  Throws
   /// std::invalid_argument on an empty layer list or invalid options.
+  /// With pool_size >= 2 the calling thread becomes the pool's member
+  /// until the optimizer is destroyed, which must happen on that thread.
   DistKfacOptimizer(std::vector<nn::PreconditionedLayer*> layers,
                     comm::Communicator& comm, DistKfacOptions options = {});
 
@@ -254,10 +260,12 @@ class DistKfacOptimizer {
     task_listener_ = std::move(listener);
   }
 
-  /// True after a step observed a rank failure (step() threw
-  /// comm::RankFailure).  The optimizer refuses further steps — its
-  /// collective state diverged from the dead cluster's — and should be
-  /// checkpointed out of / reconstructed from a prior checkpoint.
+  /// True after a step threw — comm::RankFailure for a dead peer, or the
+  /// exception a plan task threw (std::domain_error for a non-SPD factor),
+  /// rethrown on the calling thread at every pool size.  The optimizer
+  /// refuses further steps (std::logic_error) — the step's plan was
+  /// abandoned mid-flight — and should be reconstructed from a prior
+  /// checkpoint.
   bool failed() const noexcept { return failed_; }
 
   /// Serializes the full optimizer state — step counters, re-planning
@@ -459,7 +467,7 @@ class DistKfacOptimizer {
   std::vector<tensor::Matrix> fresh_a_, fresh_g_;
   std::vector<tensor::Matrix> agg_grads_;
   std::size_t step_count_ = 0;
-  bool failed_ = false;  ///< a step observed a rank failure; see failed()
+  bool failed_ = false;  ///< a step threw; see failed()
 
   // Adaptive re-planning state.  `current_timing_` is refreshed only at
   // re-plan points; between them every step plans from it through the
@@ -528,10 +536,12 @@ class DistKfacOptimizer {
 
   // Execution infrastructure — declared last, in this exact order, so
   // destruction runs the engine first (drains in-flight collectives, whose
-  // completions enqueue pool work), then the pool (runs that work, which
+  // completions enqueue pool work), then the membership (the constructing
+  // thread's ambient pool reverts), then the pool (runs that work, which
   // reports into the executor), then the executor.
   exec::DataflowExecutor executor_;
   std::unique_ptr<exec::ThreadPool> pool_;  ///< null in serial mode
+  std::optional<exec::ThreadPool::Member> member_;  ///< with pool_
   comm::AsyncCommEngine engine_;
 };
 

@@ -3,12 +3,12 @@
 // The tensor kernels (GEMM, Cholesky, SPD inverse) parallelize their inner
 // loops with exec::parallel_for, which resolves the pool to split across
 // *ambiently*: an explicit exec::Context installed on the calling thread
-// wins, otherwise the pool the thread is a worker of (so plan tasks
-// dispatched by the DataflowExecutor parallelize on the same shared pool
-// automatically), otherwise serial.  Chunk boundaries never
-// depend on the worker count, so every resolution produces bitwise-identical
-// results — tests force determinism-critical sections serial with
-// `exec::Context serial(nullptr);`.
+// wins, otherwise the pool the thread is a worker or the member of (so plan
+// tasks dispatched by the DataflowExecutor, and the rank thread's layer
+// passes, parallelize on the same shared pool automatically), otherwise
+// serial.  Chunk boundaries never depend on the worker count, so every
+// resolution produces bitwise-identical results — tests force
+// determinism-critical sections serial with `exec::Context serial(nullptr);`.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +19,8 @@
 namespace spdkfac::exec {
 
 /// Scoped override of the calling thread's ambient pool.  Context(nullptr)
-/// forces serial execution for the scope; Context(&pool) opts a non-worker
-/// thread (main, benchmarks) into the pool.
+/// forces serial execution for the scope; Context(&pool) opts any thread
+/// (main, benchmarks) into the pool without making it a member.
 class Context {
  public:
   explicit Context(ThreadPool* pool) noexcept;

@@ -17,15 +17,20 @@ void DataflowExecutor::set_observer(TaskObserver observer) {
 
 void DataflowExecutor::run_compute(int id) {
   Node& node = nodes_[static_cast<std::size_t>(id)];
-  if (!observer_) {
+  try {
+    const auto t0 = std::chrono::steady_clock::now();
     node.work();
-    return;
+    if (observer_) {
+      observer_(id, std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count());
+    }
+  } catch (...) {
+    // Whichever thread ran the node (a worker, the member, the releasing
+    // thread inline), the failure takes one path: poison the graph, so
+    // wait() rethrows it on the waiting thread.
+    abort(std::current_exception());
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  node.work();
-  observer_(id, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
 }
 
 void DataflowExecutor::begin(std::vector<Node> nodes, std::vector<int> lane,
@@ -73,6 +78,7 @@ void DataflowExecutor::begin(std::vector<Node> nodes, std::vector<int> lane,
     poisoned_ = false;
     error_ = nullptr;
     inflight_ = 0;
+    settled_.store(nodes_.empty(), std::memory_order_release);
     states_.assign(nodes_.size(), NodeState{});
     successors_.assign(nodes_.size(), {});
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -133,13 +139,12 @@ void DataflowExecutor::retire_locked(int id, std::vector<int>& inline_runs) {
     throw std::logic_error("DataflowExecutor: node retired twice");
   }
   state.retired = true;
-  if (++retired_ == nodes_.size()) done_cv_.notify_all();
-  if (poisoned_) {
-    // No successor releases: the graph is being torn down, and firing more
-    // collectives against a dead rank would just hang the pump longer.
-    done_cv_.notify_all();
-    return;
-  }
+  ++retired_;
+  signal_if_settled_locked();
+  // No successor releases on a poisoned graph: it is being torn down, and
+  // firing more collectives against a dead rank would just hang the pump
+  // longer.
+  if (poisoned_) return;
   for (int s : successors_[static_cast<std::size_t>(id)]) {
     if (--states_[static_cast<std::size_t>(s)].remaining == 0) {
       release_locked(s, inline_runs);
@@ -197,13 +202,28 @@ void DataflowExecutor::abort(std::exception_ptr error) {
   if (poisoned_) return;  // first failure wins
   poisoned_ = true;
   error_ = std::move(error);
+  signal_if_settled_locked();
+}
+
+void DataflowExecutor::signal_if_settled_locked() {
+  if (retired_ != nodes_.size() && !(poisoned_ && inflight_ == 0)) return;
+  settled_.store(true, std::memory_order_release);
   done_cv_.notify_all();
+  if (pool_ != nullptr) pool_->wake();
 }
 
 void DataflowExecutor::wait() {
   std::unique_lock lock(mutex_);
+  if (pool_ != nullptr && pool_->is_member()) {
+    // The member is one of the pool's compute threads: it works through
+    // the queues until the graph settles instead of sleeping.
+    ThreadPool* pool = pool_;
+    lock.unlock();
+    pool->run_until(settled_);
+    lock.lock();
+  }
   done_cv_.wait(lock, [this] {
-    return retired_ == nodes_.size() || (poisoned_ && inflight_ == 0);
+    return settled_.load(std::memory_order_relaxed);
   });
   if (!poisoned_) return;
   // Poisoned teardown: declare the graph over (unreleased nodes are

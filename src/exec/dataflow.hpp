@@ -24,6 +24,7 @@
 // post-hoc steps (the same gates released in a replayed pass walk).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -45,9 +46,10 @@ class DataflowExecutor {
 
   struct Node {
     NodeKind kind = NodeKind::kNoop;
-    /// Action; must not throw.  Submission actions must be non-blocking and
-    /// must not call back into the executor (they run under its lock to
-    /// keep the lane ordered).
+    /// Action.  A compute action that throws poisons the graph as abort()
+    /// does, and wait() rethrows the exception.  Submission actions must
+    /// not throw, must be non-blocking and must not call back into the
+    /// executor (they run under its lock to keep the lane ordered).
     std::function<void()> work;
     std::vector<int> deps;  ///< node indices that must retire first
     /// Gates released by satisfy() — pass events the graph cannot see
@@ -60,9 +62,10 @@ class DataflowExecutor {
   /// the work took.  This is the execution layer's profiling tap — the
   /// online profiler hangs off it to learn real per-task timings without
   /// the node bodies timing themselves.  Runs on whatever thread ran the
-  /// work (a pool worker, or the releasing thread in inline mode), so it
-  /// must be thread-safe for concurrent *distinct* nodes and must not
-  /// block or call back into the executor.
+  /// work (a pool worker, the pool's member inside wait(), or the
+  /// releasing thread in inline mode), so it must be thread-safe for
+  /// concurrent *distinct* nodes and must not block or call back into the
+  /// executor.
   using TaskObserver = std::function<void(int id, double seconds)>;
 
   DataflowExecutor() = default;
@@ -97,7 +100,8 @@ class DataflowExecutor {
 
   /// Blocks until every node of the current graph retired, or — after
   /// abort() — until dispatched work drained; then rethrows the abort
-  /// error (first wait() only).
+  /// error (first wait() only).  Called on the pool's member thread, it
+  /// runs queued pool tasks meanwhile and is woken by the graph settling.
   void wait();
 
   /// True when no graph is in flight (before the first begin() or after
@@ -120,8 +124,12 @@ class DataflowExecutor {
   void retire_locked(int id, std::vector<int>& inline_runs);
   void advance_lane_locked();
   void run_inline(std::vector<int>& inline_runs);
-  /// Runs a compute node's work, timing it for the observer.
+  /// Runs a compute node's work, timing it for the observer; an exception
+  /// it throws aborts the graph.
   void run_compute(int id);
+  /// Publishes settled_ (and wakes every waiter) once the graph retired,
+  /// or was poisoned with no pool work in flight.
+  void signal_if_settled_locked();
 
   mutable std::mutex mutex_;
   std::condition_variable done_cv_;
@@ -136,6 +144,9 @@ class DataflowExecutor {
   bool poisoned_ = false;        ///< abort() called for this graph
   std::exception_ptr error_;     ///< rethrown by the first wait() after abort
   std::size_t inflight_ = 0;     ///< pool compute tasks dispatched, unretired
+  /// wait()'s condition, readable without the lock (the member's
+  /// run_until flag); written under it.
+  std::atomic<bool> settled_{true};
 };
 
 }  // namespace spdkfac::exec

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 
 namespace spdkfac::exec {
 
@@ -10,12 +11,50 @@ namespace {
 /// Worker identity of the calling thread (pool + queue index).
 thread_local ThreadPool* tl_pool = nullptr;
 thread_local std::size_t tl_index = 0;
+/// Innermost live membership of the calling thread; it shadows tl_pool.
+thread_local ThreadPool::Member* tl_member = nullptr;
+
+constexpr std::size_t kNoQueue = static_cast<std::size_t>(-1);
 
 }  // namespace
 
-ThreadPool* ThreadPool::this_thread_pool() noexcept { return tl_pool; }
+ThreadPool* ThreadPool::this_thread_pool() noexcept {
+  return tl_member != nullptr ? tl_member->pool_ : tl_pool;
+}
 
-ThreadPool::ThreadPool(std::size_t workers) : queues_(workers) {
+bool ThreadPool::is_member() const noexcept {
+  return tl_member != nullptr && tl_member->pool_ == this;
+}
+
+std::size_t ThreadPool::own_queue() const noexcept {
+  if (tl_member != nullptr) {
+    return tl_member->pool_ == this ? queues_.size() - 1 : kNoQueue;
+  }
+  return tl_pool == this ? tl_index : kNoQueue;
+}
+
+ThreadPool::Member::Member(ThreadPool& pool) : pool_(&pool), prev_(tl_member) {
+  {
+    std::lock_guard lock(pool.mutex_);
+    if (pool.has_member_) {
+      throw std::logic_error("ThreadPool: the pool already has a member");
+    }
+    pool.has_member_ = true;
+  }
+  tl_member = this;
+}
+
+ThreadPool::Member::~Member() {
+  // Unlink from this thread's chain wherever it sits, so memberships that
+  // end out of order still leave the innermost live one in effect.
+  Member** link = &tl_member;
+  while (*link != this) link = &(*link)->prev_;
+  *link = prev_;
+  std::lock_guard lock(pool_->mutex_);
+  pool_->has_member_ = false;
+}
+
+ThreadPool::ThreadPool(std::size_t workers) : queues_(workers + 1) {
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
@@ -38,11 +77,11 @@ void ThreadPool::submit(std::function<void()> fn) {
   }
   {
     std::lock_guard lock(mutex_);
-    // Workers push to their own deque (popped LIFO for locality); external
-    // threads spread round-robin.  Idle siblings steal either way.
-    const std::size_t q = tl_pool == this
-                              ? tl_index
-                              : (next_queue_++ % queues_.size());
+    // Workers and the member push to their own deque (popped LIFO for
+    // locality); external threads spread round-robin over the workers'.
+    // Idle siblings steal either way.
+    std::size_t q = own_queue();
+    if (q == kNoQueue) q = next_queue_++ % threads_.size();
     queues_[q].push_back(std::move(fn));
   }
   cv_.notify_one();
@@ -81,6 +120,34 @@ void ThreadPool::worker_main(std::size_t index) {
     if (stopping_) return;  // every deque drained
     cv_.wait(lock);
   }
+}
+
+void ThreadPool::run_until(const std::atomic<bool>& done) {
+  if (!is_member()) {
+    throw std::logic_error("ThreadPool::run_until: caller is not the member");
+  }
+  const std::size_t self = queues_.size() - 1;
+  std::unique_lock lock(mutex_);
+  // The flag is checked first: once the caller's condition holds it stops
+  // helping, and whatever is still queued is the workers' to finish.
+  while (!done.load(std::memory_order_acquire)) {
+    std::function<void()> fn;
+    if (try_pop(self, fn)) {
+      lock.unlock();
+      fn();
+      fn = nullptr;  // release captures before re-locking
+      lock.lock();
+      continue;
+    }
+    cv_.wait(lock);
+  }
+}
+
+void ThreadPool::wake() {
+  // Taking the lock orders this after a member's flag check: it is either
+  // already waiting (and notified) or will see the flag set.
+  { std::lock_guard lock(mutex_); }
+  cv_.notify_all();
 }
 
 void ThreadPool::parallel_for(

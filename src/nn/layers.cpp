@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <vector>
 
+#include "exec/context.hpp"
+#include "exec/grain.hpp"
 #include "tensor/kernels/kernels.hpp"
 
 namespace spdkfac::nn {
@@ -20,17 +23,26 @@ void reshape(Matrix& m, std::size_t rows, std::size_t cols) {
   if (m.rows() != rows || m.cols() != cols) m = Matrix(rows, cols);
 }
 
-/// c = a^T b (a and b share their row count) in one gemm_tn call on the
-/// calling thread; bitwise equal to tensor::matmul_tn.  The passes run
-/// with no ambient pool, where matmul_tn would still cut c into 4-row
-/// chunks that each stream all of b (a whole batch of patch rows) again.
+/// c = a^T b (a and b share their row count), split by rows of c on the
+/// ambient pool.  Every chunk streams all of b (a whole batch of rows), so
+/// c splits in two halves of whole 4-row tiles rather than matmul_tn's
+/// many small chunks: a second compute thread can take one half, and b is
+/// read twice instead of once per chunk.  Each element accumulates k
+/// ascending inside one gemm_tn call, so the bits do not depend on the
+/// split or the pool.
 void weight_gradient(const Matrix& a, const Matrix& b, Matrix& c) {
   reshape(c, a.cols(), b.cols());
-  c.set_zero();
-  if (a.rows() == 0) return;
-  kernels::active_table().gemm_tn(a.cols(), a.rows(), b.cols(), a.row_ptr(0),
-                                  a.cols(), b.row_ptr(0), b.cols(),
-                                  c.row_ptr(0), c.cols());
+  if (a.rows() == 0) {
+    c.set_zero();
+    return;
+  }
+  const std::size_t half = ((c.rows() + 1) / 2 + 3) / 4 * 4;
+  const auto& kt = kernels::active_table();
+  exec::parallel_for(c.rows(), half, [&](std::size_t i0, std::size_t i1) {
+    std::fill(c.row_ptr(i0), c.row_ptr(i0) + (i1 - i0) * c.cols(), 0.0);
+    kt.gemm_tn(i1 - i0, a.rows(), b.cols(), a.row_ptr(0) + i0, a.cols(),
+               b.row_ptr(0), b.cols(), c.row_ptr(i0), c.cols());
+  });
 }
 
 /// A half-open index range [lo, hi).
@@ -194,20 +206,28 @@ Tensor4D Conv2d::forward(const Tensor4D& input) {
   // Per sample: im2col its rows, then rows * W^T (oh*ow x cout) while
   // they are still in cache, transposed into the sample's NCHW block.  The
   // bits equal one whole-batch patches * W^T; keeping the small W as the
-  // streamed operand beats W * patches^T on these shapes.
+  // streamed operand beats W * patches^T on these shapes.  Samples are
+  // independent, so chunks of them run on the ambient pool, each with its
+  // own product buffer.  Chunk bounds depend only on the shape, and each
+  // sample's outputs are written by its own chunk alone, so the bits do
+  // not depend on the pool.
   reshape(patches_, n * positions, da);
-  reshape(output_rows_, positions, out_channels_);
   Tensor4D out(n, out_channels_, oh, ow);
   const auto& kt = kernels::active_table();
-  for (std::size_t ni = 0; ni < n; ++ni) {
-    double* rows = patches_.row_ptr(ni * positions);
-    im2col(input.sample(ni).data(), h, w, rows);
-    output_rows_.set_zero();
-    kt.gemm_nt(positions, da, out_channels_, rows, da, weight_.row_ptr(0), da,
-               output_rows_.row_ptr(0), out_channels_);
-    kt.transpose(output_rows_.row_ptr(0), positions, out_channels_,
-                 out_channels_, out.sample(ni).data(), positions);
-  }
+  const std::size_t ops = positions * da * out_channels_;
+  exec::parallel_for(n, exec::grain_for_ops(ops), [&](std::size_t n0,
+                                                      std::size_t n1) {
+    std::vector<double> product(positions * out_channels_);
+    for (std::size_t ni = n0; ni < n1; ++ni) {
+      double* rows = patches_.row_ptr(ni * positions);
+      im2col(input.sample(ni).data(), h, w, rows);
+      std::fill(product.begin(), product.end(), 0.0);
+      kt.gemm_nt(positions, da, out_channels_, rows, da, weight_.row_ptr(0),
+                 da, product.data(), out_channels_);
+      kt.transpose(product.data(), positions, out_channels_, out_channels_,
+                   out.sample(ni).data(), positions);
+    }
+  });
   return out;
 }
 
@@ -259,47 +279,56 @@ Tensor4D Conv2d::backward(const Tensor4D& grad_output) {
   // Each sample's NCHW block (cout x oh*ow) transposes into its rows.
   const auto& kt = kernels::active_table();
   reshape(output_grad_rows_, n * positions, out_channels_);
-  for (std::size_t ni = 0; ni < n; ++ni) {
-    kt.transpose(grad_output.sample(ni).data(), out_channels_, positions,
-                 positions, output_grad_rows_.row_ptr(ni * positions),
-                 out_channels_);
-  }
+  exec::parallel_for(n, exec::grain_for_ops(positions * out_channels_),
+                     [&](std::size_t n0, std::size_t n1) {
+    for (std::size_t ni = n0; ni < n1; ++ni) {
+      kt.transpose(grad_output.sample(ni).data(), out_channels_, positions,
+                   positions, output_grad_rows_.row_ptr(ni * positions),
+                   out_channels_);
+    }
+  });
   weight_gradient(output_grad_rows_, patches_, weight_grad_);
 
-  // col2im, one sample at a time: dPatches = dY * W (bias column dropped),
-  // then scattered back onto the input grid in output-position order.
+  // col2im per sample: dPatches = dY * W (bias column dropped), then
+  // scattered back onto the sample's input grid in output-position order.
+  // Chunks of samples run on the ambient pool, each with its own patches.
   const std::size_t taps = in_channels_ * kernel_ * kernel_;
-  reshape(grad_patches_, positions, taps);
   Tensor4D grad_in(n, in_channels_, h, w);
-  for (std::size_t ni = 0; ni < n; ++ni) {
-    grad_patches_.set_zero();
-    kt.gemm_nn(positions, out_channels_, taps,
-               output_grad_rows_.row_ptr(ni * positions), out_channels_,
-               weight_.row_ptr(0), dim_a(), grad_patches_.row_ptr(0), taps);
-    double* sample = grad_in.sample(ni).data();
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy * stride_) -
-                                 static_cast<std::ptrdiff_t>(padding_);
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::ptrdiff_t ix0 =
-            static_cast<std::ptrdiff_t>(ox * stride_) -
-            static_cast<std::ptrdiff_t>(padding_);
-        const Span kx = taps_inside(ix0, kernel_, w);
-        const double* src = grad_patches_.row_ptr(oy * ow + ox);
-        for (std::size_t ci = 0; ci < in_channels_; ++ci) {
-          double* plane = sample + ci * h * w;
-          for (std::size_t ky = 0; ky < kernel_; ++ky, src += kernel_) {
-            const std::ptrdiff_t iy = iy0 + static_cast<std::ptrdiff_t>(ky);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            double* row = plane + static_cast<std::size_t>(iy) * w;
-            for (std::size_t t = kx.lo; t < kx.hi; ++t) {
-              row[static_cast<std::size_t>(ix0) + t] += src[t];
+  const std::size_t ops = positions * out_channels_ * taps;
+  exec::parallel_for(n, exec::grain_for_ops(ops), [&](std::size_t n0,
+                                                      std::size_t n1) {
+    std::vector<double> grad_patches(positions * taps);
+    for (std::size_t ni = n0; ni < n1; ++ni) {
+      std::fill(grad_patches.begin(), grad_patches.end(), 0.0);
+      kt.gemm_nn(positions, out_channels_, taps,
+                 output_grad_rows_.row_ptr(ni * positions), out_channels_,
+                 weight_.row_ptr(0), dim_a(), grad_patches.data(), taps);
+      double* sample = grad_in.sample(ni).data();
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy * stride_) -
+                                   static_cast<std::ptrdiff_t>(padding_);
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          const std::ptrdiff_t ix0 =
+              static_cast<std::ptrdiff_t>(ox * stride_) -
+              static_cast<std::ptrdiff_t>(padding_);
+          const Span kx = taps_inside(ix0, kernel_, w);
+          const double* src = grad_patches.data() + (oy * ow + ox) * taps;
+          for (std::size_t ci = 0; ci < in_channels_; ++ci) {
+            double* plane = sample + ci * h * w;
+            for (std::size_t ky = 0; ky < kernel_; ++ky, src += kernel_) {
+              const std::ptrdiff_t iy =
+                  iy0 + static_cast<std::ptrdiff_t>(ky);
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+              double* row = plane + static_cast<std::size_t>(iy) * w;
+              for (std::size_t t = kx.lo; t < kx.hi; ++t) {
+                row[static_cast<std::size_t>(ix0) + t] += src[t];
+              }
             }
           }
         }
       }
     }
-  }
+  });
   return grad_in;
 }
 

@@ -103,8 +103,9 @@ class Linear final : public PreconditionedLayer {
 };
 
 /// 2D convolution implemented via im2col; weights (cout, cin*kh*kw [+1]).
-/// Forward and backward run their GEMMs one sample at a time through
-/// small scratch matrices the layer keeps, next to its K-FAC buffers.
+/// Forward and backward run their GEMMs one sample at a time, in chunks of
+/// samples split across the ambient exec pool (exec::Context), each chunk
+/// with its own scratch; the results are bitwise the same on every pool.
 /// The constructor rejects kernel or stride 0, and forward() a padded
 /// input smaller than the kernel (std::invalid_argument).
 class Conv2d final : public PreconditionedLayer {
@@ -149,9 +150,6 @@ class Conv2d final : public PreconditionedLayer {
   tensor::Matrix weight_grad_;
   tensor::Matrix patches_;           // (n*oh*ow, dim_a)
   tensor::Matrix output_grad_rows_;  // (n*oh*ow, cout)
-  tensor::Matrix output_rows_;       // (oh*ow, cout): one sample's output
-  tensor::Matrix grad_patches_;      // (oh*ow, cin*kh*kw): one sample's
-                                     // input-gradient patches
   // Shapes of the last forward, needed to fold gradients back (col2im).
   std::size_t last_n_ = 0, last_h_ = 0, last_w_ = 0;
 };

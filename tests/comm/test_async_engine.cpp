@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "comm/cluster.hpp"
+#include "exec/thread_pool.hpp"
 #include "testsupport/backends.hpp"
 
 namespace spdkfac::comm {
@@ -116,6 +117,36 @@ TEST(AsyncEngine, OverlapsCallerComputation) {
     handle.wait();
     EXPECT_EQ(data[0], 2.0);
   });
+}
+
+TEST(AsyncEngine, OpBlockedOnPeerLeavesComputePoolFree) {
+  // A collective waits for its peers on the engine's own pump thread,
+  // never on a compute thread: while rank 0's all-reduce waits for rank 1,
+  // a 1-worker compute pool on rank 0 still runs a task.
+  std::atomic<bool> ran_while_blocked{false}, go{false};
+  Cluster::launch(2, [&](Communicator& comm) {
+    AsyncCommEngine engine(comm);
+    std::vector<double> data(4, 1.0);
+    if (comm.rank() == 0) {
+      exec::ThreadPool pool(1);
+      const CommHandle handle = engine.all_reduce_async(data, ReduceOp::kSum);
+      std::atomic<bool> ran{false};
+      pool.submit([&ran] { ran = true; });
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!ran.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      ran_while_blocked = ran.load() && !handle.done();
+      go = true;
+      handle.wait();
+    } else {
+      while (!go.load()) std::this_thread::yield();
+      engine.all_reduce_async(data, ReduceOp::kSum).wait();
+    }
+    EXPECT_EQ(data[0], 2.0);
+  });
+  EXPECT_TRUE(ran_while_blocked.load());
 }
 
 TEST(AsyncEngine, DestructorJoinsCleanly) {

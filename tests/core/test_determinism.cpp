@@ -1,10 +1,12 @@
 // Determinism under concurrency — the safety net of the dataflow refactor:
 // with a fixed planning profile (reproducible schedules), the same seeds
 // must yield *bitwise-identical* parameters after N steps for every
-// executor configuration: serial (pool_size 0) and pools of 1, 2 and 4
-// workers, hooked and post-hoc.  Everything that moved onto the pool —
-// blocked GEMM/Cholesky loops, concurrent factor builds, racing inverse
-// tasks, out-of-order collective completions — must be invisible to the
+// executor configuration: pool_size 0, 1, 2 and 4 compute threads per rank
+// (0 and 1 are the serial executor; 2 and 4 spawn 1 and 3 workers and make
+// the rank thread the pool's member), hooked and post-hoc.  Everything that
+// moved onto the pool — blocked GEMM/Cholesky loops, concurrent factor
+// builds, racing inverse tasks, out-of-order collective completions, the
+// rank thread running plan tasks inside step() — must be invisible to the
 // numerics.  Runs under TSan in CI, where any ordering the executor fails
 // to enforce also surfaces as a data race.
 #include <gtest/gtest.h>

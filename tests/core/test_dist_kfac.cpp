@@ -13,7 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+
 #include "comm/cluster.hpp"
+#include "exec/context.hpp"
 #include "nn/data.hpp"
 #include "testsupport/linalg_reference.hpp"
 #include "testsupport/matrix_helpers.hpp"
@@ -288,6 +294,71 @@ TEST(DistKfac, TrainingReducesLossAcrossWorkers) {
 TEST(DistKfac, RejectsEmptyLayerList) {
   comm::Cluster::launch(1, [](comm::Communicator& comm) {
     EXPECT_THROW(DistKfacOptimizer({}, comm), std::invalid_argument);
+  });
+}
+
+TEST(DistKfac, NonSpdFactorThrowsOnEveryRankAtEveryPoolSize) {
+  // One NaN input element on rank 0 reaches both ranks through D-KFAC's
+  // factor all-reduce, so every rank's damped Cholesky finds a factor that
+  // is not positive definite.  Whichever thread runs that plan task (the
+  // rank thread, the pump's completion path, a worker), step() rethrows the
+  // domain_error on the calling thread instead of terminating the process,
+  // and the optimizer then refuses further steps.
+  for (const std::size_t pool : {0u, 1u, 2u, 4u}) {
+    std::atomic<int> domain_errors{0};
+    comm::Cluster::launch(2, [&](comm::Communicator& comm) {
+      nn::Sequential model = make_model();
+      auto layers = model.preconditioned_layers();
+      DistKfacOptions opts;
+      opts.strategy = DistStrategy::kDKfac;
+      opts.pool_size = pool;
+      DistKfacOptimizer optimizer(layers, comm, opts);
+      nn::SyntheticClassification data(kClasses, kIn, 1, kDataSeed);
+      Rng shard(1000 + comm.rank());
+      auto b = data.sample(8, shard);
+      Tensor4D flat(b.inputs.n, kIn, 1, 1);
+      flat.data = b.inputs.data;
+      if (comm.rank() == 0) {
+        flat.data[3] = std::numeric_limits<double>::quiet_NaN();
+      }
+      nn::SoftmaxCrossEntropy loss;
+      loss.forward(model.forward(flat), b.labels);
+      model.backward(loss.backward());
+      try {
+        optimizer.step();
+      } catch (const std::domain_error&) {
+        domain_errors.fetch_add(1);
+      }
+      EXPECT_TRUE(optimizer.failed()) << "pool " << pool;
+      EXPECT_THROW(optimizer.step(), std::logic_error) << "pool " << pool;
+    });
+    EXPECT_EQ(domain_errors.load(), 2) << "pool " << pool;
+  }
+}
+
+TEST(DistKfac, ConstructingThreadJoinsThePoolForTheOptimizersLifetime) {
+  // With pool_size >= 2 the constructing thread is the pool's member, so
+  // its passes resolve to the pool; destroying the optimizer restores what
+  // the thread resolved to before — here another pool it is a member of.
+  comm::Cluster::launch(2, [](comm::Communicator& comm) {
+    nn::Sequential model = make_model();
+    auto layers = model.preconditioned_layers();
+    exec::ThreadPool outer(1);
+    const exec::ThreadPool::Member outer_member(outer);
+    for (const std::size_t pool : {0u, 1u, 2u, 4u}) {
+      DistKfacOptions opts;
+      opts.pool_size = pool;
+      {
+        DistKfacOptimizer optimizer(layers, comm, opts);
+        if (pool >= 2) {
+          EXPECT_NE(exec::Context::current_pool(), &outer);
+          EXPECT_NE(exec::Context::current_pool(), nullptr);
+        } else {
+          EXPECT_EQ(exec::Context::current_pool(), &outer);
+        }
+      }
+      EXPECT_EQ(exec::Context::current_pool(), &outer) << "pool " << pool;
+    }
   });
 }
 

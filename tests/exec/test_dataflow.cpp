@@ -1,14 +1,18 @@
 // DataflowExecutor coverage: dependency release, external gates, the
 // ordered submission lane under adversarial completion order, inline
-// (pool-less) execution, graph reuse and validation.
+// (pool-less) execution, the member thread's wait, failing nodes, graph
+// reuse and validation.
 #include "exec/dataflow.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -192,6 +196,73 @@ TEST(Dataflow, WideFanOutRetiresEverything) {
   ex.wait();
   EXPECT_EQ(children.load(), 64);
   EXPECT_EQ(trace.get(), (std::vector<std::string>{"root", "join"}));
+}
+
+TEST(Dataflow, MemberRunsQueuedTasksWhileWaiting) {
+  // The member is one of the pool's compute threads: with the only worker
+  // held busy, wait() on the member must run the graph itself.
+  ThreadPool pool(1);
+  const ThreadPool::Member member(pool);
+  std::atomic<bool> worker_busy{false}, release{false};
+  pool.submit([&] {
+    worker_busy = true;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  while (!worker_busy.load()) std::this_thread::yield();
+
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  std::vector<Node> nodes(3);
+  for (int i = 0; i < 3; ++i) {
+    nodes[i].kind = NodeKind::kCompute;
+    if (i > 0) nodes[i].deps = {i - 1};
+    nodes[i].work = [&] {
+      std::lock_guard lock(mu);
+      ran_on.push_back(std::this_thread::get_id());
+    };
+  }
+  DataflowExecutor ex;
+  ex.begin(std::move(nodes), {}, &pool);
+  ex.wait();
+  release = true;
+  EXPECT_TRUE(ex.idle());
+  ASSERT_EQ(ran_on.size(), 3u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(Dataflow, ThrowingComputeNodeAbortsTheGraph) {
+  // Inline, on the workers, or on the member: a compute node's exception
+  // poisons the graph, its successors never run, wait() rethrows it on the
+  // waiting thread, and the executor stays reusable.
+  enum class Mode { kInline, kPooled, kMember };
+  for (const Mode mode : {Mode::kInline, Mode::kPooled, Mode::kMember}) {
+    ThreadPool pool(2);
+    std::optional<ThreadPool::Member> member;
+    if (mode == Mode::kMember) member.emplace(pool);
+    ThreadPool* p = mode == Mode::kInline ? nullptr : &pool;
+    Trace trace;
+    std::vector<Node> nodes;
+    nodes.push_back(compute(trace, "a", {}));
+    nodes[0].work = [] { throw std::domain_error("not positive definite"); };
+    nodes.push_back(compute(trace, "b", {0}));
+    DataflowExecutor ex;
+    ex.begin(std::move(nodes), {}, p);
+    EXPECT_THROW(ex.wait(), std::domain_error);
+    EXPECT_TRUE(ex.idle());
+    EXPECT_TRUE(trace.get().empty());
+
+    std::vector<Node> next;
+    next.push_back(compute(trace, "c", {}));
+    ex.begin(std::move(next), {}, p);
+    ex.wait();
+    EXPECT_EQ(trace.get(), (std::vector<std::string>{"c"}));
+  }
 }
 
 TEST(Dataflow, ObserverReportsEveryComputeNodeWithItsDuration) {

@@ -1,14 +1,18 @@
 // Work-stealing pool and ambient-context coverage: submission/stealing,
 // the parallel_for chunking contract (bitwise determinism across pool
-// sizes, nesting, caller participation), and Context resolution.
+// sizes, nesting, caller participation), the member thread, and Context
+// resolution.
 #include "exec/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -126,6 +130,57 @@ TEST(Context, ResolvesOverrideThenWorkerThenSerial) {
   pool.submit([&seen] { seen.store(Context::current_pool()); });
   while (seen.load() == nullptr) std::this_thread::yield();
   EXPECT_EQ(seen.load(), &pool);
+
+  // A member thread resolves to its pool as well, an override still wins
+  // over it, and leaving restores what the thread resolved to before —
+  // also when memberships end out of order.
+  ThreadPool other(1);
+  {
+    std::optional<ThreadPool::Member> outer(std::in_place, other);
+    std::optional<ThreadPool::Member> inner(std::in_place, pool);
+    EXPECT_EQ(Context::current_pool(), &pool);
+    EXPECT_TRUE(pool.is_member());
+    EXPECT_FALSE(other.is_member());
+    EXPECT_THROW(ThreadPool::Member again(pool), std::logic_error);
+    {
+      Context serial(nullptr);
+      EXPECT_EQ(Context::current_pool(), nullptr);
+    }
+    inner.reset();
+    EXPECT_EQ(Context::current_pool(), &other);
+    inner.emplace(pool);
+    outer.reset();  // the shadowed membership ends first
+    EXPECT_EQ(Context::current_pool(), &pool);
+    inner.reset();
+  }
+  EXPECT_EQ(Context::current_pool(), nullptr);
+  EXPECT_FALSE(pool.is_member());
+}
+
+TEST(ThreadPool, MemberParallelForUsesTheWorkers) {
+  // Two chunks that each wait for the other to start finish only if a
+  // worker runs one while the member runs the other.
+  ThreadPool pool(1);
+  const ThreadPool::Member member(pool);
+  std::atomic<int> started{0};
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  pool.parallel_for(2, 1, [&](std::size_t, std::size_t) {
+    {
+      std::lock_guard lock(mu);
+      ran_on.push_back(std::this_thread::get_id());
+    }
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_TRUE(ran_on[0] == std::this_thread::get_id() ||
+              ran_on[1] == std::this_thread::get_id());
 }
 
 TEST(Context, FreeParallelForRunsSeriallyWithoutPool) {

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/context.hpp"
+#include "exec/thread_pool.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "testsupport/matrix_helpers.hpp"
 
@@ -634,6 +636,38 @@ TEST_P(LayerOracle, MaxPoolMatchesLoopReference) {
     MaxPool2d pool;
     expect_same_pass(run_pass(pool, x, dy), maxpool_reference(x, dy),
                      describe("maxpool n", {n}));
+  }
+}
+
+TEST_P(LayerOracle, Conv2dPassesBitwiseEqualOnEveryPool) {
+  // The bench CNN's two convolutions.  Chunks of samples, and the weight
+  // gradient's rows, split across whichever pool is ambient (here, as in
+  // the runtime, the pool the calling thread is a member of); the bits must
+  // be those of the serial pass.
+  struct Shape {
+    std::size_t cin, cout, hw;
+  };
+  const Shape shapes[] = {{3, 16, 16}, {16, 32, 8}};
+  Rng rng(51);
+  for (const Shape& s : shapes) {
+    for (const std::size_t n : {1u, 5u, 33u}) {
+      Conv2d conv("c", s.cin, s.cout, 3, 1, 1, /*bias=*/true, rng);
+      const Tensor4D x = random_tensor(n, s.cin, s.hw, s.hw, rng);
+      const Tensor4D dy = random_tensor(n, s.cout, s.hw, s.hw, rng);
+      PassResult serial;
+      {
+        const exec::Context forced_serial(nullptr);
+        serial = run_pass(conv, x, dy);
+      }
+      for (const std::size_t workers : {1u, 2u, 4u}) {
+        exec::ThreadPool pool(workers);
+        const exec::ThreadPool::Member member(pool);
+        ASSERT_EQ(exec::Context::current_pool(), &pool);
+        expect_same_pass(run_pass(conv, x, dy), serial,
+                         describe("conv cin/cout/n/workers",
+                                  {s.cin, s.cout, n, workers}));
+      }
+    }
   }
 }
 
