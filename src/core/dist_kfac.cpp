@@ -36,6 +36,9 @@ void DistKfacOptions::validate() const {
         "DistKfacOptions: grad_fusion_threshold is a negative value cast to "
         "unsigned");
   }
+  if (pool_size == 0) {
+    throw std::invalid_argument("DistKfacOptions: pool_size must be >= 1");
+  }
   if (pool_size > 4096) {
     throw std::invalid_argument(
         "DistKfacOptions: pool_size is absurdly large (negative value cast "
@@ -49,11 +52,6 @@ void DistKfacOptions::validate() const {
     throw std::invalid_argument(
         "DistKfacOptions: replan_interval is a negative value cast to "
         "unsigned");
-  }
-  if (!(profile_ema > 0.0) || !(profile_ema <= 1.0) ||
-      !std::isfinite(profile_ema)) {
-    throw std::invalid_argument(
-        "DistKfacOptions: profile_ema must be in (0, 1]");
   }
   if (comm_timeout_s < 0.0 || !std::isfinite(comm_timeout_s)) {
     throw std::invalid_argument(
@@ -148,6 +146,9 @@ DistKfacOptions with_tunable(const DistKfacOptions& options,
 
 namespace {
 
+/// EMA weight of a new sample in the online profiler.
+constexpr double kProfileEma = 0.5;
+
 /// Validates before the constructor spawns any pool thread.
 DistKfacOptions validated(DistKfacOptions options) {
   options.validate();
@@ -171,18 +172,13 @@ DistKfacOptimizer::DistKfacOptimizer(
       selector_(comm.topology()),
       costs_{options_.allreduce_model, options_.broadcast_model,
              options_.inverse_model, selector_},
-      profiler_(std::max<std::size_t>(layers_.size(), 1),
-                options_.profile_ema),
-      pool_(options_.pool_size > 1
-                ? std::make_unique<exec::ThreadPool>(options_.pool_size - 1)
-                : nullptr),
+      profiler_(std::max<std::size_t>(layers_.size(), 1), kProfileEma),
+      pool_(options_.pool_size - 1),
+      member_(pool_),
       engine_(comm) {
   if (layers_.empty()) {
     throw std::invalid_argument("DistKfacOptimizer: no preconditioned layers");
   }
-  // The constructing thread is the pool's last compute thread: its passes
-  // split across the workers, and step() works while it waits.
-  if (pool_ != nullptr) member_.emplace(*pool_);
   if (options_.comm_timeout_s > 0.0) {
     // Arm the transport's failure detection; 0 leaves whatever the
     // launcher configured (possibly already armed) untouched.
@@ -240,15 +236,10 @@ DistKfacOptimizer::DistKfacOptimizer(
     }
     profiler_.record_collective(rec.elements, rec.duration_s());
     const int id = rec.plan_task;
-    if (pool_ != nullptr) {
-      pool_->submit([this, id] {
-        postprocess_collective(id);
-        executor_.complete(id);
-      });
-    } else {
+    pool_.submit([this, id] {
       postprocess_collective(id);
       executor_.complete(id);
-    }
+    });
   });
 }
 
@@ -502,7 +493,7 @@ void DistKfacOptimizer::begin_step() {
   if (options_.grad_codec == comm::Codec::kTopK) ensure_grad_residuals();
 
   backward_events_ = 0;
-  executor_.begin(build_nodes(), plan_->collective_order(), pool_.get());
+  executor_.begin(build_nodes(), plan_->collective_order(), pool_);
 }
 
 // ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include <chrono>
@@ -108,9 +107,9 @@ struct DistKfacOptions : KfacOptions, sched::PlanShape {
   /// workers and step() runs plan tasks while it waits.  The plan's compute
   /// tasks, the collectives' post-processing and the kernels' inner loops
   /// share these threads; the comm engine pumps on a thread of its own.
-  /// 0 and 1 select the serial executor: plan tasks run inline at their
-  /// trigger points (the pre-dataflow behavior).  Results are bitwise
-  /// identical for every value (see tests/core/test_determinism.cpp).
+  /// Must be >= 1; at 1 the constructing thread runs every plan task.
+  /// Results are bitwise identical for every value (see
+  /// tests/core/test_determinism.cpp).
   std::size_t pool_size = 2;
 
   /// Cost models used for planning only (fusion rule, Algorithm 1, CT/NCT).
@@ -142,10 +141,6 @@ struct DistKfacOptions : KfacOptions, sched::PlanShape {
   /// unchanged timing — through the plan memo, at zero planning cost.
   std::size_t replan_interval = 1;
 
-  /// EMA weight of new samples in the online profiler, in (0, 1]; 1 keeps
-  /// only the latest measurement.
-  double profile_ema = 0.5;
-
   /// Transport backend the launcher builds the cluster on (the optimizer
   /// itself is transport-agnostic — it talks to whatever Communicator it
   /// is handed).  kInProcess runs ranks as threads; kSocket runs one
@@ -165,12 +160,12 @@ struct DistKfacOptions : KfacOptions, sched::PlanShape {
   double comm_timeout_s = 0.0;
 
   /// Throws std::invalid_argument on nonsensical settings: whatever
-  /// KfacOptions::validate() rejects (checked first), a
+  /// KfacOptions::validate() rejects (checked first), a pool_size of 0, a
   /// grad_fusion_threshold / pool_size / replan_interval that is a
-  /// negative value wrapped to unsigned, a profile_ema outside (0, 1], a
-  /// profile or trajectory entry containing negative/non-finite entries,
-  /// both `profile` and `profile_trajectory` set, a negative/non-finite
-  /// comm_timeout_s, a topk factor_codec, or a topk_ratio outside (0, 1].
+  /// negative value wrapped to unsigned, a profile or trajectory entry
+  /// containing negative/non-finite entries, both `profile` and
+  /// `profile_trajectory` set, a negative/non-finite comm_timeout_s, a
+  /// topk factor_codec, or a topk_ratio outside (0, 1].
   void validate() const;
 };
 
@@ -189,8 +184,8 @@ class DistKfacOptimizer {
   /// `layers` is this rank's model replica (weights must already be
   /// identical across ranks — use a shared initialization seed).  Throws
   /// std::invalid_argument on an empty layer list or invalid options.
-  /// With pool_size >= 2 the calling thread becomes the pool's member
-  /// until the optimizer is destroyed, which must happen on that thread.
+  /// The calling thread becomes the pool's member until the optimizer is
+  /// destroyed; step() and the destructor must run on that thread.
   DistKfacOptimizer(std::vector<nn::PreconditionedLayer*> layers,
                     comm::Communicator& comm, DistKfacOptions options = {});
 
@@ -540,8 +535,8 @@ class DistKfacOptimizer {
   // thread's ambient pool reverts), then the pool (runs that work, which
   // reports into the executor), then the executor.
   exec::DataflowExecutor executor_;
-  std::unique_ptr<exec::ThreadPool> pool_;  ///< null in serial mode
-  std::optional<exec::ThreadPool::Member> member_;  ///< with pool_
+  exec::ThreadPool pool_;  ///< pool_size - 1 workers
+  exec::ThreadPool::Member member_;  ///< the constructing thread
   comm::AsyncCommEngine engine_;
 };
 

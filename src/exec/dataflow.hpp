@@ -3,7 +3,7 @@
 // This is how a sched::IterationPlan becomes a real compute/communication
 // dataflow: core::DistKfacOptimizer translates the plan one task to one
 // node (same ids) and hands the graph here.  Compute nodes (factor builds,
-// damped inverses, the update) dispatch to the shared ThreadPool the moment
+// damped inverses, the update) dispatch to the rank's ThreadPool the moment
 // their predecessors retire; *submission* nodes model the plan's collectives
 // — their action enqueues an operation on the asynchronous comm engine, and
 // the node retires only when the caller reports the operation (plus any
@@ -39,7 +39,7 @@ namespace spdkfac::exec {
 class DataflowExecutor {
  public:
   enum class NodeKind {
-    kCompute,     ///< `work` runs on the pool (inline without one), retires itself
+    kCompute,     ///< `work` runs on a thread of the pool, retires itself
     kSubmission,  ///< `work` enqueues an async op; retired by complete()
     kNoop,        ///< placeholder (e.g. a peer rank's inverse); retires instantly
   };
@@ -61,9 +61,8 @@ class DataflowExecutor {
   /// after its `work` returned, with the node id and the wall-clock seconds
   /// the work took.  This is the execution layer's profiling tap — the
   /// online profiler hangs off it to learn real per-task timings without
-  /// the node bodies timing themselves.  Runs on whatever thread ran the
-  /// work (a pool worker, the pool's member inside wait(), or the
-  /// releasing thread in inline mode), so it must be thread-safe for
+  /// the node bodies timing themselves.  Runs on the pool thread that ran
+  /// the work (a worker, or the member), so it must be thread-safe for
   /// concurrent *distinct* nodes and must not block or call back into the
   /// executor.
   using TaskObserver = std::function<void(int id, double seconds)>;
@@ -78,9 +77,11 @@ class DataflowExecutor {
   /// Installs a new graph and starts every dependency-free node.  `lane`
   /// lists the kSubmission node indices in mandatory submission order (it
   /// must contain exactly the submission nodes).  Requires the previous
-  /// graph to have fully retired (throws std::logic_error otherwise); pool
-  /// may be nullptr for inline (serial) execution.
-  void begin(std::vector<Node> nodes, std::vector<int> lane, ThreadPool* pool);
+  /// graph to have fully retired (throws std::logic_error otherwise).
+  /// Compute nodes run on `pool`, which must outlive the graph; in a
+  /// workerless pool they all run on its member, inline when the member
+  /// releases them and inside wait() when another thread does.
+  void begin(std::vector<Node> nodes, std::vector<int> lane, ThreadPool& pool);
 
   /// Releases one external gate of `id`.
   void satisfy(int id);
@@ -94,8 +95,9 @@ class DataflowExecutor {
   /// and rethrows `error` (once).  How a dead rank tears down a schedule
   /// mid-iteration without deadlocking on nodes whose collectives will
   /// never complete.  satisfy()/complete() on a poisoned graph are no-ops,
-  /// so late engine-completion callbacks are harmless.  The executor is
-  /// reusable after wait() returns; begin() clears the poison.
+  /// so late engine-completion callbacks are harmless; so is abort() with
+  /// no graph in flight.  The executor is reusable after wait() returns;
+  /// begin() clears the poison.
   void abort(std::exception_ptr error);
 
   /// Blocks until every node of the current graph retired, or — after
@@ -117,15 +119,16 @@ class DataflowExecutor {
     bool retired = false;
   };
 
-  /// Decrements `id`'s remaining count; on zero, dispatches per kind.
-  /// Inline compute work collected into `inline_runs` (executed by the
-  /// caller outside the lock).
-  void release_locked(int id, std::vector<int>& inline_runs);
-  void retire_locked(int id, std::vector<int>& inline_runs);
+  /// Dispatches a node whose deps all retired, per kind: a compute node
+  /// goes to the pool (via ready_ in a workerless one), a submission to
+  /// the lane, a noop retires.
+  void release_locked(int id);
+  void retire_locked(int id);
   void advance_lane_locked();
-  void run_inline(std::vector<int>& inline_runs);
-  /// Runs a compute node's work, timing it for the observer; an exception
-  /// it throws aborts the graph.
+  /// Unlocks, then submits the compute nodes waiting in ready_.
+  void dispatch(std::unique_lock<std::mutex>& lock);
+  /// The pool task of a compute node: runs its work, timing it for the
+  /// observer (an exception it throws aborts the graph), then retires it.
   void run_compute(int id);
   /// Publishes settled_ (and wakes every waiter) once the graph retired,
   /// or was poisoned with no pool work in flight.
@@ -134,7 +137,7 @@ class DataflowExecutor {
   mutable std::mutex mutex_;
   std::condition_variable done_cv_;
   TaskObserver observer_;  ///< read outside the lock; set only when idle
-  ThreadPool* pool_ = nullptr;
+  ThreadPool* pool_ = nullptr;  ///< the pool of the last begin()
   std::vector<Node> nodes_;
   std::vector<NodeState> states_;
   std::vector<std::vector<int>> successors_;
@@ -143,7 +146,8 @@ class DataflowExecutor {
   std::size_t retired_ = 0;
   bool poisoned_ = false;        ///< abort() called for this graph
   std::exception_ptr error_;     ///< rethrown by the first wait() after abort
-  std::size_t inflight_ = 0;     ///< pool compute tasks dispatched, unretired
+  std::size_t inflight_ = 0;     ///< compute nodes released, unretired
+  std::vector<int> ready_;       ///< released, awaiting a workerless pool
   /// wait()'s condition, readable without the lock (the member's
   /// run_until flag); written under it.
   std::atomic<bool> settled_{true};

@@ -68,20 +68,35 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& t : threads_) t.join();
+  // Workers drain every deque before they exit; without workers, what was
+  // queued for the member after it left is still here.
+  const std::size_t member = queues_.size() - 1;
+  std::unique_lock lock(mutex_);
+  std::function<void()> fn;
+  while (try_pop(member, fn)) {
+    lock.unlock();
+    fn();
+    fn = nullptr;  // release captures before re-locking
+    lock.lock();
+  }
 }
 
 void ThreadPool::submit(std::function<void()> fn) {
-  if (threads_.empty()) {  // workerless pool: degenerate inline executor
-    fn();
+  std::size_t q = own_queue();
+  if (threads_.empty() && q != kNoQueue) {
+    fn();  // the member is the pool's only thread
     return;
   }
   {
     std::lock_guard lock(mutex_);
     // Workers and the member push to their own deque (popped LIFO for
-    // locality); external threads spread round-robin over the workers'.
-    // Idle siblings steal either way.
-    std::size_t q = own_queue();
-    if (q == kNoQueue) q = next_queue_++ % threads_.size();
+    // locality); external threads spread round-robin over the workers',
+    // or wait for the member of a workerless pool.  Idle siblings steal
+    // either way.
+    if (q == kNoQueue) {
+      q = threads_.empty() ? queues_.size() - 1
+                           : next_queue_++ % threads_.size();
+    }
     queues_[q].push_back(std::move(fn));
   }
   cv_.notify_one();

@@ -12,7 +12,8 @@
 // a scope (ThreadPool::Member).  The member has its own deque; its
 // parallel_for calls split across the workers, and while it waits for a
 // graph it runs queued tasks (run_until).  A rank so computes on exactly
-// `workers() + 1` threads.
+// `workers() + 1` threads, and a task always runs on one of them: with no
+// workers, the member is the pool's only thread.
 //
 // Scheduling is work-stealing: each worker (and the member) owns a deque
 // and pops its own work LIFO (locality), stealing FIFO from a sibling when
@@ -41,12 +42,13 @@ namespace spdkfac::exec {
 
 class ThreadPool {
  public:
-  /// Spawns `workers` threads (0 is allowed: submit() then runs tasks
-  /// inline, parallel_for runs serially — the "serial executor").
+  /// Spawns `workers` threads.  0 is allowed: the member is then the
+  /// pool's only compute thread, and parallel_for runs serially.
   explicit ThreadPool(std::size_t workers);
 
   /// Finishes every queued task, then joins the workers.  The member, if
-  /// any, must have left first.
+  /// any, must have left first; tasks still queued for it in a workerless
+  /// pool run on the destroying thread.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -75,8 +77,13 @@ class ThreadPool {
     Member* prev_;  ///< the membership this one shadows on the same thread
   };
 
-  /// Enqueues `fn`.  Runs inline when the pool has no workers.  Tasks must
-  /// not throw (the pool terminates on escaped exceptions, like a thread).
+  /// Runs `fn` on a thread of the pool, a worker or the member.  Workers
+  /// and the member queue on their own deque, other threads on a worker's;
+  /// in a workerless pool the member runs its own submits inline, and
+  /// every other thread's queue for the member (run inside run_until()).
+  /// So a caller that may be the only thread must not hold a lock `fn`
+  /// takes.  Tasks must not throw (the pool terminates on escaped
+  /// exceptions, like a thread).
   void submit(std::function<void()> fn);
 
   /// Splits [0, n) into chunks of at most `grain` indices and runs

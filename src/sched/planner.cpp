@@ -69,15 +69,9 @@ FusionPolicy to_policy(FactorCommMode mode) noexcept {
 /// decisions from the *compressed* alpha + beta'*m of Eq. (14).  Fed raw
 /// element counts, the adjusted model prices alpha + beta*wire + codec
 /// compute exactly (the wire ratio is the codecs' asymptotic ratio).
-perf::AllReduceModel with_codec(perf::AllReduceModel base, comm::Codec codec,
-                                double topk_ratio) noexcept {
-  base.model.beta = base.model.beta * comm::wire_ratio(codec, topk_ratio) +
-                    comm::codec_cost_per_element(codec);
-  return base;
-}
-
-perf::BroadcastModel with_codec(perf::BroadcastModel base, comm::Codec codec,
-                                double topk_ratio) noexcept {
+template <typename CommModel>  // perf::AllReduceModel or BroadcastModel
+CommModel with_codec(CommModel base, comm::Codec codec,
+                     double topk_ratio) noexcept {
   base.model.beta = base.model.beta * comm::wire_ratio(codec, topk_ratio) +
                     comm::codec_cost_per_element(codec);
   return base;

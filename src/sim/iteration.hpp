@@ -48,8 +48,7 @@ struct AlgorithmConfig : sched::PlanShape {
   InverseMode inverse = InverseMode::kLocalAll;
   /// Concurrent compute workers per GPU — the simulator counterpart of the
   /// runtime's DistKfacOptions::pool_size, which counts the same compute
-  /// threads (the rank thread included; its 0 and 1 both mean this 1,
-  /// serial execution).  1 reproduces the classic
+  /// threads (the rank thread included).  1 reproduces the classic
   /// single-stream pricing (factor builds serialize with the passes);
   /// S > 1 adds S-1 auxiliary compute streams that factor-compute tasks
   /// round-robin onto (overlapping them with the next layer's kernel,

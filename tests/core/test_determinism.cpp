@@ -1,9 +1,9 @@
 // Determinism under concurrency — the safety net of the dataflow refactor:
 // with a fixed planning profile (reproducible schedules), the same seeds
 // must yield *bitwise-identical* parameters after N steps for every
-// executor configuration: pool_size 0, 1, 2 and 4 compute threads per rank
-// (0 and 1 are the serial executor; 2 and 4 spawn 1 and 3 workers and make
-// the rank thread the pool's member), hooked and post-hoc.  Everything that
+// executor configuration: pool_size 1, 2 and 4 compute threads per rank
+// (the pool spawns 0, 1 and 3 workers, and the rank thread is its member —
+// at 1 the only thread, running every plan task), hooked and post-hoc.  Everything that
 // moved onto the pool — blocked GEMM/Cholesky loops, concurrent factor
 // builds, racing inverse tasks, out-of-order collective completions, the
 // rank thread running plan tasks inside step() — must be invisible to the
@@ -42,7 +42,7 @@ constexpr int kSteps = 3;
 
 struct RunConfig {
   int world = 2;
-  std::size_t pool_size = 0;
+  std::size_t pool_size = 1;
   DistStrategy strategy = DistStrategy::kSpdKfac;
   bool hooked = true;
   int steps = kSteps;
@@ -187,10 +187,9 @@ class DeterminismSuite : public ::testing::TestWithParam<DistStrategy> {};
 TEST_P(DeterminismSuite, PoolSizesProduceBitwiseIdenticalModels) {
   RunConfig cfg;
   cfg.strategy = GetParam();
-  cfg.pool_size = 0;
+  cfg.pool_size = 1;
   const auto serial = train(cfg);
-  for (const std::size_t pool : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{4}}) {
+  for (const std::size_t pool : {std::size_t{2}, std::size_t{4}}) {
     cfg.pool_size = pool;
     expect_bitwise_equal(train(cfg), serial,
                          std::string(to_string(GetParam())) + " pool=" +
@@ -212,7 +211,7 @@ INSTANTIATE_TEST_SUITE_P(Strategies, DeterminismSuite,
 TEST(Determinism, HookedMatchesPostHocUnderEveryPoolSize) {
   // The two trigger paths release the same gates; with a fixed profile the
   // executed dataflow (and so the model) must be bitwise identical.
-  for (const std::size_t pool : {std::size_t{0}, std::size_t{4}}) {
+  for (const std::size_t pool : {std::size_t{1}, std::size_t{4}}) {
     RunConfig hooked{.world = 4, .pool_size = pool, .hooked = true};
     RunConfig posthoc{.world = 4, .pool_size = pool, .hooked = false};
     expect_bitwise_equal(train(hooked), train(posthoc),
@@ -237,10 +236,9 @@ TEST(Determinism, AdaptiveReplanningIsBitwiseIdenticalAcrossPoolSizes) {
   cfg.world = 2;
   cfg.adaptive = true;
   cfg.steps = 6;
-  cfg.pool_size = 0;
+  cfg.pool_size = 1;
   const auto serial = train(cfg);
-  for (const std::size_t pool : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{4}}) {
+  for (const std::size_t pool : {std::size_t{2}, std::size_t{4}}) {
     cfg.pool_size = pool;
     expect_bitwise_equal(train(cfg), serial,
                          "adaptive pool=" + std::to_string(pool));
@@ -288,10 +286,10 @@ TEST_P(DeterminismBackend, TrainingMatchesInProcessBitwise) {
 }
 
 TEST_P(DeterminismBackend, PoolSizesAgreeOverTheWire) {
-  // Serial executor vs a 2-worker pool, both on this backend: executor
+  // One compute thread vs two, both on this backend: executor
   // concurrency must stay invisible even when the collectives cross a
   // process boundary mid-step.
-  RunConfig cfg{.world = 4, .pool_size = 0};
+  RunConfig cfg{.world = 4, .pool_size = 1};
   const auto serial = train_over(GetParam(), cfg);
   cfg.pool_size = 2;
   const auto pooled = train_over(GetParam(), cfg);
@@ -299,7 +297,7 @@ TEST_P(DeterminismBackend, PoolSizesAgreeOverTheWire) {
   for (std::size_t r = 0; r < serial.size(); ++r) {
     EXPECT_EQ(serial[r], pooled[r])
         << testsupport::backend_name(GetParam()) << " rank " << r
-        << " pool=2 diverged from serial";
+        << " pool=2 diverged from pool=1";
   }
 }
 
@@ -346,11 +344,10 @@ class ForcedIsaBackend
 TEST_P(ForcedIsaBackend, PoolSizesBitwiseIdenticalAtEveryIsaLevel) {
   const IsaGuard guard;
   for (const tensor::kernels::Isa level : kernel_levels()) {
-    RunConfig cfg{.world = 2, .pool_size = 0, .isa = level};
+    RunConfig cfg{.world = 2, .pool_size = 1, .isa = level};
     const auto serial = train_over(GetParam(), cfg);
     ASSERT_EQ(serial.size(), 2u);
-    for (const std::size_t pool : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}}) {
+    for (const std::size_t pool : {std::size_t{2}, std::size_t{4}}) {
       cfg.pool_size = pool;
       const auto pooled = train_over(GetParam(), cfg);
       ASSERT_EQ(pooled.size(), serial.size());
@@ -358,7 +355,7 @@ TEST_P(ForcedIsaBackend, PoolSizesBitwiseIdenticalAtEveryIsaLevel) {
         EXPECT_EQ(pooled[r], serial[r])
             << testsupport::backend_name(GetParam()) << " isa="
             << tensor::kernels::to_string(level) << " pool=" << pool
-            << " rank " << r << " diverged from serial";
+            << " rank " << r << " diverged from pool=1";
       }
     }
   }

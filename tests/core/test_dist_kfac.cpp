@@ -17,6 +17,8 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "comm/cluster.hpp"
 #include "exec/context.hpp"
@@ -301,10 +303,10 @@ TEST(DistKfac, NonSpdFactorThrowsOnEveryRankAtEveryPoolSize) {
   // One NaN input element on rank 0 reaches both ranks through D-KFAC's
   // factor all-reduce, so every rank's damped Cholesky finds a factor that
   // is not positive definite.  Whichever thread runs that plan task (the
-  // rank thread, the pump's completion path, a worker), step() rethrows the
-  // domain_error on the calling thread instead of terminating the process,
-  // and the optimizer then refuses further steps.
-  for (const std::size_t pool : {0u, 1u, 2u, 4u}) {
+  // rank thread or a worker), step() rethrows the domain_error on the
+  // calling thread instead of terminating the process, and the optimizer
+  // then refuses further steps.
+  for (const std::size_t pool : {1u, 2u, 4u}) {
     std::atomic<int> domain_errors{0};
     comm::Cluster::launch(2, [&](comm::Communicator& comm) {
       nn::Sequential model = make_model();
@@ -337,29 +339,90 @@ TEST(DistKfac, NonSpdFactorThrowsOnEveryRankAtEveryPoolSize) {
 }
 
 TEST(DistKfac, ConstructingThreadJoinsThePoolForTheOptimizersLifetime) {
-  // With pool_size >= 2 the constructing thread is the pool's member, so
-  // its passes resolve to the pool; destroying the optimizer restores what
-  // the thread resolved to before — here another pool it is a member of.
+  // The constructing thread is the pool's member, so its passes resolve to
+  // the pool; destroying the optimizer restores what the thread resolved
+  // to before — here another pool it is a member of.
   comm::Cluster::launch(2, [](comm::Communicator& comm) {
     nn::Sequential model = make_model();
     auto layers = model.preconditioned_layers();
     exec::ThreadPool outer(1);
     const exec::ThreadPool::Member outer_member(outer);
-    for (const std::size_t pool : {0u, 1u, 2u, 4u}) {
+    for (const std::size_t pool : {1u, 2u, 4u}) {
       DistKfacOptions opts;
       opts.pool_size = pool;
       {
         DistKfacOptimizer optimizer(layers, comm, opts);
-        if (pool >= 2) {
-          EXPECT_NE(exec::Context::current_pool(), &outer);
-          EXPECT_NE(exec::Context::current_pool(), nullptr);
-        } else {
-          EXPECT_EQ(exec::Context::current_pool(), &outer);
-        }
+        EXPECT_NE(exec::Context::current_pool(), &outer) << "pool " << pool;
+        EXPECT_NE(exec::Context::current_pool(), nullptr) << "pool " << pool;
       }
       EXPECT_EQ(exec::Context::current_pool(), &outer) << "pool " << pool;
     }
   });
+}
+
+TEST(DistKfac, PlanComputeRunsOnTheRanksComputeThreads) {
+  // A rank computes on its pool_size compute threads and nowhere else: at
+  // pool size 1 every plan task runs on the rank thread, above it on a
+  // thread of the rank's pool — never on the engine's pump thread, which
+  // has no pool.  At pool size 1 the hooked passes also run every factor
+  // build before step() is entered, as compute_streams = 1 prices them.
+  for (const DistStrategy strategy :
+       {DistStrategy::kDKfac, DistStrategy::kMpdKfac,
+        DistStrategy::kSpdKfac}) {
+    for (const std::size_t pool : {1u, 2u, 4u}) {
+      for (const bool hooked : {true, false}) {
+        std::string ctx = to_string(strategy);
+        ctx += " pool ";
+        ctx += std::to_string(pool);
+        ctx += hooked ? " hooked" : " post-hoc";
+        std::atomic<int> tasks{0}, inverses{0}, off_compute{0};
+        std::atomic<int> factors_in_step{0};
+        comm::Cluster::launch(2, [&](comm::Communicator& comm) {
+          nn::Sequential model = make_model();
+          auto layers = model.preconditioned_layers();
+          const std::thread::id rank_thread = std::this_thread::get_id();
+          std::atomic<bool> in_step{false};
+          DistKfacOptions opts;
+          opts.strategy = strategy;
+          opts.pool_size = pool;
+          DistKfacOptimizer optimizer(layers, comm, opts);
+          optimizer.set_task_listener([&](const sched::Task& task, double,
+                                          double) {
+            tasks.fetch_add(1);
+            if (task.kind == sched::TaskKind::kInverse) inverses.fetch_add(1);
+            const bool on_compute_thread =
+                pool == 1 ? std::this_thread::get_id() == rank_thread
+                          : exec::ThreadPool::this_thread_pool() != nullptr;
+            if (!on_compute_thread) off_compute.fetch_add(1);
+            if (pool == 1 && hooked &&
+                task.kind == sched::TaskKind::kFactorCompute &&
+                in_step.load()) {
+              factors_in_step.fetch_add(1);
+            }
+          });
+          nn::SyntheticClassification data(kClasses, kIn, 1, kDataSeed);
+          Rng rng(61 + comm.rank());
+          nn::SoftmaxCrossEntropy loss;
+          for (int s = 0; s < 3; ++s) {
+            auto b = data.sample(8, rng);
+            Tensor4D flat(b.inputs.n, kIn, 1, 1);
+            flat.data = b.inputs.data;
+            const nn::PassHooks hooks =
+                hooked ? optimizer.pass_hooks() : nn::PassHooks{};
+            loss.forward(model.forward(flat, hooks), b.labels);
+            model.backward(loss.backward(), hooks);
+            in_step = true;
+            optimizer.step();
+            in_step = false;
+          }
+        });
+        EXPECT_GT(tasks.load(), 0) << ctx;
+        EXPECT_GT(inverses.load(), 0) << ctx;
+        EXPECT_EQ(off_compute.load(), 0) << ctx;
+        EXPECT_EQ(factors_in_step.load(), 0) << ctx;
+      }
+    }
+  }
 }
 
 TEST(DistKfac, CommRecordsFromIndexAreTheSuffix) {
@@ -417,7 +480,7 @@ TEST(DistKfac, UpdateFrequenciesReduceWork) {
 /// Steady steps rebuild every factor-sized matrix in place: once a step has
 /// sized them, the inverse slots keep their storage whether this rank
 /// inverts a tensor itself (NCT, D-KFAC, a CT it owns) or receives its
-/// broadcast, serially and under a pool.  MPD-KFAC broadcasts every
+/// broadcast, on one compute thread and on two.  MPD-KFAC broadcasts every
 /// inverse, D-KFAC replicates every inverse, and the input width makes
 /// SPD-KFAC's layers worth owning, so its owners invert in place what the
 /// other rank never holds.
@@ -426,7 +489,7 @@ TEST(DistKfac, InverseSlotsKeepTheirStorageAcrossSteps) {
   for (const DistStrategy strategy :
        {DistStrategy::kSpdKfac, DistStrategy::kMpdKfac,
         DistStrategy::kDKfac}) {
-    for (const std::size_t pool_size : {0u, 2u}) {
+    for (const std::size_t pool_size : {1u, 2u}) {
       comm::Cluster::launch(2, [&](comm::Communicator& comm) {
         Rng init(kModelSeed);
         const std::size_t widths[] = {kWideIn, 40, kClasses};

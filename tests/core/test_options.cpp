@@ -102,7 +102,15 @@ TEST(DistKfacOptionsTest, ValidateRejectsWrappedNegativePoolSize) {
   DistKfacOptions opts;
   opts.pool_size = static_cast<std::size_t>(-4);
   EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts.pool_size = 0;  // serial executor: legitimate
+  opts.pool_size = 0;  // no compute thread at all
+  try {
+    opts.validate();
+    ADD_FAILURE() << "pool_size 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(">= 1"), std::string::npos)
+        << e.what();
+  }
+  opts.pool_size = 1;  // the constructing thread alone: legitimate
   EXPECT_NO_THROW(opts.validate());
 }
 
@@ -153,22 +161,6 @@ TEST(DistKfacOptionsTest, ValidateRejectsWrappedNegativeReplanInterval) {
   EXPECT_NO_THROW(opts.validate());
 }
 
-TEST(DistKfacOptionsTest, ValidateRejectsOutOfRangeProfileEma) {
-  for (const double bad :
-       {0.0, -0.5, 1.0001, 2.0, std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity()}) {
-    DistKfacOptions opts;
-    opts.profile_ema = bad;
-    EXPECT_THROW(opts.validate(), std::invalid_argument)
-        << "profile_ema=" << bad;
-  }
-  for (const double good : {1e-6, 0.5, 1.0}) {
-    DistKfacOptions opts;
-    opts.profile_ema = good;
-    EXPECT_NO_THROW(opts.validate()) << "profile_ema=" << good;
-  }
-}
-
 TEST(DistKfacOptionsTest, ValidateChecksTrajectoryEntriesAndExclusivity) {
   sched::PassTiming good;
   good.a_ready = {0.1, 0.2};
@@ -200,7 +192,6 @@ TEST(DistKfacOptionsTest, ValidateChecksTrajectoryEntriesAndExclusivity) {
 TEST(DistKfacOptionsTest, AdaptiveDefaultsArePaperFaithful) {
   DistKfacOptions opts;
   EXPECT_EQ(opts.replan_interval, 1u);
-  EXPECT_DOUBLE_EQ(opts.profile_ema, 0.5);
   EXPECT_TRUE(opts.profile_trajectory.empty());
 }
 

@@ -1,7 +1,7 @@
 // DataflowExecutor coverage: dependency release, external gates, the
-// ordered submission lane under adversarial completion order, inline
-// (pool-less) execution, the member thread's wait, failing nodes, graph
-// reuse and validation.
+// ordered submission lane under adversarial completion order, the member
+// thread's wait (also as a workerless pool's only thread), failing nodes,
+// graph reuse and validation.
 #include "exec/dataflow.hpp"
 
 #include <gtest/gtest.h>
@@ -57,17 +57,19 @@ Node submission(Trace& trace, const std::string& name, std::vector<int> deps,
   return n;
 }
 
-TEST(Dataflow, RespectsDependenciesInlineAndPooled) {
+TEST(Dataflow, RespectsDependencies) {
+  // On the workers of a pool, and on the member of a workerless one.
   for (const std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
-    ThreadPool pool(3);
-    ThreadPool* p = workers == 0 ? nullptr : &pool;
+    ThreadPool pool(workers);
+    std::optional<ThreadPool::Member> member;
+    if (workers == 0) member.emplace(pool);
     Trace trace;
     std::vector<Node> nodes;
     nodes.push_back(compute(trace, "a", {}));
     nodes.push_back(compute(trace, "b", {0}));
     nodes.push_back(compute(trace, "c", {0, 1}));
     DataflowExecutor ex;
-    ex.begin(std::move(nodes), {}, p);
+    ex.begin(std::move(nodes), {}, pool);
     ex.wait();
     EXPECT_TRUE(ex.idle());
     EXPECT_EQ(trace.get(), (std::vector<std::string>{"a", "b", "c"}));
@@ -75,11 +77,12 @@ TEST(Dataflow, RespectsDependenciesInlineAndPooled) {
 }
 
 TEST(Dataflow, ExternalGatesHoldBackReadyNodes) {
+  ThreadPool pool(1);
   Trace trace;
   std::vector<Node> nodes;
   nodes.push_back(compute(trace, "gated", {}, /*external=*/2));
   DataflowExecutor ex;
-  ex.begin(std::move(nodes), {}, nullptr);
+  ex.begin(std::move(nodes), {}, pool);
   EXPECT_FALSE(ex.idle());
   EXPECT_TRUE(trace.get().empty());
   ex.satisfy(0);
@@ -92,13 +95,14 @@ TEST(Dataflow, ExternalGatesHoldBackReadyNodes) {
 TEST(Dataflow, LaneFiresInOrderRegardlessOfReadiness) {
   // Submission s1 becomes dep-ready *before* s0; the lane must still fire
   // s0 first.  Retirement flows through complete(), out of order.
+  ThreadPool pool(1);
   Trace trace;
   std::vector<Node> nodes;
   nodes.push_back(submission(trace, "s0", {}, /*external=*/1));  // 0
   nodes.push_back(submission(trace, "s1", {}));                  // 1
   nodes.push_back(compute(trace, "after", {0, 1}));              // 2
   DataflowExecutor ex;
-  ex.begin(std::move(nodes), {0, 1}, nullptr);
+  ex.begin(std::move(nodes), {0, 1}, pool);
   EXPECT_TRUE(trace.get().empty());  // s1 ready but behind s0 in the lane
   ex.satisfy(0);
   EXPECT_EQ(trace.get(), (std::vector<std::string>{"s0", "s1"}));
@@ -117,7 +121,7 @@ TEST(Dataflow, MixedGraphDrivesComputeBetweenSubmissions) {
   nodes.push_back(submission(trace, "allreduce", {0}));  // 1
   nodes.push_back(compute(trace, "unpack", {1}));        // 2
   DataflowExecutor ex;
-  ex.begin(std::move(nodes), {1}, &pool);
+  ex.begin(std::move(nodes), {1}, pool);
   // Emulate the engine: wait until the submission fired, then complete it.
   while (trace.get().size() < 2) {}
   ex.complete(1);
@@ -127,6 +131,7 @@ TEST(Dataflow, MixedGraphDrivesComputeBetweenSubmissions) {
 }
 
 TEST(Dataflow, GraphsAreReusableAfterDrain) {
+  ThreadPool pool(1);
   Trace trace;
   DataflowExecutor ex;
   for (int round = 0; round < 3; ++round) {
@@ -136,41 +141,43 @@ TEST(Dataflow, GraphsAreReusableAfterDrain) {
     name += std::to_string(round);
     std::vector<Node> nodes;
     nodes.push_back(compute(trace, name, {}));
-    ex.begin(std::move(nodes), {}, nullptr);
+    ex.begin(std::move(nodes), {}, pool);
     ex.wait();
   }
   EXPECT_EQ(trace.get(), (std::vector<std::string>{"r0", "r1", "r2"}));
 }
 
 TEST(Dataflow, BeginValidatesGraph) {
+  ThreadPool pool(1);
   Trace trace;
   DataflowExecutor ex;
 
   std::vector<Node> dangling;
   dangling.push_back(compute(trace, "x", {5}));
-  EXPECT_THROW(ex.begin(std::move(dangling), {}, nullptr),
+  EXPECT_THROW(ex.begin(std::move(dangling), {}, pool),
                std::invalid_argument);
 
   std::vector<Node> missing_lane;
   missing_lane.push_back(submission(trace, "s", {}, 1));
-  EXPECT_THROW(ex.begin(std::move(missing_lane), {}, nullptr),
+  EXPECT_THROW(ex.begin(std::move(missing_lane), {}, pool),
                std::invalid_argument);
 
   std::vector<Node> not_submission;
   not_submission.push_back(compute(trace, "c", {}, 1));
-  EXPECT_THROW(ex.begin(std::move(not_submission), {0}, nullptr),
+  EXPECT_THROW(ex.begin(std::move(not_submission), {0}, pool),
                std::invalid_argument);
 }
 
 TEST(Dataflow, BeginRefusesWhileInFlight) {
+  ThreadPool pool(1);
   Trace trace;
   DataflowExecutor ex;
   std::vector<Node> nodes;
   nodes.push_back(compute(trace, "held", {}, /*external=*/1));
-  ex.begin(std::move(nodes), {}, nullptr);
+  ex.begin(std::move(nodes), {}, pool);
   std::vector<Node> next;
   next.push_back(compute(trace, "next", {}));
-  EXPECT_THROW(ex.begin(std::move(next), {}, nullptr), std::logic_error);
+  EXPECT_THROW(ex.begin(std::move(next), {}, pool), std::logic_error);
   ex.satisfy(0);
   ex.wait();
 }
@@ -192,7 +199,7 @@ TEST(Dataflow, WideFanOutRetiresEverything) {
   }
   nodes[65] = compute(trace, "join", all_children);
   DataflowExecutor ex;
-  ex.begin(std::move(nodes), {}, &pool);
+  ex.begin(std::move(nodes), {}, pool);
   ex.wait();
   EXPECT_EQ(children.load(), 64);
   EXPECT_EQ(trace.get(), (std::vector<std::string>{"root", "join"}));
@@ -226,7 +233,7 @@ TEST(Dataflow, MemberRunsQueuedTasksWhileWaiting) {
     };
   }
   DataflowExecutor ex;
-  ex.begin(std::move(nodes), {}, &pool);
+  ex.begin(std::move(nodes), {}, pool);
   ex.wait();
   release = true;
   EXPECT_TRUE(ex.idle());
@@ -236,30 +243,72 @@ TEST(Dataflow, MemberRunsQueuedTasksWhileWaiting) {
   }
 }
 
+TEST(Dataflow, WorkerlessPoolRunsEveryNodeOnItsMember) {
+  // The member is a workerless pool's only compute thread.  A node it
+  // releases itself runs before satisfy() returns; one another thread
+  // releases (an engine completion on the pump) waits for its wait().
+  ThreadPool pool(0);
+  const ThreadPool::Member member(pool);
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  const auto record = [&] {
+    std::lock_guard lock(mu);
+    ran_on.push_back(std::this_thread::get_id());
+  };
+  std::vector<Node> nodes(3);
+  nodes[0].kind = NodeKind::kCompute;
+  nodes[0].external_deps = 1;
+  nodes[0].work = record;
+  nodes[1].kind = NodeKind::kSubmission;
+  nodes[1].deps = {0};
+  nodes[1].work = [] {};
+  nodes[2].kind = NodeKind::kCompute;
+  nodes[2].deps = {1};
+  nodes[2].work = record;
+  DataflowExecutor ex;
+  ex.begin(std::move(nodes), {1}, pool);
+  ex.satisfy(0);
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(ran_on.size(), 1u);  // ran inline
+  }
+  std::thread([&ex] { ex.complete(1); }).join();
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(ran_on.size(), 1u);  // queued for the member
+  }
+  ex.wait();
+  EXPECT_TRUE(ex.idle());
+  ASSERT_EQ(ran_on.size(), 2u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
 TEST(Dataflow, ThrowingComputeNodeAbortsTheGraph) {
-  // Inline, on the workers, or on the member: a compute node's exception
-  // poisons the graph, its successors never run, wait() rethrows it on the
-  // waiting thread, and the executor stays reusable.
-  enum class Mode { kInline, kPooled, kMember };
-  for (const Mode mode : {Mode::kInline, Mode::kPooled, Mode::kMember}) {
-    ThreadPool pool(2);
+  // On the workers, on the member, or on the member of a workerless pool:
+  // a compute node's exception poisons the graph, its successors never
+  // run, wait() rethrows it on the waiting thread, and the executor stays
+  // reusable.
+  enum class Mode { kPooled, kMember, kOnlyMember };
+  for (const Mode mode : {Mode::kPooled, Mode::kMember, Mode::kOnlyMember}) {
+    ThreadPool pool(mode == Mode::kOnlyMember ? 0 : 2);
     std::optional<ThreadPool::Member> member;
-    if (mode == Mode::kMember) member.emplace(pool);
-    ThreadPool* p = mode == Mode::kInline ? nullptr : &pool;
+    if (mode != Mode::kPooled) member.emplace(pool);
     Trace trace;
     std::vector<Node> nodes;
     nodes.push_back(compute(trace, "a", {}));
     nodes[0].work = [] { throw std::domain_error("not positive definite"); };
     nodes.push_back(compute(trace, "b", {0}));
     DataflowExecutor ex;
-    ex.begin(std::move(nodes), {}, p);
+    ex.begin(std::move(nodes), {}, pool);
     EXPECT_THROW(ex.wait(), std::domain_error);
     EXPECT_TRUE(ex.idle());
     EXPECT_TRUE(trace.get().empty());
 
     std::vector<Node> next;
     next.push_back(compute(trace, "c", {}));
-    ex.begin(std::move(next), {}, p);
+    ex.begin(std::move(next), {}, pool);
     ex.wait();
     EXPECT_EQ(trace.get(), (std::vector<std::string>{"c"}));
   }
@@ -267,9 +316,9 @@ TEST(Dataflow, ThrowingComputeNodeAbortsTheGraph) {
 
 TEST(Dataflow, ObserverReportsEveryComputeNodeWithItsDuration) {
   // The observer is the profiling tap: once per kCompute node, after its
-  // work, with a non-negative duration — on the pool and inline alike.
-  // Submission and noop nodes are never reported.
-  for (const bool pooled : {false, true}) {
+  // work, with a non-negative duration — on the workers and on a workerless
+  // pool's member alike.  Submission and noop nodes are never reported.
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
     Trace trace;
     DataflowExecutor ex;
     std::mutex mu;
@@ -285,12 +334,14 @@ TEST(Dataflow, ObserverReportsEveryComputeNodeWithItsDuration) {
     nodes[1].deps = {0};
     nodes[2] = compute(trace, "b", {1});
 
-    ThreadPool pool(2);
-    ex.begin(std::move(nodes), {}, pooled ? &pool : nullptr);
+    ThreadPool pool(workers);
+    std::optional<ThreadPool::Member> member;
+    if (workers == 0) member.emplace(pool);
+    ex.begin(std::move(nodes), {}, pool);
     ex.wait();
 
     std::lock_guard lock(mu);
-    ASSERT_EQ(observed.size(), 2u) << (pooled ? "pooled" : "inline");
+    ASSERT_EQ(observed.size(), 2u) << workers << " workers";
     EXPECT_EQ(observed[0].first, 0);
     EXPECT_EQ(observed[1].first, 2);
     for (const auto& [id, seconds] : observed) {
@@ -300,6 +351,7 @@ TEST(Dataflow, ObserverReportsEveryComputeNodeWithItsDuration) {
 }
 
 TEST(Dataflow, ObserverCanBeClearedAndRejectsMidFlightInstall) {
+  ThreadPool pool(1);
   Trace trace;
   DataflowExecutor ex;
   int calls = 0;
@@ -308,7 +360,7 @@ TEST(Dataflow, ObserverCanBeClearedAndRejectsMidFlightInstall) {
 
   std::vector<Node> nodes(1);
   nodes[0] = compute(trace, "a", {}, /*external=*/1);
-  ex.begin(std::move(nodes), {}, nullptr);
+  ex.begin(std::move(nodes), {}, pool);
   EXPECT_THROW(ex.set_observer([](int, double) {}), std::logic_error);
   ex.satisfy(0);
   ex.wait();

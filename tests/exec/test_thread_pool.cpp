@@ -33,12 +33,35 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, WorkerlessPoolRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.workers(), 0u);
-  bool ran = false;
-  pool.submit([&ran] { ran = true; });
-  EXPECT_TRUE(ran);  // inline: done before submit returns
+TEST(ThreadPool, WorkerlessPoolRunsTasksOnItsMember) {
+  int leftover = 0;
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.workers(), 0u);
+    {
+      const ThreadPool::Member member(pool);
+      bool ran = false;
+      pool.submit([&ran] { ran = true; });
+      EXPECT_TRUE(ran);  // its only thread's own task: already done
+
+      // Another thread's task waits for the member to run it.
+      std::atomic<bool> done{false};
+      std::thread::id ran_on;
+      std::thread([&] {
+        pool.submit([&] {
+          ran_on = std::this_thread::get_id();
+          done = true;
+        });
+      }).join();
+      EXPECT_FALSE(done.load());
+      pool.run_until(done);
+      EXPECT_EQ(ran_on, std::this_thread::get_id());
+    }
+    // Queued after the member left: the destructor finishes it.
+    pool.submit([&leftover] { ++leftover; });
+    EXPECT_EQ(leftover, 0);
+  }
+  EXPECT_EQ(leftover, 1);
 }
 
 TEST(ThreadPool, TasksSubmittedFromWorkersAreStolen) {
