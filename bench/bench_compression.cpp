@@ -2,7 +2,11 @@
 // three ways —
 //
 //   1. codec microkernel throughput: encode/decode GB/s per ISA level
-//      (scalar vs AVX2 — bitwise-identical outputs, different speed);
+//      (scalar vs AVX2 — bitwise-identical outputs, different speed), and
+//      the top-k error-feedback path at the gradient group shape of the
+//      comm-bound socket benchmark workload (199,434 elements, ratio 0.1):
+//      encode, fused feedback + encode, dense decode, and the encoded
+//      all-reduce's decode-accumulate at P = 2;
 //   2. bytes-on-the-wire: the compressed/raw payload ratio per codec, plus
 //      the per-iteration factor/gradient wire bytes of real plans;
 //   3. end-to-end iteration time: the simulator prices the *re-derived*
@@ -19,8 +23,10 @@
 // (factor_bytes_ratio) and the compressed schedule must beat lossless by
 // >= 1.3x end-to-end on the bandwidth-bound config (speedup).
 #include <random>
+#include <span>
 
 #include "bench_util.hpp"
+#include "comm/cluster.hpp"
 #include "comm/codec.hpp"
 #include "models/model_spec.hpp"
 #include "perf/models.hpp"
@@ -37,6 +43,21 @@ constexpr double kTopKRatio = 0.01;  // ship 1% of gradient elements
 // 1. Codec microkernel throughput per ISA level
 // -------------------------------------------------------------------------
 
+/// Best-of-reps microseconds of fn(); prepare() runs untimed before each.
+template <class Prepare, class Fn>
+double best_us(int reps, Prepare&& prepare, Fn&& fn) {
+  double best = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    prepare();
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    best = std::min(best, std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
+}
+
 struct Throughput {
   double encode_gbs = 0.0;
   double decode_gbs = 0.0;
@@ -51,27 +72,78 @@ Throughput codec_throughput(comm::Codec codec, std::size_t n) {
   std::vector<double> dst(n);
 
   // Best of a few repetitions: the steady-state rate, insensitive to one
-  // scheduler hiccup.  Throughput counts the *logical* bytes processed.
-  const auto best_of = [](auto&& fn) {
-    double best = 1e300;
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      best = std::min(
-          best, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-    }
-    return best;
-  };
+  // scheduler hiccup.  Throughput counts the *logical* bytes processed
+  // (bytes per microsecond / 1e3 = GB/s).
+  const auto nothing = [] {};
   const double bytes = static_cast<double>(n) * sizeof(double);
   Throughput t;
-  t.encode_gbs =
-      bytes / best_of([&] { comm::encode(codec, src, wire, kTopKRatio); }) /
-      1e9;
-  t.decode_gbs =
-      bytes / best_of([&] { comm::decode(codec, wire, dst, kTopKRatio); }) /
-      1e9;
+  t.encode_gbs = bytes / best_us(5, nothing, [&] {
+                   comm::encode(codec, src, wire, kTopKRatio);
+                 }) / 1e3;
+  t.decode_gbs = bytes / best_us(5, nothing, [&] {
+                   comm::decode(codec, wire, dst, kTopKRatio);
+                 }) / 1e3;
+  return t;
+}
+
+struct TopKPathTimes {
+  double encode_us = 0.0;
+  double feedback_encode_us = 0.0;
+  double decode_us = 0.0;
+  double all_reduce_p2_us = 0.0;
+};
+
+/// The top-k error-feedback path on one gradient group of n elements:
+/// normal gradients, residuals a third their size, banked in two uneven
+/// spans as the optimizer's arena carves them.
+TopKPathTimes topk_path_times(std::size_t n, double ratio) {
+  constexpr int kReps = 30;
+  std::mt19937_64 rng(7);
+  std::normal_distribution<double> dist(0.0, 1e-3);
+  std::vector<double> grad(n), residual(n);
+  for (double& x : grad) x = dist(rng);
+  for (double& x : residual) x = dist(rng) / 3.0;
+  const std::size_t w = comm::wire_elements(comm::Codec::kTopK, n, ratio);
+  std::vector<double> wire(w), dst(n), payload(n), bank(n);
+  const std::span<double> banked(bank);
+  const std::vector<std::span<double>> banks = {banked.first(n / 8),
+                                                banked.subspan(n / 8)};
+  const auto nothing = [] {};
+
+  TopKPathTimes t;
+  t.encode_us = best_us(kReps, nothing, [&] {
+    comm::encode(comm::Codec::kTopK, grad, wire, ratio);
+  });
+  t.feedback_encode_us = best_us(
+      kReps,
+      [&] {
+        payload = grad;
+        bank = residual;
+      },
+      [&] { comm::topk_feedback_encode(payload, banks, wire, ratio); });
+  t.decode_us = best_us(kReps, nothing, [&] {
+    comm::decode(comm::Codec::kTopK, wire, dst, ratio);
+  });
+  // Both ranks ship the same block; the decode-accumulate over the two
+  // gathered blocks is most of what an in-process exchange costs.
+  comm::Cluster::launch(2, [&](comm::Communicator& c) {
+    std::vector<double> data(n);
+    std::vector<double> scratch(comm::all_reduce_scratch_elements(
+        comm::Codec::kTopK, n, c.size(), ratio));
+    const double us = best_us(
+        kReps,
+        [&] {
+          std::copy(wire.begin(), wire.end(),
+                    scratch.begin() + static_cast<std::ptrdiff_t>(
+                                          static_cast<std::size_t>(c.rank()) *
+                                          w));
+        },
+        [&] {
+          comm::all_reduce_encoded(c, data, comm::Codec::kTopK,
+                                   comm::ReduceOp::kAverage, ratio, scratch);
+        });
+    if (c.rank() == 0) t.all_reduce_p2_us = us;
+  });
   return t;
 }
 
@@ -129,6 +201,29 @@ int main() {
     }
     tensor::kernels::force(tensor::kernels::best_supported());
     table.print();
+  }
+
+  // --- 1b. top-k error feedback at the socket workload's shape ------------
+  {
+    constexpr std::size_t kN = 199434;  // mlp-deep-socket-topk's gradients
+    constexpr double kRatio = 0.1;
+    const TopKPathTimes t = topk_path_times(kN, kRatio);
+    std::printf("\nTop-k error feedback, n = %zu, ratio %.2f (best of 30):\n\n",
+                kN, kRatio);
+    bench::Table table({"encode (us)", "feedback+encode (us)", "decode (us)",
+                        "all-reduce P=2 (us)"});
+    table.add_row({bench::fmt("%.1f", t.encode_us),
+                   bench::fmt("%.1f", t.feedback_encode_us),
+                   bench::fmt("%.1f", t.decode_us),
+                   bench::fmt("%.1f", t.all_reduce_p2_us)});
+    table.print();
+    json.add("topk/socket_shape",
+             {{"elements", static_cast<double>(kN)},
+              {"ratio", kRatio},
+              {"encode_us", t.encode_us},
+              {"feedback_encode_us", t.feedback_encode_us},
+              {"decode_us", t.decode_us},
+              {"all_reduce_p2_us", t.all_reduce_p2_us}});
   }
 
   // --- 2 + 3. plan bytes and priced iterations ----------------------------

@@ -18,7 +18,8 @@
 //            feeds a per-rank error-feedback residual added back into the
 //            next step's gradient (see core::DistKfacOptimizer).  Selection
 //            is deterministic: |value| descending, index ascending on ties,
-//            computed serially so the choice never depends on thread count.
+//            read off the sign-cleared bit pattern of each element (a NaN
+//            ranks above +-inf), in O(n) by a threshold search — see encode.
 //
 // Determinism.  Every codec's encode/decode runs on the kernel table's
 // codec primitives, which are bitwise identical across ISA levels (see
@@ -96,14 +97,24 @@ inline double codec_compute_cost(Codec codec, std::size_t n) noexcept {
 // ---------------------------------------------------------------------------
 
 /// Encodes src into wire (exactly wire_elements(codec, src.size(), ratio)
-/// doubles).  kNone copies.  kTopK performs the deterministic selection and
-/// emits slots in ascending-index order (canonical form — byte-comparable
-/// across ranks and runs).
+/// doubles).  kNone copies.  kTopK emits slots in ascending-index order
+/// (canonical form — byte-comparable across ranks and runs) and selects by
+/// the key bit_cast<uint64_t>(x) with the sign bit cleared, which is
+/// monotone in |x| (+-0 share a key) and ranks a NaN above +-inf, so any
+/// input — non-finite ones included — has one selection on every rank.
+/// The selected set is every key above the k-th largest key tau plus the
+/// lowest-index elements whose key equals tau, until k are taken; tau is
+/// found by an MSD radix select (an 11-bit exponent digit, then 13-bit
+/// digits over the surviving candidates, nth_element on the last few), so
+/// the encode costs three streaming passes over src, O(n) in all.
 void encode(Codec codec, std::span<const double> src, std::span<double> wire,
             double topk_ratio = 0.0);
 
 /// Decodes wire into dst (dst.size() == the original element count).  Fully
-/// writes dst: kTopK zero-fills then scatters its slots.
+/// writes dst: kTopK zero-fills then scatters its slots, and throws
+/// std::invalid_argument naming the slot index if one is >= dst.size() or
+/// not strictly above its predecessor — a corrupt or forged frame never
+/// writes outside dst.
 void decode(Codec codec, std::span<const double> wire, std::span<double> dst,
             double topk_ratio = 0.0);
 
@@ -117,12 +128,17 @@ struct TopKSlot {
 double pack_topk_slot(TopKSlot slot) noexcept;
 TopKSlot unpack_topk_slot(double packed) noexcept;
 
-/// Error-feedback residual after encode(kTopK, u, wire): residual[i] = u[i]
-/// for unselected i, 0 for selected ones (the f32 rounding of a shipped
-/// value is not fed back — it is orders below the sparsification error).
-/// residual may alias u.
-void topk_residual(std::span<const double> u, std::span<const double> wire,
-                   std::span<double> residual);
+/// Top-k error feedback fused with the encode, in three streaming passes
+/// over the payload.  On entry payload holds the gradient g and residuals —
+/// spans that tile payload in order (one per fused layer) — hold the banked
+/// residual r.  On return payload holds u = g + r, wire holds
+/// encode(kTopK, u) bit for bit, and each residual span holds its part of
+/// u with the shipped positions zeroed (the f32 rounding of a shipped value
+/// is not fed back — it is orders below the sparsification error).  Throws
+/// std::invalid_argument if the residual spans do not tile payload.
+void topk_feedback_encode(std::span<double> payload,
+                          std::span<const std::span<double>> residuals,
+                          std::span<double> wire, double topk_ratio);
 
 // ---------------------------------------------------------------------------
 // Compressed collectives
@@ -148,7 +164,11 @@ void compressed_all_reduce(Communicator& comm, std::span<double> data,
 
 /// compressed_all_reduce with the local encoding already placed in
 /// scratch[rank*w, (rank+1)*w) — the error-feedback gradient path encodes
-/// itself so it can derive the residual from the exact wire content.
+/// itself (topk_feedback_encode) so it banks the residual from the exact
+/// wire content.  A kTopK sum or average never decodes densely: rank 0's
+/// slots scatter over zeros and each later rank's add at their indices,
+/// bitwise equal to the dense decode-and-add (signed zeros included), with
+/// decode's bounds and order check on every block.
 void all_reduce_encoded(Communicator& comm, std::span<double> data,
                         Codec codec, ReduceOp op, double topk_ratio,
                         std::span<double> scratch, int plan_task = -1);

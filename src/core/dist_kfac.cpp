@@ -741,30 +741,26 @@ void DistKfacOptimizer::submit_compressed(const sched::Task& task,
     return;
   }
   // Top-k with error feedback, entirely inside the (serial) pump so the
-  // selection and the residual update are deterministic: re-inject the
-  // residuals into the group payload, encode the local wire block, bank
-  // residual' = u with the shipped positions zeroed (per layer — groups
-  // reshape across re-plans, layers do not), then run the encoded
-  // all-reduce over the exact block just produced.  `members` lives in
-  // *plan_, which begin_step replaces only once this step has drained.
+  // selection and the residual update are deterministic: one fused pass
+  // re-injects the members' residuals into the group payload and
+  // histograms it, and the emit scan writes the local wire block and banks
+  // residual' = u with the shipped positions zeroed straight into each
+  // member's span (per layer — groups reshape across re-plans, layers do
+  // not); then the encoded all-reduce runs over the exact block just
+  // produced.  `members` lives in *plan_, which begin_step replaces only
+  // once this step has drained.
   engine_.submit(
       [this, &members = task.member_layers, buffer, ratio, scratch,
        id](comm::Communicator& c) {
+        topk_banks_.clear();
         for (const std::size_t l : members) {
-          const std::span<const double> res = grad_residuals_[l];
-          const std::span<double> u = grad_slots_[l].span;
-          for (std::size_t i = 0; i < res.size(); ++i) u[i] += res[i];
+          topk_banks_.push_back(grad_residuals_[l]);
         }
         const std::size_t w =
             comm::wire_elements(comm::Codec::kTopK, buffer.size(), ratio);
-        const std::span<double> own = scratch.subspan(
-            static_cast<std::size_t>(c.rank()) * w, w);
-        comm::encode(comm::Codec::kTopK, buffer, own, ratio);
-        comm::topk_residual(buffer, own, buffer);  // in place: buffer := r'
-        for (const std::size_t l : members) {
-          const std::span<const double> r = grad_slots_[l].span;
-          std::copy(r.begin(), r.end(), grad_residuals_[l].begin());
-        }
+        comm::topk_feedback_encode(
+            buffer, topk_banks_,
+            scratch.subspan(static_cast<std::size_t>(c.rank()) * w, w), ratio);
         comm::all_reduce_encoded(c, buffer, comm::Codec::kTopK,
                                  comm::ReduceOp::kAverage, ratio, scratch, id);
       },

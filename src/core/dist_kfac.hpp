@@ -410,9 +410,11 @@ class DistKfacOptimizer {
   void run_apply();
   void submit_collective(int task_id);
   /// Codec-annotated collective: queued on the engine as a custom pump op
-  /// running the comm::compressed_* primitives over the task's arena span
-  /// (the kTopK path also folds in / banks the error-feedback residuals,
-  /// serially inside the pump, so selection is deterministic).
+  /// running the comm::compressed_* primitives over the task's arena span.
+  /// The kTopK path runs comm::topk_feedback_encode first, serially inside
+  /// the pump so selection is deterministic: it folds the members'
+  /// error-feedback residuals in and banks the new ones in the same
+  /// streaming passes that encode the local wire block.
   void submit_compressed(const sched::Task& task, std::span<double> buffer);
   void postprocess_collective(int task_id);
   /// Carves and zeroes the per-layer error-feedback residual spans on
@@ -528,6 +530,9 @@ class DistKfacOptimizer {
   /// unit when groups reshape), carved once from its own arena.
   BufferArena residual_arena_;
   std::vector<std::span<double>> grad_residuals_;
+  /// The residual spans of the top-k group the pump is encoding, in payload
+  /// order (pump-only, like codec_scratch_; keeps its capacity across steps).
+  std::vector<std::span<double>> topk_banks_;
 
   // Execution infrastructure — declared last, in this exact order, so
   // destruction runs the engine first (drains in-flight collectives, whose

@@ -15,13 +15,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <random>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/codec.hpp"
@@ -42,6 +47,18 @@ std::vector<double> random_values(std::size_t n, std::uint64_t seed,
   std::vector<double> v(n);
   for (double& x : v) x = dist(rng);
   return v;
+}
+
+// The error-feedback residual of encode(kTopK, u, wire), unfused: u with
+// the shipped positions zeroed.  residual may alias u.
+void topk_residual(std::span<const double> u, std::span<const double> wire,
+                   std::span<double> residual) {
+  if (residual.data() != u.data()) {
+    std::copy(u.begin(), u.end(), residual.begin());
+  }
+  for (const double packed : wire) {
+    residual[unpack_topk_slot(packed).index] = 0.0;
+  }
 }
 
 std::vector<double> round_trip(Codec codec, const std::vector<double>& src,
@@ -267,39 +284,282 @@ TEST(CodecRoundTrip, TopKTieBreaksOnSmallestIndex) {
 // The selection is a total order (|value| descending, index ascending), so
 // any correct selection algorithm ships the same wire as a full
 // partial_sort.  Heavy ties, duplicates and signed zeros stress the
-// tie-break; the values come from a handful of magnitudes of either sign.
+// tie-break; the values come from a handful of magnitudes of either sign,
+// subnormals, the largest finite value and the infinities among them.
+// The last case is the socket workload's gradient group: 199,434 normal
+// values on a coarse grid, so the threshold magnitude repeats hundreds of
+// times.
 TEST(CodecRoundTrip, TopKSelectionMatchesPartialSortReference) {
-  const double pool[] = {0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-3, -1e-3, 7.0};
-  std::mt19937_64 rng(0x7095);
-  std::uniform_int_distribution<std::size_t> pick(0, std::size(pool) - 1);
-  for (std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{100},
-                        std::size_t{1031}}) {
-    std::vector<double> src(n);
-    for (double& x : src) x = pool[pick(rng)];
-    for (double ratio : {0.001, 0.05, 0.3, 0.9, 1.0}) {
-      std::vector<double> wire(wire_elements(Codec::kTopK, n, ratio));
-      encode(Codec::kTopK, src, wire, ratio);
+  const auto expect_matches_reference = [](const std::vector<double>& src,
+                                           double ratio) {
+    const std::size_t n = src.size();
+    std::vector<double> wire(wire_elements(Codec::kTopK, n, ratio));
+    encode(Codec::kTopK, src, wire, ratio);
 
-      const std::size_t k = wire.size();
-      std::vector<std::uint32_t> idx(n);
-      std::iota(idx.begin(), idx.end(), 0u);
-      const auto kth = idx.begin() + static_cast<std::ptrdiff_t>(k);
-      std::partial_sort(idx.begin(), kth, idx.end(),
-                        [&src](std::uint32_t a, std::uint32_t b) {
-                          const double fa = std::abs(src[a]);
-                          const double fb = std::abs(src[b]);
-                          if (fa != fb) return fa > fb;
-                          return a < b;
-                        });
-      std::sort(idx.begin(), kth);
-      std::vector<double> want(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        want[i] = pack_topk_slot(
-            TopKSlot{idx[i], static_cast<float>(src[idx[i]])});
+    const std::size_t k = wire.size();
+    std::vector<std::uint32_t> idx(n);
+    std::iota(idx.begin(), idx.end(), 0u);
+    const auto kth = idx.begin() + static_cast<std::ptrdiff_t>(k);
+    std::partial_sort(idx.begin(), kth, idx.end(),
+                      [&src](std::uint32_t a, std::uint32_t b) {
+                        const double fa = std::abs(src[a]);
+                        const double fb = std::abs(src[b]);
+                        if (fa != fb) return fa > fb;
+                        return a < b;
+                      });
+    std::sort(idx.begin(), kth);
+    std::vector<double> want(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      want[i] = pack_topk_slot(
+          TopKSlot{idx[i], static_cast<float>(src[idx[i]])});
+    }
+    ASSERT_EQ(wire.size(), want.size());
+    EXPECT_EQ(std::memcmp(wire.data(), want.data(), k * sizeof(double)), 0)
+        << "n=" << n << " ratio=" << ratio;
+  };
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  const double pool[] = {0.0,   -0.0,  1.0,       -1.0,      2.5,
+                         -2.5,  1e-3,  -1e-3,     7.0,       kSub,
+                         -kSub, 3e-310, -3e-310,  kInf,      -kInf,
+                         kMax,  -kMax};
+  std::mt19937_64 rng(0x7095);
+  for (const std::size_t pool_size : {std::size_t{9}, std::size(pool)}) {
+    std::uniform_int_distribution<std::size_t> pick(0, pool_size - 1);
+    for (std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{100},
+                          std::size_t{1031}}) {
+      std::vector<double> src(n);
+      for (double& x : src) x = pool[pick(rng)];
+      for (double ratio : {0.001, 0.05, 0.3, 0.9, 1.0}) {
+        expect_matches_reference(src, ratio);
       }
-      ASSERT_EQ(wire.size(), want.size());
-      EXPECT_EQ(std::memcmp(wire.data(), want.data(), k * sizeof(double)), 0)
-          << "n=" << n << " ratio=" << ratio;
+    }
+  }
+
+  std::normal_distribution<double> normal(0.0, 1.0);
+  std::vector<double> grid(199434);
+  for (double& x : grid) x = std::round(normal(rng) * 64.0) / 64.0;
+  expect_matches_reference(grid, 0.1);
+}
+
+// The key order reaches past the finite values: a NaN ranks above +-inf,
+// +-inf tie with each other (lowest index first), then the largest finite
+// magnitude — the same choice on every rank and every encode.
+TEST(CodecRoundTrip, TopKOrdersNonFiniteByMagnitudeBits) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  for (const double nan : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN()}) {
+    const std::vector<double> src = {1.0, -kMax, kInf, 3.0,
+                                     nan, -kInf, kMax, -2.0};
+    const std::vector<std::vector<std::uint32_t>> want = {
+        {4}, {2, 4}, {2, 4, 5}, {1, 2, 4, 5}, {1, 2, 4, 5, 6},
+        {1, 2, 3, 4, 5, 6}};
+    for (std::size_t k = 1; k <= want.size(); ++k) {
+      const double ratio = static_cast<double>(k) / 8.0;
+      std::vector<double> wire(wire_elements(Codec::kTopK, src.size(), ratio));
+      std::vector<double> again(wire.size());
+      ASSERT_EQ(wire.size(), k);
+      encode(Codec::kTopK, src, wire, ratio);
+      encode(Codec::kTopK, src, again, ratio);
+      EXPECT_EQ(std::memcmp(wire.data(), again.data(), k * sizeof(double)),
+                0)
+          << "k=" << k;
+      for (std::size_t s = 0; s < k; ++s) {
+        const TopKSlot slot = unpack_topk_slot(wire[s]);
+        EXPECT_EQ(slot.index, want[k - 1][s]) << "k=" << k << " slot " << s;
+        const float shipped = static_cast<float>(src[slot.index]);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(slot.value),
+                  std::bit_cast<std::uint32_t>(shipped))
+            << "k=" << k << " slot " << s;
+      }
+    }
+  }
+}
+
+// Top-k slots come off the wire, so decode and the encoded all-reduce's
+// accumulate check each index against the destination size and the
+// previous slot before writing, and name the bad index.
+TEST(CodecRoundTrip, TopKDecodeRejectsOutOfRangeOrUnorderedSlots) {
+  constexpr std::size_t kN = 10;
+  constexpr double kRatio = 0.3;  // k = 3
+  const auto wire_of = [](std::vector<std::uint32_t> indices) {
+    std::vector<double> wire;
+    for (const std::uint32_t i : indices) {
+      wire.push_back(pack_topk_slot(TopKSlot{i, 1.0f}));
+    }
+    return wire;
+  };
+  const auto expect_rejects = [](const auto& run, const std::string& index) {
+    try {
+      run();
+      ADD_FAILURE() << "slot index " << index << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("index " + index),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
+  std::vector<double> dst(kN);
+  const std::vector<double> good = wire_of({0, 4, 9});
+  decode(Codec::kTopK, good, dst, kRatio);
+  EXPECT_EQ(dst[9], 1.0);
+
+  const std::vector<std::pair<std::vector<std::uint32_t>, std::string>>
+      forged = {{{0, 4, 10}, "10"},
+                {{0, 4, 0xffffffffu}, "4294967295"},
+                {{1, 1, 2}, "1"},
+                {{5, 3, 7}, "3"}};
+  for (const auto& [indices, bad] : forged) {
+    const std::vector<double> wire = wire_of(indices);
+    expect_rejects([&] { decode(Codec::kTopK, wire, dst, kRatio); }, bad);
+    // Rank 1 ships the forged block; every rank rejects it after the
+    // gather.
+    for (ReduceOp op : {ReduceOp::kSum, ReduceOp::kAverage, ReduceOp::kMax}) {
+      expect_rejects(
+          [&] {
+            Cluster::launch(Topology::flat(2), [&](Communicator& comm) {
+              std::vector<double> data(kN);
+              std::vector<double> scratch(
+                  all_reduce_scratch_elements(Codec::kTopK, kN, 2, kRatio));
+              const std::vector<double>& own =
+                  comm.rank() == 1 ? wire : good;
+              std::copy(own.begin(), own.end(),
+                        scratch.begin() + comm.rank() * 3);
+              all_reduce_encoded(comm, data, Codec::kTopK, op, kRatio,
+                                 scratch);
+            });
+          },
+          bad);
+    }
+  }
+}
+
+// topk_feedback_encode is the unfused error-feedback sequence in one step:
+// inject the residuals, encode, zero the shipped positions, bank them.  It
+// must give the same wire and residual bank bit for bit, and the encoded
+// all-reduce's sparse accumulate the same sum as a dense decode-and-add,
+// signed zeros included.  Members are uneven (a 129x128 weight, a 10x129
+// one, 7 biases) and banked in separate buffers, as the arena carves them.
+TEST(CodecRoundTrip, TopKFeedbackEncodeMatchesUnfusedSequence) {
+  const std::size_t sizes[] = {129 * 128, 10 * 129, 7};
+  const std::size_t n = sizes[0] + sizes[1] + sizes[2];
+  for (const int world : {2, 3}) {
+    for (const bool signed_zeros : {false, true}) {
+      for (const double ratio : {0.1, 0.01}) {
+        const std::size_t k = wire_elements(Codec::kTopK, n, ratio);
+        std::vector<std::vector<double>> grad(world), bank(world);
+        std::mt19937_64 rng(0xFEED + 10 * static_cast<std::uint64_t>(world) +
+                            (signed_zeros ? 1 : 0));
+        std::normal_distribution<double> normal(0.0, 1e-3);
+        std::uniform_real_distribution<double> coin(0.0, 1.0);
+        for (int r = 0; r < world; ++r) {
+          grad[r].resize(n);
+          bank[r].resize(n);
+          // Signed zeros: u = -0.0 + -0.0 except on a sparse random set,
+          // fewer than k elements, so each rank's selection runs into the
+          // zeros and ships -0.0f slots over its lowest indices — rank 0
+          // over a middling range, rank 1 a short one, rank 2 a long one.
+          const double nonzero_share = r == 0 ? 0.05 : r == 1 ? 0.08 : 0.02;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (!signed_zeros) {
+              grad[r][i] = normal(rng);
+              bank[r][i] = 0.3 * normal(rng);
+            } else {
+              grad[r][i] = coin(rng) < nonzero_share ? normal(rng) : -0.0;
+              bank[r][i] = -0.0;
+            }
+          }
+        }
+
+        // The unfused reference: inject -> encode -> topk_residual -> copy,
+        // then decode every wire densely and add in rank order.
+        std::vector<std::vector<double>> want_wire(world), want_bank(world);
+        std::vector<double> want_sum(n);
+        for (int r = 0; r < world; ++r) {
+          std::vector<double> u = grad[r];
+          for (std::size_t i = 0; i < n; ++i) u[i] += bank[r][i];
+          want_wire[r].resize(k);
+          encode(Codec::kTopK, u, want_wire[r], ratio);
+          topk_residual(u, want_wire[r], u);
+          want_bank[r] = u;
+          std::vector<double> decoded(n);
+          decode(Codec::kTopK, want_wire[r], decoded, ratio);
+          if (r == 0) {
+            want_sum = decoded;
+          } else {
+            detail::accumulate(want_sum, decoded, ReduceOp::kAverage);
+          }
+        }
+        detail::finalize(want_sum, ReduceOp::kAverage, world);
+
+        // Fused, inside a real encoded all-reduce; each rank reports its
+        // wire block, its banks and the reduced sum.
+        const auto results = Cluster::launch_collect(
+            TransportKind::kInProcess, Topology::flat(world),
+            [&](Communicator& comm) {
+              const int rank = comm.rank();
+              std::vector<double> payload = grad[rank];
+              std::vector<std::vector<double>> banks;
+              std::vector<std::span<double>> spans;
+              std::size_t offset = 0;
+              for (const std::size_t m : sizes) {
+                banks.emplace_back(bank[rank].begin() + offset,
+                                   bank[rank].begin() + offset + m);
+                offset += m;
+              }
+              for (std::vector<double>& b : banks) spans.emplace_back(b);
+              std::vector<double> scratch(
+                  all_reduce_scratch_elements(Codec::kTopK, n, world, ratio));
+              const std::span<double> own =
+                  std::span<double>(scratch).subspan(rank * k, k);
+              topk_feedback_encode(payload, spans, own, ratio);
+              std::vector<double> out(own.begin(), own.end());
+              for (const std::vector<double>& b : banks) {
+                out.insert(out.end(), b.begin(), b.end());
+              }
+              all_reduce_encoded(comm, payload, Codec::kTopK,
+                                 ReduceOp::kAverage, ratio, scratch);
+              out.insert(out.end(), payload.begin(), payload.end());
+              return out;
+            });
+
+        const auto same_bits = [](const double* a, const double* b,
+                                  std::size_t len) {
+          return std::memcmp(a, b, len * sizeof(double)) == 0;
+        };
+        for (int r = 0; r < world; ++r) {
+          SCOPED_TRACE(::testing::Message()
+                       << "P=" << world << " rank " << r << " ratio "
+                       << ratio << (signed_zeros ? " signed zeros" : ""));
+          ASSERT_EQ(results[r].size(), k + 2 * n);
+          EXPECT_TRUE(same_bits(results[r].data(), want_wire[r].data(), k))
+              << "wire";
+          EXPECT_TRUE(same_bits(results[r].data() + k, want_bank[r].data(), n))
+              << "residual bank";
+          EXPECT_TRUE(same_bits(results[r].data() + k + n, want_sum.data(), n))
+              << "reduced sum";
+        }
+
+        // At ratio 0.1 the selection runs past rank 0's nonzeros, and the
+        // case must reach both outcomes of a rank-0 -0.0f slot: -0.0 where
+        // every rank shipped -0.0 there, +0.0 where one did not.
+        if (!signed_zeros || ratio != 0.1) continue;
+        std::size_t kept_negative = 0;
+        std::size_t turned_positive = 0;
+        for (const double packed : want_wire[0]) {
+          const TopKSlot slot = unpack_topk_slot(packed);
+          if (slot.value != 0.0f || !std::signbit(slot.value)) continue;
+          if (want_sum[slot.index] != 0.0) continue;
+          ++(std::signbit(want_sum[slot.index]) ? kept_negative
+                                                : turned_positive);
+        }
+        EXPECT_GT(kept_negative, 0u);
+        EXPECT_GT(turned_positive, 0u);
+      }
     }
   }
 }
