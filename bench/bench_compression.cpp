@@ -1,27 +1,23 @@
-// Compressed collectives (ROADMAP 5(a)): what the codec seam buys, measured
-// three ways —
+// Top-k gradient compression (ROADMAP 5(a)): what the codec seam buys,
+// measured three ways —
 //
-//   1. codec microkernel throughput: encode/decode GB/s per ISA level
-//      (scalar vs AVX2 — bitwise-identical outputs, different speed), and
-//      the top-k error-feedback path at the gradient group shape of the
+//   1. codec throughput: top-k encode/decode GB/s per ISA level, and the
+//      top-k error-feedback path at the gradient group shape of the
 //      comm-bound socket benchmark workload (199,434 elements, ratio 0.1):
 //      encode, fused feedback + encode, dense decode, and the encoded
 //      all-reduce's decode-accumulate at P = 2;
-//   2. bytes-on-the-wire: the compressed/raw payload ratio per codec, plus
-//      the per-iteration factor/gradient wire bytes of real plans;
-//   3. end-to-end iteration time: the simulator prices the *re-derived*
-//      compressed plan (fusion groups, CT/NCT typing and algorithm choices
-//      all recomputed from the compressed alpha + beta*m' model of Eq. 14)
-//      against the lossless plan, across strategies x P on a
-//      bandwidth-bound fabric (the paper's constants with 10x the
-//      per-element network cost — a 10GbE-class cluster instead of 100Gb/s
-//      InfiniBand — where PR 8's compute speedups left communication as the
-//      dominant term).
+//   2. bytes-on-the-wire: the compressed/raw payload ratio, plus the
+//      per-iteration gradient wire bytes of real plans;
+//   3. end-to-end iteration time: the simulator prices the plan with
+//      top-k gradients (WFBP groups re-derived from the compressed wire
+//      sizes; factors ship lossless) against the lossless plan, across
+//      strategies x P on a bandwidth-bound fabric (the paper's constants
+//      with 10x the per-element network cost — a 10GbE-class cluster
+//      instead of 100Gb/s InfiniBand — where the kernels' compute speed
+//      leaves communication as the dominant term).
 //
-// Emits BENCH_compression.json.  The acceptance gates of the compression PR
-// live in its fields: int8 factor comm must cut factor bytes >= 3x
-// (factor_bytes_ratio) and the compressed schedule must beat lossless by
-// >= 1.3x end-to-end on the bandwidth-bound config (speedup).
+// Emits BENCH_compression.json; `speedup` is the end-to-end gain of top-k
+// gradients over lossless on the bandwidth-bound config.
 #include <random>
 #include <span>
 
@@ -40,7 +36,7 @@ namespace {
 constexpr double kTopKRatio = 0.01;  // ship 1% of gradient elements
 
 // -------------------------------------------------------------------------
-// 1. Codec microkernel throughput per ISA level
+// 1. Codec throughput per ISA level
 // -------------------------------------------------------------------------
 
 /// Best-of-reps microseconds of fn(); prepare() runs untimed before each.
@@ -160,8 +156,7 @@ perf::ClusterCalibration bandwidth_bound_cal(int world) {
 }
 
 sim::AlgorithmConfig compressed(sim::AlgorithmConfig cfg) {
-  cfg.name += "+int8+topk";
-  cfg.factor_codec = comm::Codec::kInt8;
+  cfg.name += "+topk";
   cfg.grad_codec = comm::Codec::kTopK;
   cfg.topk_ratio = kTopKRatio;
   return cfg;
@@ -175,7 +170,7 @@ int main() {
                       "iteration time vs lossless");
   bench::BenchJson json("compression");
 
-  // --- 1. microkernel throughput ------------------------------------------
+  // --- 1. codec throughput ------------------------------------------------
   {
     constexpr std::size_t kN = std::size_t{1} << 22;  // 32 MiB of doubles
     bench::Table table({"Codec", "ISA", "encode (GB/s)", "decode (GB/s)",
@@ -184,20 +179,20 @@ int main() {
          {tensor::kernels::Isa::kScalar, tensor::kernels::Isa::kAvx2}) {
       if (!tensor::kernels::supported(isa)) continue;
       tensor::kernels::force(isa);
-      for (comm::Codec codec :
-           {comm::Codec::kFp16, comm::Codec::kInt8, comm::Codec::kTopK}) {
-        const Throughput t = codec_throughput(codec, kN);
-        const double ratio = 1.0 / comm::wire_ratio(codec, kTopKRatio);
-        table.add_row({to_string(codec), to_string(isa),
-                       bench::fmt("%.2f", t.encode_gbs),
-                       bench::fmt("%.2f", t.decode_gbs),
-                       bench::fmt("%.1fx", ratio)});
-        json.add(std::string("codec/") + to_string(codec) + "/" +
-                     to_string(isa),
-                 {{"encode_gbs", t.encode_gbs},
-                  {"decode_gbs", t.decode_gbs},
-                  {"wire_reduction", ratio}});
-      }
+      const comm::Codec codec = comm::Codec::kTopK;
+      const Throughput t = codec_throughput(codec, kN);
+      const double ratio =
+          static_cast<double>(kN) /
+          static_cast<double>(comm::wire_elements(codec, kN, kTopKRatio));
+      table.add_row({to_string(codec), to_string(isa),
+                     bench::fmt("%.2f", t.encode_gbs),
+                     bench::fmt("%.2f", t.decode_gbs),
+                     bench::fmt("%.1fx", ratio)});
+      json.add(std::string("codec/") + to_string(codec) + "/" +
+                   to_string(isa),
+               {{"encode_gbs", t.encode_gbs},
+                {"decode_gbs", t.decode_gbs},
+                {"wire_reduction", ratio}});
     }
     tensor::kernels::force(tensor::kernels::best_supported());
     table.print();
@@ -227,11 +222,11 @@ int main() {
   }
 
   // --- 2 + 3. plan bytes and priced iterations ----------------------------
-  std::printf("\nEnd-to-end (simulator, 10x-beta fabric; int8 factors + "
-              "top-k %.0f%% gradients):\n\n", kTopKRatio * 100.0);
+  std::printf("\nEnd-to-end (simulator, 10x-beta fabric; top-k %.0f%% "
+              "gradients vs lossless):\n\n", kTopKRatio * 100.0);
   bench::Table table({"Model", "Strategy", "P", "lossless (s)",
-                      "compressed (s)", "speedup", "factor bytes",
-                      "grad bytes", "wire total"});
+                      "compressed (s)", "speedup", "grad bytes",
+                      "wire total"});
   for (const auto& spec : {models::vgg16(), models::resnet50()}) {
     for (int world : {8, 16, 32}) {
       const auto cal = bandwidth_bound_cal(world);
@@ -243,15 +238,14 @@ int main() {
         const auto lossy = simulate_iteration(spec, spec.default_batch, cal,
                                               compressed(base));
 
-        const auto ratio = [&](sched::TaskKind kind) {
-          const std::size_t raw = lossy.plan.raw_bytes(kind);
-          const std::size_t wire = lossy.plan.wire_bytes(kind);
-          return wire == 0 ? 1.0
-                           : static_cast<double>(raw) /
-                                 static_cast<double>(wire);
-        };
-        const double factor_ratio = ratio(sched::TaskKind::kFusedAllReduce);
-        const double grad_ratio = ratio(sched::TaskKind::kGradAllReduce);
+        const std::size_t grad_raw =
+            lossy.plan.raw_bytes(sched::TaskKind::kGradAllReduce);
+        const std::size_t grad_wire =
+            lossy.plan.wire_bytes(sched::TaskKind::kGradAllReduce);
+        const double grad_ratio =
+            grad_wire == 0 ? 1.0
+                           : static_cast<double>(grad_raw) /
+                                 static_cast<double>(grad_wire);
         const std::size_t raw_bytes = lossy.plan.raw_bytes();
         const std::size_t wire_bytes = lossy.plan.wire_bytes();
         const double speedup = lossless.total / lossy.total;
@@ -262,7 +256,6 @@ int main() {
                        bench::seconds(lossless.total),
                        bench::seconds(lossy.total),
                        bench::fmt("%.2fx", speedup),
-                       bench::fmt("%.1fx", factor_ratio),
                        bench::fmt("%.0fx", grad_ratio),
                        bench::fmt("%.1fx",
                                   static_cast<double>(raw_bytes) /
@@ -270,7 +263,6 @@ int main() {
         json.add(name, {{"lossless_s", lossless.total},
                         {"compressed_s", lossy.total},
                         {"speedup", speedup},
-                        {"factor_bytes_ratio", factor_ratio},
                         {"grad_bytes_ratio", grad_ratio},
                         {"wire_bytes_per_iter",
                          static_cast<double>(wire_bytes)},
@@ -281,12 +273,11 @@ int main() {
   }
   table.print();
   std::printf(
-      "\nThe compressed columns price *re-derived* plans: the planner re-\n"
-      "runs the fusion DP and LBP placement on the compressed beta, so the\n"
-      "schedule structure itself differs from lossless (golden tests pin\n"
-      "this).  int8 cuts factor bytes ~7.8x, top-k cuts gradient bytes\n"
-      "~100x; the end-to-end win is what survives overlap and the alpha\n"
-      "terms.\n");
+      "\nThe compressed columns price *re-derived* plans: the planner\n"
+      "applies the WFBP fusion threshold to the compressed wire sizes, so\n"
+      "the gradient groups differ from lossless (golden tests pin this).\n"
+      "Top-k cuts gradient bytes ~100x; factors ship lossless.  The\n"
+      "end-to-end win is what survives overlap and the alpha terms.\n");
   json.write();
   return 0;
 }

@@ -11,15 +11,10 @@
 
 #include "comm/collectives.hpp"
 #include "comm/wire.hpp"
-#include "tensor/kernels/kernels.hpp"
 
 namespace spdkfac::comm {
 
 namespace {
-
-using tensor::kernels::active_table;
-
-std::size_t div_up(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 std::size_t topk_count(std::size_t n, double ratio) {
   if (n == 0) return 0;
@@ -27,14 +22,12 @@ std::size_t topk_count(std::size_t n, double ratio) {
   return std::min(n, std::max<std::size_t>(1, k));
 }
 
-// Modeled encode+decode seconds per element (both endpoints of a hop).
-// Calibration constants in the spirit of perf::ComputeModel: codec kernels
-// are elementwise/streaming, so on the modeled accelerator fabric they run
-// at memory bandwidth — orders below the per-element wire cost on the
-// bandwidth-bound configurations where compression pays, but nonzero, so a
-// latency-bound message never prefers a codec on compute-cost grounds.
-constexpr double kFp16CostPerElement = 2.0e-11;
-constexpr double kInt8CostPerElement = 3.0e-11;
+// Modeled top-k encode+decode seconds per element (both endpoints of a
+// hop).  A calibration constant in the spirit of perf::ComputeModel: the
+// codec is streaming, so on the modeled accelerator fabric it runs at
+// memory bandwidth — orders below the per-element wire cost on the
+// bandwidth-bound configurations where compression pays, but nonzero, so
+// a latency-bound message still pays for its encode and decode.
 constexpr double kTopKCostPerElement = 5.0e-11;
 
 // ---------------------------------------------------------------------------
@@ -249,70 +242,45 @@ const char* to_string(Codec codec) noexcept {
   switch (codec) {
     case Codec::kNone:
       return "none";
-    case Codec::kFp16:
-      return "fp16";
-    case Codec::kInt8:
-      return "int8";
     case Codec::kTopK:
       return "topk";
-    case Codec::kAuto:
-      return "auto";
   }
   return "?";
 }
 
-Codec resolve_codec(Codec option, std::size_t elements,
-                    bool gradient) noexcept {
-  if (option != Codec::kAuto) return option;
-  if (elements < kAutoCodecCrossoverElements) return Codec::kNone;
-  return gradient ? Codec::kFp16 : Codec::kInt8;
+void check_codec(Codec codec, bool gradient, const char* field) {
+  if (codec == Codec::kNone || (gradient && codec == Codec::kTopK)) return;
+  std::string what = field;
+  if (codec == Codec::kTopK) {
+    what += " cannot be topk (factors are dense; sparsifying them breaks the "
+            "Kronecker approximation)";
+    throw std::invalid_argument(what);
+  }
+  const auto id = static_cast<unsigned>(codec);
+  what += ": codec id ";
+  what += std::to_string(id);
+  static constexpr const char* kRetired[] = {nullptr, "fp16", "int8", nullptr,
+                                             "auto"};
+  if (id < std::size(kRetired) && kRetired[id] != nullptr) {
+    what += " (";
+    what += kRetired[id];
+    what += ") is retired";
+  } else {
+    what += " is unknown";
+  }
+  what += gradient ? "; gradients take none or topk"
+                   : "; factors ship lossless (none)";
+  throw std::invalid_argument(what);
 }
 
 std::size_t wire_elements(Codec codec, std::size_t n,
                           double topk_ratio) noexcept {
-  switch (codec) {
-    case Codec::kFp16:
-      return div_up(n, 4);  // 4 halves per double
-    case Codec::kInt8:
-      // one scale double per chunk + 8 quantized bytes per double
-      return div_up(n, kInt8ChunkElements) + div_up(n, 8);
-    case Codec::kTopK:
-      return topk_count(n, topk_ratio);
-    case Codec::kNone:
-    case Codec::kAuto:
-      break;
-  }
-  return n;
+  return codec == Codec::kTopK ? topk_count(n, topk_ratio) : n;
 }
 
-double wire_ratio(Codec codec, double topk_ratio) noexcept {
-  switch (codec) {
-    case Codec::kFp16:
-      return 0.25;
-    case Codec::kInt8:
-      return 1.0 / 8.0 + 1.0 / static_cast<double>(kInt8ChunkElements);
-    case Codec::kTopK:
-      return topk_ratio;
-    case Codec::kNone:
-    case Codec::kAuto:
-      break;
-  }
-  return 1.0;
-}
-
-double codec_cost_per_element(Codec codec) noexcept {
-  switch (codec) {
-    case Codec::kFp16:
-      return kFp16CostPerElement;
-    case Codec::kInt8:
-      return kInt8CostPerElement;
-    case Codec::kTopK:
-      return kTopKCostPerElement;
-    case Codec::kNone:
-    case Codec::kAuto:
-      break;
-  }
-  return 0.0;
+double codec_compute_cost(Codec codec, std::size_t n) noexcept {
+  return codec == Codec::kTopK ? kTopKCostPerElement * static_cast<double>(n)
+                               : 0.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -334,79 +302,27 @@ TopKSlot unpack_topk_slot(double packed) noexcept {
 
 void encode(Codec codec, std::span<const double> src, std::span<double> wire,
             double topk_ratio) {
-  const std::size_t n = src.size();
-  switch (codec) {
-    case Codec::kFp16: {
-      // The kernels write half/byte lanes straight into the wire doubles;
-      // zero the final partial double first so the tail bytes are canonical
-      // (byte-comparable across ranks and in golden tests).
-      if (n % 4 != 0 && !wire.empty()) wire.back() = 0.0;
-      active_table().fp16_pack(src.data(), n,
-                               reinterpret_cast<std::uint16_t*>(wire.data()));
-      return;
-    }
-    case Codec::kInt8: {
-      const std::size_t chunks = div_up(n, kInt8ChunkElements);
-      const auto& kt = active_table();
-      if (n % 8 != 0 && !wire.empty()) wire.back() = 0.0;
-      auto* bytes = reinterpret_cast<signed char*>(wire.data() + chunks);
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = c * kInt8ChunkElements;
-        const std::size_t len = std::min(kInt8ChunkElements, n - begin);
-        const double m = kt.absmax(src.data() + begin, len);
-        const double scale = m / 127.0;
-        wire[c] = scale;
-        kt.int8_quantize(src.data() + begin, len,
-                         m > 0.0 ? 127.0 / m : 0.0, bytes + begin);
-      }
-      return;
-    }
-    case Codec::kTopK: {
-      const std::size_t k = topk_count(n, topk_ratio);
-      if (k == 0) return;
-      ExponentHistogram hist{};
-      for (const double x : src) ++hist[exponent_digit(magnitude_key(x))];
-      SlotEmitter(find_threshold(src, hist, k), wire).scan(src, 0);
-      return;
-    }
-    case Codec::kNone:
-    case Codec::kAuto:
-      break;
+  if (codec != Codec::kTopK) {
+    std::copy(src.begin(), src.end(), wire.begin());
+    return;
   }
-  std::copy(src.begin(), src.end(), wire.begin());
+  const std::size_t k = topk_count(src.size(), topk_ratio);
+  if (k == 0) return;
+  ExponentHistogram hist{};
+  for (const double x : src) ++hist[exponent_digit(magnitude_key(x))];
+  SlotEmitter(find_threshold(src, hist, k), wire).scan(src, 0);
 }
 
 void decode(Codec codec, std::span<const double> wire, std::span<double> dst,
             double topk_ratio) {
-  const std::size_t n = dst.size();
-  switch (codec) {
-    case Codec::kFp16:
-      active_table().fp16_unpack(
-          reinterpret_cast<const std::uint16_t*>(wire.data()), n, dst.data());
-      return;
-    case Codec::kInt8: {
-      const std::size_t chunks = div_up(n, kInt8ChunkElements);
-      const auto& kt = active_table();
-      const auto* bytes =
-          reinterpret_cast<const signed char*>(wire.data() + chunks);
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = c * kInt8ChunkElements;
-        const std::size_t len = std::min(kInt8ChunkElements, n - begin);
-        kt.int8_dequantize(bytes + begin, len, wire[c], dst.data() + begin);
-      }
-      return;
-    }
-    case Codec::kTopK: {
-      std::fill(dst.begin(), dst.end(), 0.0);
-      for_each_slot(wire.first(topk_count(n, topk_ratio)), n,
-                    [&dst](std::uint32_t i, double v) { dst[i] = v; });
-      return;
-    }
-    case Codec::kNone:
-    case Codec::kAuto:
-      break;
+  if (codec != Codec::kTopK) {
+    std::copy(wire.begin(), wire.end(), dst.begin());
+    return;
   }
-  std::copy(wire.begin(), wire.end(), dst.begin());
+  const std::size_t n = dst.size();
+  std::fill(dst.begin(), dst.end(), 0.0);
+  for_each_slot(wire.first(topk_count(n, topk_ratio)), n,
+                [&dst](std::uint32_t i, double v) { dst[i] = v; });
 }
 
 void topk_feedback_encode(std::span<double> payload,
@@ -448,11 +364,6 @@ std::size_t all_reduce_scratch_elements(Codec codec, std::size_t n, int world,
                                         double topk_ratio) noexcept {
   return static_cast<std::size_t>(world) * wire_elements(codec, n, topk_ratio) +
          n;
-}
-
-std::size_t broadcast_scratch_elements(Codec codec, std::size_t n,
-                                       double topk_ratio) noexcept {
-  return wire_elements(codec, n, topk_ratio);
 }
 
 void all_reduce_encoded(Communicator& comm, std::span<double> data,
@@ -506,44 +417,6 @@ void compressed_all_reduce(Communicator& comm, std::span<double> data,
          scratch.subspan(static_cast<std::size_t>(comm.rank()) * w, w),
          topk_ratio);
   all_reduce_encoded(comm, data, codec, op, topk_ratio, scratch, plan_task);
-}
-
-void compressed_broadcast(Communicator& comm, std::span<double> data,
-                          Codec codec, int root, std::span<double> scratch,
-                          int plan_task) {
-  const int P = comm.size();
-  const int rank = comm.rank();
-  const std::size_t w = wire_elements(codec, data.size());
-  const std::span<double> wire_buf = scratch.subspan(0, w);
-  const auto codec_id = static_cast<std::uint16_t>(codec);
-
-  if (rank == root) encode(codec, data, wire_buf);
-
-  // Binomial tree over virtual ranks (root -> 0), mirroring the lossless
-  // Communicator::broadcast but shipping the encoded vector.
-  const int vrank = (rank - root + P) % P;
-  int mask = 1;
-  while (mask < P) {
-    if (vrank & mask) {
-      const int src = (((vrank & ~mask) % P) + root) % P;
-      comm.recv(src, wire_buf);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    const int vdst = vrank | mask;
-    if ((vrank & mask) == 0 && vdst < P) {
-      comm.send((vdst + root) % P, wire_buf, wire::kDataTag, plan_task,
-                codec_id);
-    }
-    mask >>= 1;
-  }
-
-  // The root decodes its own encoding too: every rank's post-broadcast
-  // state is the decoded wire, bitwise identical across the cluster.
-  decode(codec, wire_buf, data);
 }
 
 }  // namespace spdkfac::comm

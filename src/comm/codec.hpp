@@ -1,41 +1,29 @@
-// Lossy/lossless payload codecs for collective communication — the seam
+// Lossless/lossy payload codecs for collective communication — the seam
 // that lets the planner trade accuracy for bytes-on-the-wire (ROADMAP item
 // 5(a): compression shifts the m of the paper's alpha + beta*m model, Eq.
 // (14), and is therefore re-derived through the planner rather than bolted
 // onto the transport).
 //
-// Three codecs:
+// One lossy codec, for gradients only (factors always ship lossless):
 //
-//   kFp16  — IEEE-754 binary16 quantization, 4 halves per wire double
-//            (4x fewer bytes).  Lossless in structure: every element
-//            survives, rounded to ~3 decimal digits.
-//   kInt8  — per-chunk-scaled linear quantization: each 256-element chunk
-//            carries one double scale (absmax/127) plus 8 signed bytes per
-//            wire double (~7.8x fewer bytes).
-//   kTopK  — top-k sparsification for gradients: the k = max(1,
-//            floor(ratio*n)) largest-|value| elements ship as (index,
-//            f32 value) slots, one wire double each; the unsent remainder
-//            feeds a per-rank error-feedback residual added back into the
-//            next step's gradient (see core::DistKfacOptimizer).  Selection
-//            is deterministic: |value| descending, index ascending on ties,
+//   kTopK  — top-k sparsification: the k = max(1, floor(ratio*n))
+//            largest-|value| elements ship as (index, f32 value) slots,
+//            one wire double each; the unsent remainder feeds a per-rank
+//            error-feedback residual added back into the next step's
+//            gradient (see core::DistKfacOptimizer).  Selection is
+//            deterministic: |value| descending, index ascending on ties,
 //            read off the sign-cleared bit pattern of each element (a NaN
-//            ranks above +-inf), in O(n) by a threshold search — see encode.
+//            ranks above +-inf), in O(n) by a threshold search — see
+//            encode.
 //
-// Determinism.  Every codec's encode/decode runs on the kernel table's
-// codec primitives, which are bitwise identical across ISA levels (see
-// tensor/kernels/kernels.hpp), and the compressed collectives below
-// all-gather the P encoded vectors and have *every* rank decode and reduce
-// them in fixed rank order 0..P-1 — so results are bitwise identical on
-// every rank, on every backend, at every ISA level, independent of the
-// plan's algorithm annotation (which shapes cost modeling only).
-//
-// Error bounds the conformance suite holds the lossy codecs to (inputs
-// x_r per rank, result vs the exact sum):
-//
-//   fp16:  |err_i| <= P * 2^-11 * max_r(|x_r,i|) * (1 + o(1))   (half ulp)
-//   int8:  |err_i| <= P * max_r(absmax_chunk(x_r)) / 254        (half step)
-//   topk:  exactly sum_r decode_r(encode_r(x_r)) — the reference replays
-//          the codec, the loss is accounted by error feedback upstream.
+// Determinism.  The compressed all-reduce below all-gathers the P encoded
+// vectors and has *every* rank decode and reduce them in fixed rank order
+// 0..P-1 — so results are bitwise identical on every rank, on every
+// backend, at every ISA level, independent of the plan's algorithm
+// annotation (which shapes cost modeling only).  The conformance suite
+// holds a top-k all-reduce to exactly sum_r decode_r(encode_r(x_r)): the
+// reference replays the codec, and the loss is accounted by error feedback
+// upstream.
 #pragma once
 
 #include <cstddef>
@@ -46,51 +34,31 @@
 
 namespace spdkfac::comm {
 
-/// Payload codec of one collective task.  kAuto is an *option* value only:
-/// the planner resolves it per step (to kInt8 for factor families, kFp16
-/// for gradients, or kNone below the crossover size) and resolved
-/// sched::Task codecs are never kAuto.
+/// Payload codec of one collective task.  The values are the codec ids
+/// socket frame headers carry, so kTopK keeps id 3; ids 1, 2 and 4 belonged
+/// to the retired fp16, int8 and auto codecs and are never valid.
 enum class Codec : std::uint8_t {
   kNone = 0,
-  kFp16 = 1,
-  kInt8 = 2,
   kTopK = 3,
-  kAuto = 4,
 };
 
 const char* to_string(Codec codec) noexcept;
 
-/// int8 quantization chunk: one scale double per 256 elements.
-inline constexpr std::size_t kInt8ChunkElements = 256;
-
-/// kAuto crossover: payloads below this many doubles stay lossless (the
-/// alpha term dominates there, so shrinking m buys nothing but error).
-inline constexpr std::size_t kAutoCodecCrossoverElements = 8192;
-
-/// Resolves an option codec against a payload size: kAuto becomes kInt8
-/// (factors) / kFp16 (gradients) at or above the crossover and kNone below
-/// it; concrete codecs pass through.  Never returns kAuto.
-Codec resolve_codec(Codec option, std::size_t elements, bool gradient) noexcept;
+/// Throws std::invalid_argument unless `codec` is kNone, or kTopK for a
+/// `gradient` payload (factors are dense and ship lossless).  The message
+/// starts with `field`, gives the numeric id, and names the codec a retired
+/// id belonged to (1 fp16, 2 int8, 4 auto).
+void check_codec(Codec codec, bool gradient, const char* field);
 
 /// Wire payload length in doubles for n logical doubles under `codec`
 /// (kTopK needs the ratio; n for kNone).
 std::size_t wire_elements(Codec codec, std::size_t n,
                           double topk_ratio = 0.0) noexcept;
 
-/// Asymptotic compressed/raw wire-size ratio — what the planner scales the
-/// beta term of Eq. (14) by when re-deriving fusion groups and CT/NCT
-/// placement under compression (1.0 for kNone).
-double wire_ratio(Codec codec, double topk_ratio = 0.0) noexcept;
-
-/// Modeled encode + decode compute seconds per element (folded into the
-/// planner's adjusted beta alongside the wire ratio, and added by the
-/// simulator's pricer as codec_compute_cost).
-double codec_cost_per_element(Codec codec) noexcept;
-
-/// Modeled total codec compute seconds for one collective over n elements.
-inline double codec_compute_cost(Codec codec, std::size_t n) noexcept {
-  return codec_cost_per_element(codec) * static_cast<double>(n);
-}
+/// Modeled encode + decode compute seconds of one collective over n
+/// logical elements — what the simulator adds to a compressed gradient
+/// all-reduce's wire time (0 for kNone).
+double codec_compute_cost(Codec codec, std::size_t n) noexcept;
 
 // ---------------------------------------------------------------------------
 // Encode / decode
@@ -149,10 +117,6 @@ void topk_feedback_encode(std::span<double> payload,
 std::size_t all_reduce_scratch_elements(Codec codec, std::size_t n, int world,
                                         double topk_ratio = 0.0) noexcept;
 
-/// Scratch doubles compressed_broadcast needs: one wire vector.
-std::size_t broadcast_scratch_elements(Codec codec, std::size_t n,
-                                       double topk_ratio = 0.0) noexcept;
-
 /// In-place compressed all-reduce: encode the local vector, ring
 /// all-gather the P encoded vectors (point-to-point frames tagged with the
 /// codec id and `plan_task`, so the socket backend genuinely ships the
@@ -172,14 +136,5 @@ void compressed_all_reduce(Communicator& comm, std::span<double> data,
 void all_reduce_encoded(Communicator& comm, std::span<double> data,
                         Codec codec, ReduceOp op, double topk_ratio,
                         std::span<double> scratch, int plan_task = -1);
-
-/// In-place compressed broadcast: the root encodes, the wire vector ships
-/// down a binomial tree, and *every* rank — the root included — overwrites
-/// data with the decoded wire, so downstream state (e.g. CT inverses) is
-/// bitwise identical across ranks.  scratch must hold
-/// broadcast_scratch_elements.
-void compressed_broadcast(Communicator& comm, std::span<double> data,
-                          Codec codec, int root, std::span<double> scratch,
-                          int plan_task = -1);
 
 }  // namespace spdkfac::comm

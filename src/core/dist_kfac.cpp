@@ -89,11 +89,10 @@ void DistKfacOptions::validate() const {
         "DistKfacOptions: profile and profile_trajectory are mutually "
         "exclusive");
   }
-  if (factor_codec == comm::Codec::kTopK) {
-    throw std::invalid_argument(
-        "DistKfacOptions: factor_codec cannot be topk (factors are dense; "
-        "sparsifying them breaks the Kronecker approximation)");
-  }
+  comm::check_codec(factor_codec, /*gradient=*/false,
+                    "DistKfacOptions: factor_codec");
+  comm::check_codec(grad_codec, /*gradient=*/true,
+                    "DistKfacOptions: grad_codec");
   if (!(topk_ratio > 0.0) || !(topk_ratio <= 1.0) ||
       !std::isfinite(topk_ratio)) {
     throw std::invalid_argument(
@@ -435,11 +434,8 @@ void DistKfacOptimizer::begin_step() {
     if (task.codec == comm::Codec::kNone) continue;
     codec_scratch = std::max(
         codec_scratch,
-        task.kind == sched::TaskKind::kBroadcast
-            ? comm::broadcast_scratch_elements(task.codec, task.elements)
-            : comm::all_reduce_scratch_elements(task.codec, task.elements,
-                                                comm_.size(),
-                                                options_.topk_ratio));
+        comm::all_reduce_scratch_elements(task.codec, task.elements,
+                                          comm_.size(), options_.topk_ratio));
   }
   arena_.reset(total + BufferArena::aligned(codec_scratch));
 
@@ -687,8 +683,8 @@ void DistKfacOptimizer::submit_collective(int task_id) {
   // (no staging copy); OpRecord::data lets tests verify exactly that.
   const std::span<double> buffer =
       task_buffer_[static_cast<std::size_t>(task_id)];
-  if (task.codec != comm::Codec::kNone) {
-    submit_compressed(task, buffer);
+  if (task.codec == comm::Codec::kTopK) {
+    submit_topk(task, buffer);
   } else if (task.kind == sched::TaskKind::kBroadcast) {
     engine_.broadcast_async(buffer, task.rank, task.label, task.id);
   } else {
@@ -712,34 +708,13 @@ void DistKfacOptimizer::ensure_grad_residuals() {
   }
 }
 
-void DistKfacOptimizer::submit_compressed(const sched::Task& task,
-                                          std::span<double> buffer) {
-  const comm::Codec codec = task.codec;
+void DistKfacOptimizer::submit_topk(const sched::Task& task,
+                                    std::span<double> buffer) {
   const double ratio = options_.topk_ratio;
   const int id = task.id;
-  if (task.kind == sched::TaskKind::kBroadcast) {
-    const std::span<double> scratch = codec_scratch_.subspan(
-        0, comm::broadcast_scratch_elements(codec, buffer.size()));
-    engine_.submit(
-        [buffer, codec, root = task.rank, scratch, id](comm::Communicator& c) {
-          comm::compressed_broadcast(c, buffer, codec, root, scratch, id);
-        },
-        task.label, task.elements, id, buffer.data());
-    return;
-  }
   const std::span<double> scratch = codec_scratch_.subspan(
-      0, comm::all_reduce_scratch_elements(codec, buffer.size(), comm_.size(),
-                                           ratio));
-  if (codec != comm::Codec::kTopK) {
-    engine_.submit(
-        [buffer, codec, ratio, scratch, id](comm::Communicator& c) {
-          comm::compressed_all_reduce(c, buffer, codec,
-                                      comm::ReduceOp::kAverage, ratio, scratch,
-                                      id);
-        },
-        task.label, task.elements, id, buffer.data());
-    return;
-  }
+      0, comm::all_reduce_scratch_elements(comm::Codec::kTopK, buffer.size(),
+                                           comm_.size(), ratio));
   // Top-k with error feedback, entirely inside the (serial) pump so the
   // selection and the residual update are deterministic: one fused pass
   // re-injects the members' residuals into the group payload and

@@ -165,7 +165,8 @@ struct DistKfacOptions : KfacOptions, sched::PlanShape {
   /// negative value wrapped to unsigned, a profile or trajectory entry
   /// containing negative/non-finite entries, both `profile` and
   /// `profile_trajectory` set, a negative/non-finite comm_timeout_s, a
-  /// topk factor_codec, or a topk_ratio outside (0, 1].
+  /// factor_codec other than kNone, a grad_codec other than kNone or kTopK,
+  /// or a topk_ratio outside (0, 1].
   void validate() const;
 };
 
@@ -409,13 +410,13 @@ class DistKfacOptimizer {
   void run_precondition(int task_id);
   void run_apply();
   void submit_collective(int task_id);
-  /// Codec-annotated collective: queued on the engine as a custom pump op
-  /// running the comm::compressed_* primitives over the task's arena span.
-  /// The kTopK path runs comm::topk_feedback_encode first, serially inside
-  /// the pump so selection is deterministic: it folds the members'
-  /// error-feedback residuals in and banks the new ones in the same
-  /// streaming passes that encode the local wire block.
-  void submit_compressed(const sched::Task& task, std::span<double> buffer);
+  /// Top-k gradient all-reduce: queued on the engine as a custom pump op
+  /// over the task's arena span.  It runs comm::topk_feedback_encode first,
+  /// serially inside the pump so selection is deterministic: that folds the
+  /// members' error-feedback residuals in and banks the new ones in the
+  /// same streaming passes that encode the local wire block; then
+  /// comm::all_reduce_encoded ships it.
+  void submit_topk(const sched::Task& task, std::span<double> buffer);
   void postprocess_collective(int task_id);
   /// Carves and zeroes the per-layer error-feedback residual spans on
   /// first use (grad_codec == kTopK); restore_checkpoint also routes

@@ -52,19 +52,18 @@ double precondition_time(const perf::InverseModel& inverse, std::size_t d_in,
 
 namespace {
 
-/// Algorithm 1.  With `delta_broadcast` null it is the paper's
-/// tensor-granular LBP; otherwise layers are placed whole where that pays
+/// Algorithm 1.  Without `layer_granular` it is the paper's
+/// tensor-granular LBP; with it, layers are placed whole where that pays
 /// (see lbp_layer_place).
 Placement algorithm1(std::span<const std::size_t> dims, int world_size,
                      const perf::InverseModel& inverse,
                      const perf::BroadcastModel& broadcast,
-                     const perf::BroadcastModel* delta_broadcast,
-                     BalanceMetric metric) {
+                     bool layer_granular, BalanceMetric metric) {
   if (world_size < 1) {
     throw std::invalid_argument("lbp_place: world_size must be >= 1");
   }
   Placement placement;
-  placement.policy = delta_broadcast == nullptr ? "LBP" : "Layer-LBP";
+  placement.policy = layer_granular ? "Layer-LBP" : "LBP";
   placement.world_size = world_size;
   placement.assignments.resize(dims.size());
   placement.per_gpu.assign(world_size, {});
@@ -93,7 +92,7 @@ Placement algorithm1(std::span<const std::size_t> dims, int world_size,
 
   // Which layers to own, and what one weighs in its owner's bucket.
   std::vector<double> layer_weight;  // per layer; < 0: not owned
-  if (delta_broadcast != nullptr) {
+  if (layer_granular) {
     const std::size_t layers = dims.size() / 2;
     placement.layer_owner.assign(layers, -1);
     layer_weight.assign(layers, -1.0);
@@ -107,7 +106,7 @@ Placement algorithm1(std::span<const std::size_t> dims, int world_size,
         if (inverse.time(d) >= t_comm) replaced += t_comm;
       }
       const double update = precondition_time(inverse, d_in, d_out);
-      const double shipped = delta_broadcast->time_elements(d_out * d_in);
+      const double shipped = broadcast.time_elements(d_out * d_in);
       if (replaced + others * update <= shipped) continue;
       layer_weight[l] =
           metric == BalanceMetric::kEstimatedTime
@@ -168,21 +167,21 @@ Placement lbp_place(std::span<const std::size_t> dims, int world_size,
                     const perf::InverseModel& inverse,
                     const perf::BroadcastModel& broadcast,
                     BalanceMetric metric) {
-  return algorithm1(dims, world_size, inverse, broadcast, nullptr, metric);
+  return algorithm1(dims, world_size, inverse, broadcast,
+                    /*layer_granular=*/false, metric);
 }
 
 Placement lbp_layer_place(std::span<const std::size_t> dims, int world_size,
                           const perf::InverseModel& inverse,
                           const perf::BroadcastModel& broadcast,
-                          const perf::BroadcastModel& delta_broadcast,
                           BalanceMetric metric) {
   if (dims.size() % 2 != 0 || world_size < 1) {
     throw std::invalid_argument(
         "lbp_layer_place: dims must hold an (A, G) pair per layer and "
         "world_size must be >= 1");
   }
-  return algorithm1(dims, world_size, inverse, broadcast, &delta_broadcast,
-                    metric);
+  return algorithm1(dims, world_size, inverse, broadcast,
+                    /*layer_granular=*/true, metric);
 }
 
 Placement seq_place(std::span<const std::size_t> dims, int world_size) {

@@ -76,7 +76,7 @@ Placement lbp_place(std::span<const std::size_t> dims, int world_size,
 /// Algorithm 1 at layer granularity.  `dims` holds layer l's factors at
 /// 2l (A_l, d_in) and 2l+1 (G_l, d_out).  Layer l is owned when
 ///   sum of its CTs' broadcast times + (P-1)/P * t_update
-///     > delta_broadcast.time_elements(d_out * d_in),
+///     > broadcast.time_elements(d_out * d_in),
 /// where t_update = precondition_time(inverse, d_in, d_out): every GPU but
 /// the owner stops running the update GEMMs, and one ΔW replaces the CT
 /// broadcasts.  The traversal is
@@ -88,7 +88,6 @@ Placement lbp_place(std::span<const std::size_t> dims, int world_size,
 Placement lbp_layer_place(std::span<const std::size_t> dims, int world_size,
                           const perf::InverseModel& inverse,
                           const perf::BroadcastModel& broadcast,
-                          const perf::BroadcastModel& delta_broadcast,
                           BalanceMetric metric = BalanceMetric::kEstimatedTime);
 
 /// Modeled time of layer l's two Eq. (13) GEMMs, G^-1 (∇W A^-1): d_out

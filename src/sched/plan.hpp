@@ -94,10 +94,11 @@ struct Task {
 
   comm::AllReduceAlgo algo = comm::AllReduceAlgo::kRing;
 
-  /// Payload codec of a collective task — planner-resolved, never kAuto —
-  /// and the wire doubles actually shipped under it.  `elements` stays the
-  /// logical payload size; wire_elements == elements when codec == kNone
-  /// (and 0 on non-collective tasks, which ship nothing).
+  /// Payload codec of a collective task — kTopK only on gradient
+  /// all-reduces — and the wire doubles actually shipped under it.
+  /// `elements` stays the logical payload size; wire_elements == elements
+  /// when codec == kNone (and 0 on non-collective tasks, which ship
+  /// nothing).
   comm::Codec codec = comm::Codec::kNone;
   std::size_t wire_elements = 0;
 

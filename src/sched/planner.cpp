@@ -63,20 +63,6 @@ FusionPolicy to_policy(FactorCommMode mode) noexcept {
   return FusionPolicy::kSingleBulk;
 }
 
-/// Folds a codec into a comm cost model: the per-element (beta) term scales
-/// by the wire ratio and absorbs the modeled encode+decode compute, so the
-/// fusion DP, the bulk estimates and CT/NCT typing all re-derive their
-/// decisions from the *compressed* alpha + beta'*m of Eq. (14).  Fed raw
-/// element counts, the adjusted model prices alpha + beta*wire + codec
-/// compute exactly (the wire ratio is the codecs' asymptotic ratio).
-template <typename CommModel>  // perf::AllReduceModel or BroadcastModel
-CommModel with_codec(CommModel base, comm::Codec codec,
-                     double topk_ratio) noexcept {
-  base.model.beta = base.model.beta * comm::wire_ratio(codec, topk_ratio) +
-                    comm::codec_cost_per_element(codec);
-  return base;
-}
-
 /// Per-plan helper carrying the pieces every task construction needs.
 class Builder {
  public:
@@ -136,11 +122,10 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
     throw std::invalid_argument(
         "plan_iteration: gradient timing must cover every layer");
   }
-  if (options.factor_codec == comm::Codec::kTopK) {
-    throw std::invalid_argument(
-        "plan_iteration: factor_codec cannot be topk (factors are dense; "
-        "sparsifying them breaks the Kronecker approximation)");
-  }
+  comm::check_codec(options.factor_codec, /*gradient=*/false,
+                    "plan_iteration: factor_codec");
+  comm::check_codec(options.grad_codec, /*gradient=*/true,
+                    "plan_iteration: grad_codec");
   if (options.grad_codec == comm::Codec::kTopK &&
       !(options.topk_ratio > 0.0 && options.topk_ratio <= 1.0)) {
     throw std::invalid_argument("plan_iteration: topk_ratio must be in (0, 1]");
@@ -159,34 +144,15 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
     a_sizes[l] = inputs.layers[l].a_elements;
     g_sizes[l] = inputs.layers[L - 1 - l].g_elements;
   }
-  const std::size_t a_total_all =
-      std::accumulate(a_sizes.begin(), a_sizes.end(), std::size_t{0});
-  const std::size_t g_total_all =
-      std::accumulate(g_sizes.begin(), g_sizes.end(), std::size_t{0});
   std::size_t total_params = 0;
   for (const LayerShape& layer : inputs.layers) {
     total_params += layer.grad_elements;
   }
 
-  // Resolve the option codecs per family against this step's total payload
-  // (kAuto stays lossless below the crossover, where the alpha term
-  // dominates and shrinking m buys nothing), then fold them into the comm
-  // cost models the fusion DP / bulk estimates / CT-NCT typing decide with.
-  // Inverse broadcasts ship the same packed-triangle family the factor
-  // all-reduces do, so factor_codec governs them too.
+  // Only gradients may be compressed; factor all-reduces and inverse
+  // broadcasts always ship lossless.
   const double topk_ratio = options.topk_ratio;
-  const comm::Codec grad_codec = comm::resolve_codec(
-      options.grad_codec, total_params, /*gradient=*/true);
-  const comm::Codec a_codec = comm::resolve_codec(
-      options.factor_codec, a_total_all, /*gradient=*/false);
-  const comm::Codec g_codec = comm::resolve_codec(
-      options.factor_codec, g_total_all, /*gradient=*/false);
-  const comm::Codec bcast_codec = comm::resolve_codec(
-      options.factor_codec, a_total_all + g_total_all, /*gradient=*/false);
-  const perf::AllReduceModel a_allreduce =
-      with_codec(costs.allreduce, a_codec, topk_ratio);
-  const perf::AllReduceModel g_allreduce =
-      with_codec(costs.allreduce, g_codec, topk_ratio);
+  const comm::Codec grad_codec = options.grad_codec;
 
   // -------------------------------------------------------------------
   // Factor-computation tasks, in pass order (Fig. 1b: A_0..A_{L-1} during
@@ -265,18 +231,20 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
       if (options.factor_comm == FactorCommMode::kBulk ||
           options.factor_comm == FactorCommMode::kNaive) {
         const bool naive = options.factor_comm == FactorCommMode::kNaive;
-        const std::size_t a_total = a_total_all;
-        const std::size_t g_total = g_total_all;
+        const std::size_t a_total =
+            std::accumulate(a_sizes.begin(), a_sizes.end(), std::size_t{0});
+        const std::size_t g_total =
+            std::accumulate(g_sizes.begin(), g_sizes.end(), std::size_t{0});
 
         FusionGroup a_group{0, L - 1, a_total, 0, 0, 0};
         a_group.ready_time = naive ? timing.a_ready[L - 1]
                                    : timing.backward_end;
         a_group.comm_start = a_group.ready_time;
-        a_group.comm_end = a_group.comm_start + a_allreduce.time(a_total);
+        a_group.comm_end = a_group.comm_start + costs.allreduce.time(a_total);
         FusionGroup g_group{0, L - 1, g_total, 0, 0, 0};
         g_group.ready_time = timing.backward_end;
         g_group.comm_start = std::max(g_group.ready_time, a_group.comm_end);
-        g_group.comm_end = g_group.comm_start + g_allreduce.time(g_total);
+        g_group.comm_end = g_group.comm_start + costs.allreduce.time(g_total);
         plan.a_groups = {a_group};
         plan.g_groups = {g_group};
 
@@ -289,8 +257,7 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
         std::iota(a_task.member_layers.begin(), a_task.member_layers.end(),
                   std::size_t{0});
         a_task.elements = a_total;
-        a_task.codec = a_codec;
-        a_task.wire_elements = comm::wire_elements(a_codec, a_total);
+        a_task.wire_elements = a_total;
         a_task.algo = b.resolve(a_task.wire_elements);
         a_task.ready = a_group.ready_time;
         // Naive pipelining ships the A family the moment the forward pass
@@ -309,8 +276,7 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
           g_task.member_layers.push_back(L - 1 - i);
         }
         g_task.elements = g_total;
-        g_task.codec = g_codec;
-        g_task.wire_elements = comm::wire_elements(g_codec, g_total);
+        g_task.wire_elements = g_total;
         g_task.algo = b.resolve(g_task.wire_elements);
         g_task.ready = g_group.ready_time;
         g_task.deferred = true;
@@ -322,11 +288,11 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
         // the G pass, the G stream starting where the A groups drained.
         const FusionPolicy policy = to_policy(options.factor_comm);
         FusionPlanInput a_input{timing.a_ready, a_sizes, 0.0};
-        plan.a_groups = plan_fusion(a_input, a_allreduce, policy);
+        plan.a_groups = plan_fusion(a_input, costs.allreduce, policy);
         const double stream_free =
             plan.a_groups.empty() ? 0.0 : plan.a_groups.back().comm_end;
         FusionPlanInput g_input{timing.g_ready, g_sizes, stream_free};
-        plan.g_groups = plan_fusion(g_input, g_allreduce, policy);
+        plan.g_groups = plan_fusion(g_input, costs.allreduce, policy);
 
         for (const FusionGroup& g : plan.a_groups) {
           Task t;
@@ -338,8 +304,7 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
             t.member_layers.push_back(l);
           }
           t.elements = g.elements;
-          t.codec = a_codec;
-          t.wire_elements = comm::wire_elements(a_codec, g.elements);
+          t.wire_elements = g.elements;
           t.algo = b.resolve(t.wire_elements);
           t.ready = g.ready_time;
           t.deps = {plan.a_compute[g.last]};
@@ -359,8 +324,7 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
             t.member_layers.push_back(L - 1 - i);
           }
           t.elements = g.elements;
-          t.codec = g_codec;
-          t.wire_elements = comm::wire_elements(g_codec, g.elements);
+          t.wire_elements = g.elements;
           t.algo = b.resolve(t.wire_elements);
           t.ready = g.ready_time;
           t.deps = {plan.g_compute[g.last]};
@@ -404,11 +368,6 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
   Placement placement;
   std::vector<std::size_t> ct_order;  // CT inverse submission order
   if (plan.inverse_update || (options.second_order && layer_mode)) {
-    // CT/NCT typing under compression: a compressed broadcast is cheaper,
-    // so the crossover dimension drops and more tensors become
-    // communicated (Algorithm 1 re-derived on beta').  ΔW ships lossless.
-    const perf::BroadcastModel bcast =
-        with_codec(costs.broadcast, bcast_codec, topk_ratio);
     switch (options.inverse) {
       case InverseMode::kLocalAll:
         placement = nondist_place(dims, inputs.world_size);
@@ -417,13 +376,12 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
         placement = seq_place(dims, inputs.world_size);
         break;
       case InverseMode::kLBP:
-        placement = lbp_place(dims, inputs.world_size, costs.inverse, bcast,
-                              options.balance);
+        placement = lbp_place(dims, inputs.world_size, costs.inverse,
+                              costs.broadcast, options.balance);
         break;
       case InverseMode::kLayerLBP:
-        placement =
-            lbp_layer_place(dims, inputs.world_size, costs.inverse, bcast,
-                            costs.broadcast, options.balance);
+        placement = lbp_layer_place(dims, inputs.world_size, costs.inverse,
+                                    costs.broadcast, options.balance);
         break;
     }
     // LBP emits largest-dimension first (the order Algorithm 1 assigned),
@@ -487,8 +445,7 @@ IterationPlan plan_iteration(const ScheduleInputs& inputs,
         bc.tensor = t;
         bc.dim = dims[t];
         bc.elements = packed_size(dims[t]);
-        bc.codec = bcast_codec;
-        bc.wire_elements = comm::wire_elements(bcast_codec, bc.elements);
+        bc.wire_elements = bc.elements;
         bc.rank = placement.assignments[t].owner;
         bc.deps = {inv_id};
         bc.label = "bcast[T" + std::to_string(t) + "]";

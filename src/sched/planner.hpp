@@ -111,18 +111,18 @@ struct PlanShape {
   /// AlgorithmSelector (NCCL-style switching, rank-identical); any concrete
   /// algorithm forces it (labels then carry an "@algo" suffix).
   comm::AllReduceAlgo collective_algo = comm::AllReduceAlgo::kRing;
-  /// Collective payload codecs (comm/codec.hpp).  factor_codec governs the
-  /// fused factor all-reduces *and* the inverse broadcasts (kTopK is
-  /// rejected there — factors need every element); grad_codec governs the
-  /// WFBP gradient all-reduces (kTopK engages per-layer error-feedback
-  /// residuals in the runtime, carried across steps and through
-  /// checkpoints).  kAuto resolves per family-total payload against the
-  /// crossover; kNone reproduces the seed's lossless plans byte for byte.
-  /// Compression shifts the m of Eq. (14), so fusion groups, CT/NCT typing
-  /// and algorithm choices are re-derived from the compressed sizes, and
-  /// the simulator charges each collective its wire bytes plus the modeled
-  /// encode/decode compute.
+  /// Codec of the factor all-reduces and inverse broadcasts.  Factors
+  /// always ship lossless, so kNone is its only legal value: anything else
+  /// throws in plan_iteration and DistKfacOptions::validate.  The field
+  /// stays only because the frozen bench/e2e harness copies it; ROADMAP
+  /// item 12 retires it.
   comm::Codec factor_codec = comm::Codec::kNone;
+  /// Codec of the WFBP gradient all-reduces (comm/codec.hpp): kNone, or
+  /// kTopK, which engages per-layer error-feedback residuals in the
+  /// runtime, carried across steps and through checkpoints.  Compression
+  /// shifts the m of Eq. (14), so the fusion threshold applies to wire
+  /// sizes and the simulator charges each gradient collective its wire
+  /// bytes plus the modeled encode/decode compute.
   comm::Codec grad_codec = comm::Codec::kNone;
   /// kTopK keep ratio: fraction of gradient elements shipped per message.
   double topk_ratio = 0.01;

@@ -268,13 +268,12 @@ IterationResult simulate_iteration(const models::ModelSpec& model,
             ? std::vector<int>{}
             : translate_deps(plan.task(plan.inverse_tasks.front()).deps);
 
-    // Broadcast pricing per plan task: wire bytes under the plan's codec
-    // plus encode/decode compute.  For a lossless CT this is exactly
-    // time_dim(d) — the task's elements are the packed triangle time_dim
-    // prices.  A tensor of an owned layer has no broadcast of its own.
+    // Broadcast pricing per plan task (broadcasts always ship lossless).
+    // For a CT this is exactly time_dim(d) — the task's elements are the
+    // packed triangle time_dim prices.  A tensor of an owned layer has no
+    // broadcast of its own.
     const auto bcast_price = [&cal](const sched::Task& task) {
-      return cal.bcast_fabric.time_elements(task.wire_elements) +
-             comm::codec_compute_cost(task.codec, task.elements);
+      return cal.bcast_fabric.time_elements(task.elements);
     };
     std::vector<int> tensor_bcast(2 * L, -1);
     for (int id : plan.broadcast_tasks) {

@@ -54,7 +54,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace spdkfac::tensor::kernels {
 
@@ -130,39 +129,6 @@ struct KernelTable {
   /// out(c, r) = in(r, c), cache-blocked.
   void (*transpose)(const double* in, std::size_t rows, std::size_t cols,
                     std::size_t ldi, double* out, std::size_t ldo);
-
-  // -------------------------------------------------------------------------
-  // Compressed-collective codec primitives (comm::Codec).  All four codec
-  // kernels are bitwise identical across ISA levels: the fp16 conversion is
-  // one shared software IEEE-754 converter (double -> float -> half, both
-  // steps round-to-nearest-even) whose vector variant only vectorizes the
-  // exactly-rounded double<->float step, and the int8 quantize is an
-  // elementwise multiply + RNE round + clamp, all of which round the same
-  // in scalar and vector lanes.  That is what lets the compressed
-  // collectives promise cross-rank bitwise results regardless of which
-  // level each rank dispatched to.
-  // -------------------------------------------------------------------------
-
-  /// max_i |src[i]| (0.0 for n == 0) — the int8 per-chunk scale probe.
-  /// Exact (no rounding), hence order-independent and bitwise across levels.
-  double (*absmax)(const double* src, std::size_t n);
-
-  /// dst[i] = clamp(rne(src[i] * inv_scale), -127, 127) as a signed byte.
-  /// inv_scale == 0 quantizes everything to 0 (the all-zero-chunk case).
-  void (*int8_quantize)(const double* src, std::size_t n, double inv_scale,
-                        signed char* dst);
-
-  /// dst[i] = scale * src[i] (bytes widened exactly, one correctly rounded
-  /// multiply).
-  void (*int8_dequantize)(const signed char* src, std::size_t n, double scale,
-                          double* dst);
-
-  /// dst[i] = IEEE-754 binary16 bits of src[i], via double -> float (RNE)
-  /// -> half (RNE).
-  void (*fp16_pack)(const double* src, std::size_t n, std::uint16_t* dst);
-
-  /// dst[i] = the exact double value of the half bits in src[i].
-  void (*fp16_unpack)(const std::uint16_t* src, std::size_t n, double* dst);
 };
 
 /// The table of one specific level (kernel unit tests compare levels).

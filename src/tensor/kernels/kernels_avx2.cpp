@@ -452,104 +452,6 @@ void transpose_avx2(const double* in, std::size_t rows, std::size_t cols,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Codec kernels — bitwise identical to the scalar table by construction
-// (see kernels.hpp): the only rounding steps are the double multiply, the
-// RNE double->int32 conversion (cvtpd_epi32 honours the default rounding
-// mode, exactly nearbyint), the exactly-rounded double<->float conversion,
-// and the shared software half converter.
-// ---------------------------------------------------------------------------
-
-double absmax_avx2(const double* src, std::size_t n) {
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFF'FFFF'FFFF'FFFFll));
-  __m256d vmax = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vmax = _mm256_max_pd(vmax,
-                         _mm256_and_pd(_mm256_loadu_pd(src + i), abs_mask));
-  }
-  const __m128d lo = _mm256_castpd256_pd128(vmax);
-  const __m128d hi = _mm256_extractf128_pd(vmax, 1);
-  const __m128d pair = _mm_max_pd(lo, hi);
-  double m = _mm_cvtsd_f64(_mm_max_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; i < n; ++i) m = std::max(m, std::fabs(src[i]));
-  return m;
-}
-
-void int8_quantize_avx2(const double* src, std::size_t n, double inv_scale,
-                        signed char* dst) {
-  // clamp-then-convert equals the scalar nearbyint-then-clamp for every
-  // finite input: both round with RNE and both end inside [-127, 127].
-  const __m256d vinv = _mm256_set1_pd(inv_scale);
-  const __m256d vlo = _mm256_set1_pd(-127.0);
-  const __m256d vhi = _mm256_set1_pd(127.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t = _mm256_min_pd(
-        vhi, _mm256_max_pd(vlo, _mm256_mul_pd(_mm256_loadu_pd(src + i),
-                                              vinv)));
-    const __m128i q32 = _mm256_cvtpd_epi32(t);           // RNE
-    const __m128i q16 = _mm_packs_epi32(q32, q32);       // in-range: exact
-    const __m128i q8 = _mm_packs_epi16(q16, q16);
-    const int packed = _mm_cvtsi128_si32(q8);
-    std::memcpy(dst + i, &packed, 4);
-  }
-  for (; i < n; ++i) {
-    double t = std::nearbyint(src[i] * inv_scale);
-    t = std::min(127.0, std::max(-127.0, t));
-    dst[i] = static_cast<signed char>(t);
-  }
-}
-
-void int8_dequantize_avx2(const signed char* src, std::size_t n, double scale,
-                          double* dst) {
-  const __m256d vscale = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    int packed;
-    std::memcpy(&packed, src + i, 4);
-    const __m128i q8 = _mm_cvtsi32_si128(packed);
-    const __m128i q32 = _mm_cvtepi8_epi32(q8);
-    _mm256_storeu_pd(dst + i,
-                     _mm256_mul_pd(_mm256_cvtepi32_pd(q32), vscale));
-  }
-  for (; i < n; ++i) dst[i] = scale * static_cast<double>(src[i]);
-}
-
-void fp16_pack_avx2(const double* src, std::size_t n, std::uint16_t* dst) {
-  // Vectorize the exactly-rounded double->float narrowing; the float->half
-  // step goes through the shared software converter so the bits match the
-  // scalar table.
-  std::size_t i = 0;
-  alignas(16) float f[4];
-  for (; i + 4 <= n; i += 4) {
-    _mm_store_ps(f, _mm256_cvtpd_ps(_mm256_loadu_pd(src + i)));
-    dst[i] = detail::float_to_half(f[0]);
-    dst[i + 1] = detail::float_to_half(f[1]);
-    dst[i + 2] = detail::float_to_half(f[2]);
-    dst[i + 3] = detail::float_to_half(f[3]);
-  }
-  for (; i < n; ++i) {
-    dst[i] = detail::float_to_half(static_cast<float>(src[i]));
-  }
-}
-
-void fp16_unpack_avx2(const std::uint16_t* src, std::size_t n, double* dst) {
-  std::size_t i = 0;
-  alignas(16) float f[4];
-  for (; i + 4 <= n; i += 4) {
-    f[0] = detail::half_to_float(src[i]);
-    f[1] = detail::half_to_float(src[i + 1]);
-    f[2] = detail::half_to_float(src[i + 2]);
-    f[3] = detail::half_to_float(src[i + 3]);
-    _mm256_storeu_pd(dst + i, _mm256_cvtps_pd(_mm_load_ps(f)));
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<double>(detail::half_to_float(src[i]));
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -562,10 +464,7 @@ const KernelTable& avx2_table() noexcept {
       max_avx2,          scale_avx2,
       ema_avx2,          ema_unpack_avx2,
       scalar_table().pack_upper,  // memcpy row runs — already optimal
-      transpose_avx2,
-      absmax_avx2,       int8_quantize_avx2,
-      int8_dequantize_avx2, fp16_pack_avx2,
-      fp16_unpack_avx2};
+      transpose_avx2};
   return t;
 }
 

@@ -13,8 +13,6 @@
 #include "tensor/kernels/tables.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstring>
 
 namespace spdkfac::tensor::kernels {
@@ -145,106 +143,9 @@ void transpose_scalar(const double* in, std::size_t rows, std::size_t cols,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Codec kernels (comm::Codec).  See the header's determinism note: these
-// must produce the same bits at every ISA level, so everything that rounds
-// does so through operations whose vector lanes round exactly like the
-// scalar ops (double*double multiply, RNE double->int conversion) or
-// through the shared software half converter below.
-// ---------------------------------------------------------------------------
-
-double absmax_scalar(const double* src, std::size_t n) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(src[i]));
-  return m;
-}
-
-void int8_quantize_scalar(const double* src, std::size_t n, double inv_scale,
-                          signed char* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double t = std::nearbyint(src[i] * inv_scale);  // RNE in default mode
-    t = std::min(127.0, std::max(-127.0, t));
-    dst[i] = static_cast<signed char>(t);
-  }
-}
-
-void int8_dequantize_scalar(const signed char* src, std::size_t n,
-                            double scale, double* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = scale * static_cast<double>(src[i]);
-  }
-}
-
-void fp16_pack_scalar(const double* src, std::size_t n, std::uint16_t* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = detail::float_to_half(static_cast<float>(src[i]));
-  }
-}
-
-void fp16_unpack_scalar(const std::uint16_t* src, std::size_t n,
-                        double* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<double>(detail::half_to_float(src[i]));
-  }
-}
-
 }  // namespace
 
 namespace detail {
-
-std::uint16_t float_to_half(float f) noexcept {
-  const std::uint32_t x = std::bit_cast<std::uint32_t>(f);
-  const std::uint32_t sign = (x >> 16) & 0x8000u;
-  const std::uint32_t abs = x & 0x7FFF'FFFFu;
-  if (abs >= 0x7F80'0000u) {  // inf / NaN (NaN keeps a payload bit set)
-    return static_cast<std::uint16_t>(
-        sign | 0x7C00u | (abs > 0x7F80'0000u ? 0x0200u : 0u));
-  }
-  if (abs >= 0x4780'0000u) {  // >= 65520 rounds past half's max -> inf
-    return static_cast<std::uint16_t>(sign | 0x7C00u);
-  }
-  if (abs < 0x3880'0000u) {  // below 2^-14: subnormal half (or zero)
-    const std::uint32_t mant = (abs & 0x007F'FFFFu) | 0x0080'0000u;
-    const int shift = 126 - static_cast<int>(abs >> 23);
-    if (shift > 24) return static_cast<std::uint16_t>(sign);  // underflow
-    const std::uint32_t kept = mant >> shift;
-    const std::uint32_t rem = mant & ((std::uint32_t{1} << shift) - 1);
-    const std::uint32_t half = std::uint32_t{1} << (shift - 1);
-    std::uint32_t r = kept;
-    if (rem > half || (rem == half && (kept & 1u))) ++r;
-    return static_cast<std::uint16_t>(sign | r);
-  }
-  const std::uint32_t mant = abs & 0x007F'FFFFu;
-  const std::uint32_t exp = (abs >> 23) - 112;  // rebias 127 -> 15
-  std::uint32_t r = (exp << 10) | (mant >> 13);
-  const std::uint32_t rem = mant & 0x1FFFu;
-  // RNE on the 13 dropped bits; a carry correctly bumps the exponent.
-  if (rem > 0x1000u || (rem == 0x1000u && (r & 1u))) ++r;
-  return static_cast<std::uint16_t>(sign | r);
-}
-
-float half_to_float(std::uint16_t h) noexcept {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1Fu;
-  std::uint32_t mant = h & 0x3FFu;
-  std::uint32_t bits;
-  if (exp == 0x1Fu) {
-    bits = sign | 0x7F80'0000u | (mant << 13);  // inf / NaN
-  } else if (exp != 0) {
-    bits = sign | ((exp + 112) << 23) | (mant << 13);
-  } else if (mant == 0) {
-    bits = sign;
-  } else {  // subnormal half: normalize into a float exponent
-    int k = 0;
-    while (!(mant & 0x400u)) {
-      mant <<= 1;
-      ++k;
-    }
-    mant &= 0x3FFu;
-    bits = sign | (static_cast<std::uint32_t>(113 - k) << 23) | (mant << 13);
-  }
-  return std::bit_cast<float>(bits);
-}
 
 const KernelTable& scalar_table() noexcept {
   static const KernelTable t{
@@ -252,9 +153,7 @@ const KernelTable& scalar_table() noexcept {
       gemm_nt_scalar,     dot_scalar,         add_scalar,
       max_scalar,         scale_scalar,       ema_scalar,
       ema_unpack_scalar,  pack_upper_scalar,
-      transpose_scalar,
-      absmax_scalar,      int8_quantize_scalar, int8_dequantize_scalar,
-      fp16_pack_scalar,   fp16_unpack_scalar};
+      transpose_scalar};
   return t;
 }
 

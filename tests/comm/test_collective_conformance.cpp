@@ -174,14 +174,6 @@ INSTANTIATE_TEST_SUITE_P(AlgoByWorld, ConformanceFlat,
 
 constexpr double kTopKRatio = 0.05;
 
-double chunk_absmax(const std::vector<double>& v, std::size_t chunk) {
-  const std::size_t begin = chunk * kInt8ChunkElements;
-  const std::size_t end = std::min(v.size(), begin + kInt8ChunkElements);
-  double m = 0.0;
-  for (std::size_t i = begin; i < end; ++i) m = std::max(m, std::abs(v[i]));
-  return m;
-}
-
 void expect_codec_conformant(TransportKind kind, const Topology& topo,
                              Codec codec, ReduceOp op, std::size_t n,
                              std::uint64_t seed) {
@@ -223,31 +215,11 @@ void expect_codec_conformant(TransportKind kind, const Topology& topo,
   EXPECT_EQ(results[0], replayed)
       << ctx << " differs from the replayed-codec reference (n=" << n << ")";
 
-  // Lossy codecs must stay within the analytic bound of the exact
-  // reduction (file comment of comm/codec.hpp); top-k loss is unbounded
-  // here by design — error feedback accounts for it upstream.
-  const double scale = op == ReduceOp::kAverage ? 1.0 / world : 1.0;
+  // The lossless codec must equal the exact reduction; top-k loss is
+  // unbounded here by design — error feedback accounts for it upstream.
+  if (codec != Codec::kNone) return;
   for (std::size_t i = 0; i < n; ++i) {
-    double tol = -1.0;
-    if (codec == Codec::kNone) {
-      tol = 0.0;
-    } else if (codec == Codec::kFp16) {
-      double amax = 0.0;
-      for (const auto& v : inputs) amax = std::max(amax, std::abs(v[i]));
-      tol = world * amax * 0x1p-10 + 1e-12;
-    } else if (codec == Codec::kInt8) {
-      double amax = 0.0;
-      for (const auto& v : inputs) {
-        amax = std::max(amax, chunk_absmax(v, i / kInt8ChunkElements));
-      }
-      tol = world * amax / 254.0 + 1e-12;
-    }
-    if (tol == 0.0) {
-      EXPECT_EQ(results[0][i], exact[i]) << ctx << " at i=" << i;
-    } else if (tol > 0.0) {
-      EXPECT_NEAR(results[0][i], exact[i], tol * scale)
-          << ctx << " at i=" << i << " (n=" << n << ")";
-    }
+    EXPECT_EQ(results[0][i], exact[i]) << ctx << " at i=" << i;
   }
 }
 
@@ -274,8 +246,7 @@ TEST_P(CodecConformance, RandomSizesSumAndAverage) {
 
 std::vector<CodecCase> codec_cases() {
   std::vector<CodecCase> cases;
-  for (Codec codec :
-       {Codec::kNone, Codec::kFp16, Codec::kInt8, Codec::kTopK}) {
+  for (Codec codec : {Codec::kNone, Codec::kTopK}) {
     for (int world : {1, 2, 4, 8}) cases.push_back({codec, world});
     for (int world : {2, 3}) {
       cases.push_back({codec, world, TransportKind::kSocket});

@@ -49,7 +49,7 @@ TEST(WireHeader, RoundTripsAllFields) {
   header.src = 7;
   header.plan_task = 123;
   header.elements = 99;
-  header.codec = 2;  // comm::Codec::kInt8 payload
+  header.codec = 3;  // comm::Codec::kTopK payload
 
   unsigned char raw[wire::kHeaderBytes];
   wire::encode_header(header, raw);

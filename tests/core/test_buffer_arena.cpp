@@ -125,12 +125,9 @@ std::size_t expected_carved(const sched::IterationPlan& plan,
     if (!t.is_collective()) continue;
     total += BufferArena::aligned(t.elements);
     if (t.codec == comm::Codec::kNone) continue;
-    scratch = std::max(
-        scratch, t.kind == sched::TaskKind::kBroadcast
-                     ? comm::broadcast_scratch_elements(t.codec, t.elements)
-                     : comm::all_reduce_scratch_elements(
-                           t.codec, t.elements, plan.world_size,
-                           opts.topk_ratio));
+    scratch = std::max(scratch, comm::all_reduce_scratch_elements(
+                                    t.codec, t.elements, plan.world_size,
+                                    opts.topk_ratio));
   }
   return total + BufferArena::aligned(scratch);
 }

@@ -2,12 +2,13 @@
 // for the top-k error-feedback gradient path and its persistence:
 //
 //   * convergence: a small MLP trained with grad_codec=kTopK (+ error
-//     feedback) and factor_codec=kInt8 must reach a final loss within a
-//     fixed tolerance of the lossless run — the EF residuals recover the
-//     sparsification loss across steps;
+//     feedback) must reach a final loss within a fixed tolerance of the
+//     lossless run — the EF residuals recover the sparsification loss
+//     across steps;
 //   * determinism: compressed training is bitwise identical across pool
-//     sizes and across both transport backends (the codec kernels and
-//     the rank-ordered compressed reduction leave no ordering freedom);
+//     sizes and across both transport backends (the deterministic top-k
+//     selection and the rank-ordered compressed reduction leave no
+//     ordering freedom);
 //   * persistence: checkpoint/restore mid-run — with the per-layer EF
 //     residuals riding the journal as kGradResidual records — resumes
 //     bitwise identically to the uninterrupted run, and pre-compression
@@ -44,7 +45,6 @@ struct RunConfig {
   int world = 2;
   std::size_t pool_size = 1;
   int steps = 4;
-  comm::Codec factor_codec = comm::Codec::kNone;
   comm::Codec grad_codec = comm::Codec::kNone;
   double topk_ratio = 0.2;
 };
@@ -59,7 +59,6 @@ DistKfacOptions options_for(const RunConfig& cfg,
   opts.damping = 0.1;
   opts.stat_decay = 0.5;
   opts.grad_fusion_threshold = 64;  // several WFBP groups
-  opts.factor_codec = cfg.factor_codec;
   opts.grad_codec = cfg.grad_codec;
   opts.topk_ratio = cfg.topk_ratio;
   // Fixed profile: schedules must not depend on wall-clock measurements.
@@ -135,7 +134,6 @@ void expect_bitwise_equal(const std::vector<Matrix>& a,
 
 RunConfig compressed_config() {
   RunConfig cfg;
-  cfg.factor_codec = comm::Codec::kInt8;
   cfg.grad_codec = comm::Codec::kTopK;
   cfg.topk_ratio = 0.2;
   return cfg;

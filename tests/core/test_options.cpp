@@ -11,6 +11,7 @@
 #include "core/dist_kfac.hpp"
 #include "nn/layers.hpp"
 #include "tensor/random.hpp"
+#include "testsupport/codec_names.hpp"
 
 namespace spdkfac::core {
 namespace {
@@ -187,6 +188,26 @@ TEST(DistKfacOptionsTest, ValidateChecksTrajectoryEntriesAndExclusivity) {
   opts.profile = good;
   opts.profile_trajectory = {good};
   EXPECT_THROW(opts.validate(), std::invalid_argument);
+}
+
+TEST(DistKfacOptionsTest, ValidateRejectsRetiredAndUnknownCodecs) {
+  for (const testsupport::RejectedCodecId& bad :
+       testsupport::kRejectedCodecIds) {
+    const auto codec = static_cast<comm::Codec>(bad.id);
+    DistKfacOptions factor;
+    factor.factor_codec = codec;
+    testsupport::expect_codec_rejected(bad, [&] { factor.validate(); });
+    DistKfacOptions grad;
+    grad.grad_codec = codec;
+    testsupport::expect_codec_rejected(bad, [&] { grad.validate(); });
+  }
+  // Factors ship lossless; gradients may take top-k.
+  DistKfacOptions opts;
+  opts.factor_codec = comm::Codec::kTopK;
+  EXPECT_THROW(opts.validate(), std::invalid_argument);
+  opts.factor_codec = comm::Codec::kNone;
+  opts.grad_codec = comm::Codec::kTopK;
+  EXPECT_NO_THROW(opts.validate());
 }
 
 TEST(DistKfacOptionsTest, AdaptiveDefaultsArePaperFaithful) {

@@ -52,18 +52,14 @@ struct Config {
   sched::FactorCommMode factor_comm;  // SPD only; bulk strategies ignore it
   comm::AllReduceAlgo algo = comm::AllReduceAlgo::kRing;
   ModelKind model = ModelKind::kMlp;
-  comm::Codec factor_codec = comm::Codec::kNone;
-  comm::Codec grad_codec = comm::Codec::kNone;
+  comm::Codec grad_codec = comm::Codec::kNone;  // factors ship lossless
   double topk_ratio = 0.01;
 };
 
-/// CI's forced-codec sweep: SPDKFAC_TEST_FACTOR_CODEC / _GRAD_CODEC /
-/// _TOPK_RATIO overlay every cell (runtime options *and* simulator config
-/// — that is the point: the whole suite must hold under compression too).
+/// CI's forced-codec sweep: SPDKFAC_TEST_GRAD_CODEC / _TOPK_RATIO overlay
+/// every cell (runtime options *and* simulator config — that is the point:
+/// the whole suite must hold under compression too).
 Config with_env_codecs(Config c) {
-  if (const char* env = std::getenv("SPDKFAC_TEST_FACTOR_CODEC")) {
-    c.factor_codec = testsupport::codec_from_string(env);
-  }
   if (const char* env = std::getenv("SPDKFAC_TEST_GRAD_CODEC")) {
     c.grad_codec = testsupport::codec_from_string(env);
   }
@@ -78,10 +74,8 @@ std::string config_name(const Config& c) {
                   sched::to_string(c.factor_comm) + "@" +
                   comm::to_string(c.algo) +
                   (c.model == ModelKind::kConv ? " conv" : " mlp");
-  if (c.factor_codec != comm::Codec::kNone ||
-      c.grad_codec != comm::Codec::kNone) {
-    n += std::string(" codec=") + comm::to_string(c.factor_codec) + "/" +
-         comm::to_string(c.grad_codec);
+  if (c.grad_codec != comm::Codec::kNone) {
+    n += std::string(" codec=") + comm::to_string(c.grad_codec);
   }
   return n;
 }
@@ -137,7 +131,6 @@ sim::AlgorithmConfig sim_config(const Config& c) {
   }
   cfg.grad_fusion_threshold = kGradThreshold;
   cfg.collective_algo = c.algo;
-  cfg.factor_codec = c.factor_codec;
   cfg.grad_codec = c.grad_codec;
   cfg.topk_ratio = c.topk_ratio;
   return cfg;
@@ -164,7 +157,6 @@ void train_one_step(const Config& c, const models::ModelSpec& spec,
   opts.strategy = c.strategy;
   opts.factor_comm = c.factor_comm;
   opts.collective_algo = c.algo;
-  opts.factor_codec = c.factor_codec;
   opts.grad_codec = c.grad_codec;
   opts.topk_ratio = c.topk_ratio;
   opts.grad_fusion_threshold = kGradThreshold;
@@ -356,19 +348,16 @@ TEST_P(Equivalence, AutoSelectedAlgorithmsMatchSimulator) {
 
 TEST_P(Equivalence, CompressedCollectivesMatchSimulator) {
   // Codec-annotated plans: the planner's compressed decisions (codec, wire
-  // sizes, re-derived grouping/placement) must reach the runtime and the
-  // simulator identically, and the runtime's compressed submissions must
-  // still follow the canonical order record for record.
+  // sizes, gradient groups re-derived from them) must reach the runtime
+  // and the simulator identically, and the runtime's compressed
+  // submissions must still follow the canonical order record for record.
   const Config cells[] = {
       {core::DistStrategy::kSpdKfac, sched::FactorCommMode::kOptimalFuse,
-       comm::AllReduceAlgo::kRing, ModelKind::kMlp, comm::Codec::kInt8,
-       comm::Codec::kTopK},
+       comm::AllReduceAlgo::kRing, ModelKind::kMlp, comm::Codec::kTopK},
       {core::DistStrategy::kSpdKfac, sched::FactorCommMode::kOptimalFuse,
-       comm::AllReduceAlgo::kAuto, ModelKind::kConv, comm::Codec::kFp16,
-       comm::Codec::kFp16},
+       comm::AllReduceAlgo::kAuto, ModelKind::kConv, comm::Codec::kTopK},
       {core::DistStrategy::kMpdKfac, sched::FactorCommMode::kBulk,
-       comm::AllReduceAlgo::kRing, ModelKind::kMlp, comm::Codec::kAuto,
-       comm::Codec::kAuto},
+       comm::AllReduceAlgo::kRing, ModelKind::kMlp, comm::Codec::kTopK},
   };
   for (const Config& c : cells) {
     check_equivalence(GetParam(), c, false);

@@ -57,8 +57,7 @@ struct Strategy {
   const char* name;
   FactorCommMode factor_comm;
   InverseMode inverse;
-  comm::Codec factor_codec = comm::Codec::kNone;
-  comm::Codec grad_codec = comm::Codec::kNone;
+  comm::Codec grad_codec = comm::Codec::kNone;  // factors ship lossless
 };
 
 constexpr Strategy kStrategies[] = {
@@ -67,14 +66,12 @@ constexpr Strategy kStrategies[] = {
     {"spdkfac", FactorCommMode::kOptimalFuse, InverseMode::kLBP},
 };
 
-// Compressed variants of the full SPD-KFAC pipeline: the codecs shift the
-// m of Eq. (14), so these goldens pin down the *re-derived* fusion groups,
-// CT/NCT typing, algorithm choices and wire sizes — not just annotations.
+// The compressed variant of the full SPD-KFAC pipeline: top-k shifts the
+// m of Eq. (14) for gradients, so this golden pins down the *re-derived*
+// WFBP gradient groups and wire sizes — not just annotations.
 constexpr Strategy kCompressedStrategies[] = {
-    {"spdkfac_int8_topk", FactorCommMode::kOptimalFuse, InverseMode::kLBP,
-     comm::Codec::kInt8, comm::Codec::kTopK},
-    {"spdkfac_fp16", FactorCommMode::kOptimalFuse, InverseMode::kLBP,
-     comm::Codec::kFp16, comm::Codec::kFp16},
+    {"spdkfac_topk", FactorCommMode::kOptimalFuse, InverseMode::kLBP,
+     comm::Codec::kTopK},
 };
 
 // The runtime's SPD-KFAC: Algorithm 1 owning whole layers where that pays.
@@ -101,7 +98,6 @@ IterationPlan plan_for(const models::ModelSpec& spec, const Strategy& strategy,
   opt.factor_comm = strategy.factor_comm;
   opt.inverse = strategy.inverse;
   opt.grad_fusion_threshold = kGradThreshold;
-  opt.factor_codec = strategy.factor_codec;
   opt.grad_codec = strategy.grad_codec;
   return plan_iteration(
       inputs_from_model(spec, kBatch, cal.compute, kWorld,
@@ -177,16 +173,17 @@ TEST(GoldenSchedules, LayerOwnedPlansMatchCheckedInPlans) {
 }
 
 // Compression is a planner *dimension*, not a transport detail: with the
-// compressed beta of Eq. (14) the planner must reach genuinely different
+// compressed m of Eq. (14) the planner must reach genuinely different
 // decisions — different fusion/WFBP grouping or CT/NCT typing — on at
-// least one zoo model, not merely re-annotate the lossless plan.
+// least one zoo model, not merely re-annotate the lossless plan.  Top-k
+// gets there through the wire-size WFBP threshold.
 TEST(GoldenSchedules, CompressionChangesPlanStructure) {
   const Strategy lossless = kStrategies[2];  // spdkfac
   bool structural = false;
   for (const Zoo& entry : zoo()) {
     const IterationPlan base = plan_for(entry.spec, lossless);
     const IterationPlan compressed =
-        plan_for(entry.spec, kCompressedStrategies[0]);  // int8 + topk
+        plan_for(entry.spec, kCompressedStrategies[0]);  // topk
 
     const auto groups_differ = [](const std::vector<FusionGroup>& a,
                                   const std::vector<FusionGroup>& b) {
@@ -210,8 +207,8 @@ TEST(GoldenSchedules, CompressionChangesPlanStructure) {
                   base.grad_groups != compressed.grad_groups || nct_differ;
   }
   EXPECT_TRUE(structural)
-      << "int8+topk compression left every zoo plan structurally identical "
-         "to lossless — the codecs are not reaching the fusion DP / LBP";
+      << "top-k compression left every zoo plan structurally identical "
+         "to lossless — the codec is not reaching the planner";
 }
 
 TEST(GoldenSchedules, SerializerIsInjectiveOnTheZoo) {

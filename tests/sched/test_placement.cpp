@@ -88,8 +88,8 @@ TEST(LbpPlace, WorldSizeValidation) {
 // lbp_place's per-tensor typing.
 TEST(LbpLayerPlace, OwnsLayersWhoseUpdateOutweighsOneBroadcast) {
   const std::vector<std::size_t> dims{4096, 4096, 64, 128, 2048, 1024};
-  const Placement p = lbp_layer_place(dims, 4, paper_inverse(),
-                                      paper_broadcast(), paper_broadcast());
+  const Placement p =
+      lbp_layer_place(dims, 4, paper_inverse(), paper_broadcast());
   const Placement tensor = lbp_place(dims, 4, paper_inverse(),
                                      paper_broadcast());
   EXPECT_EQ(p.policy, "Layer-LBP");
@@ -113,16 +113,14 @@ TEST(LbpLayerPlace, OwnsLayersWhoseUpdateOutweighsOneBroadcast) {
 
 TEST(LbpLayerPlace, SingleGpuOwnsNothingAndBadInputThrows) {
   const std::vector<std::size_t> dims{4096, 4096};
-  const Placement p = lbp_layer_place(dims, 1, paper_inverse(),
-                                      paper_broadcast(), paper_broadcast());
+  const Placement p =
+      lbp_layer_place(dims, 1, paper_inverse(), paper_broadcast());
   EXPECT_FALSE(p.owned(0));
   EXPECT_EQ(p.num_ncts(), 2u);
   const std::vector<std::size_t> odd{64, 128, 256};
-  EXPECT_THROW(lbp_layer_place(odd, 4, paper_inverse(), paper_broadcast(),
-                               paper_broadcast()),
+  EXPECT_THROW(lbp_layer_place(odd, 4, paper_inverse(), paper_broadcast()),
                std::invalid_argument);
-  EXPECT_THROW(lbp_layer_place(dims, 0, paper_inverse(), paper_broadcast(),
-                               paper_broadcast()),
+  EXPECT_THROW(lbp_layer_place(dims, 0, paper_inverse(), paper_broadcast()),
                std::invalid_argument);
 }
 
@@ -130,7 +128,7 @@ TEST(PredictCost, OwnedLayerPaysOneDeltaBroadcastInsteadOfItsInverses) {
   const std::vector<std::size_t> dims{4096, 2048};
   const auto inv = paper_inverse();
   const auto bc = paper_broadcast();
-  const Placement p = lbp_layer_place(dims, 2, inv, bc, bc);
+  const Placement p = lbp_layer_place(dims, 2, inv, bc);
   ASSERT_TRUE(p.owned(0));
   const PlacementCost cost = predict_cost(p, dims, inv, bc);
   EXPECT_DOUBLE_EQ(cost.bottleneck_comm, bc.time_elements(4096 * 2048));

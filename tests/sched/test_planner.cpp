@@ -10,6 +10,7 @@
 
 #include "comm/topology.hpp"
 #include "models/model_spec.hpp"
+#include "testsupport/codec_names.hpp"
 
 namespace spdkfac::sched {
 namespace {
@@ -80,7 +81,6 @@ TEST(Planner, CommOrderIsSortedByReadinessGradsBeforeFactorsOnTies) {
 TEST(Planner, ByteCountsSumCollectivePayloadsPerKind) {
   const ScheduleInputs in = mlp_inputs(4);
   ScheduleOptions opt;
-  opt.factor_codec = comm::Codec::kInt8;
   opt.grad_codec = comm::Codec::kTopK;
   const IterationPlan plan = plan_iteration(in, opt, flat_costs(4));
   std::size_t raw = 0, wire = 0;
@@ -91,7 +91,7 @@ TEST(Planner, ByteCountsSumCollectivePayloadsPerKind) {
   }
   EXPECT_EQ(plan.raw_bytes(), raw);
   EXPECT_EQ(plan.wire_bytes(), wire);
-  EXPECT_LT(wire, raw);  // both codecs compress
+  EXPECT_LT(wire, raw);  // top-k gradients compress
   for (const auto bytes : {&IterationPlan::raw_bytes,
                            &IterationPlan::wire_bytes}) {
     EXPECT_EQ((plan.*bytes)(TaskKind::kFusedAllReduce) +
@@ -282,6 +282,26 @@ TEST(Planner, RejectsInconsistentInputs) {
   ScheduleInputs bad_grads = in;
   bad_grads.timing.grad_ready.clear();
   EXPECT_THROW(plan_iteration(bad_grads, opt, costs), std::invalid_argument);
+}
+
+TEST(Planner, RejectsRetiredAndUnknownCodecs) {
+  const ScheduleInputs in = mlp_inputs(2);
+  const ScheduleCosts costs = flat_costs(2);
+  for (const testsupport::RejectedCodecId& bad :
+       testsupport::kRejectedCodecIds) {
+    const auto codec = static_cast<comm::Codec>(bad.id);
+    ScheduleOptions factor;
+    factor.factor_codec = codec;
+    testsupport::expect_codec_rejected(
+        bad, [&] { plan_iteration(in, factor, costs); });
+    ScheduleOptions grad;
+    grad.grad_codec = codec;
+    testsupport::expect_codec_rejected(
+        bad, [&] { plan_iteration(in, grad, costs); });
+  }
+  ScheduleOptions opt;
+  opt.factor_codec = comm::Codec::kTopK;
+  EXPECT_THROW(plan_iteration(in, opt, costs), std::invalid_argument);
 }
 
 TEST(Planner, TaskKindNamesAreStable) {
